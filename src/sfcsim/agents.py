@@ -11,7 +11,9 @@ import numpy as np
 from . import routing
 from .drl import PendingItem, QNetwork, StateEncoding, StateView, encode_state
 from .routing import RouteCounters
-from .topology import ClusterPartition, NetworkGraph, cluster_adjacency, make_clusters
+from .topology import ClusterPartition, NetworkGraph, make_clusters
+# stays importable here: perfbench's tracer wraps agents.cluster_adjacency
+from .topology import cluster_adjacency  # noqa: F401
 from .workload import SfcRequest, VNF_ORDER
 
 REWARD_ACCEPT = 2.0
@@ -69,7 +71,7 @@ class GeneralAgent:
         self.graph = graph
         self.partition = partition
         self.local_agents = local_agents
-        self.cluster_graph = cluster_adjacency(partition)
+        self.cluster_graph = routing.routing_tables(partition).adjacency
         self.counters = RouteCounters()
         self.handoff_log: list[tuple] = []
         # (cluster, sfc name) -> [generated, accepted, dropped]

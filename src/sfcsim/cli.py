@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--weights", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(fn=fn)
     return parser
 

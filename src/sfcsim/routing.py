@@ -38,6 +38,28 @@ class RouteCounters:
         self.dfs_edges.clear()
 
 
+@dataclass(frozen=True)
+class RoutingTables:
+    """Cluster-level routing tables of one partition."""
+    adjacency: dict[int, list[int]]  # cluster -> neighbor clusters, ascending
+    # (a, b) -> sorted DCs of cluster b that an inter-cluster link from a enters
+    gateways: dict[tuple[int, int], list[int]]
+
+
+def routing_tables(partition: ClusterPartition) -> RoutingTables:
+    """The partition's routing tables, built on first use and cached on it."""
+    if partition.routing_cache is None:
+        gateways: dict[tuple[int, int], set[int]] = {}
+        for link in partition.inter_links:
+            ca, cb = partition.cluster_of(link.a), partition.cluster_of(link.b)
+            gateways.setdefault((ca, cb), set()).add(link.b)
+            gateways.setdefault((cb, ca), set()).add(link.a)
+        partition.routing_cache = RoutingTables(
+            cluster_adjacency(partition),
+            {pair: sorted(dcs) for pair, dcs in gateways.items()})
+    return partition.routing_cache
+
+
 def _dijkstra(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
               src: int, required_bw: float,
               counters: RouteCounters | None) -> tuple[dict[int, float], dict[int, tuple[int, LinkSpec]]]:
@@ -100,30 +122,39 @@ def d2d_shortest_path(subgraph: Iterable[int], graph: NetworkGraph, link_free: L
 def c2c_cluster_path(cluster_graph: dict[int, list[int]], src_cluster: int,
                      dst_cluster: int,
                      counters: RouteCounters | None = None) -> list[int] | None:
-    """First simple path found by DFS (neighbors in ascending cluster id)."""
+    """First simple path found by DFS (neighbors in the listed order, which is
+    ascending cluster id for `cluster_adjacency`).
+
+    One visited set serves the whole search, so it costs O(V+E): each
+    cluster's neighbor list is scanned at most once. In an undirected graph a
+    cluster whose subtree failed to reach the destination cannot reach it
+    later either, so the path found is the one a search that re-explores
+    every simple path would find first. The search is iterative and cannot
+    hit the recursion limit on deep cluster graphs."""
     if src_cluster not in cluster_graph or dst_cluster not in cluster_graph:
         return None
     if src_cluster == dst_cluster:
         return [src_cluster]
     visited_edges = 0
     path = [src_cluster]
-    on_path = {src_cluster}
-
-    def dfs(c: int) -> bool:
-        nonlocal visited_edges
-        for nb in cluster_graph[c]:
+    visited = {src_cluster}
+    stack = [iter(cluster_graph[src_cluster])]  # stack[i] scans path[i]
+    found = False
+    while stack and not found:
+        for nb in stack[-1]:
             visited_edges += 1
-            if nb in on_path:
+            if nb in visited:
                 continue
+            visited.add(nb)
             path.append(nb)
-            on_path.add(nb)
-            if nb == dst_cluster or dfs(nb):
-                return True
+            if nb == dst_cluster:
+                found = True
+            else:
+                stack.append(iter(cluster_graph[nb]))
+            break
+        else:
+            stack.pop()
             path.pop()
-            on_path.remove(nb)
-        return False
-
-    found = dfs(src_cluster)
     if counters is not None:
         counters.dfs_edges.append(visited_edges)
     return path if found else None
@@ -176,6 +207,9 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
     cluster path, running D2D over the union of exactly two consecutive clusters
     per segment (entry DC to the nearest gateway of the next cluster, or to the
     destination once its cluster is reached).
+
+    The cluster adjacency and gateway lists come from `routing_tables`, built
+    once per partition; the cluster path costs O(V+E) in the cluster graph.
     """
     src_c = partition.cluster_of(src)
     dst_c = partition.cluster_of(dst)
@@ -183,15 +217,10 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
         return d2d_shortest_path(partition.clusters[src_c], graph, link_free,
                                  src, dst, required_bw, counters)
 
-    cpath = c2c_cluster_path(cluster_adjacency(partition), src_c, dst_c, counters)
+    tables = routing_tables(partition)
+    cpath = c2c_cluster_path(tables.adjacency, src_c, dst_c, counters)
     if cpath is None:
         return None
-
-    gateways: dict[tuple[int, int], list[int]] = {}
-    for link in partition.inter_links:
-        ca, cb = partition.cluster_of(link.a), partition.cluster_of(link.b)
-        gateways.setdefault((ca, cb), []).append(link.b)
-        gateways.setdefault((cb, ca), []).append(link.a)
 
     entry = src
     hops: list[int] = [src]
@@ -201,7 +230,7 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
         if b == dst_c:
             targets = [dst]
         else:
-            targets = sorted(set(gateways.get((a, b), [])))
+            targets = tables.gateways.get((a, b))
             if not targets:
                 return None
         seg = _nearest_target(entry, targets, nodes, graph, link_free,

@@ -25,7 +25,7 @@ class VnfInstance:
     allocated_request: int | None = None
     reserved: bool = False  # allocation pending general-agent path assistance
 
-    def is_idle(self, now: float) -> bool:
+    def is_idle(self) -> bool:
         return self.allocated_request is None and not self.reserved
 
 
@@ -48,13 +48,18 @@ class DcRuntime:
 
 
 class LinkRuntime:
+    """A link's reservations and its free bandwidth. Reservations change only
+    through `Substrate`, which refreshes `free_bw` after every change."""
+
+    __slots__ = ("link", "reservations", "free_bw")
+
     def __init__(self, link: LinkSpec):
         self.link = link
         self.reservations: dict[int, float] = {}  # request id -> Mbps
+        self.free_bw = self.computed_free_bw()
 
-    @property
-    def free_bw(self) -> float:
-        # single source of truth: recompute from reservations in request-id order
+    def computed_free_bw(self) -> float:
+        """Free bandwidth recomputed from the reservations in request-id order."""
         return self.link.bandwidth_cap - math.fsum(
             self.reservations[r] for r in sorted(self.reservations))
 
@@ -82,6 +87,8 @@ class Substrate:
         self.dcs: dict[int, DcRuntime] = {dc.id: DcRuntime(dc) for dc in graph.dcs}
         self.links: dict[tuple[int, int], LinkRuntime] = {
             l.key: LinkRuntime(l) for l in graph.links}
+        # request id -> the links it reserved on (one entry per reservation)
+        self._held: dict[int, list[LinkRuntime]] = {}
         self._next_instance_id = 0
 
     # ---- link state -------------------------------------------------------
@@ -97,12 +104,15 @@ class Substrate:
         for rt in runtimes:
             rt.reservations[request.id] = rt.reservations.get(request.id, 0.0) \
                 + request.bandwidth
+            rt.free_bw = rt.computed_free_bw()
+            self._held.setdefault(request.id, []).append(rt)
         return True
 
     def release_bandwidth(self, request_id: int) -> None:
         """Drop all reservations held by the request; idempotent."""
-        for rt in self.links.values():
+        for rt in self._held.pop(request_id, ()):
             rt.reservations.pop(request_id, None)
+            rt.free_bw = rt.computed_free_bw()
 
     # ---- DC / instance state ---------------------------------------------
 
@@ -164,7 +174,7 @@ class Substrate:
 
     def idle_instances(self, dc_id: int, vnf_name: str, now: float) -> list[VnfInstance]:
         return [i for i in self.dcs[dc_id].installed.get(vnf_name, [])
-                if i.is_idle(now)]
+                if i.is_idle()]
 
     def installed_count(self, dc_id: int, vnf_name: str) -> int:
         return len(self.dcs[dc_id].installed.get(vnf_name, []))
@@ -194,9 +204,7 @@ class Substrate:
             if dc.free_vcpu < 0 or dc.free_ram < 0 or dc.free_storage < 0:
                 raise SubstrateError(f"DC {dc_id}: capacity exceeded")
         for key, rt in self.links.items():
-            expected = rt.link.bandwidth_cap - math.fsum(
-                rt.reservations[r] for r in sorted(rt.reservations))
-            if rt.free_bw != expected:
+            if rt.free_bw != rt.computed_free_bw():
                 raise SubstrateError(f"link {key}: bandwidth accounting drift")
             if rt.free_bw < -1e-12:
                 raise SubstrateError(f"link {key}: bandwidth exceeded")

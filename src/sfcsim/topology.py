@@ -206,6 +206,10 @@ class ClusterPartition:
     inter_links: list[LinkSpec]
     centroids: dict[int, tuple[float, float]]
     size_limit: int
+    # routing.RoutingTables derived from the fields above, built on first use
+    # by routing.routing_tables; partitions are not modified once made
+    routing_cache: object = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def cluster_count(self) -> int:

@@ -17,7 +17,6 @@ MAX_E2E_TOLERANCE_MS = 100.0
 BW_NORM_MBPS = 100.0
 
 PENDING = "pending"
-IN_SERVICE = "in-service"
 ACCEPTED = "accepted"
 DROPPED = "dropped"
 

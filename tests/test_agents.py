@@ -5,6 +5,7 @@ import pytest
 
 from sfcsim.agents import collect, priority_rank, setup
 from sfcsim.drl import ModelConfig, QNetwork
+from sfcsim.routing import routing_tables
 from sfcsim.sim import build_world, run_episode
 from sfcsim.topology import build_network
 from sfcsim.workload import ACCEPTED, DROPPED, SfcRequest, default_catalog
@@ -22,6 +23,8 @@ def test_setup_forty_dcs(policy):
     for cid, agent in general.local_agents.items():
         assert agent.cluster_id == cid
         assert set(agent.dc_ids) == set(general.partition.clusters[cid])
+    # find_path and the general agent read one cluster adjacency
+    assert general.cluster_graph is routing_tables(general.partition).adjacency
 
 
 def test_setup_degenerate_single_agent(policy):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sfcsim.routing import (RouteCounters, RoutingError, c2c_cluster_path,
-                            d2d_shortest_path, find_path)
+                            d2d_shortest_path, find_path, routing_tables)
 from sfcsim.topology import build_network, cluster_adjacency, make_clusters
 
 
@@ -157,20 +157,99 @@ def test_find_path_feasible_and_not_shorter_than_global():
         assert got.total_distance >= glob.total_distance - 1e-9
 
 
-def test_counters_bounded_by_two_cluster_union():
-    g = build_network({"dc_count": 24, "seed": 9})
+def reference_c2c_path(cluster_graph, src, dst):
+    """The recursive DFS that marks only the current path: it re-explores
+    every simple path, so it is exponential, but its first path is the one
+    `c2c_cluster_path` must return."""
+    if src not in cluster_graph or dst not in cluster_graph:
+        return None
+    if src == dst:
+        return [src]
+    path = [src]
+    on_path = {src}
+
+    def dfs(c):
+        for nb in cluster_graph[c]:
+            if nb in on_path:
+                continue
+            path.append(nb)
+            on_path.add(nb)
+            if nb == dst or dfs(nb):
+                return True
+            path.pop()
+            on_path.remove(nb)
+        return False
+
+    return path if dfs(src) else None
+
+
+def test_c2c_matches_reference_dfs_on_random_graphs():
+    rng = np.random.default_rng(2024)
+    for density in (0.15, 0.3, 0.5, 0.8):
+        for trial in range(15):
+            n = int(rng.integers(2, 14))
+            adj = {c: [] for c in range(n)}
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.random() < density:
+                        adj[a].append(b)
+                        adj[b].append(a)
+            graph = {c: sorted(nb) for c, nb in adj.items()}
+            twice_edges = sum(len(nb) for nb in graph.values())
+            for src in range(n):
+                for dst in range(n):
+                    counters = RouteCounters()
+                    got = c2c_cluster_path(graph, src, dst, counters)
+                    assert got == reference_c2c_path(graph, src, dst)
+                    assert sum(counters.dfs_edges) <= twice_edges
+
+
+def test_c2c_long_chain_no_recursion_error():
+    n = 5000
+    chain = {c: [nb for nb in (c - 1, c + 1) if 0 <= nb < n] for c in range(n)}
+    counters = RouteCounters()
+    assert c2c_cluster_path(chain, 0, n - 1, counters) == list(range(n))
+    assert counters.dfs_edges == [2 * (n - 1) - 1]
+
+
+def check_counters_bounded(dc_count):
+    g = build_network({"dc_count": dc_count, "seed": 9})
     part = make_clusters(g, 4, 0)
     sizes = sorted((len(m) for m in part.clusters.values()), reverse=True)
     bound = sizes[0] + sizes[1]
     counters = RouteCounters()
     rng = np.random.default_rng(1)
     for _ in range(30):
-        src, dst = rng.choice(24, size=2, replace=False)
+        src, dst = rng.choice(dc_count, size=2, replace=False)
         find_path(part, g, const_free(1000.0), int(src), int(dst), 1.0, counters)
     assert counters.max_settled <= bound
     adj = cluster_adjacency(part)
     edges = sum(len(v) for v in adj.values())  # each edge counted twice
     assert all(e <= edges for e in counters.dfs_edges)
+
+
+def test_counters_bounded_by_two_cluster_union():
+    check_counters_bounded(24)
+
+
+def test_counters_bounded_at_100_dcs_limit_4():
+    check_counters_bounded(100)
+
+
+def test_routing_tables_built_once_per_partition():
+    g = build_network({"dc_count": 24, "seed": 9})
+    part = make_clusters(g, 4, 0)
+    tables = routing_tables(part)
+    assert routing_tables(part) is tables
+    assert tables.adjacency == cluster_adjacency(part)
+    # gateways of (a, b): each DC of b entered by an inter-cluster link from a
+    entries = {(part.cluster_of(x), y) for l in part.inter_links
+               for x, y in ((l.a, l.b), (l.b, l.a))}
+    for (a, b), dcs in tables.gateways.items():
+        assert dcs == sorted(set(dcs))
+        assert all(part.cluster_of(d) == b for d in dcs)
+    assert entries == {(a, d) for (a, _), dcs in tables.gateways.items()
+                       for d in dcs}
 
 
 def test_routing_deterministic():

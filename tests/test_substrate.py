@@ -1,5 +1,7 @@
 """Substrate accounting tests: placement, uninstall, allocation, bandwidth."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,48 @@ def test_snapshot_json_parses(cat, sub):
     snap = json.loads(sub.snapshot_json())
     assert snap["dcs"]["0"]["free_vcpu"] == 35.0
     assert "WO" in snap["dcs"]["0"]["installed"]
+
+
+def recomputed_free(rt):
+    return rt.link.bandwidth_cap - math.fsum(
+        rt.reservations[r] for r in sorted(rt.reservations))
+
+
+def test_cached_free_bw_matches_full_recompute(cat):
+    g = build_network({"dc_count": 8, "seed": 3})
+    sub = Substrate(g)
+    rng = np.random.default_rng(8)
+    rids = list(range(20))
+    for _ in range(400):
+        rid = int(rng.choice(rids))
+        before = {key: {r: bw for r, bw in rt.reservations.items() if r != rid}
+                  for key, rt in sub.links.items()}
+        if rng.random() < 0.6:
+            # 1-3 distinct links; a request that reserves again adds a
+            # second share on links it already holds
+            picks = rng.choice(len(g.links), size=int(rng.integers(1, 4)),
+                               replace=False)
+            links = [g.links[int(i)] for i in picks]
+            path = PathResult([links[0].a, links[0].b], 1.0, links)
+            r = SfcRequest(rid, cat.sfc("CG"), float(rng.uniform(1, 300)),
+                           links[0].a, links[0].b)
+            sub.reserve_bandwidth(path, r)
+        else:
+            sub.release_bandwidth(rid)
+            assert all(rid not in rt.reservations for rt in sub.links.values())
+        after = {key: {r: bw for r, bw in rt.reservations.items() if r != rid}
+                 for key, rt in sub.links.items()}
+        assert after == before  # other requests' reservations untouched
+        for rt in sub.links.values():
+            assert rt.free_bw == recomputed_free(rt)
+        sub.verify_accounting()
+
+
+def test_verify_accounting_catches_reservation_behind_cache(cat, sub):
+    path = one_link_path(sub)
+    r = SfcRequest(11, cat.sfc("CG"), 4.0, path.hops[0], path.hops[1])
+    assert sub.reserve_bandwidth(path, r)
+    sub.verify_accounting()
+    sub.links[path.links_used[0].key].reservations[12] = 1.0
+    with pytest.raises(SubstrateError, match="bandwidth accounting drift"):
+        sub.verify_accounting()
