@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import routing
-from .drl import PendingItem, QNetwork, StateEncoding, StateView, encode_state
+from .drl import (PendingItem, QNetwork, StateEncoding, StateView, act,
+                  encode_state)
 from .routing import RouteCounters
 from .topology import ClusterPartition, NetworkGraph, make_clusters
 # stays importable here: perfbench's tracer wraps agents.cluster_adjacency
@@ -39,8 +40,6 @@ class AssistTask:
 class ActionOutcome:
     action: int
     reward: float
-    accepted_sfc: bool = False
-    dropped_sfc: bool = False
     invalid: bool = False
     uninstalled_needed: bool = False
     request: SfcRequest | None = None  # the request this action allocated
@@ -153,10 +152,12 @@ def _scan_scope(agent: LocalAgent, world) -> None:
     agent.queue[:] = keep
 
 
-def _try_allocate(agent: LocalAgent, world, instance, now: float) -> dict | None:
+def _try_allocate(agent: LocalAgent, world, instance,
+                  now: float) -> SfcRequest | None:
     """Allocate the top-priority pending VNF of the instance's type, routing the
     packet to the instance's DC. Cross-cluster packet locations defer to the
-    general agent. Returns the allocation result dict, or None."""
+    general agent. Returns the request taken from the queue (even when its
+    transfer could not reserve bandwidth and it was queued again), or None."""
     vname = instance.vnf_type.name
     pending = [r for r in agent.queue
                if r.next_vnf is not None and r.next_vnf.name == vname]
@@ -168,14 +169,13 @@ def _try_allocate(agent: LocalAgent, world, instance, now: float) -> dict | None
             if path is None:
                 continue
             agent.queue.remove(r)
-            result = world.perform_allocation(agent, r, instance, path, now)
-            result["request"] = r
-            return result
+            world.perform_allocation(agent, r, instance, path, now)
+            return r
         # packet sits outside the cluster (post-transfer): general agent routes
         agent.queue.remove(r)
         instance.reserved = True
         agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
-        return {"pending_path": True, "request": r}
+        return r
     return None
 
 
@@ -202,13 +202,10 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
             instance = sub.place_vnf(current_dc, vnf)
         else:
             return ActionOutcome(action, REWARD_INVALID, invalid=True)
-        result = _try_allocate(agent, world, instance, now) or {}
         # accept/drop rewards are credited by the world's event bookkeeping to
         # the transition of the action that allocated the request
         return ActionOutcome(action, 0.0,
-                             accepted_sfc=bool(result.get("accepted")),
-                             dropped_sfc=bool(result.get("dropped")),
-                             request=result.get("request"))
+                             request=_try_allocate(agent, world, instance, now))
 
     # uninstall an idle VNFI of this type from the current DC
     vnf = world.catalog.vnfs[VNF_ORDER[action - nv]]
@@ -231,31 +228,23 @@ def local_step(agent: LocalAgent, world, now: float, epsilon: float,
                           StateEncoding | None]:
     """One agent action: scope scan (once per step), DC cursor advance,
     epsilon-greedy action, execution. Status -1 signals queued general-agent
-    assistance. State encodings are returned only when recording transitions
-    or when the greedy branch needed one."""
+    assistance. State encodings are returned only when recording transitions;
+    otherwise the state is encoded only for a greedy action."""
     if agent.last_scope_scan != now:
         _scan_scope(agent, world)
         agent.last_scope_scan = now
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
     agent.cursor += 1
-    # same draw order as drl.act, but the encoding is skipped when exploring
-    # and no transition is being recorded
-    state = None
-    if rng.random() < epsilon:
-        action = int(rng.integers(agent.policy.config.action_count))
-        if record_states:
-            state = encode_state(build_state_view(agent, world, current_dc),
-                                 world.catalog)
-    else:
-        state = encode_state(build_state_view(agent, world, current_dc),
-                             world.catalog)
-        action = int(np.argmax(agent.policy.forward(state)))
+
+    def encode() -> StateEncoding:
+        return encode_state(build_state_view(agent, world, current_dc),
+                            world.catalog)
+
+    state = encode() if record_states else None
+    action = act(agent.policy, encode if state is None else state, epsilon, rng)
     outcome = _execute_action(agent, world, current_dc, action)
     agent.reward_total += outcome.reward  # accept/drop credited by the world
-    next_state = None
-    if record_states:
-        next_state = encode_state(build_state_view(agent, world, current_dc),
-                                  world.catalog)
+    next_state = encode() if record_states else None
     status = -1 if agent.outbox else 0
     return status, outcome, state, next_state
 

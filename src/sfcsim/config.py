@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
-from .drl import ModelConfig
+from .drl import DrlError, ModelConfig
 from .sim import SimConfig, TrainConfig
 
 
@@ -14,19 +14,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+OUTPUT_FORMATS = ("csv", "json")
+# the drl, sim and train keys are the fields of the section's dataclass;
+# `sim` also carries the episode count and seed list of eval runs, and the
+# training config's nested model and sim are the drl and sim sections
 _SCHEMA = {
     "topology": {"dc_count", "area_km", "radius_km", "storage_gb", "ram_gb",
                  "vcpu", "link_bw_mbps", "seed", "dcs", "links"},
     "cluster": {"size_limit"},
     "workload": {"scale", "overrides", "replay_file"},
-    "drl": {"branch_width", "hidden_widths", "learning_rate", "momentum",
-            "discount", "epsilon_start", "epsilon_end", "epsilon_decay",
-            "replay_capacity", "batch_size", "target_sync", "use_target"},
-    "sim": {"bw_hold", "count_last_mile", "eager_drop", "actions_per_step",
-            "max_steps", "episodes", "seeds", "alloc_bonus", "reward_clip"},
-    "train": {"episodes", "dc_choices", "size_limit", "scale_range",
-              "round_episodes", "updates_per_round", "area_km", "radius_km",
-              "validation_cell", "validation_seed"},
+    "drl": _field_names(ModelConfig),
+    "sim": _field_names(SimConfig) | {"episodes", "seeds"},
+    "train": _field_names(TrainConfig) - {"model", "sim"},
     "sweep": {"dc_counts", "cluster_limits", "scales", "episodes_per_seed"},
     "output": {"directory", "formats"},
 }
@@ -34,7 +37,6 @@ _SCHEMA = {
 
 @dataclass
 class RunConfig:
-    raw: dict
     topology: dict
     size_limit: int
     scale: float
@@ -47,7 +49,7 @@ class RunConfig:
     train: TrainConfig
     sweep: dict
     output_dir: str
-    output_formats: list[str] = field(default_factory=lambda: ["csv", "json"])
+    output_formats: list[str]
 
 
 def validate_raw(raw: dict) -> None:
@@ -77,34 +79,28 @@ def from_dict(raw: dict) -> RunConfig:
     sweep_cfg = dict(raw.get("sweep") or {})
     output = raw.get("output") or {}
 
-    episodes = int(sim_cfg.pop("episodes", 3))
-    seeds = [int(s) for s in sim_cfg.pop("seeds", [0])]
-    if "hidden_widths" in drl_cfg:
-        drl_cfg["hidden_widths"] = tuple(drl_cfg["hidden_widths"])
+    formats = output.get("formats", list(OUTPUT_FORMATS))
+    if not (isinstance(formats, list) and formats
+            and all(f in OUTPUT_FORMATS for f in formats)):
+        raise ConfigError(f"output.formats must be a non-empty list drawn "
+                          f"from {list(OUTPUT_FORMATS)}, got {formats!r}")
     try:
+        episodes = int(sim_cfg.pop("episodes", 3))
+        seeds = [int(s) for s in sim_cfg.pop("seeds", [0])]
         model = ModelConfig(**drl_cfg)
+        # one SimConfig serves evaluation and training; only training reads
+        # its alloc_bonus and reward_clip
         sim = SimConfig(**sim_cfg)
-        if "dc_choices" in train_cfg:
-            train_cfg["dc_choices"] = tuple(train_cfg["dc_choices"])
-        if "scale_range" in train_cfg:
-            train_cfg["scale_range"] = tuple(train_cfg["scale_range"])
-        if train_cfg.get("validation_cell") is not None:
-            train_cfg["validation_cell"] = tuple(train_cfg["validation_cell"])
-        # training keeps the allocation shaping bonus unless explicitly set;
-        # shaping only touches recorded transitions, never reported rewards
-        train_sim_cfg = dict(sim_cfg)
-        train_sim_cfg.setdefault("alloc_bonus", 1.0)
-        train_sim_cfg.setdefault("reward_clip", 2.0)
-        train = TrainConfig(model=model, sim=SimConfig(**train_sim_cfg),
-                            **train_cfg)
-    except (TypeError, ValueError) as exc:
+        train = TrainConfig(model=model, sim=sim, **train_cfg)
+        size_limit = int(cluster.get("size_limit", 4))
+        scale = float(workload.get("scale", 1.0))
+    except (TypeError, ValueError, DrlError) as exc:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
-        raw=raw,
         topology=topo,
-        size_limit=int(cluster.get("size_limit", 4)),
-        scale=float(workload.get("scale", 1.0)),
+        size_limit=size_limit,
+        scale=scale,
         replay_file=workload.get("replay_file"),
         catalog_overrides=workload.get("overrides"),
         model=model,
@@ -114,7 +110,7 @@ def from_dict(raw: dict) -> RunConfig:
         train=train,
         sweep=sweep_cfg,
         output_dir=str(output.get("directory", "out")),
-        output_formats=list(output.get("formats", ["csv", "json"])),
+        output_formats=formats,
     )
 
 
@@ -130,52 +126,18 @@ def load(path: str) -> RunConfig:
 
 
 def resolved_snapshot(cfg: RunConfig, seed_override: int | None = None) -> dict:
-    """Fully resolved config for byte-identical reruns."""
+    """Fully resolved config for byte-identical reruns: `from_dict` of its
+    YAML dump equals `cfg` (with the seed override applied)."""
     snap = {
         "topology": dict(cfg.topology),
         "cluster": {"size_limit": cfg.size_limit},
-        "workload": {"scale": cfg.scale,
-                     **({"replay_file": cfg.replay_file} if cfg.replay_file else {}),
-                     **({"overrides": cfg.catalog_overrides}
-                        if cfg.catalog_overrides else {})},
-        "drl": {
-            "branch_width": cfg.model.branch_width,
-            "hidden_widths": list(cfg.model.hidden_widths),
-            "learning_rate": cfg.model.learning_rate,
-            "momentum": cfg.model.momentum,
-            "discount": cfg.model.discount,
-            "epsilon_start": cfg.model.epsilon_start,
-            "epsilon_end": cfg.model.epsilon_end,
-            "epsilon_decay": cfg.model.epsilon_decay,
-            "replay_capacity": cfg.model.replay_capacity,
-            "batch_size": cfg.model.batch_size,
-            "target_sync": cfg.model.target_sync,
-            "use_target": cfg.model.use_target,
-        },
-        "sim": {
-            "bw_hold": cfg.sim.bw_hold,
-            "count_last_mile": cfg.sim.count_last_mile,
-            "eager_drop": cfg.sim.eager_drop,
-            "actions_per_step": cfg.sim.actions_per_step,
-            "max_steps": cfg.sim.max_steps,
-            "alloc_bonus": cfg.train.sim.alloc_bonus,
-            "reward_clip": cfg.train.sim.reward_clip,
-            "episodes": cfg.episodes,
-            "seeds": list(cfg.seeds),
-        },
-        "train": {
-            "episodes": cfg.train.episodes,
-            "dc_choices": list(cfg.train.dc_choices),
-            "size_limit": cfg.train.size_limit,
-            "scale_range": list(cfg.train.scale_range),
-            "round_episodes": cfg.train.round_episodes,
-            "updates_per_round": cfg.train.updates_per_round,
-            "area_km": cfg.train.area_km,
-            "radius_km": cfg.train.radius_km,
-            "validation_cell": (None if cfg.train.validation_cell is None
-                                else list(cfg.train.validation_cell)),
-            "validation_seed": cfg.train.validation_seed,
-        },
+        "workload": {"scale": cfg.scale, "replay_file": cfg.replay_file,
+                     "overrides": cfg.catalog_overrides},
+        "drl": asdict(cfg.model),
+        "sim": {**asdict(cfg.sim), "episodes": cfg.episodes,
+                "seeds": list(cfg.seeds)},
+        "train": {k: v for k, v in asdict(cfg.train).items()
+                  if k in _SCHEMA["train"]},
         "sweep": dict(cfg.sweep),
         "output": {"directory": cfg.output_dir, "formats": cfg.output_formats},
     }

@@ -33,7 +33,6 @@ class DrlError(RuntimeError):
 class ModelConfig:
     branch_width: int = 32
     hidden_widths: tuple[int, ...] = (128, 64)
-    vnf_count: int = len(VNF_ORDER)
     learning_rate: float = 1e-3
     momentum: float = 0.9
     discount: float = 0.95
@@ -52,12 +51,12 @@ class ModelConfig:
 
     @property
     def action_count(self) -> int:
-        return 2 * self.vnf_count + 1
+        return 2 * len(VNF_ORDER) + 1
 
     def arch_dict(self) -> dict:
         return {"branch_width": self.branch_width,
                 "hidden_widths": list(self.hidden_widths),
-                "vnf_count": self.vnf_count}
+                "vnf_count": len(VNF_ORDER)}
 
     def arch_hash(self) -> str:
         return hashlib.sha256(
@@ -273,13 +272,18 @@ class QNetwork:
         return net
 
 
-def act(net: QNetwork, state: StateEncoding, epsilon: float,
-        rng: np.random.Generator) -> int:
-    """Epsilon-greedy action; greedy ties break to the lowest index."""
+def act(net: QNetwork, state, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy action; greedy ties break to the lowest index.
+
+    `state` is a StateEncoding or a zero-argument callable returning one; a
+    callable is called only when the action is greedy, so exploring skips
+    the encoding."""
     if not 0.0 <= epsilon <= 1.0:
         raise DrlError("epsilon must be in [0,1]")
     if rng.random() < epsilon:
         return int(rng.integers(net.config.action_count))
+    if callable(state):
+        state = state()
     return int(np.argmax(net.forward(state)))
 
 

@@ -8,6 +8,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,17 +38,13 @@ def propagation_delay(distance_km: float) -> float:
 
 @dataclass
 class SimClock:
-    now: float = 0.0
-    step_length: float = 1.0  # ms
-    actions_per_step: int = 100
-    action_cost: float = 0.01  # ms of agent inference budget per action
+    STEP_MS: ClassVar[float] = 1.0
+    ACTION_COST_MS: ClassVar[float] = 0.01  # agent inference budget per action
 
-    def __post_init__(self):
-        if self.actions_per_step * self.action_cost > self.step_length + 1e-12:
-            raise ValueError("actions per step exceed the step budget")
+    now: float = 0.0
 
     def advance(self) -> None:
-        self.now += self.step_length
+        self.now += self.STEP_MS
 
 
 @dataclass
@@ -56,19 +53,20 @@ class SimConfig:
     count_last_mile: bool = True
     eager_drop: bool = True
     actions_per_step: int = 100
-    step_length_ms: float = 1.0
-    action_cost_ms: float = 0.01
     max_steps: int = 500
     # training-only shaping credited to recorded transitions whose action
     # allocated a VNF; reported episode rewards never include it
-    alloc_bonus: float = 0.0
+    alloc_bonus: float = 1.0
     # training-only symmetric clip on recorded rewards (None disables); keeps
     # lumped drop penalties from drowning per-action reward differences
-    reward_clip: float | None = None
+    reward_clip: float | None = 2.0
 
     def __post_init__(self):
         if self.bw_hold not in (BW_PER_TRANSFER, BW_WHOLE_LIFETIME):
             raise ValueError(f"unknown bw_hold mode {self.bw_hold!r}")
+        if self.actions_per_step * SimClock.ACTION_COST_MS \
+                > SimClock.STEP_MS + 1e-12:
+            raise ValueError("actions per step exceed the step budget")
 
 
 def recompute_ledger(request: SfcRequest) -> tuple[float, float]:
@@ -94,8 +92,7 @@ class World:
         self.substrate = substrate
         self.catalog = catalog
         self.config = config
-        self.clock = SimClock(0.0, config.step_length_ms, config.actions_per_step,
-                              config.action_cost_ms)
+        self.clock = SimClock()
         self._seq = 0
         self.processing: list[tuple[float, int, VnfInstance, SfcRequest]] = []
         self.bw_releases: list[tuple[float, int, int]] = []  # (time, seq, request id)
@@ -178,14 +175,15 @@ class World:
         self.pending_credit.clear()
 
     def perform_allocation(self, agent, request: SfcRequest, instance: VnfInstance,
-                           path: PathResult, now: float) -> dict:
+                           path: PathResult, now: float) -> None:
         """Transfer the packet along `path` (if it spans links) and bind the
-        instance to the request's next VNF."""
+        instance to the request's next VNF; if the transfer cannot reserve
+        bandwidth, the request goes back on the agent's queue."""
         transfer_delay = propagation_delay(path.total_distance)
         if not self._reserve_transfer(request, path, now, transfer_delay):
             instance.reserved = False
             agent.queue.append(request)
-            return {"failed": True}
+            return
         if path.links_used:
             request.propagation_total += transfer_delay
             request.hop_log.append(("prop", path.hops[0], path.hops[-1],
@@ -197,18 +195,14 @@ class World:
                                 instance.vnf_type.proc_time))
         heapq.heappush(self.processing,
                        (record.busy_until, self._next_seq(), instance, request))
-        result = {"allocated": True}
         if request.next_vnf is None:
             # chain complete once processing ends; settle early when the final
             # destination is already decided
             if not self.config.count_last_mile or request.dest_dc == instance.dc:
                 if request.accrued_delay <= request.sfc_type.e2e_tolerance:
                     self.accept_request(request, now)
-                    result["accepted"] = True
                 else:
                     self.drop_request(request, now, "deadline")
-                    result["dropped"] = True
-        return result
 
     def finish_delivery(self, request: SfcRequest, path: PathResult,
                         now: float) -> None:
@@ -297,7 +291,7 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
     now = world.clock.now
     for cid in sorted(world.general.local_agents):
         agent = world.general.local_agents[cid]
-        for _ in range(world.clock.actions_per_step):
+        for _ in range(world.config.actions_per_step):
             if not agent.queue and not agent.outbox:
                 break
             status, outcome, state, next_state = local_step(
@@ -448,8 +442,13 @@ class TrainConfig:
     validation_cell: tuple[int, int, float] | None = (20, 4, 1.0)
     validation_seed: int = 7
     model: ModelConfig = field(default_factory=ModelConfig)
-    sim: SimConfig = field(default_factory=lambda: SimConfig(alloc_bonus=1.0,
-                                                             reward_clip=2.0))
+    sim: SimConfig = field(default_factory=SimConfig)
+
+    def __post_init__(self):
+        self.dc_choices = tuple(self.dc_choices)
+        self.scale_range = tuple(self.scale_range)
+        if self.validation_cell is not None:
+            self.validation_cell = tuple(self.validation_cell)
 
 
 @dataclass

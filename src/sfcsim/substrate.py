@@ -97,15 +97,19 @@ class Substrate:
         return self.links[link.key].free_bw
 
     def reserve_bandwidth(self, path: PathResult, request: SfcRequest) -> bool:
-        """Reserve request.bandwidth on every link of the path, all-or-nothing."""
-        runtimes = [self.links[l.key] for l in path.links_used]
-        if any(rt.free_bw < request.bandwidth for rt in runtimes):
+        """Reserve request.bandwidth on every link of the path, all-or-nothing.
+        A link the path lists more than once needs room for every share."""
+        need: dict[LinkRuntime, float] = {}
+        for link in path.links_used:
+            rt = self.links[link.key]
+            need[rt] = need.get(rt, 0.0) + request.bandwidth
+        if any(rt.free_bw < bw for rt, bw in need.items()):
             return False
-        for rt in runtimes:
-            rt.reservations[request.id] = rt.reservations.get(request.id, 0.0) \
-                + request.bandwidth
+        held = self._held.setdefault(request.id, [])
+        for rt, bw in need.items():
+            rt.reservations[request.id] = rt.reservations.get(request.id, 0.0) + bw
             rt.free_bw = rt.computed_free_bw()
-            self._held.setdefault(request.id, []).append(rt)
+            held.append(rt)
         return True
 
     def release_bandwidth(self, request_id: int) -> None:

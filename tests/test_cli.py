@@ -74,10 +74,26 @@ def test_eval_missing_weights_file(tmp_path):
     assert rc == 2
 
 
-def test_unknown_config_key_rejected(tmp_path, weights):
-    p = tmp_path / "c.yaml"
-    p.write_text(yaml.safe_dump({"topology": {"dc_count": 4}, "typo": {"x": 1}}))
-    assert cli.main(["eval", "--config", str(p), "--weights", weights]) == 2
+@pytest.mark.parametrize("extra", [
+    {"typo": {"x": 1}},
+    {"drl": {"hidden_widths": 5}},
+    {"drl": {"branch_width": 0}},
+    {"sim": {"seeds": 3}},
+    {"sim": {"actions_per_step": 200}},
+    {"cluster": {"size_limit": "a"}},
+    {"workload": {"scale": "a"}},
+    {"output": {"formats": "csv"}},
+    {"output": {"formats": ["csv", "xml"]}},
+], ids=["unknown_section", "hidden_widths_scalar",
+        "zero_width", "seeds_scalar", "step_budget", "size_limit_text",
+        "scale_text", "formats_string", "formats_unknown"])
+def test_unknown_config_key_rejected(tmp_path, weights, extra):
+    """Unknown and malformed config values exit 2 before anything runs."""
+    cfg = write_config(tmp_path / "c.yaml", extra)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--config", cfg, "--weights", weights,
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_malformed_yaml_rejected(tmp_path, weights):

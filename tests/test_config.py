@@ -1,0 +1,79 @@
+"""Config tests: the drl, sim and train sections are the dataclass fields, and
+`resolved_config.yaml` reloads to the same run config."""
+
+from dataclasses import fields
+
+import pytest
+import yaml
+
+from sfcsim import cli
+from sfcsim.config import from_dict, resolved_snapshot
+from sfcsim.drl import ModelConfig
+from sfcsim.sim import SimConfig, TrainConfig
+
+EVERY_KEY = {
+    "topology": {"dc_count": 6, "area_km": 400.0, "radius_km": 120.0,
+                 "storage_gb": 1024.0, "ram_gb": 128.0, "vcpu": 32.0,
+                 "link_bw_mbps": 500.0, "seed": 8,
+                 "dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+                 "links": [{"a": 0, "b": 1}]},
+    "cluster": {"size_limit": 3},
+    "workload": {"scale": 0.5, "replay_file": "wl.jsonl",
+                 "overrides": {"sfcs": {"CG": {"e2e_tolerance": 90.0}}}},
+    "drl": {"branch_width": 16, "hidden_widths": [32, 16, 8],
+            "learning_rate": 5e-4, "momentum": 0.8, "discount": 0.9,
+            "epsilon_start": 0.9, "epsilon_end": 0.1, "epsilon_decay": 0.99,
+            "replay_capacity": 1000, "batch_size": 16, "target_sync": 10,
+            "use_target": False},
+    "sim": {"bw_hold": "whole-lifetime", "count_last_mile": False,
+            "eager_drop": False, "actions_per_step": 40, "max_steps": 90,
+            "alloc_bonus": 0.5, "reward_clip": None, "episodes": 2,
+            "seeds": [4, 9]},
+    "train": {"episodes": 30, "dc_choices": [3, 5], "size_limit": 3,
+              "scale_range": [0.1, 0.2], "round_episodes": 10,
+              "updates_per_round": 7, "area_km": 250.0, "radius_km": 100.0,
+              "validation_cell": [10, 3, 0.5], "validation_seed": 2},
+    "sweep": {"dc_counts": [6], "cluster_limits": [2, 3], "scales": [0.5],
+              "episodes_per_seed": 1},
+    "output": {"directory": "results", "formats": ["json"]},
+}
+
+
+def reload(cfg):
+    return from_dict(yaml.safe_load(yaml.safe_dump(resolved_snapshot(cfg))))
+
+
+@pytest.mark.parametrize("raw", [
+    {},
+    EVERY_KEY,
+    {"sim": {"bw_hold": "whole-lifetime", "actions_per_step": 25,
+             "max_steps": 60, "alloc_bonus": 0.0, "reward_clip": 1.0}},
+    {"train": {"validation_cell": None}},
+], ids=["empty", "every_key", "sim", "no_validation_cell"])
+def test_resolved_snapshot_round_trips(raw):
+    cfg = from_dict(raw)
+    again = reload(cfg)
+    assert again == cfg
+    assert reload(again) == cfg
+    # training and evaluation share one SimConfig
+    assert again.train.sim is again.sim and again.train.model is again.model
+
+
+def test_every_dataclass_field_is_a_yaml_key(tmp_path):
+    cfg = from_dict({})
+    cli._write_snapshot(cfg, str(tmp_path), None)
+    written = yaml.safe_load((tmp_path / "resolved_config.yaml").read_text())
+    for section, cls, extra in (("drl", ModelConfig, set()),
+                                ("sim", SimConfig, {"episodes", "seeds"}),
+                                ("train", TrainConfig, set())):
+        names = {f.name for f in fields(cls)} - {"model", "sim"}
+        assert set(written[section]) == names | extra
+        for name in names:
+            # each field is accepted on its own, with the value written
+            single = from_dict({section: {name: written[section][name]}})
+            assert single == cfg
+
+
+def test_training_and_evaluation_share_sim_defaults():
+    assert TrainConfig().sim == SimConfig()
+    assert (SimConfig().alloc_bonus, SimConfig().reward_clip) == (1.0, 2.0)

@@ -121,6 +121,22 @@ def test_act_epsilon_extremes():
         act(net, s, 1.5, rng)
 
 
+def test_act_encodes_lazily():
+    """A callable state is encoded only for a greedy action."""
+    net = QNetwork(ModelConfig(), seed=1)
+    s = random_state(np.random.default_rng(4))
+    calls = []
+
+    def encode():
+        calls.append(1)
+        return s
+    act(net, encode, 1.0, np.random.default_rng(0))
+    assert calls == []
+    assert act(net, encode, 0.0, np.random.default_rng(0)) == act(
+        net, s, 0.0, np.random.default_rng(0))
+    assert calls == [1]
+
+
 def test_act_uniform_at_epsilon_one():
     net = QNetwork(ModelConfig(), seed=1)
     s = random_state(np.random.default_rng(4))

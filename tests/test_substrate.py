@@ -166,6 +166,22 @@ def test_reserve_all_or_nothing(cat, sub):
         assert s.link_free(link) == link.bandwidth_cap  # nothing held
 
 
+def test_reserve_counts_repeated_link(cat):
+    g = build_network({
+        "dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+        "links": [{"a": 0, "b": 1, "bandwidth_mbps": 150.0}]})
+    s = Substrate(g)
+    link = g.links[0]
+    path = PathResult([0, 1, 0], 2.0, [link, link])  # room for one share only
+    r = SfcRequest(10, cat.sfc("AR"), 100.0, 0, 0)
+    assert not s.reserve_bandwidth(path, r)
+    assert s.link_free(link) == 150.0
+    assert s.links[link.key].reservations == {}
+    s.release_bandwidth(r.id)  # nothing held: a no-op
+    assert s.link_free(link) == 150.0
+    s.verify_accounting()
+
+
 def test_release_idempotent(cat, sub):
     path = one_link_path(sub)
     r = SfcRequest(9, cat.sfc("CG"), 4.0, path.hops[0], path.hops[1])
