@@ -41,7 +41,6 @@ class ActionOutcome:
     action: int
     reward: float
     invalid: bool = False
-    uninstalled_needed: bool = False
     request: SfcRequest | None = None  # the request this action allocated
 
 
@@ -56,9 +55,6 @@ class LocalAgent:
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     reward_total: float = 0.0
     last_scope_scan: float = -1.0  # sim time of the last outbox scan
-
-    def dc_set(self) -> set[int]:
-        return set(self.dc_ids)
 
 
 class GeneralAgent:
@@ -126,7 +122,7 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
             dc.free_ram / dc.spec.ram_cap,
             dc.free_storage / dc.spec.storage_cap)
     installed = {v: sub.installed_count(current_dc, v) for v in VNF_ORDER}
-    idle = {v: len(sub.idle_instances(current_dc, v, now)) for v in VNF_ORDER}
+    idle = {v: len(sub.idle_instances(current_dc, v)) for v in VNF_ORDER}
     return StateView(
         items_local=items_local,
         items_cluster=items_cluster,
@@ -140,29 +136,32 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
 
 def _scan_scope(agent: LocalAgent, world) -> None:
     """Move requests the agent cannot serve into the assist outbox."""
-    now = world.clock.now
     keep = []
     for r in agent.queue:
         vnf = r.next_vnf
         if vnf is not None and not world.substrate.cluster_can_host(
-                agent.dc_ids, vnf, now):
+                agent.dc_ids, vnf):
             agent.outbox.append(AssistTask(TASK_TRANSFER, r))
         else:
             keep.append(r)
     agent.queue[:] = keep
 
 
+def _pending(agent: LocalAgent, vnf_name: str) -> list[SfcRequest]:
+    """The queued requests whose next VNF is of the given type."""
+    return [r for r in agent.queue
+            if r.next_vnf is not None and r.next_vnf.name == vnf_name]
+
+
 def _try_allocate(agent: LocalAgent, world, instance,
-                  now: float) -> SfcRequest | None:
-    """Allocate the top-priority pending VNF of the instance's type, routing the
-    packet to the instance's DC. Cross-cluster packet locations defer to the
-    general agent. Returns the request taken from the queue (even when its
-    transfer could not reserve bandwidth and it was queued again), or None."""
-    vname = instance.vnf_type.name
-    pending = [r for r in agent.queue
-               if r.next_vnf is not None and r.next_vnf.name == vname]
+                  pending: list[SfcRequest], now: float) -> SfcRequest | None:
+    """Allocate the top-priority request of `pending` (the queued requests
+    waiting for the instance's type), routing the packet to the instance's
+    DC. Cross-cluster packet locations defer to the general agent. Returns
+    the request taken from the queue (even when its transfer could not
+    reserve bandwidth and it was queued again), or None."""
     for r in priority_rank(pending, now):
-        if r.loc in agent.dc_set():
+        if world.partition.cluster_of(r.loc) == agent.cluster_id:
             path = routing.d2d_shortest_path(
                 agent.dc_ids, world.graph, world.substrate.link_free,
                 r.loc, instance.dc, r.bandwidth, world.general.counters)
@@ -192,10 +191,10 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
         vnf = world.catalog.vnfs[VNF_ORDER[action]]
         # priority points are assigned over pending VNFs of the selected type
         # before execution; with no such VNF the action cannot be carried out
-        if not any(r.next_vnf is not None and r.next_vnf.name == vnf.name
-                   for r in agent.queue):
+        pending = _pending(agent, vnf.name)
+        if not pending:
             return ActionOutcome(action, REWARD_INVALID, invalid=True)
-        idle = sub.idle_instances(current_dc, vnf.name, now)
+        idle = sub.idle_instances(current_dc, vnf.name)
         if idle:
             instance = idle[0]
         elif sub.can_place(current_dc, vnf):
@@ -204,22 +203,17 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
             return ActionOutcome(action, REWARD_INVALID, invalid=True)
         # accept/drop rewards are credited by the world's event bookkeeping to
         # the transition of the action that allocated the request
-        return ActionOutcome(action, 0.0,
-                             request=_try_allocate(agent, world, instance, now))
+        return ActionOutcome(
+            action, 0.0,
+            request=_try_allocate(agent, world, instance, pending, now))
 
     # uninstall an idle VNFI of this type from the current DC
     vnf = world.catalog.vnfs[VNF_ORDER[action - nv]]
-    idle = sub.idle_instances(current_dc, vnf.name, now)
-    if not idle:
+    idle = sub.idle_instances(current_dc, vnf.name)
+    if not idle or not sub.uninstall_vnf(idle[0]):
         return ActionOutcome(action, REWARD_INVALID, invalid=True)
-    needed = any(r.next_vnf is not None and r.next_vnf.name == vnf.name
-                 for r in agent.queue)
-    result = sub.uninstall_vnf(idle[0], now, needed=needed)
-    if not result.removed:
-        return ActionOutcome(action, REWARD_INVALID, invalid=True)
-    if result.penalty:
-        return ActionOutcome(action, result.penalty, uninstalled_needed=True)
-    return ActionOutcome(action, 0.0)
+    return ActionOutcome(action, REWARD_UNINSTALL_NEEDED
+                         if _pending(agent, vnf.name) else 0.0)
 
 
 def local_step(agent: LocalAgent, world, now: float, epsilon: float,
@@ -255,11 +249,11 @@ def _cluster_free_vcpu(world, cluster: int) -> float:
 
 
 def _pick_transfer_target(general: GeneralAgent, world, from_cluster: int,
-                          request: SfcRequest, now: float) -> int | None:
+                          request: SfcRequest) -> int | None:
     vnf = request.next_vnf
     candidates = [c for c in general.partition.clusters
                   if c != from_cluster and world.substrate.cluster_can_host(
-                      general.partition.clusters[c], vnf, now)]
+                      general.partition.clusters[c], vnf)]
     if not candidates:
         return None
     adjacent = [c for c in candidates
@@ -285,20 +279,14 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                 else:
                     world.perform_allocation(agent, r, task.instance, path, now)
             elif task.kind == TASK_TRANSFER:
-                target = _pick_transfer_target(general, world, cid, r, now)
+                target = _pick_transfer_target(general, world, cid, r)
                 if target is None:
                     world.drop_request(r, now, "no-cluster-can-host")
                 else:
                     general.local_agents[target].queue.append(r)
                     general.handoff_log.append((r.id, cid, target, now))
             elif task.kind == TASK_DELIVERY:
-                path = routing.find_path(
-                    general.partition, general.graph, world.substrate.link_free,
-                    r.loc, r.dest_dc, r.bandwidth, general.counters)
-                if path is None:
-                    world.drop_request(r, now, "delivery-unroutable")
-                else:
-                    world.finish_delivery(r, path, now)
+                world.deliver(r, now)
 
 
 def collect(general: GeneralAgent) -> dict:

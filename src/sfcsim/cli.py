@@ -77,8 +77,15 @@ def _report_json(reports: list[sim.EpisodeReport]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _load_config(path: str) -> RunConfig:
-    return config_mod.load(path)
+def _load_policy(cfg: RunConfig, args, command: str) -> drl.QNetwork:
+    if not args.weights:
+        raise ConfigError(f"{command} requires --weights")
+    try:
+        return drl.load_weights(args.weights, cfg.model)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"weights file not found: {args.weights}") from exc
+    except drl.DrlError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _seed_list(cfg: RunConfig, args) -> list[int]:
@@ -101,7 +108,7 @@ def _write_snapshot(cfg: RunConfig, out_dir: str, seed: int | None) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_mod.load(args.config)
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
     catalog = workload.catalog_from_config(cfg.catalog_overrides)
@@ -154,15 +161,8 @@ def _write_reports(reports: list[sim.EpisodeReport], cfg: RunConfig,
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
-    if not args.weights:
-        raise ConfigError("eval requires --weights")
-    try:
-        policy = drl.load_weights(args.weights, cfg.model)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"weights file not found: {args.weights}") from exc
-    except drl.DrlError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = config_mod.load(args.config)
+    policy = _load_policy(cfg, args, "eval")
     out_dir = _out_dir(cfg, args)
     seeds = _seed_list(cfg, args)
     reports = _run_eval_episodes(cfg, policy, seeds)
@@ -173,19 +173,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if not args.weights:
-        raise ConfigError("sweep requires --weights")
-    try:
-        policy = drl.load_weights(args.weights, cfg.model)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"weights file not found: {args.weights}") from exc
-    except drl.DrlError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = config_mod.load(args.config)
+    policy = _load_policy(cfg, args, "sweep")
     sweep = cfg.sweep
     if not sweep:
         raise ConfigError("sweep requires a 'sweep' config section")
-    cells = [sim.SweepCell(int(dc), int(cl), float(sc))
+    cells = [sim.SweepCell(dc, cl, sc)
              for dc in sweep.get("dc_counts", [40])
              for cl in sweep.get("cluster_limits", [4])
              for sc in sweep.get("scales", [1.0])]
@@ -193,7 +186,7 @@ def cmd_sweep(args) -> int:
     catalog = workload.catalog_from_config(cfg.catalog_overrides)
     reports = sim.evaluate_sweep(
         cells, policy, _seed_list(cfg, args),
-        episodes_per_seed=int(sweep.get("episodes_per_seed", cfg.episodes)),
+        episodes_per_seed=sweep.get("episodes_per_seed", cfg.episodes),
         catalog=catalog, config=cfg.sim, topology=cfg.topology)
     _write_reports(reports, cfg, out_dir, "sweep")
     _write_snapshot(cfg, out_dir, args.seed)
@@ -202,7 +195,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_clusters(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_mod.load(args.config)
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
     topo = dict(cfg.topology)
@@ -230,17 +223,10 @@ def cmd_clusters(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_mod.load(args.config)
     if not cfg.replay_file:
         raise ConfigError("replay requires workload.replay_file in the config")
-    if not args.weights:
-        raise ConfigError("replay requires --weights")
-    try:
-        policy = drl.load_weights(args.weights, cfg.model)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"weights file not found: {args.weights}") from exc
-    except drl.DrlError as exc:
-        raise ConfigError(str(exc)) from exc
+    policy = _load_policy(cfg, args, "replay")
     catalog = workload.catalog_from_config(cfg.catalog_overrides)
     try:
         requests = workload.import_workload(catalog, cfg.replay_file)

@@ -19,6 +19,7 @@ def _field_names(cls) -> set[str]:
 
 
 OUTPUT_FORMATS = ("csv", "json")
+SWEEP_LISTS = {"dc_counts": int, "cluster_limits": int, "scales": float}
 # the drl, sim and train keys are the fields of the section's dataclass;
 # `sim` also carries the episode count and seed list of eval runs, and the
 # training config's nested model and sim are the drl and sim sections
@@ -30,7 +31,7 @@ _SCHEMA = {
     "drl": _field_names(ModelConfig),
     "sim": _field_names(SimConfig) | {"episodes", "seeds"},
     "train": _field_names(TrainConfig) - {"model", "sim"},
-    "sweep": {"dc_counts", "cluster_limits", "scales", "episodes_per_seed"},
+    "sweep": set(SWEEP_LISTS) | {"episodes_per_seed"},
     "output": {"directory", "formats"},
 }
 
@@ -76,7 +77,7 @@ def from_dict(raw: dict) -> RunConfig:
     drl_cfg = dict(raw.get("drl") or {})
     sim_cfg = dict(raw.get("sim") or {})
     train_cfg = dict(raw.get("train") or {})
-    sweep_cfg = dict(raw.get("sweep") or {})
+    sweep_cfg = raw.get("sweep") or {}
     output = raw.get("output") or {}
 
     formats = output.get("formats", list(OUTPUT_FORMATS))
@@ -94,6 +95,10 @@ def from_dict(raw: dict) -> RunConfig:
         train = TrainConfig(model=model, sim=sim, **train_cfg)
         size_limit = int(cluster.get("size_limit", 4))
         scale = float(workload.get("scale", 1.0))
+        sweep = {k: [kind(v) for v in sweep_cfg[k]]
+                 for k, kind in SWEEP_LISTS.items() if k in sweep_cfg}
+        if "episodes_per_seed" in sweep_cfg:
+            sweep["episodes_per_seed"] = int(sweep_cfg["episodes_per_seed"])
     except (TypeError, ValueError, DrlError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -108,7 +113,7 @@ def from_dict(raw: dict) -> RunConfig:
         episodes=episodes,
         seeds=seeds,
         train=train,
-        sweep=sweep_cfg,
+        sweep=sweep,
         output_dir=str(output.get("directory", "out")),
         output_formats=formats,
     )

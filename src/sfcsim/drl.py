@@ -69,9 +69,6 @@ class StateEncoding:
     input_b: np.ndarray  # current DC resources and installed VNFI counts
     input_c: np.ndarray  # cluster-wide SFC summary plus coordinator signals
 
-    def as_tuple(self):
-        return (self.input_a, self.input_b, self.input_c)
-
 
 @dataclass
 class PendingItem:

@@ -33,10 +33,6 @@ class RouteCounters:
     def max_settled(self) -> int:
         return max(self.dijkstra_settled, default=0)
 
-    def reset(self) -> None:
-        self.dijkstra_settled.clear()
-        self.dfs_edges.clear()
-
 
 @dataclass(frozen=True)
 class RoutingTables:

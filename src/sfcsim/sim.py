@@ -122,17 +122,6 @@ class World:
         self._seq += 1
         return self._seq
 
-    def _reserve_transfer(self, request: SfcRequest, path: PathResult,
-                          now: float, duration: float) -> bool:
-        if not path.links_used:
-            return True
-        if not self.substrate.reserve_bandwidth(path, request):
-            return False
-        if self.config.bw_hold == BW_PER_TRANSFER:
-            heapq.heappush(self.bw_releases,
-                           (now + duration, self._next_seq(), request.id))
-        return True
-
     # ---- request lifecycle ------------------------------------------------
 
     def accept_request(self, request: SfcRequest, now: float) -> None:
@@ -174,51 +163,66 @@ class World:
                 record[3] += amount
         self.pending_credit.clear()
 
+    def _transfer(self, request: SfcRequest, path: PathResult,
+                  now: float) -> float | None:
+        """Move the packet along `path`: reserve bandwidth on its links and log
+        the propagation delay, which is returned. None (and no change) when a
+        link lacks the bandwidth."""
+        delay = propagation_delay(path.total_distance)
+        if path.links_used:
+            if not self.substrate.reserve_bandwidth(path, request):
+                return None
+            if self.config.bw_hold == BW_PER_TRANSFER:
+                heapq.heappush(self.bw_releases,
+                               (now + delay, self._next_seq(), request.id))
+            request.propagation_total += delay
+            request.hop_log.append(("prop", path.hops[0], path.hops[-1],
+                                    path.total_distance, delay))
+        return delay
+
+    def _settle(self, request: SfcRequest, now: float) -> None:
+        """Accept a finished request within its tolerance, else drop it."""
+        if request.accrued_delay <= request.sfc_type.e2e_tolerance:
+            self.accept_request(request, now)
+        else:
+            self.drop_request(request, now, "deadline")
+
     def perform_allocation(self, agent, request: SfcRequest, instance: VnfInstance,
                            path: PathResult, now: float) -> None:
         """Transfer the packet along `path` (if it spans links) and bind the
         instance to the request's next VNF; if the transfer cannot reserve
         bandwidth, the request goes back on the agent's queue."""
-        transfer_delay = propagation_delay(path.total_distance)
-        if not self._reserve_transfer(request, path, now, transfer_delay):
+        delay = self._transfer(request, path, now)
+        if delay is None:
             instance.reserved = False
             agent.queue.append(request)
             return
-        if path.links_used:
-            request.propagation_total += transfer_delay
-            request.hop_log.append(("prop", path.hops[0], path.hops[-1],
-                                    path.total_distance, transfer_delay))
-        k = request.next_vnf_index
-        record = self.substrate.allocate(request, k, instance, now,
-                                         transfer_delay=transfer_delay)
-        request.hop_log.append(("proc", instance.dc, record.waited,
+        waited = self.substrate.allocate(request, request.next_vnf_index,
+                                         instance, now, transfer_delay=delay)
+        request.hop_log.append(("proc", instance.dc, waited,
                                 instance.vnf_type.proc_time))
         heapq.heappush(self.processing,
-                       (record.busy_until, self._next_seq(), instance, request))
-        if request.next_vnf is None:
-            # chain complete once processing ends; settle early when the final
-            # destination is already decided
-            if not self.config.count_last_mile or request.dest_dc == instance.dc:
-                if request.accrued_delay <= request.sfc_type.e2e_tolerance:
-                    self.accept_request(request, now)
-                else:
-                    self.drop_request(request, now, "deadline")
+                       (instance.busy_until, self._next_seq(), instance, request))
+        # the chain completes once processing ends; settle early when the
+        # final destination is already decided
+        if request.next_vnf is None and (not self.config.count_last_mile
+                                         or request.dest_dc == instance.dc):
+            self._settle(request, now)
 
-    def finish_delivery(self, request: SfcRequest, path: PathResult,
-                        now: float) -> None:
-        delay = propagation_delay(path.total_distance)
-        if not self._reserve_transfer(request, path, now, delay):
+    def deliver(self, request: SfcRequest, now: float) -> None:
+        """Route a fully processed packet to its destination DC and settle
+        it; the last mile may cross clusters."""
+        path = routing.find_path(
+            self.partition, self.graph, self.substrate.link_free,
+            request.loc, request.dest_dc, request.bandwidth,
+            self.general.counters)
+        if path is None:
+            self.drop_request(request, now, "delivery-unroutable")
+        elif self._transfer(request, path, now) is None:
             self.drop_request(request, now, "delivery-bandwidth")
-            return
-        if path.links_used:
-            request.propagation_total += delay
-            request.hop_log.append(("prop", path.hops[0], path.hops[-1],
-                                    path.total_distance, delay))
-        request.loc = request.dest_dc
-        if request.accrued_delay <= request.sfc_type.e2e_tolerance:
-            self.accept_request(request, now)
         else:
-            self.drop_request(request, now, "deadline")
+            request.loc = request.dest_dc
+            self._settle(request, now)
 
     # ---- phase 3 ----------------------------------------------------------
 
@@ -230,23 +234,13 @@ class World:
                 continue
             request.loc = instance.dc
             request.ready_time = finish
-            if request.next_vnf is None:
-                # last-mile delivery still outstanding
-                here = self.partition.cluster_of(request.loc)
-                agent = self.general.local_agents[here]
-                if here == self.partition.cluster_of(request.dest_dc):
-                    path = routing.d2d_shortest_path(
-                        self.partition.clusters[here], self.graph,
-                        self.substrate.link_free, request.loc, request.dest_dc,
-                        request.bandwidth, self.general.counters)
-                    if path is None:
-                        self.drop_request(request, now, "delivery-unroutable")
-                    else:
-                        self.finish_delivery(request, path, now)
-                else:
-                    agent.outbox.append(AssistTask(TASK_DELIVERY, request))
-            else:
-                self.general.agent_of_dc(request.loc).queue.append(request)
+            agent = self.general.agent_of_dc(request.loc)
+            if request.next_vnf is not None:
+                agent.queue.append(request)
+            elif agent.cluster_id == self.partition.cluster_of(request.dest_dc):
+                self.deliver(request, now)
+            else:  # the general agent routes the cross-cluster last mile
+                agent.outbox.append(AssistTask(TASK_DELIVERY, request))
 
     def _release_bandwidth(self, now: float) -> None:
         while self.bw_releases and self.bw_releases[0][0] <= now:
@@ -399,18 +393,14 @@ def run_episode(graph: NetworkGraph, size_limit: int, scale: float, seed: int,
         steps += 1
         if step_hook is not None:
             step_hook(world)
-    # safety net: anything still unresolved at the horizon is dropped
-    for agent in world.general.local_agents.values():
-        for r in list(agent.queue):
-            world.drop_request(r, world.clock.now, "horizon")
-        agent.queue.clear()
-        for task in agent.outbox:
-            if task.request.status not in (ACCEPTED, DROPPED):
-                world.drop_request(task.request, world.clock.now, "horizon")
-        agent.outbox.clear()
+    # safety net: anything still unresolved at the horizon is dropped (a
+    # no-op for settled requests); every effect of a horizon drop is
+    # independent of the order of the drops
     for r in world.requests:
-        if r.status not in (ACCEPTED, DROPPED):
-            world.drop_request(r, world.clock.now, "horizon")
+        world.drop_request(r, world.clock.now, "horizon")
+    for agent in world.general.local_agents.values():
+        agent.queue.clear()
+        agent.outbox.clear()
     if train:
         world._flush_credit()
         for cid, items in world.transitions.items():
@@ -523,6 +513,7 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
                 vrep, _ = run_episode(val_graph, limit, vscale,
                                       config.validation_seed, policy,
                                       epsilon=0.0, catalog=catalog,
+                                      config=config.sim,
                                       scenario_id=f"validate-{ep}")
                 vacc = vrep.acceptance_float or 0.0
                 validation.append((ep, vacc))
@@ -556,8 +547,6 @@ def evaluate_sweep(cells: list[SweepCell], policy: QNetwork, seeds: list[int],
     for cell in cells:
         for seed in seeds:
             topo = dict(topology or {})
-            topo.setdefault("area_km", 1000.0)
-            topo.setdefault("radius_km", 250.0)
             topo["dc_count"] = cell.dc_count
             topo["seed"] = seed
             graph = build_network(topo)

@@ -64,21 +64,6 @@ class LinkRuntime:
             self.reservations[r] for r in sorted(self.reservations))
 
 
-@dataclass
-class AllocationRecord:
-    request_id: int
-    chain_index: int
-    instance: VnfInstance
-    waited: float  # ms spent queued before this allocation
-    busy_until: float
-
-
-@dataclass
-class UninstallOutcome:
-    removed: bool
-    penalty: float = 0.0
-
-
 class Substrate:
     """Mutable runtime state over a NetworkGraph."""
 
@@ -137,24 +122,26 @@ class Substrate:
         dc.installed.setdefault(vnf.name, []).append(inst)
         return inst
 
-    def uninstall_vnf(self, instance: VnfInstance, now: float,
-                      needed: bool = False) -> UninstallOutcome:
+    def uninstall_vnf(self, instance: VnfInstance) -> bool:
+        """Remove the instance and free its resources. False, with nothing
+        changed, when it is allocated or reserved."""
         dc = self.dcs[instance.dc]
         lst = dc.installed.get(instance.vnf_type.name, [])
         if instance not in lst:
             raise SubstrateError(f"unknown instance {instance.instance_id}")
         if instance.allocated_request is not None or instance.reserved:
-            return UninstallOutcome(removed=False)
+            return False
         lst.remove(instance)
         vnf = instance.vnf_type
         dc.free_vcpu += vnf.vcpu
         dc.free_ram += vnf.ram
         dc.free_storage += vnf.storage
-        return UninstallOutcome(removed=True, penalty=-0.5 if needed else 0.0)
+        return True
 
     def allocate(self, request: SfcRequest, k: int, instance: VnfInstance,
-                 now: float, transfer_delay: float = 0.0) -> AllocationRecord:
-        """Bind an idle instance to the request's k-th VNF at time `now`."""
+                 now: float, transfer_delay: float = 0.0) -> float:
+        """Bind an idle instance to the request's k-th VNF at time `now`;
+        return the ms the request waited for it."""
         if k != request.next_vnf_index:
             raise SubstrateError(
                 f"request {request.id}: chain index {k} already processed or not ready")
@@ -172,18 +159,18 @@ class Substrate:
         request.placements.append(Placement(instance.dc, start, instance.busy_until))
         request.next_vnf_index = k + 1
         request.processing_total += waited + vnf.proc_time
-        return AllocationRecord(request.id, k, instance, waited, instance.busy_until)
+        return waited
 
     # ---- idle / capacity queries -----------------------------------------
 
-    def idle_instances(self, dc_id: int, vnf_name: str, now: float) -> list[VnfInstance]:
+    def idle_instances(self, dc_id: int, vnf_name: str) -> list[VnfInstance]:
         return [i for i in self.dcs[dc_id].installed.get(vnf_name, [])
                 if i.is_idle()]
 
     def installed_count(self, dc_id: int, vnf_name: str) -> int:
         return len(self.dcs[dc_id].installed.get(vnf_name, []))
 
-    def cluster_can_host(self, dc_ids, vnf: VnfType, now: float) -> bool:
+    def cluster_can_host(self, dc_ids, vnf: VnfType) -> bool:
         """True if some DC has an instance of the type installed (busy ones
         become reusable once processing completes) or room to place one."""
         for d in dc_ids:

@@ -100,6 +100,14 @@ def _is_connected(n: int, links: list[LinkSpec]) -> bool:
     return len(seen) == n
 
 
+def _number(cfg: dict, key: str, default, kind=float):
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(
+            f"topology.{key} must be a number, got {cfg[key]!r}") from exc
+
+
 def build_network(config: dict) -> NetworkGraph:
     """Build a connected NetworkGraph from an explicit or generated topology.
 
@@ -107,10 +115,10 @@ def build_network(config: dict) -> NetworkGraph:
     geometric graphs repaired to connectivity by adding minimum-distance edges.
     """
     cfg = dict(config)
-    storage = float(cfg.get("storage_gb", 2048.0))
-    vcpu = float(cfg.get("vcpu", 40.0))
-    ram = float(cfg.get("ram_gb", 256.0))
-    link_bw = float(cfg.get("link_bw_mbps", 1000.0))
+    storage = _number(cfg, "storage_gb", 2048.0)
+    vcpu = _number(cfg, "vcpu", 40.0)
+    ram = _number(cfg, "ram_gb", 256.0)
+    link_bw = _number(cfg, "link_bw_mbps", 1000.0)
 
     if "dcs" in cfg:
         dcs = []
@@ -147,12 +155,12 @@ def build_network(config: dict) -> NetworkGraph:
             raise TopologyError("explicit topology is disconnected")
         return NetworkGraph(dcs, links)
 
-    n = int(cfg.get("dc_count", 0))
+    n = _number(cfg, "dc_count", 0, int)
     if n < 2:
         raise TopologyError("need at least 2 DCs")
-    area = float(cfg.get("area_km", 1000.0))
-    radius = float(cfg.get("radius_km", 250.0))
-    seed = int(cfg.get("seed", 0))
+    area = _number(cfg, "area_km", 1000.0)
+    radius = _number(cfg, "radius_km", 250.0)
+    seed = _number(cfg, "seed", 0, int)
 
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, area, size=(n, 2))

@@ -55,14 +55,6 @@ class SfcType:
     def chain_length(self) -> int:
         return len(self.chain)
 
-    @property
-    def total_proc_time(self) -> float:
-        return sum(v.proc_time for v in self.chain)
-
-    @property
-    def max_bandwidth(self) -> float:
-        return self.bandwidth[1] if isinstance(self.bandwidth, tuple) else self.bandwidth
-
 
 @dataclass
 class Placement:

@@ -132,7 +132,7 @@ def test_transfer_target_picks_max_free_vcpu():
     r = SfcRequest(0, cat.sfc("CG"), 4.0, 0, 1)
     # drain one cluster's vCPU so the fullest-free cluster wins
     clusters = world.partition.clusters
-    target_before = _pick_transfer_target(world.general, world, 0, r, 0.0)
+    target_before = _pick_transfer_target(world.general, world, 0, r)
     assert target_before is not None and target_before != 0
     free = {c: sum(world.substrate.dcs[d].free_vcpu for d in m)
             for c, m in clusters.items() if c != 0}
@@ -157,14 +157,18 @@ def test_invalid_action_semantics():
 
 
 def test_uninstall_needed_penalty_flows():
-    from sfcsim.agents import _execute_action
+    from sfcsim.agents import REWARD_UNINSTALL_NEEDED, _execute_action
     g = build_network({"dc_count": 4, "seed": 9})
     policy = QNetwork(ModelConfig(), seed=0)
     world = build_world(g, 4, 0, policy)
     agent = world.general.local_agents[0]
     cat = world.catalog
     world.substrate.place_vnf(0, cat.vnf("NAT"))
+    world.substrate.place_vnf(0, cat.vnf("NAT"))
+    out = _execute_action(agent, world, 0, 6)  # uninstall NAT, not demanded
+    assert not out.invalid and out.reward == 0.0
     r = SfcRequest(0, cat.sfc("MIoT"), 5.0, 0, 1)
     world.admit([r])
     out = _execute_action(agent, world, 0, 6)  # uninstall NAT still demanded
-    assert out.uninstalled_needed and out.reward == -0.5
+    assert not out.invalid and out.reward == REWARD_UNINSTALL_NEEDED == -0.5
+    assert world.substrate.installed_count(0, "NAT") == 0

@@ -84,9 +84,12 @@ def test_eval_missing_weights_file(tmp_path):
     {"workload": {"scale": "a"}},
     {"output": {"formats": "csv"}},
     {"output": {"formats": ["csv", "xml"]}},
+    {"sweep": {"dc_counts": ["a"]}},
+    {"topology": {"dc_count": "a"}},
 ], ids=["unknown_section", "hidden_widths_scalar",
         "zero_width", "seeds_scalar", "step_budget", "size_limit_text",
-        "scale_text", "formats_string", "formats_unknown"])
+        "scale_text", "formats_string", "formats_unknown", "sweep_text",
+        "dc_count_text"])
 def test_unknown_config_key_rejected(tmp_path, weights, extra):
     """Unknown and malformed config values exit 2 before anything runs."""
     cfg = write_config(tmp_path / "c.yaml", extra)

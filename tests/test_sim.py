@@ -1,15 +1,18 @@
 """Simulation engine tests: delay arithmetic, step phases, episode lifecycle,
 report identities, and determinism."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sfcsim.drl import ModelConfig, QNetwork
-from sfcsim.sim import (SimClock, SimConfig, SweepCell, build_world,
-                        evaluate_sweep, propagation_delay, recompute_ledger,
-                        report_rows, run_episode, run_step, train, TrainConfig)
+from sfcsim.sim import (BW_WHOLE_LIFETIME, SimClock, SimConfig, SweepCell,
+                        build_world, evaluate_sweep, propagation_delay,
+                        recompute_ledger, report_rows, run_episode, run_step,
+                        train, TrainConfig)
 from sfcsim.topology import build_network
 from sfcsim.workload import ACCEPTED, SfcRequest, default_catalog
 
@@ -162,3 +165,76 @@ def test_sweep_rows_consistent():
             r["generated"] for r in rows if r["sfc_type"] != "ALL")
         if rep.acceptance_ratio is not None:
             assert all_row["acc_ratio"] == f"{float(rep.acceptance_ratio):.6f}"
+
+
+# Episodes whose whole lifecycle output is pinned by LIFECYCLE_DIGEST:
+# (dc_count, cluster limit, scale, seed, SimConfig). Exploring (epsilon 1.0)
+# with recorded transitions keeps network forwards, and so BLAS rounding, out
+# of the run. Between them they accept at the destination DC, after a
+# same-cluster delivery and after an assisted cross-cluster delivery, and drop
+# for `deadline`, `delivery-unroutable` and `horizon`.
+LIFECYCLE_EPISODES = [
+    (8, 2, 0.3, 1, SimConfig(max_steps=60)),
+    (6, 2, 0.2, 3, SimConfig(max_steps=60)),
+    (8, 2, 0.3, 2, SimConfig(max_steps=100)),
+    (10, 4, 0.3, 7, SimConfig(max_steps=80)),
+    (8, 2, 0.3, 1, SimConfig(max_steps=60, bw_hold=BW_WHOLE_LIFETIME,
+                             count_last_mile=False, eager_drop=False)),
+]
+LIFECYCLE_DIGEST = (
+    "4e186179c6139e5baa94944763743fcda13410abea2b8fed80c1bc4e7e2a6a4e")
+
+
+def test_lifecycle_pinned():
+    """Report rows, each request's status, drop reason and hop log, and every
+    recorded transition hash to a fixed value."""
+    digest = hashlib.sha256()
+    seen = Counter()
+    for dc_count, limit, scale, seed, config in LIFECYCLE_EPISODES:
+        g = build_network({"dc_count": dc_count, "seed": seed})
+        rep, world = run_episode(g, limit, scale, seed,
+                                 QNetwork(ModelConfig(), seed=seed),
+                                 epsilon=1.0, config=config, train=True)
+        for row in report_rows(rep):
+            digest.update(repr(sorted(row.items())).encode())
+        cluster_of = world.partition.cluster_of
+        for r in world.requests:
+            digest.update(repr((r.id, r.status, r.drop_reason,
+                                r.hop_log)).encode())
+            seen[r.drop_reason or r.status] += 1
+            if r.status == ACCEPTED and config.count_last_mile:
+                last = r.placements[-1].dc
+                if cluster_of(last) != cluster_of(r.dest_dc):
+                    seen["assisted delivery"] += 1
+                elif last != r.dest_dc:
+                    seen["same-cluster delivery"] += 1
+        for cid in sorted(world.transitions):
+            for state, action, next_state, reward, terminal in \
+                    world.transitions[cid]:
+                for enc in (state, next_state):
+                    for arr in (enc.input_a, enc.input_b, enc.input_c):
+                        digest.update(arr.tobytes())
+                digest.update(repr((action, reward, terminal)).encode())
+    for what in (ACCEPTED, "deadline", "horizon", "delivery-unroutable",
+                 "assisted delivery", "same-cluster delivery"):
+        assert seen[what] > 0, what
+    assert digest.hexdigest() == LIFECYCLE_DIGEST
+
+
+def test_validation_runs_the_configured_sim(monkeypatch):
+    """Validation episodes run with the training config's SimConfig."""
+    import sfcsim.sim as sim_mod
+    real = sim_mod.run_episode
+    max_steps = {}
+
+    def spy(*args, config=None, scenario_id="episode", **kwargs):
+        max_steps[scenario_id] = (config or SimConfig()).max_steps
+        return real(*args, config=config, scenario_id=scenario_id, **kwargs)
+
+    monkeypatch.setattr(sim_mod, "run_episode", spy)
+    train(TrainConfig(episodes=2, round_episodes=1, updates_per_round=1,
+                      validation_cell=(4, 2, 0.1),
+                      model=ModelConfig(batch_size=8),
+                      sim=SimConfig(max_steps=3)), seed=0)
+    assert max_steps == {"train-0": 3, "validate-0": 3,
+                         "train-1": 3, "validate-1": 3}
