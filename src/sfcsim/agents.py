@@ -4,6 +4,7 @@ metrics collection)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,31 +99,48 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
     already spent waiting, and a lower bound on the remaining processing work.
     Ties break by arrival time, then request id."""
     def key(r: SfcRequest):
-        slack = r.remaining_tolerance(now) - r.remaining_proc_time
-        return (slack / r.sfc_type.e2e_tolerance, r.arrival, r.id)
+        t = r.sfc_type
+        waited = now - r.ready_time
+        # r.remaining_tolerance(now) - r.remaining_proc_time, inlined
+        slack = (t.e2e_tolerance - (r.propagation_total + r.processing_total)
+                 - (waited if waited > 0.0 else 0.0)
+                 - t.remaining_proc[r.next_vnf_index])
+        return (slack / t.e2e_tolerance, r.arrival, r.id)
     return sorted(pending, key=key)
 
 
 def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
     now = world.clock.now
-    sub = world.substrate
+    assignment = world.partition.assignment
+    cluster_id = agent.cluster_id
     items_cluster = []
     items_local = []
     out_count = 0
     for r in agent.queue:
-        item = PendingItem(r.sfc_type.name, r.remaining_tolerance(now),
-                           r.bandwidth, r.completion_fraction, r.next_vnf.name)
+        t = r.sfc_type
+        k = r.next_vnf_index
+        waited = now - r.ready_time
+        # r.remaining_tolerance(now), inlined; the conditional is
+        # max(0.0, waited) without the call
+        remaining = (t.e2e_tolerance - (r.propagation_total + r.processing_total)
+                     - (waited if waited > 0.0 else 0.0))
+        item = PendingItem(t.name, remaining, r.bandwidth, t.completion[k],
+                           t.next_vnfs[k].name)
         items_cluster.append(item)
         if r.loc == current_dc:
             items_local.append(item)
-        if world.partition.cluster_of(r.dest_dc) != agent.cluster_id:
+        if assignment[r.dest_dc] != cluster_id:
             out_count += 1
-    dc = sub.dcs[current_dc]
+    dc = world.substrate.dcs[current_dc]
     free = (dc.free_vcpu / dc.spec.compute_cap,
             dc.free_ram / dc.spec.ram_cap,
             dc.free_storage / dc.spec.storage_cap)
-    installed = {v: sub.installed_count(current_dc, v) for v in VNF_ORDER}
-    idle = {v: len(sub.idle_instances(current_dc, v)) for v in VNF_ORDER}
+    installed = {}
+    idle = {}
+    for v in VNF_ORDER:
+        instances = dc.installed.get(v, ())
+        installed[v] = len(instances)
+        idle[v] = sum(1 for i in instances if i.is_idle())
     return StateView(
         items_local=items_local,
         items_cluster=items_cluster,
@@ -135,22 +153,34 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
 
 
 def _scan_scope(agent: LocalAgent, world) -> None:
-    """Move requests the agent cannot serve into the assist outbox."""
+    """Move requests the agent cannot serve into the assist outbox. The
+    substrate does not change during the scan, so each VNF type's
+    hostability is asked once."""
+    hostable: dict[str, bool] = {}  # VNF type name -> can the cluster host it
     keep = []
     for r in agent.queue:
-        vnf = r.next_vnf
-        if vnf is not None and not world.substrate.cluster_can_host(
-                agent.dc_ids, vnf):
-            agent.outbox.append(AssistTask(TASK_TRANSFER, r))
-        else:
+        vnf = r.sfc_type.next_vnfs[r.next_vnf_index]
+        if vnf is None:
             keep.append(r)
+            continue
+        ok = hostable.get(vnf.name)
+        if ok is None:
+            ok = hostable[vnf.name] = world.substrate.cluster_can_host(
+                agent.dc_ids, vnf)
+        if ok:
+            keep.append(r)
+        else:
+            agent.outbox.append(AssistTask(TASK_TRANSFER, r))
     agent.queue[:] = keep
 
 
-def _pending(agent: LocalAgent, vnf_name: str) -> list[SfcRequest]:
-    """The queued requests whose next VNF is of the given type."""
-    return [r for r in agent.queue
-            if r.next_vnf is not None and r.next_vnf.name == vnf_name]
+def _pending(agent: LocalAgent, vnf_name: str) -> Iterator[SfcRequest]:
+    """The queued requests whose next VNF is of the given type, in queue
+    order."""
+    for r in agent.queue:
+        vnf = r.sfc_type.next_vnfs[r.next_vnf_index]
+        if vnf is not None and vnf.name == vnf_name:
+            yield r
 
 
 def _try_allocate(agent: LocalAgent, world, instance,
@@ -191,7 +221,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
         vnf = world.catalog.vnfs[VNF_ORDER[action]]
         # priority points are assigned over pending VNFs of the selected type
         # before execution; with no such VNF the action cannot be carried out
-        pending = _pending(agent, vnf.name)
+        pending = list(_pending(agent, vnf.name))
         if not pending:
             return ActionOutcome(action, REWARD_INVALID, invalid=True)
         idle = sub.idle_instances(current_dc, vnf.name)
@@ -213,7 +243,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
     if not idle or not sub.uninstall_vnf(idle[0]):
         return ActionOutcome(action, REWARD_INVALID, invalid=True)
     return ActionOutcome(action, REWARD_UNINSTALL_NEEDED
-                         if _pending(agent, vnf.name) else 0.0)
+                         if any(_pending(agent, vnf.name)) else 0.0)
 
 
 def local_step(agent: LocalAgent, world, now: float, epsilon: float,

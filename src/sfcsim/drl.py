@@ -21,6 +21,7 @@ INPUT_A_DIM = len(SFC_ORDER) * SFC_FEATURES            # 60
 INPUT_B_DIM = 2 * len(VNF_ORDER) + 3                   # 15
 INPUT_C_DIM = INPUT_A_DIM + 2                          # 62
 INSTANCE_NORM = 10.0
+_VNF_INDEX = {name: i for i, name in enumerate(VNF_ORDER)}
 
 _MAGIC = b"SFCQNET1"
 
@@ -70,7 +71,7 @@ class StateEncoding:
     input_c: np.ndarray  # cluster-wide SFC summary plus coordinator signals
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingItem:
     sfc_name: str
     remaining_ms: float  # tolerance minus accrued delay and elapsed waiting
@@ -95,40 +96,50 @@ def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _sfc_summary(items: list[PendingItem], catalog: Catalog) -> np.ndarray:
-    out = np.zeros(INPUT_A_DIM)
-    vnf_index = {name: i for i, name in enumerate(VNF_ORDER)}
+def _sfc_summary(items: list[PendingItem], catalog: Catalog) -> list[float]:
+    """Per SFC type: count, least remaining slack, mean bandwidth, mean
+    completion and the next-VNF histogram. Each group keeps queue order and
+    Python's left-to-right `sum`/`min`, so the floats do not depend on how
+    the items were grouped."""
+    groups: dict[str, list[PendingItem]] = {}
+    for it in items:
+        group = groups.get(it.sfc_name)
+        if group is None:
+            groups[it.sfc_name] = [it]
+        else:
+            group.append(it)
+    out = [0.0] * INPUT_A_DIM
     for t, name in enumerate(SFC_ORDER):
-        sfc = catalog.sfcs[name]
-        group = [it for it in items if it.sfc_name == name]
-        base = t * SFC_FEATURES
+        group = groups.get(name)
         if not group:
             continue
-        out[base + 0] = _clip01(len(group) / sfc.bundle_range[1])
-        out[base + 1] = _clip01(min(it.remaining_ms for it in group)
+        n = len(group)
+        base = t * SFC_FEATURES
+        out[base + 0] = _clip01(n / catalog.sfcs[name].bundle_range[1])
+        out[base + 1] = _clip01(min([it.remaining_ms for it in group])
                                 / MAX_E2E_TOLERANCE_MS)
-        out[base + 2] = _clip01(sum(it.bandwidth for it in group)
-                                / len(group) / BW_NORM_MBPS)
-        out[base + 3] = _clip01(sum(it.completion_frac for it in group) / len(group))
+        out[base + 2] = _clip01(sum([it.bandwidth for it in group])
+                                / n / BW_NORM_MBPS)
+        out[base + 3] = _clip01(sum([it.completion_frac for it in group]) / n)
+        share = 1.0 / n
         for it in group:
-            out[base + 4 + vnf_index[it.next_vnf_name]] += 1.0 / len(group)
+            out[base + 4 + _VNF_INDEX[it.next_vnf_name]] += share
     return out
 
 
 def encode_state(view: StateView, catalog: Catalog | None = None) -> StateEncoding:
     """Fixed-length normalized encoding, independent of cluster size."""
     catalog = catalog or default_catalog()
-    input_a = _sfc_summary(view.items_local, catalog)
-    input_b = np.zeros(INPUT_B_DIM)
-    for i, name in enumerate(VNF_ORDER):
-        input_b[2 * i] = _clip01(view.installed.get(name, 0) / INSTANCE_NORM)
-        input_b[2 * i + 1] = _clip01(view.idle.get(name, 0) / INSTANCE_NORM)
-    input_b[-3:] = [_clip01(f) for f in view.free_fracs]
-    input_c = np.zeros(INPUT_C_DIM)
-    input_c[:INPUT_A_DIM] = _sfc_summary(view.items_cluster, catalog)
-    input_c[-2] = 1.0 if view.transfer_pending else 0.0
-    input_c[-1] = _clip01(view.out_of_cluster_frac)
-    return StateEncoding(input_a, input_b, input_c)
+    input_b = []
+    for name in VNF_ORDER:
+        input_b.append(_clip01(view.installed.get(name, 0) / INSTANCE_NORM))
+        input_b.append(_clip01(view.idle.get(name, 0) / INSTANCE_NORM))
+    input_b.extend(_clip01(f) for f in view.free_fracs)
+    input_c = _sfc_summary(view.items_cluster, catalog)
+    input_c.append(1.0 if view.transfer_pending else 0.0)
+    input_c.append(_clip01(view.out_of_cluster_frac))
+    return StateEncoding(np.array(_sfc_summary(view.items_local, catalog)),
+                         np.array(input_b), np.array(input_c))
 
 
 def _relu(x: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ class World:
 
     # ---- request lifecycle ------------------------------------------------
 
-    def accept_request(self, request: SfcRequest, now: float) -> None:
+    def accept_request(self, request: SfcRequest) -> None:
         if request.status in (ACCEPTED, DROPPED):
             return
         request.status = ACCEPTED
@@ -183,7 +183,7 @@ class World:
     def _settle(self, request: SfcRequest, now: float) -> None:
         """Accept a finished request within its tolerance, else drop it."""
         if request.accrued_delay <= request.sfc_type.e2e_tolerance:
-            self.accept_request(request, now)
+            self.accept_request(request)
         else:
             self.drop_request(request, now, "deadline")
 
@@ -248,15 +248,19 @@ class World:
             self.substrate.release_bandwidth(rid)
 
     def _deadline_scan(self, now: float) -> None:
+        eager_drop = self.config.eager_drop
         for cid in sorted(self.general.local_agents):
             agent = self.general.local_agents[cid]
             keep = []
             for r in agent.queue:
-                waited = max(0.0, now - r.ready_time)
-                bound = r.accrued_delay + waited
-                if self.config.eager_drop:
-                    bound += r.remaining_proc_time
-                if bound > r.sfc_type.e2e_tolerance:
+                t = r.sfc_type
+                waited = now - r.ready_time
+                # accrued delay + max(0.0, waited) (+ the remaining processing)
+                bound = ((r.propagation_total + r.processing_total)
+                         + (waited if waited > 0.0 else 0.0))
+                if eager_drop:
+                    bound += t.remaining_proc[r.next_vnf_index]
+                if bound > t.e2e_tolerance:
                     self.drop_request(r, now, "deadline")
                 else:
                     keep.append(r)

@@ -41,6 +41,14 @@ class SfcType:
     bandwidth: float | tuple[float, float]  # Mbps, or uniform range
     e2e_tolerance: float  # ms
     bundle_range: tuple[int, int]
+    # chain-position tables, indexed by a request's next_vnf_index (0..n);
+    # derived from `chain`, so equality and hash ignore them
+    chain_length: int = field(init=False, compare=False, repr=False)
+    next_vnfs: tuple[VnfType | None, ...] = field(
+        init=False, compare=False, repr=False)
+    remaining_proc: tuple[float, ...] = field(
+        init=False, compare=False, repr=False)
+    completion: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.chain:
@@ -50,10 +58,13 @@ class SfcType:
         lo, hi = self.bundle_range
         if lo > hi or lo < 0:
             raise ValueError(f"SFC {self.name}: empty bundle range")
-
-    @property
-    def chain_length(self) -> int:
-        return len(self.chain)
+        n = len(self.chain)
+        positions = range(n + 1)
+        object.__setattr__(self, "chain_length", n)
+        object.__setattr__(self, "next_vnfs", self.chain + (None,))
+        object.__setattr__(self, "remaining_proc", tuple(
+            sum(v.proc_time for v in self.chain[k:]) for k in positions))
+        object.__setattr__(self, "completion", tuple(k / n for k in positions))
 
 
 @dataclass
@@ -63,7 +74,9 @@ class Placement:
     finish: float
 
 
-@dataclass
+# A request is an entity with mutable progress: equality is identity, so
+# removing one from a queue compares pointers, not every field.
+@dataclass(eq=False)
 class SfcRequest:
     id: int
     sfc_type: SfcType
@@ -99,17 +112,15 @@ class SfcRequest:
 
     @property
     def next_vnf(self) -> VnfType | None:
-        if self.next_vnf_index >= self.sfc_type.chain_length:
-            return None
-        return self.sfc_type.chain[self.next_vnf_index]
+        return self.sfc_type.next_vnfs[self.next_vnf_index]
 
     @property
     def remaining_proc_time(self) -> float:
-        return sum(v.proc_time for v in self.sfc_type.chain[self.next_vnf_index:])
+        return self.sfc_type.remaining_proc[self.next_vnf_index]
 
     @property
     def completion_fraction(self) -> float:
-        return self.next_vnf_index / self.sfc_type.chain_length
+        return self.sfc_type.completion[self.next_vnf_index]
 
     def remaining_tolerance(self, now: float) -> float:
         """Slack left after accrued delay and time already spent waiting."""

@@ -1,0 +1,294 @@
+"""The local agents' per-action hot path (state view, encoding, scope scan,
+priority order) against a reference copy of the straightforward
+per-request-property implementation it replaced. The floats must match bit
+for bit: a last-bit difference can flip a greedy argmax."""
+
+import numpy as np
+import pytest
+
+from sfcsim import agents, sim
+from sfcsim.drl import (INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, INSTANCE_NORM,
+                        SFC_FEATURES, ModelConfig, PendingItem,
+                        StateEncoding, StateView, encode_state)
+from sfcsim.sim import SimConfig, run_episode
+from sfcsim.topology import build_network
+from sfcsim.workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER,
+                             VNF_ORDER, SfcRequest, catalog_from_config,
+                             default_catalog)
+
+# ---- reference: the per-request-property formulas --------------------------
+
+
+def ref_next_vnf(r):
+    chain = r.sfc_type.chain
+    return chain[r.next_vnf_index] if r.next_vnf_index < len(chain) else None
+
+
+def ref_remaining_proc_time(r):
+    return sum(v.proc_time for v in r.sfc_type.chain[r.next_vnf_index:])
+
+
+def ref_completion_fraction(r):
+    return r.next_vnf_index / len(r.sfc_type.chain)
+
+
+def ref_remaining_tolerance(r, now):
+    waited = max(0.0, now - r.ready_time)
+    accrued = r.propagation_total + r.processing_total
+    return r.sfc_type.e2e_tolerance - accrued - waited
+
+
+def ref_priority_key(r, now):
+    slack = ref_remaining_tolerance(r, now) - ref_remaining_proc_time(r)
+    return (slack / r.sfc_type.e2e_tolerance, r.arrival, r.id)
+
+
+def ref_build_state_view(agent, world, current_dc):
+    now = world.clock.now
+    sub = world.substrate
+    items_cluster = []
+    items_local = []
+    out_count = 0
+    for r in agent.queue:
+        item = PendingItem(r.sfc_type.name, ref_remaining_tolerance(r, now),
+                           r.bandwidth, ref_completion_fraction(r),
+                           ref_next_vnf(r).name)
+        items_cluster.append(item)
+        if r.loc == current_dc:
+            items_local.append(item)
+        if world.partition.cluster_of(r.dest_dc) != agent.cluster_id:
+            out_count += 1
+    dc = sub.dcs[current_dc]
+    free = (dc.free_vcpu / dc.spec.compute_cap,
+            dc.free_ram / dc.spec.ram_cap,
+            dc.free_storage / dc.spec.storage_cap)
+    installed = {v: sub.installed_count(current_dc, v) for v in VNF_ORDER}
+    idle = {v: len(sub.idle_instances(current_dc, v)) for v in VNF_ORDER}
+    return StateView(
+        items_local=items_local,
+        items_cluster=items_cluster,
+        installed=installed,
+        idle=idle,
+        free_fracs=free,
+        transfer_pending=bool(agent.outbox),
+        out_of_cluster_frac=out_count / len(agent.queue) if agent.queue else 0.0,
+    )
+
+
+def _clip01(x):
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def ref_sfc_summary(items, catalog):
+    out = np.zeros(INPUT_A_DIM)
+    vnf_index = {name: i for i, name in enumerate(VNF_ORDER)}
+    for t, name in enumerate(SFC_ORDER):
+        sfc = catalog.sfcs[name]
+        group = [it for it in items if it.sfc_name == name]
+        base = t * SFC_FEATURES
+        if not group:
+            continue
+        out[base + 0] = _clip01(len(group) / sfc.bundle_range[1])
+        out[base + 1] = _clip01(min(it.remaining_ms for it in group)
+                                / MAX_E2E_TOLERANCE_MS)
+        out[base + 2] = _clip01(sum(it.bandwidth for it in group)
+                                / len(group) / BW_NORM_MBPS)
+        out[base + 3] = _clip01(sum(it.completion_frac for it in group) / len(group))
+        for it in group:
+            out[base + 4 + vnf_index[it.next_vnf_name]] += 1.0 / len(group)
+    return out
+
+
+def ref_encode_state(view, catalog):
+    input_a = ref_sfc_summary(view.items_local, catalog)
+    input_b = np.zeros(INPUT_B_DIM)
+    for i, name in enumerate(VNF_ORDER):
+        input_b[2 * i] = _clip01(view.installed.get(name, 0) / INSTANCE_NORM)
+        input_b[2 * i + 1] = _clip01(view.idle.get(name, 0) / INSTANCE_NORM)
+    input_b[-3:] = [_clip01(f) for f in view.free_fracs]
+    input_c = np.zeros(INPUT_C_DIM)
+    input_c[:INPUT_A_DIM] = ref_sfc_summary(view.items_cluster, catalog)
+    input_c[-2] = 1.0 if view.transfer_pending else 0.0
+    input_c[-1] = _clip01(view.out_of_cluster_frac)
+    return StateEncoding(input_a, input_b, input_c)
+
+
+def ref_scope_moves(agent, world):
+    """The queued requests the reference scope scan moves to the outbox."""
+    return [r for r in agent.queue
+            if ref_next_vnf(r) is not None
+            and not world.substrate.cluster_can_host(agent.dc_ids,
+                                                     ref_next_vnf(r))]
+
+
+def assert_same_encoding(got, want):
+    for name in ("input_a", "input_b", "input_c"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name  # also tells 0.0 from -0.0
+
+
+# ---- checks ----------------------------------------------------------------
+
+
+class DemandPolicy:
+    """Greedy stand-in for a trained network: place or reuse the VNF type
+    most wanted at the current DC (then in the cluster), else idle. Its
+    Q-values are read off the encoding, and unlike an untrained network it
+    keeps agents allocating, so DCs fill up and requests move out."""
+    config = ModelConfig()
+
+    def forward(self, state):
+        q = np.full(self.config.action_count, -1.0)
+        q[:len(VNF_ORDER)] = (
+            state.input_a.reshape(len(SFC_ORDER), SFC_FEATURES)[:, 4:].sum(axis=0)
+            + 0.1 * state.input_c[:INPUT_A_DIM].reshape(
+                len(SFC_ORDER), SFC_FEATURES)[:, 4:].sum(axis=0))
+        q[agents.ACTION_IDLE] = 0.05
+        return q
+
+
+# (dc_count, cluster limit, scale, seed, epsilon), 30 steps each
+EPISODES = [
+    (40, 8, 3.0, 11, 0.0),
+    (40, 8, 3.0, 12, 0.5),
+    (20, 4, 1.0, 3, 0.0),
+    (20, 4, 1.0, 4, 0.5),
+]
+
+
+@pytest.mark.parametrize("dc_count,limit,scale,seed,epsilon", EPISODES)
+def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
+                                    epsilon):
+    """Before every local_step: the same encoding as the reference, the same
+    requests moved to the outbox by the scope scan, and the same priority
+    order for every VNF type."""
+    real_local_step = sim.local_step
+    seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0}
+
+    def checked(agent, world, now, eps, rng, record_states=False):
+        if agent.last_scope_scan != now:
+            moved = ref_scope_moves(agent, world)
+            keep = [r for r in agent.queue if not any(r is m for m in moved)]
+            before = len(agent.outbox)
+            agents._scan_scope(agent, world)
+            agent.last_scope_scan = now
+            tasks = agent.outbox[before:]
+            assert [t.request.id for t in tasks] == [r.id for r in moved]
+            assert all(t.kind == agents.TASK_TRANSFER for t in tasks)
+            assert [r.id for r in agent.queue] == [r.id for r in keep]
+            seen["moved"] += len(moved)
+        current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
+        got = encode_state(agents.build_state_view(agent, world, current_dc),
+                           world.catalog)
+        want = ref_encode_state(ref_build_state_view(agent, world, current_dc),
+                                world.catalog)
+        assert_same_encoding(got, want)
+        for name in VNF_ORDER:
+            pending = [r for r in agent.queue
+                       if ref_next_vnf(r) is not None
+                       and ref_next_vnf(r).name == name]
+            assert [r.id for r in agents._pending(agent, name)] == \
+                [r.id for r in pending]
+            ranked = agents.priority_rank(pending, now)
+            assert [r.id for r in ranked] == [
+                r.id for r in sorted(pending,
+                                     key=lambda r: ref_priority_key(r, now))]
+            seen["ranked"] += len(ranked) > 1
+        seen["steps"] += 1
+        seen["items"] += len(agent.queue)
+        result = real_local_step(agent, world, now, eps, rng, record_states)
+        seen["allocated"] += result[1].request is not None
+        return result
+
+    monkeypatch.setattr(sim, "local_step", checked)
+    g = build_network({"dc_count": dc_count, "seed": seed})
+    run_episode(g, limit, scale, seed, DemandPolicy(), epsilon=epsilon,
+                config=SimConfig(max_steps=30))
+    assert seen["steps"] > 300
+    assert seen["items"] > 10 * seen["steps"]
+    assert seen["ranked"] > 0 and seen["allocated"] > 100
+    if epsilon == 0.0:
+        assert seen["moved"] > 0
+
+
+def test_scope_scan_asks_per_vnf_type():
+    """Requests of one SFC type wait at different chain positions; only
+    those whose next VNF the full cluster cannot host move out, in order."""
+    g = build_network({"dc_count": 4, "seed": 1})
+    world = sim.build_world(g, 4, 0, DemandPolicy())
+    (agent,) = world.general.local_agents.values()
+    nat = world.catalog.vnf("NAT")
+    for dc in agent.dc_ids:  # NAT installed everywhere, no room for more
+        while world.substrate.can_place(dc, nat):
+            world.substrate.place_vnf(dc, nat)
+    vs, cg = world.catalog.sfc("VS"), world.catalog.sfc("CG")  # VS: NAT FW TM
+    agent.queue = [SfcRequest(i, sfc, 1.0, 0, 1, next_vnf_index=k)
+                   for i, (sfc, k) in enumerate([(vs, 0), (vs, 2), (cg, 0),
+                                                 (vs, 0), (cg, 1), (vs, 2)])]
+    moved = ref_scope_moves(agent, world)
+    assert [r.id for r in moved] == [1, 4, 5]
+    agents._scan_scope(agent, world)
+    assert [t.request.id for t in agent.outbox] == [1, 4, 5]
+    assert [r.id for r in agent.queue] == [0, 2, 3]
+
+
+def test_encoding_matches_reference_on_random_items():
+    """Random float fields, so a different summation order or a pairwise
+    (numpy) sum shows in the last bits."""
+    rng = np.random.default_rng(5)
+    cat = default_catalog()
+    for _ in range(200):
+        items = [PendingItem(SFC_ORDER[int(rng.integers(6))],
+                             float(rng.uniform(-10, 120)),
+                             float(rng.uniform(0, 120)),
+                             float(rng.uniform(0, 1)),
+                             VNF_ORDER[int(rng.integers(6))])
+                 for _ in range(int(rng.integers(0, 120)))]
+        view = StateView(items_local=items[::2], items_cluster=items,
+                         installed={"FW": int(rng.integers(0, 20))},
+                         idle={"NAT": int(rng.integers(0, 20))},
+                         free_fracs=tuple(float(x) for x in rng.uniform(0, 1, 3)),
+                         transfer_pending=bool(rng.integers(2)),
+                         out_of_cluster_frac=float(rng.uniform(0, 1)))
+        assert_same_encoding(encode_state(view, cat), ref_encode_state(view, cat))
+
+
+CHANGED_CATALOG = {
+    "vnfs": {"WO": {"proc_time": 0.37}, "NAT": {"proc_time": 0.013}},
+    "sfcs": {"MIoT": {"chain": ["WO", "NAT", "TM", "FW", "WO", "IDPS", "VOC"]},
+             "Ind4.0": {"chain": ["TM"]}},
+}
+
+
+@pytest.mark.parametrize("catalog", [default_catalog(),
+                                     catalog_from_config(CHANGED_CATALOG)],
+                         ids=["default", "changed_chain"])
+def test_chain_tables_match_property_formulas(catalog):
+    for sfc in catalog.sfcs.values():
+        n = len(sfc.chain)
+        assert sfc.chain_length == n
+        assert len(sfc.next_vnfs) == len(sfc.remaining_proc) \
+            == len(sfc.completion) == n + 1
+        for k in range(n + 1):
+            r = SfcRequest(0, sfc, 1.0, 0, 1, next_vnf_index=k)
+            assert sfc.next_vnfs[k] == ref_next_vnf(r)
+            assert sfc.remaining_proc[k] == ref_remaining_proc_time(r)
+            assert sfc.completion[k] == ref_completion_fraction(r)
+            assert r.next_vnf == ref_next_vnf(r)
+            assert r.remaining_proc_time == ref_remaining_proc_time(r)
+            assert r.completion_fraction == ref_completion_fraction(r)
+        assert sfc.next_vnfs[n] is None and r.next_vnf is None
+    assert catalog_from_config(CHANGED_CATALOG).sfc("MIoT").chain_length == 7
+
+
+def test_chain_tables_leave_equality_and_hash_alone():
+    a, b = default_catalog(), default_catalog()
+    assert a == b
+    for name in SFC_ORDER:
+        sfc = a.sfc(name)
+        assert sfc == b.sfc(name) and hash(sfc) == hash(b.sfc(name))
+        # the hash covers the constructor fields only
+        assert hash(sfc) == hash((sfc.name, sfc.chain, sfc.bandwidth,
+                                  sfc.e2e_tolerance, sfc.bundle_range))
+    assert "remaining_proc" not in repr(a.sfc("CG"))
