@@ -317,26 +317,3 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                     general.handoff_log.append((r.id, cid, target, now))
             elif task.kind == TASK_DELIVERY:
                 world.deliver(r, now)
-
-
-def collect(general: GeneralAgent) -> dict:
-    """Pure read of system-wide statistics."""
-    per_agent = {}
-    for cid, agent in sorted(general.local_agents.items()):
-        accepted = sum(v[1] for (c, _), v in general.stats.items() if c == cid)
-        dropped = sum(v[2] for (c, _), v in general.stats.items() if c == cid)
-        per_agent[cid] = {
-            "dcs": list(agent.dc_ids),
-            "queued": len(agent.queue),
-            "accepted": accepted,
-            "dropped": dropped,
-            "reward_total": agent.reward_total,
-        }
-    return {
-        "per_agent": per_agent,
-        "per_type": {f"{c}:{s}": list(v)
-                     for (c, s), v in sorted(general.stats.items())},
-        "handoffs": len(general.handoff_log),
-        "dijkstra_max_settled": general.counters.max_settled,
-        "dijkstra_calls": len(general.counters.dijkstra_settled),
-    }

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict, replace
 
 import numpy as np
 import yaml
@@ -44,10 +46,9 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    import io
+def _rows_to_csv(rows: list[dict], fields: list[str] = CSV_FIELDS) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
@@ -81,7 +82,7 @@ def _load_policy(cfg: RunConfig, args, command: str) -> drl.QNetwork:
     if not args.weights:
         raise ConfigError(f"{command} requires --weights")
     try:
-        return drl.load_weights(args.weights, cfg.model)
+        return drl.load_weights(args.weights, cfg.drl)
     except FileNotFoundError as exc:
         raise ConfigError(f"weights file not found: {args.weights}") from exc
     except drl.DrlError as exc:
@@ -93,12 +94,23 @@ def _seed_list(cfg: RunConfig, args) -> list[int]:
     if args.seed is not None:
         return [args.seed]
     if env is not None:
-        return [int(env)]
-    return cfg.seeds
+        try:
+            return [int(env)]
+        except ValueError:
+            raise ConfigError(f"SFCSIM_SEED must be an integer, got {env!r}") from None
+    return cfg.sim.seeds
 
 
 def _out_dir(cfg: RunConfig, args) -> str:
-    return args.out or os.environ.get("SFCSIM_OUT") or cfg.output_dir
+    return args.out or os.environ.get("SFCSIM_OUT") or cfg.output.directory
+
+
+def _network(cfg: RunConfig, seed: int):
+    """The run's network; an unset topology seed is the run seed."""
+    topology = cfg.topology
+    if topology.seed is None:
+        topology = replace(topology, seed=seed)
+    return build_network(topology)
 
 
 def _write_snapshot(cfg: RunConfig, out_dir: str, seed: int | None) -> None:
@@ -111,20 +123,14 @@ def cmd_train(args) -> int:
     cfg = config_mod.load(args.config)
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
-    catalog = workload.catalog_from_config(cfg.catalog_overrides)
-    result = sim.train(cfg.train, seed, catalog=catalog)
-    best = drl.QNetwork(cfg.model, seed=0)
+    result = sim.train(cfg.train, seed, catalog=cfg.catalog)
+    best = drl.QNetwork(cfg.drl, seed=0)
     best.params = result.best_params
     os.makedirs(out_dir, exist_ok=True)
     drl.save_weights(best, os.path.join(out_dir, "weights.bin"))
     curve_fields = ["episode", "mean_reward", "loss", "epsilon", "acceptance_ratio"]
-    import io
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=curve_fields, lineterminator="\n")
-    writer.writeheader()
-    for row in result.curve:
-        writer.writerow({k: row[k] for k in curve_fields})
-    _atomic_write(os.path.join(out_dir, "training_curve.csv"), buf.getvalue())
+    _atomic_write(os.path.join(out_dir, "training_curve.csv"),
+                  _rows_to_csv(result.curve, curve_fields))
     _write_snapshot(cfg, out_dir, seed)
     print(f"trained {cfg.train.episodes} episodes "
           f"({result.update_calls} updates); weights -> {out_dir}/weights.bin")
@@ -133,17 +139,14 @@ def cmd_train(args) -> int:
 
 def _run_eval_episodes(cfg: RunConfig, policy, seeds: list[int],
                        requests=None) -> list[sim.EpisodeReport]:
-    catalog = workload.catalog_from_config(cfg.catalog_overrides)
     reports = []
     for seed in seeds:
-        topo = dict(cfg.topology)
-        topo.setdefault("seed", seed)
-        graph = build_network(topo)
-        for ep in range(cfg.episodes):
+        graph = _network(cfg, seed)
+        for ep in range(cfg.sim.episodes):
             ep_seed = int(np.random.default_rng([seed, 4, ep]).integers(2 ** 31))
             report, _ = sim.run_episode(
-                graph, cfg.size_limit, cfg.scale, ep_seed, policy,
-                epsilon=0.0, catalog=catalog, config=cfg.sim,
+                graph, cfg.cluster.size_limit, cfg.workload.scale, ep_seed,
+                policy, epsilon=0.0, catalog=cfg.catalog, config=cfg.sim,
                 scenario_id=f"eval-s{seed}-e{ep}",
                 requests=([r.fresh_copy() for r in requests]
                           if requests is not None else None))
@@ -154,9 +157,9 @@ def _run_eval_episodes(cfg: RunConfig, policy, seeds: list[int],
 def _write_reports(reports: list[sim.EpisodeReport], cfg: RunConfig,
                    out_dir: str, stem: str) -> None:
     rows = [row for r in reports for row in sim.report_rows(r)]
-    if "csv" in cfg.output_formats:
+    if "csv" in cfg.output.formats:
         _atomic_write(os.path.join(out_dir, f"{stem}.csv"), _rows_to_csv(rows))
-    if "json" in cfg.output_formats:
+    if "json" in cfg.output.formats:
         _atomic_write(os.path.join(out_dir, f"{stem}.json"), _report_json(reports))
 
 
@@ -176,18 +179,16 @@ def cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config)
     policy = _load_policy(cfg, args, "sweep")
     sweep = cfg.sweep
-    if not sweep:
+    if sweep is None:
         raise ConfigError("sweep requires a 'sweep' config section")
-    cells = [sim.SweepCell(dc, cl, sc)
-             for dc in sweep.get("dc_counts", [40])
-             for cl in sweep.get("cluster_limits", [4])
-             for sc in sweep.get("scales", [1.0])]
+    cells = [sim.SweepCell(dc, cl, sc) for dc in sweep.dc_counts
+             for cl in sweep.cluster_limits for sc in sweep.scales]
     out_dir = _out_dir(cfg, args)
-    catalog = workload.catalog_from_config(cfg.catalog_overrides)
+    episodes = (cfg.sim.episodes if sweep.episodes_per_seed is None
+                else sweep.episodes_per_seed)
     reports = sim.evaluate_sweep(
-        cells, policy, _seed_list(cfg, args),
-        episodes_per_seed=sweep.get("episodes_per_seed", cfg.episodes),
-        catalog=catalog, config=cfg.sim, topology=cfg.topology)
+        cells, policy, _seed_list(cfg, args), episodes_per_seed=episodes,
+        catalog=cfg.catalog, config=cfg.sim, topology=asdict(cfg.topology))
     _write_reports(reports, cfg, out_dir, "sweep")
     _write_snapshot(cfg, out_dir, args.seed)
     print(f"{len(reports)} sweep episodes -> {out_dir}/sweep.csv")
@@ -198,13 +199,11 @@ def cmd_clusters(args) -> int:
     cfg = config_mod.load(args.config)
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
-    topo = dict(cfg.topology)
-    topo.setdefault("seed", seed)
-    graph = build_network(topo)
-    partition = make_clusters(graph, cfg.size_limit, seed)
+    graph = _network(cfg, seed)
+    partition = make_clusters(graph, cfg.cluster.size_limit, seed)
     payload = {
         "dc_count": graph.dc_count,
-        "size_limit": cfg.size_limit,
+        "size_limit": cfg.cluster.size_limit,
         "clusters": {str(c): members
                      for c, members in sorted(partition.clusters.items())},
         "intra_link_counts": {str(c): len(links)
@@ -224,14 +223,14 @@ def cmd_clusters(args) -> int:
 
 def cmd_replay(args) -> int:
     cfg = config_mod.load(args.config)
-    if not cfg.replay_file:
+    if not cfg.workload.replay_file:
         raise ConfigError("replay requires workload.replay_file in the config")
     policy = _load_policy(cfg, args, "replay")
-    catalog = workload.catalog_from_config(cfg.catalog_overrides)
     try:
-        requests = workload.import_workload(catalog, cfg.replay_file)
+        requests = workload.import_workload(cfg.catalog, cfg.workload.replay_file)
     except FileNotFoundError as exc:
-        raise ConfigError(f"replay file not found: {cfg.replay_file}") from exc
+        raise ConfigError(
+            f"replay file not found: {cfg.workload.replay_file}") from exc
     out_dir = _out_dir(cfg, args)
     reports = _run_eval_episodes(cfg, policy, _seed_list(cfg, args),
                                  requests=requests)

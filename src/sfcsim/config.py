@@ -1,122 +1,161 @@
-"""Run configuration: YAML loading, strict validation, typed section objects."""
+"""Run configuration: YAML loading, strict validation, typed section objects.
+
+Each YAML section is one dataclass and takes exactly that dataclass's fields;
+every value is converted to its field's declared type or rejected."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .drl import DrlError, ModelConfig
 from .sim import SimConfig, TrainConfig
+from .topology import TopologyConfig
+from .workload import Catalog, catalog_from_config
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
 OUTPUT_FORMATS = ("csv", "json")
-SWEEP_LISTS = {"dc_counts": int, "cluster_limits": int, "scales": float}
-# the drl, sim and train keys are the fields of the section's dataclass;
-# `sim` also carries the episode count and seed list of eval runs, and the
-# training config's nested model and sim are the drl and sim sections
-_SCHEMA = {
-    "topology": {"dc_count", "area_km", "radius_km", "storage_gb", "ram_gb",
-                 "vcpu", "link_bw_mbps", "seed", "dcs", "links"},
-    "cluster": {"size_limit"},
-    "workload": {"scale", "overrides", "replay_file"},
-    "drl": _field_names(ModelConfig),
-    "sim": _field_names(SimConfig) | {"episodes", "seeds"},
-    "train": _field_names(TrainConfig) - {"model", "sim"},
-    "sweep": set(SWEEP_LISTS) | {"episodes_per_seed"},
-    "output": {"directory", "formats"},
-}
+
+
+@dataclass
+class ClusterConfig:
+    size_limit: int = 4
+
+
+@dataclass
+class WorkloadConfig:
+    scale: float = 1.0
+    # per-type catalog fields, read by workload.catalog_from_config
+    overrides: dict | None = None
+    replay_file: str | None = None
+
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise ValueError(f"workload.scale must be positive, got {self.scale}")
+
+
+@dataclass
+class SimSection(SimConfig):
+    """The SimConfig that eval and training share, plus eval runs' episode
+    count and seed list."""
+    episodes: int = 3
+    seeds: list[int] = field(default_factory=lambda: [0])
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.seeds:
+            raise ValueError("sim.seeds must be a non-empty list")
+
+
+@dataclass
+class SweepConfig:
+    dc_counts: list[int] = field(default_factory=lambda: [40])
+    cluster_limits: list[int] = field(default_factory=lambda: [4])
+    scales: list[float] = field(default_factory=lambda: [1.0])
+    episodes_per_seed: int | None = None  # unset: sim.episodes
+
+    def __post_init__(self):
+        if any(scale <= 0 for scale in self.scales):
+            raise ValueError(f"sweep.scales must be positive, got {self.scales}")
+
+
+@dataclass
+class OutputConfig:
+    directory: str = "out"
+    formats: list[str] = field(default_factory=lambda: list(OUTPUT_FORMATS))
+
+    def __post_init__(self):
+        if not self.formats or not set(self.formats) <= set(OUTPUT_FORMATS):
+            raise ValueError(f"output.formats must be a non-empty list drawn "
+                             f"from {list(OUTPUT_FORMATS)}, got {self.formats!r}")
+
+
+SECTIONS = {"topology": TopologyConfig, "cluster": ClusterConfig,
+            "workload": WorkloadConfig, "drl": ModelConfig, "sim": SimSection,
+            "train": TrainConfig, "sweep": SweepConfig, "output": OutputConfig}
+# the training config's nested model and sim are the drl and sim sections
+NESTED = {"model": "drl", "sim": "sim"}
 
 
 @dataclass
 class RunConfig:
-    topology: dict
-    size_limit: int
-    scale: float
-    replay_file: str | None
-    catalog_overrides: dict | None
-    model: ModelConfig
-    sim: SimConfig
-    episodes: int
-    seeds: list[int]
+    topology: TopologyConfig
+    cluster: ClusterConfig
+    workload: WorkloadConfig
+    drl: ModelConfig
+    sim: SimSection
     train: TrainConfig
-    sweep: dict
-    output_dir: str
-    output_formats: list[str]
+    sweep: SweepConfig | None  # None: no sweep section
+    output: OutputConfig
+    catalog: Catalog  # the default catalog with workload.overrides applied
 
 
-def validate_raw(raw: dict) -> None:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    for section, content in raw.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
-        if content is None:
-            continue
-        if not isinstance(content, dict):
-            raise ConfigError(f"section {section!r} must be a mapping")
-        unknown = set(content) - _SCHEMA[section]
-        if unknown:
-            raise ConfigError(
-                f"unknown keys in section {section!r}: {sorted(unknown)}")
+def _convert(value, kind, where: str):
+    """`value` as the declared field type `kind`: bool, int, float, str or
+    dict, a list or tuple of those, or `X | None`; else ValueError."""
+    while get_origin(kind) in (Union, UnionType):
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        kinds = (args[:1] * len(value) if origin is list or args[-1] is Ellipsis
+                 else args)
+        if len(kinds) == len(value):
+            return origin(_convert(v, k, f"{where}[{i}]")
+                          for i, (v, k) in enumerate(zip(value, kinds)))
+    elif kind in (dict, bool):
+        if isinstance(value, kind):
+            return value
+    elif origin is None and isinstance(value, (int, float, str)) \
+            and not isinstance(value, bool):
+        try:
+            converted = kind(value)
+            # an int field takes only whole numbers
+            if kind is not int or converted == float(value):
+                return converted
+        except (ValueError, OverflowError):
+            pass
+    name = kind.__name__ if origin is None else kind
+    raise ValueError(f"{where} must be {name}, got {value!r}")
 
 
 def from_dict(raw: dict) -> RunConfig:
-    validate_raw(raw)
-    topo = dict(raw.get("topology") or {})
-    cluster = raw.get("cluster") or {}
-    workload = raw.get("workload") or {}
-    drl_cfg = dict(raw.get("drl") or {})
-    sim_cfg = dict(raw.get("sim") or {})
-    train_cfg = dict(raw.get("train") or {})
-    sweep_cfg = raw.get("sweep") or {}
-    output = raw.get("output") or {}
-
-    formats = output.get("formats", list(OUTPUT_FORMATS))
-    if not (isinstance(formats, list) and formats
-            and all(f in OUTPUT_FORMATS for f in formats)):
-        raise ConfigError(f"output.formats must be a non-empty list drawn "
-                          f"from {list(OUTPUT_FORMATS)}, got {formats!r}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
+    unknown = set(raw) - set(SECTIONS)
+    if unknown:
+        raise ConfigError(f"unknown config sections {sorted(unknown)}")
+    built = {}
     try:
-        episodes = int(sim_cfg.pop("episodes", 3))
-        seeds = [int(s) for s in sim_cfg.pop("seeds", [0])]
-        model = ModelConfig(**drl_cfg)
-        # one SimConfig serves evaluation and training; only training reads
-        # its alloc_bonus and reward_clip
-        sim = SimConfig(**sim_cfg)
-        train = TrainConfig(model=model, sim=sim, **train_cfg)
-        size_limit = int(cluster.get("size_limit", 4))
-        scale = float(workload.get("scale", 1.0))
-        sweep = {k: [kind(v) for v in sweep_cfg[k]]
-                 for k, kind in SWEEP_LISTS.items() if k in sweep_cfg}
-        if "episodes_per_seed" in sweep_cfg:
-            sweep["episodes_per_seed"] = int(sweep_cfg["episodes_per_seed"])
+        for name, cls in SECTIONS.items():
+            content = raw.get(name)
+            if name == "sweep" and content in (None, {}):
+                built[name] = None  # `sweep` runs only from a non-empty section
+                continue
+            content = {} if content is None else content
+            if not isinstance(content, dict):
+                raise ConfigError(f"section {name!r} must be a mapping")
+            unknown = set(content) - {f.name for f in fields(cls)} - set(NESTED)
+            if unknown:
+                raise ConfigError(
+                    f"unknown keys in section {name!r}: {sorted(unknown)}")
+            hints = get_type_hints(cls)
+            built[name] = cls(
+                **{k: _convert(v, hints[k], f"{name}.{k}")
+                   for k, v in content.items()},
+                **{f: built[s] for f, s in NESTED.items() if f in hints})
+        catalog = catalog_from_config(built["workload"].overrides)
     except (TypeError, ValueError, DrlError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        topology=topo,
-        size_limit=size_limit,
-        scale=scale,
-        replay_file=workload.get("replay_file"),
-        catalog_overrides=workload.get("overrides"),
-        model=model,
-        sim=sim,
-        episodes=episodes,
-        seeds=seeds,
-        train=train,
-        sweep=sweep,
-        output_dir=str(output.get("directory", "out")),
-        output_formats=formats,
-    )
+    return RunConfig(**built, catalog=catalog)
 
 
 def load(path: str) -> RunConfig:
@@ -131,21 +170,13 @@ def load(path: str) -> RunConfig:
 
 
 def resolved_snapshot(cfg: RunConfig, seed_override: int | None = None) -> dict:
-    """Fully resolved config for byte-identical reruns: `from_dict` of its
-    YAML dump equals `cfg` (with the seed override applied)."""
-    snap = {
-        "topology": dict(cfg.topology),
-        "cluster": {"size_limit": cfg.size_limit},
-        "workload": {"scale": cfg.scale, "replay_file": cfg.replay_file,
-                     "overrides": cfg.catalog_overrides},
-        "drl": asdict(cfg.model),
-        "sim": {**asdict(cfg.sim), "episodes": cfg.episodes,
-                "seeds": list(cfg.seeds)},
-        "train": {k: v for k, v in asdict(cfg.train).items()
-                  if k in _SCHEMA["train"]},
-        "sweep": dict(cfg.sweep),
-        "output": {"directory": cfg.output_dir, "formats": cfg.output_formats},
-    }
+    """Every field of every section, for byte-identical reruns: `from_dict`
+    of its YAML dump equals `cfg` (with the seed override applied)."""
+    snap = {}
+    for name in SECTIONS:
+        section = getattr(cfg, name)
+        snap[name] = None if section is None else {
+            k: v for k, v in asdict(section).items() if k not in NESTED}
     if seed_override is not None:
         snap["sim"]["seeds"] = [seed_override]
     return snap

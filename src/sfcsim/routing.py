@@ -29,10 +29,6 @@ class RouteCounters:
     dijkstra_settled: list[int] = field(default_factory=list)
     dfs_edges: list[int] = field(default_factory=list)
 
-    @property
-    def max_settled(self) -> int:
-        return max(self.dijkstra_settled, default=0)
-
 
 @dataclass(frozen=True)
 class RoutingTables:

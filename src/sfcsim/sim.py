@@ -5,7 +5,6 @@ evaluation loops."""
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -331,7 +330,6 @@ class EpisodeReport:
     acceptance_ratio: Fraction | None
     reward_by_agent: dict[int, float]
     steps: int
-    runtime_s: float
     empty_workload: bool = False
 
     @property
@@ -342,7 +340,7 @@ class EpisodeReport:
 
 
 def _build_report(world: World, scenario_id: str, seed: int, scale: float,
-                  steps: int, runtime_s: float) -> EpisodeReport:
+                  steps: int) -> EpisodeReport:
     per_cluster_type = {k: tuple(v) for k, v in sorted(world.general.stats.items())}
     per_type: dict[str, list[int]] = {name: [0, 0, 0] for name in SFC_ORDER}
     for (c, name), (g, a, d) in per_cluster_type.items():
@@ -371,7 +369,6 @@ def _build_report(world: World, scenario_id: str, seed: int, scale: float,
         reward_by_agent={c: a.reward_total
                          for c, a in sorted(world.general.local_agents.items())},
         steps=steps,
-        runtime_s=runtime_s,
         empty_workload=(total_gen == 0),
     )
 
@@ -383,7 +380,6 @@ def run_episode(graph: NetworkGraph, size_limit: int, scale: float, seed: int,
                 requests: list[SfcRequest] | None = None,
                 step_hook=None) -> tuple[EpisodeReport, World]:
     """Run one episode to completion: every request ends accepted or dropped."""
-    t0 = time.perf_counter()
     catalog = catalog or default_catalog()
     config = config or SimConfig()
     world = build_world(graph, size_limit, seed, policy, catalog, config)
@@ -414,8 +410,7 @@ def run_episode(graph: NetworkGraph, size_limit: int, scale: float, seed: int,
                 items[-1][3] += world.orphan_credit[cid]
                 world.orphan_credit[cid] = 0.0
                 items[-1][4] = True
-    report = _build_report(world, scenario_id, seed, scale, steps,
-                           time.perf_counter() - t0)
+    report = _build_report(world, scenario_id, seed, scale, steps)
     return report, world
 
 
@@ -441,6 +436,9 @@ class TrainConfig:
     def __post_init__(self):
         self.dc_choices = tuple(self.dc_choices)
         self.scale_range = tuple(self.scale_range)
+        if not self.dc_choices or self.round_episodes < 1:
+            raise ValueError("train.dc_choices must be non-empty and "
+                             "train.round_episodes at least 1")
         if self.validation_cell is not None:
             self.validation_cell = tuple(self.validation_cell)
 

@@ -3,7 +3,6 @@ residual resources, and link residual bandwidth, with exact accounting."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -199,30 +198,3 @@ class Substrate:
                 raise SubstrateError(f"link {key}: bandwidth accounting drift")
             if rt.free_bw < -1e-12:
                 raise SubstrateError(f"link {key}: bandwidth exceeded")
-
-    def snapshot(self) -> dict:
-        return {
-            "dcs": {
-                str(dc_id): {
-                    "free_vcpu": dc.free_vcpu,
-                    "free_ram": dc.free_ram,
-                    "free_storage": dc.free_storage,
-                    "installed": {
-                        name: [{"id": i.instance_id, "busy_until": i.busy_until,
-                                "request": i.allocated_request}
-                               for i in lst]
-                        for name, lst in sorted(dc.installed.items()) if lst
-                    },
-                } for dc_id, dc in sorted(self.dcs.items())
-            },
-            "links": {
-                f"{a}-{b}": {
-                    "free_bw": rt.free_bw,
-                    "reservations": {str(r): bw for r, bw
-                                     in sorted(rt.reservations.items())},
-                } for (a, b), rt in sorted(self.links.items())
-            },
-        }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)

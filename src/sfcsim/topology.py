@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,36 +101,49 @@ def _is_connected(n: int, links: list[LinkSpec]) -> bool:
     return len(seen) == n
 
 
-def _number(cfg: dict, key: str, default, kind=float):
+@dataclass
+class TopologyConfig:
+    """The `topology` config section: the explicit `dcs` and `links` if
+    `dcs` is given, else a random geometric graph of `dc_count` DCs."""
+    dc_count: int = 0
+    area_km: float = 1000.0
+    radius_km: float = 250.0
+    storage_gb: float = 2048.0
+    ram_gb: float = 256.0
+    vcpu: float = 40.0
+    link_bw_mbps: float = 1000.0
+    seed: int | None = None  # unset: 0 here; the CLI uses the run seed
+    dcs: list[dict] | None = None
+    links: list[dict] | None = None
+
+
+@contextmanager
+def _malformed(section: str, i: int, entry):
+    """Re-raise a failure to read one explicit entry as a TopologyError."""
     try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise TopologyError(
-            f"topology.{key} must be a number, got {cfg[key]!r}") from exc
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TopologyError(f"topology.{section}[{i}] is malformed ({exc!r}): "
+                            f"{entry!r}") from exc
 
 
-def build_network(config: dict) -> NetworkGraph:
-    """Build a connected NetworkGraph from an explicit or generated topology.
+def build_network(config: TopologyConfig | dict) -> NetworkGraph:
+    """Build a connected NetworkGraph from a TopologyConfig or a dict of its
+    fields.
 
     Explicit topologies must already be connected; generated ones are random
     geometric graphs repaired to connectivity by adding minimum-distance edges.
     """
-    cfg = dict(config)
-    storage = _number(cfg, "storage_gb", 2048.0)
-    vcpu = _number(cfg, "vcpu", 40.0)
-    ram = _number(cfg, "ram_gb", 256.0)
-    link_bw = _number(cfg, "link_bw_mbps", 1000.0)
-
-    if "dcs" in cfg:
+    cfg = config if isinstance(config, TopologyConfig) else TopologyConfig(**config)
+    if cfg.dcs is not None:
         dcs = []
-        for i, entry in enumerate(cfg["dcs"]):
-            dcs.append(DataCenterSpec(
-                id=int(entry.get("id", i)),
-                position=tuple(float(x) for x in entry["position"]),
-                storage_cap=float(entry.get("storage_gb", storage)),
-                compute_cap=float(entry.get("vcpu", vcpu)),
-                ram_cap=float(entry.get("ram_gb", ram)),
-            ))
+        for i, entry in enumerate(cfg.dcs):
+            with _malformed("dcs", i, entry):
+                x, y = (float(v) for v in entry["position"])
+                caps = [float(entry.get(key, getattr(cfg, key)))
+                        for key in ("storage_gb", "vcpu", "ram_gb")]
+                dc_id = int(entry.get("id", i))
+            dcs.append(DataCenterSpec(dc_id, (x, y), *caps))
         ids = sorted(dc.id for dc in dcs)
         if ids != list(range(len(dcs))):
             raise TopologyError("DC ids must be unique and dense 0..N-1")
@@ -138,35 +152,35 @@ def build_network(config: dict) -> NetworkGraph:
             raise TopologyError("need at least 2 DCs")
         links = []
         seen = set()
-        for entry in cfg.get("links", []):
-            a, b = int(entry["a"]), int(entry["b"])
-            if a > b:
-                a, b = b, a
+        for i, entry in enumerate(cfg.links or []):
+            with _malformed("links", i, entry):
+                a, b = sorted((int(entry["a"]), int(entry["b"])))
+                if a < 0 or b >= len(dcs):
+                    raise ValueError(f"endpoints must be DC ids 0..{len(dcs) - 1}")
+                min_dist = _euclidean(dcs[a].position, dcs[b].position)
+                dist = float(entry.get("distance_km", min_dist))
+                bandwidth = float(entry.get("bandwidth_mbps", cfg.link_bw_mbps))
             if (a, b) in seen:
                 raise TopologyError(f"duplicate link ({a},{b})")
             seen.add((a, b))
-            dist = float(entry.get("distance_km",
-                                   _euclidean(dcs[a].position, dcs[b].position)))
-            min_dist = _euclidean(dcs[a].position, dcs[b].position)
             if dist < min_dist - 1e-9:
                 raise TopologyError(f"link ({a},{b}) shorter than DC separation")
-            links.append(LinkSpec(a, b, float(entry.get("bandwidth_mbps", link_bw)), dist))
+            links.append(LinkSpec(a, b, bandwidth, dist))
         if not _is_connected(len(dcs), links):
             raise TopologyError("explicit topology is disconnected")
         return NetworkGraph(dcs, links)
 
-    n = _number(cfg, "dc_count", 0, int)
+    n = cfg.dc_count
     if n < 2:
         raise TopologyError("need at least 2 DCs")
-    area = _number(cfg, "area_km", 1000.0)
-    radius = _number(cfg, "radius_km", 250.0)
-    seed = _number(cfg, "seed", 0, int)
 
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(0.0, area, size=(n, 2))
-    dcs = [DataCenterSpec(i, (float(pos[i, 0]), float(pos[i, 1])), storage, vcpu, ram)
+    rng = np.random.default_rng(0 if cfg.seed is None else cfg.seed)
+    pos = rng.uniform(0.0, cfg.area_km, size=(n, 2))
+    dcs = [DataCenterSpec(i, (float(pos[i, 0]), float(pos[i, 1])),
+                          cfg.storage_gb, cfg.vcpu, cfg.ram_gb)
            for i in range(n)]
 
+    radius, link_bw = cfg.radius_km, cfg.link_bw_mbps
     links = []
     link_keys = set()
     for i in range(n):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,19 +114,6 @@ class SfcRequest:
     def next_vnf(self) -> VnfType | None:
         return self.sfc_type.next_vnfs[self.next_vnf_index]
 
-    @property
-    def remaining_proc_time(self) -> float:
-        return self.sfc_type.remaining_proc[self.next_vnf_index]
-
-    @property
-    def completion_fraction(self) -> float:
-        return self.sfc_type.completion[self.next_vnf_index]
-
-    def remaining_tolerance(self, now: float) -> float:
-        """Slack left after accrued delay and time already spent waiting."""
-        waited = max(0.0, now - self.ready_time)
-        return self.sfc_type.e2e_tolerance - self.accrued_delay - waited
-
 
 @dataclass
 class Catalog:
@@ -172,33 +159,54 @@ def default_catalog() -> Catalog:
     return Catalog(vnfs, sfcs)
 
 
+# the fields a `workload.overrides` entry may set, with their conversions;
+# `chain` names VNFs of the overridden catalog
+VNF_OVERRIDES = {"vcpu": int, "ram": float, "storage": float, "proc_time": float}
+SFC_OVERRIDES = {
+    "e2e_tolerance": float,
+    "bandwidth": lambda bw: (tuple(map(float, bw))
+                             if isinstance(bw, (list, tuple)) else float(bw)),
+    "bundle_range": lambda pair: tuple(map(int, pair)),
+}
+
+
+def _check_known(where: str, given, known) -> None:
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be a mapping, got {given!r}")
+    unknown = set(given) - set(known)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _overridden(overrides: dict, section: str, table: dict, kinds: dict) -> dict:
+    """`table` with the `section` overrides applied, each value converted."""
+    where = f"workload.overrides.{section}"
+    given = overrides.get(section) or {}
+    _check_known(where, given, table)
+    table = dict(table)
+    for name, fields in given.items():
+        _check_known(f"{where}.{name}", fields, kinds)
+        try:
+            table[name] = replace(table[name], **{k: kinds[k](v)
+                                                  for k, v in fields.items()})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}.{name} is malformed: {exc!r}") from exc
+    return table
+
+
 def catalog_from_config(overrides: dict | None) -> Catalog:
-    """Default catalog with optional per-type field overrides from config."""
+    """Default catalog with optional per-type field overrides from config;
+    unknown or malformed overrides raise ValueError."""
     cat = default_catalog()
     if not overrides:
         return cat
-    vnfs = dict(cat.vnfs)
-    for name, fields in (overrides.get("vnfs") or {}).items():
-        base = vnfs[name]
-        vnfs[name] = VnfType(
-            name,
-            int(fields.get("vcpu", base.vcpu)),
-            float(fields.get("ram", base.ram)),
-            float(fields.get("storage", base.storage)),
-            float(fields.get("proc_time", base.proc_time)),
-        )
-    sfcs = {}
-    for name, base in cat.sfcs.items():
-        fields = (overrides.get("sfcs") or {}).get(name, {})
-        chain_names = fields.get("chain", [v.name for v in base.chain])
-        bw = fields.get("bandwidth", base.bandwidth)
-        sfcs[name] = SfcType(
-            name,
-            tuple(vnfs[v] for v in chain_names),
-            tuple(bw) if isinstance(bw, (list, tuple)) else float(bw),
-            float(fields.get("e2e_tolerance", base.e2e_tolerance)),
-            tuple(fields.get("bundle_range", base.bundle_range)),
-        )
+    _check_known("workload.overrides", overrides, ("vnfs", "sfcs"))
+    vnfs = _overridden(overrides, "vnfs", cat.vnfs, VNF_OVERRIDES)
+    # every chain takes the overridden VNFs
+    sfcs = {name: replace(sfc, chain=tuple(vnfs[v.name] for v in sfc.chain))
+            for name, sfc in cat.sfcs.items()}
+    sfcs = _overridden(overrides, "sfcs", sfcs, {
+        **SFC_OVERRIDES, "chain": lambda names: tuple(vnfs[n] for n in names)})
     return Catalog(vnfs, sfcs)
 
 

@@ -3,7 +3,7 @@ assist dispatch, and reward bookkeeping."""
 
 import pytest
 
-from sfcsim.agents import collect, priority_rank, setup
+from sfcsim.agents import priority_rank, setup
 from sfcsim.drl import ModelConfig, QNetwork
 from sfcsim.routing import routing_tables
 from sfcsim.sim import build_world, run_episode
@@ -109,18 +109,6 @@ def test_locality_agents_only_touch_own_cluster():
         for entry in r.hop_log:
             if entry[0] == "prop":
                 assert entry[3] >= 0.0
-
-
-def test_collect_counters(policy):
-    g = build_network({"dc_count": 6, "seed": 6})
-    general = setup(g, 3, 0, policy)
-    snap = collect(general)
-    assert all(v["accepted"] == 0 and v["dropped"] == 0
-               for v in snap["per_agent"].values())
-    rep, world = run_small_episode(seed=6)
-    snap = collect(world.general)
-    total_acc = sum(v["accepted"] for v in snap["per_agent"].values())
-    assert total_acc == sum(v[1] for v in rep.per_type.values())
 
 
 def test_transfer_target_picks_max_free_vcpu():

@@ -74,24 +74,65 @@ def test_eval_missing_weights_file(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("extra", [
-    {"typo": {"x": 1}},
-    {"drl": {"hidden_widths": 5}},
-    {"drl": {"branch_width": 0}},
-    {"sim": {"seeds": 3}},
-    {"sim": {"actions_per_step": 200}},
-    {"cluster": {"size_limit": "a"}},
-    {"workload": {"scale": "a"}},
-    {"output": {"formats": "csv"}},
-    {"output": {"formats": ["csv", "xml"]}},
-    {"sweep": {"dc_counts": ["a"]}},
-    {"topology": {"dc_count": "a"}},
-], ids=["unknown_section", "hidden_widths_scalar",
-        "zero_width", "seeds_scalar", "step_budget", "size_limit_text",
-        "scale_text", "formats_string", "formats_unknown", "sweep_text",
-        "dc_count_text"])
-def test_unknown_config_key_rejected(tmp_path, weights, extra):
+TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
+
+
+@pytest.mark.parametrize("extra,env", [
+    pytest.param({"typo": {"x": 1}}, {}, id="unknown_section"),
+    pytest.param({"drl": {"hidden_widths": 5}}, {}, id="hidden_widths_scalar"),
+    pytest.param({"drl": {"branch_width": 0}}, {}, id="zero_width"),
+    pytest.param({"sim": {"seeds": 3}}, {}, id="seeds_scalar"),
+    pytest.param({"sim": {"actions_per_step": 200}}, {}, id="step_budget"),
+    pytest.param({"cluster": {"size_limit": "a"}}, {}, id="size_limit_text"),
+    pytest.param({"workload": {"scale": "a"}}, {}, id="scale_text"),
+    pytest.param({"output": {"formats": "csv"}}, {}, id="formats_string"),
+    pytest.param({"output": {"formats": ["csv", "xml"]}}, {},
+                 id="formats_unknown"),
+    pytest.param({"sweep": {"dc_counts": ["a"]}}, {}, id="sweep_text"),
+    pytest.param({"topology": {"dc_count": "a"}}, {}, id="dc_count_text"),
+    # explicit topology entries
+    pytest.param({"topology": {"dcs": [{"position": ["a", 0]},
+                                       {"position": [1, 0]}],
+                               "links": [{"a": 0, "b": 1}]}}, {},
+                 id="dc_position_text"),
+    pytest.param({"topology": {"dcs": [{"position": [0, 0]}, {"id": 1}],
+                               "links": [{"a": 0, "b": 1}]}}, {},
+                 id="dc_position_missing"),
+    pytest.param({"topology": {"dcs": TWO_DCS, "links": [{"a": 0}]}}, {},
+                 id="link_endpoint_missing"),
+    pytest.param({"topology": {"dcs": TWO_DCS, "links": [{"a": 0, "b": 2}]}},
+                 {}, id="link_endpoint_out_of_range"),
+    # workload section
+    pytest.param({"workload": {"overrides": {"vnf": {"NAT": {"vcpu": 99}}}}},
+                 {}, id="override_section_unknown"),
+    pytest.param({"workload": {"overrides": {"vnfs": {"NATT": {"vcpu": 2}}}}},
+                 {}, id="override_vnf_unknown"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"XR": {
+        "e2e_tolerance": 5.0}}}}}, {}, id="override_sfc_unknown"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "tolerance": 1}}}}}, {}, id="override_field_unknown"),
+    pytest.param({"workload": {"overrides": {"vnfs": {"NAT": {
+        "vcpu": "x"}}}}}, {}, id="override_value_text"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "chain": ["NAT", "XX"]}}}}}, {}, id="override_chain_unknown"),
+    pytest.param({"workload": {"scale": -1}}, {}, id="scale_negative"),
+    pytest.param({"workload": {"scale": 0}}, {}, id="scale_zero"),
+    # values that crashed mid-run or passed silently
+    pytest.param({"sim": {"eager_drop": "x"}}, {}, id="eager_drop_text"),
+    pytest.param({"sim": {"max_steps": "x"}}, {}, id="max_steps_text"),
+    pytest.param({"sim": {"max_steps": 2.5}}, {}, id="max_steps_fraction"),
+    pytest.param({"drl": {"learning_rate": "x"}}, {}, id="learning_rate_text"),
+    pytest.param({"sim": {"seeds": []}}, {}, id="seeds_empty"),
+    pytest.param({"train": {"round_episodes": 0}}, {}, id="round_episodes_zero"),
+    pytest.param({"train": {"dc_choices": []}}, {}, id="dc_choices_empty"),
+    pytest.param({"sweep": {"scales": [0.0]}}, {}, id="sweep_scale_zero"),
+    pytest.param({}, {"SFCSIM_SEED": "abc"}, id="env_seed_text"),
+])
+def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
+                                     env):
     """Unknown and malformed config values exit 2 before anything runs."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     cfg = write_config(tmp_path / "c.yaml", extra)
     out = tmp_path / "out"
     assert cli.main(["eval", "--config", cfg, "--weights", weights,
@@ -118,6 +159,33 @@ def test_eval_reruns_byte_identical(tmp_path, weights):
                      "--out", str(out2)]) == 0
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("topology,workload", [
+    ({"dc_count": 4}, {"scale": 0.1}),
+    ({"dc_count": 4, "seed": 3}, {"scale": 1}),
+    ({"dcs": [{"position": [0, 0]}, {"position": [100, 0], "vcpu": 20},
+              {"position": [100, 90]}],
+      "links": [{"a": 0, "b": 1}, {"a": 1, "b": 2, "bandwidth_mbps": 400}]},
+     {"scale": 0.1}),
+], ids=["topology_seed_unset", "scale_yaml_int", "explicit_topology"])
+def test_eval_from_resolved_config_is_byte_identical(tmp_path, weights,
+                                                     topology, workload):
+    """Eval again from a run's resolved_config.yaml: same files, byte for
+    byte."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"topology": topology, "workload": workload,
+                                   "cluster": {"size_limit": 2},
+                                   "sim": {"episodes": 1, "seeds": [5, 6]}}))
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["eval", "--config", str(cfg), "--weights", weights,
+                     "--out", str(first)]) == 0
+    assert cli.main(["eval", "--config", str(first / "resolved_config.yaml"),
+                     "--weights", weights, "--out", str(second)]) == 0
+    for name in ("report.csv", "report.json", "resolved_config.yaml"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    rows = (first / "report.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[5] for row in rows} == {str(float(workload["scale"]))}
 
 
 def test_sweep_runs_cells(tmp_path, weights):

@@ -1,4 +1,4 @@
-"""Config tests: the drl, sim and train sections are the dataclass fields, and
+"""Config tests: every section's keys are its dataclass's fields, and
 `resolved_config.yaml` reloads to the same run config."""
 
 from dataclasses import fields
@@ -7,8 +7,7 @@ import pytest
 import yaml
 
 from sfcsim import cli
-from sfcsim.config import from_dict, resolved_snapshot
-from sfcsim.drl import ModelConfig
+from sfcsim.config import NESTED, SECTIONS, from_dict, resolved_snapshot
 from sfcsim.sim import SimConfig, TrainConfig
 
 EVERY_KEY = {
@@ -56,21 +55,22 @@ def test_resolved_snapshot_round_trips(raw):
     assert again == cfg
     assert reload(again) == cfg
     # training and evaluation share one SimConfig
-    assert again.train.sim is again.sim and again.train.model is again.model
+    assert again.train.sim is again.sim and again.train.model is again.drl
 
 
 def test_every_dataclass_field_is_a_yaml_key(tmp_path):
-    cfg = from_dict({})
+    # a sweep section is written only when the config has one
+    raw = {"sweep": {"dc_counts": [40]}}
+    cfg = from_dict(raw)
     cli._write_snapshot(cfg, str(tmp_path), None)
     written = yaml.safe_load((tmp_path / "resolved_config.yaml").read_text())
-    for section, cls, extra in (("drl", ModelConfig, set()),
-                                ("sim", SimConfig, {"episodes", "seeds"}),
-                                ("train", TrainConfig, set())):
-        names = {f.name for f in fields(cls)} - {"model", "sim"}
-        assert set(written[section]) == names | extra
+    assert set(written) == set(SECTIONS)
+    for section, cls in SECTIONS.items():
+        names = {f.name for f in fields(cls)} - set(NESTED)
+        assert set(written[section]) == names
         for name in names:
             # each field is accepted on its own, with the value written
-            single = from_dict({section: {name: written[section][name]}})
+            single = from_dict({**raw, section: {name: written[section][name]}})
             assert single == cfg
 
 

@@ -276,8 +276,6 @@ def test_chain_tables_match_property_formulas(catalog):
             assert sfc.remaining_proc[k] == ref_remaining_proc_time(r)
             assert sfc.completion[k] == ref_completion_fraction(r)
             assert r.next_vnf == ref_next_vnf(r)
-            assert r.remaining_proc_time == ref_remaining_proc_time(r)
-            assert r.completion_fraction == ref_completion_fraction(r)
         assert sfc.next_vnfs[n] is None and r.next_vnf is None
     assert catalog_from_config(CHANGED_CATALOG).sfc("MIoT").chain_length == 7
 

@@ -222,7 +222,7 @@ def check_counters_bounded(dc_count):
     for _ in range(30):
         src, dst = rng.choice(dc_count, size=2, replace=False)
         find_path(part, g, const_free(1000.0), int(src), int(dst), 1.0, counters)
-    assert counters.max_settled <= bound
+    assert max(counters.dijkstra_settled) <= bound
     adj = cluster_adjacency(part)
     edges = sum(len(v) for v in adj.values())  # each edge counted twice
     assert all(e <= edges for e in counters.dfs_edges)
