@@ -4,14 +4,13 @@ metrics collection)."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import routing
-from .drl import (PendingItem, QNetwork, StateEncoding, StateView, act,
-                  encode_state)
+from .drl import (PendingItem, QNetwork, SfcGroups, StateEncoding, StateView,
+                  act, encode_state)
 from .routing import RouteCounters
 from .topology import ClusterPartition, NetworkGraph, make_clusters
 # stays importable here: perfbench's tracer wraps agents.cluster_adjacency
@@ -45,6 +44,109 @@ class ActionOutcome:
     request: SfcRequest | None = None  # the request this action allocated
 
 
+class StepView:
+    """An agent's queue as its state view reads it, built by the scope scan
+    at the start of the agent's turn, once per step. Within the turn `now` is
+    fixed, so each queued request's PendingItem is too, and the agent's own
+    takes and requeues, made through this view, are the only changes to the
+    queue. The items are made for every request up front; the groups per DC
+    and the waiting requests per VNF type are built the first time the turn
+    asks for them, and kept current from then on."""
+
+    def __init__(self, now: float, assignment, cluster_id: int,
+                 queue: list[SfcRequest]):
+        self.now = now
+        self.assignment = assignment  # DC -> cluster
+        self.cluster_id = cluster_id
+        self.queue = queue  # the agent's queue, which `items` runs parallel to
+        self.items: list[PendingItem] = []
+        self.out_count = 0  # requests bound for a DC outside the cluster
+        self._index(queue)
+        self.cluster = SfcGroups(self.items)
+        self._local: dict[int, SfcGroups] = {}  # DC -> items of requests there
+        # VNF type -> the queued requests waiting for it, in queue order
+        self._pending: dict[str, list[SfcRequest]] = {}
+        self._ranked: dict[str, list[SfcRequest]] = {}  # pending, by priority
+
+    def _index(self, requests) -> None:
+        """Append the item of each request and count those bound outside."""
+        now = self.now
+        assignment, cluster_id = self.assignment, self.cluster_id
+        append = self.items.append
+        out_count = 0
+        for r in requests:
+            t = r.sfc_type
+            k = r.next_vnf_index
+            waited = now - r.ready_time
+            # the conditional is max(0.0, waited) without the call
+            append(PendingItem(
+                t.name,
+                t.e2e_tolerance - (r.propagation_total + r.processing_total)
+                - (waited if waited > 0.0 else 0.0),
+                r.bandwidth, t.completion[k], t.next_vnfs[k].name))
+            if assignment[r.dest_dc] != cluster_id:
+                out_count += 1
+        self.out_count += out_count
+
+    def local(self, dc: int) -> SfcGroups:
+        """The items of the requests whose packet is at `dc`."""
+        groups = self._local.get(dc)
+        if groups is None:
+            groups = self._local[dc] = SfcGroups(
+                [it for r, it in zip(self.queue, self.items) if r.loc == dc])
+        return groups
+
+    def pending(self, vnf_name: str) -> list[SfcRequest]:
+        """The queued requests waiting for `vnf_name`, in queue order."""
+        waiting = self._pending.get(vnf_name)
+        if waiting is None:
+            waiting = self._pending[vnf_name] = [
+                r for r, it in zip(self.queue, self.items)
+                if it.next_vnf_name == vnf_name]
+        return waiting
+
+    def ranked(self, vnf_name: str) -> list[SfcRequest]:
+        """`pending(vnf_name)` in priority order, ranked at the first call in
+        the step; the keys do not change within it."""
+        ranked = self._ranked.get(vnf_name)
+        if ranked is None:
+            ranked = self._ranked[vnf_name] = priority_rank(
+                self.pending(vnf_name), self.now)
+        return ranked
+
+    def take(self, r: SfcRequest) -> None:
+        """Remove a request the agent allocates from the queue."""
+        i = self.queue.index(r)
+        del self.queue[i]
+        item = self.items.pop(i)
+        self.cluster.remove(item)
+        local = self._local.get(r.loc)
+        if local is not None:
+            local.remove(item)
+        waiting = self._pending.get(item.next_vnf_name)
+        if waiting is not None:
+            waiting.remove(r)
+        ranked = self._ranked.get(item.next_vnf_name)
+        if ranked is not None:
+            ranked.remove(r)
+        if self.assignment[r.dest_dc] != self.cluster_id:
+            self.out_count -= 1
+
+    def requeue(self, r: SfcRequest) -> None:
+        """Put a request back at the queue tail."""
+        self.queue.append(r)
+        self._index((r,))
+        item = self.items[-1]
+        self.cluster.extend((item,))
+        local = self._local.get(r.loc)
+        if local is not None:
+            local.extend((item,))
+        waiting = self._pending.get(item.next_vnf_name)
+        if waiting is not None:
+            waiting.append(r)
+        self._ranked.pop(item.next_vnf_name, None)  # ranked again at next use
+
+
 @dataclass
 class LocalAgent:
     cluster_id: int
@@ -56,6 +158,18 @@ class LocalAgent:
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     reward_total: float = 0.0
     last_scope_scan: float = -1.0  # sim time of the last outbox scan
+    # built by the scope scan at the start of the agent's turn and dropped at
+    # its end; _execute_action and build_state_view read it, and the turn's
+    # takes and requeues go through it
+    view: StepView | None = field(default=None, repr=False)
+
+    def requeue(self, r: SfcRequest) -> None:
+        """Put a request back at the queue tail, through the view while the
+        agent's turn lasts."""
+        if self.view is None:
+            self.queue.append(r)
+        else:
+            self.view.requeue(r)
 
 
 class GeneralAgent:
@@ -110,27 +224,7 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
 
 
 def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
-    now = world.clock.now
-    assignment = world.partition.assignment
-    cluster_id = agent.cluster_id
-    items_cluster = []
-    items_local = []
-    out_count = 0
-    for r in agent.queue:
-        t = r.sfc_type
-        k = r.next_vnf_index
-        waited = now - r.ready_time
-        # r.remaining_tolerance(now), inlined; the conditional is
-        # max(0.0, waited) without the call
-        remaining = (t.e2e_tolerance - (r.propagation_total + r.processing_total)
-                     - (waited if waited > 0.0 else 0.0))
-        item = PendingItem(t.name, remaining, r.bandwidth, t.completion[k],
-                           t.next_vnfs[k].name)
-        items_cluster.append(item)
-        if r.loc == current_dc:
-            items_local.append(item)
-        if assignment[r.dest_dc] != cluster_id:
-            out_count += 1
+    view = agent.view
     dc = world.substrate.dcs[current_dc]
     free = (dc.free_vcpu / dc.spec.compute_cap,
             dc.free_ram / dc.spec.ram_cap,
@@ -138,31 +232,32 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
     installed = {}
     idle = {}
     for v in VNF_ORDER:
-        instances = dc.installed.get(v, ())
-        installed[v] = len(instances)
-        idle[v] = sum(1 for i in instances if i.is_idle())
+        instances = dc.installed.get(v)
+        if instances:
+            installed[v] = len(instances)
+            idle[v] = sum(1 for i in instances if i.is_idle())
+        else:  # most types have no instance at a DC
+            installed[v] = idle[v] = 0
     return StateView(
-        items_local=items_local,
-        items_cluster=items_cluster,
+        items_local=view.local(current_dc),
+        items_cluster=view.cluster,
         installed=installed,
         idle=idle,
         free_fracs=free,
         transfer_pending=bool(agent.outbox),
-        out_of_cluster_frac=out_count / len(agent.queue) if agent.queue else 0.0,
+        out_of_cluster_frac=(view.out_count / len(agent.queue)
+                             if agent.queue else 0.0),
     )
 
 
 def _scan_scope(agent: LocalAgent, world) -> None:
-    """Move requests the agent cannot serve into the assist outbox. The
-    substrate does not change during the scan, so each VNF type's
-    hostability is asked once."""
+    """Move requests the agent cannot serve into the assist outbox, and build
+    the step's view of the rest. The substrate does not change during the
+    scan, so each VNF type's hostability is asked once."""
     hostable: dict[str, bool] = {}  # VNF type name -> can the cluster host it
     keep = []
     for r in agent.queue:
         vnf = r.sfc_type.next_vnfs[r.next_vnf_index]
-        if vnf is None:
-            keep.append(r)
-            continue
         ok = hostable.get(vnf.name)
         if ok is None:
             ok = hostable[vnf.name] = world.substrate.cluster_can_host(
@@ -172,36 +267,29 @@ def _scan_scope(agent: LocalAgent, world) -> None:
         else:
             agent.outbox.append(AssistTask(TASK_TRANSFER, r))
     agent.queue[:] = keep
-
-
-def _pending(agent: LocalAgent, vnf_name: str) -> Iterator[SfcRequest]:
-    """The queued requests whose next VNF is of the given type, in queue
-    order."""
-    for r in agent.queue:
-        vnf = r.sfc_type.next_vnfs[r.next_vnf_index]
-        if vnf is not None and vnf.name == vnf_name:
-            yield r
+    agent.view = StepView(world.clock.now, world.partition.assignment,
+                          agent.cluster_id, agent.queue)
 
 
 def _try_allocate(agent: LocalAgent, world, instance,
-                  pending: list[SfcRequest], now: float) -> SfcRequest | None:
-    """Allocate the top-priority request of `pending` (the queued requests
-    waiting for the instance's type), routing the packet to the instance's
-    DC. Cross-cluster packet locations defer to the general agent. Returns
-    the request taken from the queue (even when its transfer could not
-    reserve bandwidth and it was queued again), or None."""
-    for r in priority_rank(pending, now):
+                  now: float) -> SfcRequest | None:
+    """Allocate the top-priority queued request waiting for the instance's
+    type, routing the packet to the instance's DC. Cross-cluster packet
+    locations defer to the general agent. Returns the request taken from the
+    queue (even when its transfer could not reserve bandwidth and it was
+    queued again), or None."""
+    for r in agent.view.ranked(instance.vnf_type.name):
         if world.partition.cluster_of(r.loc) == agent.cluster_id:
             path = routing.d2d_shortest_path(
                 agent.dc_ids, world.graph, world.substrate.link_free,
                 r.loc, instance.dc, r.bandwidth, world.general.counters)
             if path is None:
                 continue
-            agent.queue.remove(r)
+            agent.view.take(r)
             world.perform_allocation(agent, r, instance, path, now)
             return r
         # packet sits outside the cluster (post-transfer): general agent routes
-        agent.queue.remove(r)
+        agent.view.take(r)
         instance.reserved = True
         agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
         return r
@@ -221,8 +309,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
         vnf = world.catalog.vnfs[VNF_ORDER[action]]
         # priority points are assigned over pending VNFs of the selected type
         # before execution; with no such VNF the action cannot be carried out
-        pending = list(_pending(agent, vnf.name))
-        if not pending:
+        if not agent.view.pending(vnf.name):
             return ActionOutcome(action, REWARD_INVALID, invalid=True)
         idle = sub.idle_instances(current_dc, vnf.name)
         if idle:
@@ -235,7 +322,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
         # the transition of the action that allocated the request
         return ActionOutcome(
             action, 0.0,
-            request=_try_allocate(agent, world, instance, pending, now))
+            request=_try_allocate(agent, world, instance, now))
 
     # uninstall an idle VNFI of this type from the current DC
     vnf = world.catalog.vnfs[VNF_ORDER[action - nv]]
@@ -243,7 +330,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
     if not idle or not sub.uninstall_vnf(idle[0]):
         return ActionOutcome(action, REWARD_INVALID, invalid=True)
     return ActionOutcome(action, REWARD_UNINSTALL_NEEDED
-                         if any(_pending(agent, vnf.name)) else 0.0)
+                         if agent.view.pending(vnf.name) else 0.0)
 
 
 def local_step(agent: LocalAgent, world, now: float, epsilon: float,
@@ -305,7 +392,7 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                     r.loc, task.instance.dc, r.bandwidth, general.counters)
                 if path is None:
                     task.instance.reserved = False
-                    agent.queue.append(r)
+                    agent.requeue(r)
                 else:
                     world.perform_allocation(agent, r, task.instance, path, now)
             elif task.kind == TASK_TRANSFER:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER, VNF_ORDER,
-                       Catalog, default_catalog)
+                       Catalog, SfcType, default_catalog)
 
 SFC_FEATURES = 4 + len(VNF_ORDER)  # per-type summary + next-VNF histogram
 INPUT_A_DIM = len(SFC_ORDER) * SFC_FEATURES            # 60
@@ -22,6 +22,8 @@ INPUT_B_DIM = 2 * len(VNF_ORDER) + 3                   # 15
 INPUT_C_DIM = INPUT_A_DIM + 2                          # 62
 INSTANCE_NORM = 10.0
 _VNF_INDEX = {name: i for i, name in enumerate(VNF_ORDER)}
+_ZERO_HISTOGRAM = (0.0,) * len(VNF_ORDER)
+_ZERO_BLOCK = (0.0,) * SFC_FEATURES
 
 _MAGIC = b"SFCQNET1"
 
@@ -71,7 +73,8 @@ class StateEncoding:
     input_c: np.ndarray  # cluster-wide SFC summary plus coordinator signals
 
 
-@dataclass(slots=True)
+# identity equality: a view removes the item of one request from its groups
+@dataclass(slots=True, eq=False)
 class PendingItem:
     sfc_name: str
     remaining_ms: float  # tolerance minus accrued delay and elapsed waiting
@@ -80,11 +83,88 @@ class PendingItem:
     next_vnf_name: str
 
 
+def _clip01(x: float) -> float:
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def _group_summary(group: list[PendingItem], sfc: SfcType) -> list[float]:
+    """One SFC type's SFC_FEATURES floats: count, least remaining slack,
+    mean bandwidth, mean completion and the next-VNF histogram. Python's
+    left-to-right `sum`/`min` over the group in queue order fixes the bits."""
+    n = len(group)
+    out = [_clip01(n / sfc.bundle_range[1]),
+           _clip01(min([it.remaining_ms for it in group]) / MAX_E2E_TOLERANCE_MS),
+           _clip01(sum([it.bandwidth for it in group]) / n / BW_NORM_MBPS),
+           _clip01(sum([it.completion_frac for it in group]) / n)]
+    out.extend(_ZERO_HISTOGRAM)
+    share = 1.0 / n
+    for it in group:
+        out[4 + _VNF_INDEX[it.next_vnf_name]] += share
+    return out
+
+
+class SfcGroups:
+    """Pending items grouped per SFC type, each group in queue order. The
+    items are grouped at the first summary, so a collection no encoding
+    reads is never grouped. After that a group's summary is kept until an
+    item of its type is added or removed: a summary is recomputed only for
+    the types that changed."""
+    __slots__ = ("_items", "_groups", "_summaries")
+
+    def __init__(self, items=()):
+        self._items: list[PendingItem] | None = list(items)  # until grouped
+        self._groups: dict[str, list[PendingItem]] | None = None
+        self._summaries: dict[str, list[float]] = {}
+
+    def extend(self, items) -> None:
+        if self._groups is None:
+            self._items.extend(items)
+            return
+        for it in items:
+            self._groups.setdefault(it.sfc_name, []).append(it)
+            self._summaries.pop(it.sfc_name, None)
+
+    def remove(self, item: PendingItem) -> None:
+        if self._groups is None:
+            self._items.remove(item)
+            return
+        self._groups[item.sfc_name].remove(item)
+        self._summaries.pop(item.sfc_name, None)
+
+    def summary(self, catalog: Catalog) -> list[float]:
+        """INPUT_A_DIM floats: each type's `_group_summary` in SFC_ORDER,
+        zeros for a type with no items."""
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = {}
+            for it in self._items:
+                group = groups.get(it.sfc_name)
+                if group is None:
+                    groups[it.sfc_name] = [it]
+                else:
+                    group.append(it)
+            self._items = None
+        out: list[float] = []
+        for name in SFC_ORDER:
+            group = groups.get(name)
+            if not group:
+                out.extend(_ZERO_BLOCK)
+                continue
+            block = self._summaries.get(name)
+            if block is None:
+                block = self._summaries[name] = _group_summary(
+                    group, catalog.sfcs[name])
+            out.extend(block)
+        return out
+
+
 @dataclass
 class StateView:
-    """Everything the encoder needs, pre-extracted by the owning agent."""
-    items_local: list[PendingItem]
-    items_cluster: list[PendingItem]
+    """Everything the encoder needs, pre-extracted by the owning agent. The
+    item collections are lists in queue order, or `SfcGroups` that keep
+    their summaries between encodings."""
+    items_local: list[PendingItem] | SfcGroups
+    items_cluster: list[PendingItem] | SfcGroups
     installed: dict[str, int]
     idle: dict[str, int]
     free_fracs: tuple[float, float, float]
@@ -92,39 +172,12 @@ class StateView:
     out_of_cluster_frac: float
 
 
-def _clip01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-def _sfc_summary(items: list[PendingItem], catalog: Catalog) -> list[float]:
-    """Per SFC type: count, least remaining slack, mean bandwidth, mean
-    completion and the next-VNF histogram. Each group keeps queue order and
-    Python's left-to-right `sum`/`min`, so the floats do not depend on how
-    the items were grouped."""
-    groups: dict[str, list[PendingItem]] = {}
-    for it in items:
-        group = groups.get(it.sfc_name)
-        if group is None:
-            groups[it.sfc_name] = [it]
-        else:
-            group.append(it)
-    out = [0.0] * INPUT_A_DIM
-    for t, name in enumerate(SFC_ORDER):
-        group = groups.get(name)
-        if not group:
-            continue
-        n = len(group)
-        base = t * SFC_FEATURES
-        out[base + 0] = _clip01(n / catalog.sfcs[name].bundle_range[1])
-        out[base + 1] = _clip01(min([it.remaining_ms for it in group])
-                                / MAX_E2E_TOLERANCE_MS)
-        out[base + 2] = _clip01(sum([it.bandwidth for it in group])
-                                / n / BW_NORM_MBPS)
-        out[base + 3] = _clip01(sum([it.completion_frac for it in group]) / n)
-        share = 1.0 / n
-        for it in group:
-            out[base + 4 + _VNF_INDEX[it.next_vnf_name]] += share
-    return out
+def _sfc_summary(items: list[PendingItem] | SfcGroups,
+                 catalog: Catalog) -> list[float]:
+    """INPUT_A_DIM floats summarising the items per SFC type."""
+    if not isinstance(items, SfcGroups):
+        items = SfcGroups(items)
+    return items.summary(catalog)
 
 
 def encode_state(view: StateView, catalog: Catalog | None = None) -> StateEncoding:
@@ -138,8 +191,11 @@ def encode_state(view: StateView, catalog: Catalog | None = None) -> StateEncodi
     input_c = _sfc_summary(view.items_cluster, catalog)
     input_c.append(1.0 if view.transfer_pending else 0.0)
     input_c.append(_clip01(view.out_of_cluster_frac))
-    return StateEncoding(np.array(_sfc_summary(view.items_local, catalog)),
-                         np.array(input_b), np.array(input_c))
+    # fromiter with the length known skips np.array's type inference
+    return StateEncoding(
+        np.fromiter(_sfc_summary(view.items_local, catalog), float, INPUT_A_DIM),
+        np.fromiter(input_b, float, INPUT_B_DIM),
+        np.fromiter(input_c, float, INPUT_C_DIM))
 
 
 def _relu(x: np.ndarray) -> np.ndarray:

@@ -194,7 +194,7 @@ class World:
         delay = self._transfer(request, path, now)
         if delay is None:
             instance.reserved = False
-            agent.queue.append(request)
+            agent.requeue(request)
             return
         waited = self.substrate.allocate(request, request.next_vnf_index,
                                          instance, now, transfer_delay=delay)
@@ -307,6 +307,7 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
                 # an invalid action stalls the agent until the next step;
                 # idling means waiting for the next step by choice
                 break
+        agent.view = None  # it holds for the agent's turn only
     assist(world.general, world, now)
     world.clock.advance()
     now = world.clock.now

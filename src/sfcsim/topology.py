@@ -117,6 +117,16 @@ class TopologyConfig:
     links: list[dict] | None = None
 
 
+_DC_KEYS = ("position", "id", "storage_gb", "vcpu", "ram_gb")
+_LINK_KEYS = ("a", "b", "distance_km", "bandwidth_mbps")
+
+
+def _check_keys(entry, allowed: tuple[str, ...]) -> None:
+    unknown = [key for key in entry if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}, expected {list(allowed)}")
+
+
 @contextmanager
 def _malformed(section: str, i: int, entry):
     """Re-raise a failure to read one explicit entry as a TopologyError."""
@@ -139,6 +149,7 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
         dcs = []
         for i, entry in enumerate(cfg.dcs):
             with _malformed("dcs", i, entry):
+                _check_keys(entry, _DC_KEYS)
                 x, y = (float(v) for v in entry["position"])
                 caps = [float(entry.get(key, getattr(cfg, key)))
                         for key in ("storage_gb", "vcpu", "ram_gb")]
@@ -154,6 +165,7 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
         seen = set()
         for i, entry in enumerate(cfg.links or []):
             with _malformed("links", i, entry):
+                _check_keys(entry, _LINK_KEYS)
                 a, b = sorted((int(entry["a"]), int(entry["b"])))
                 if a < 0 or b >= len(dcs):
                     raise ValueError(f"endpoints must be DC ids 0..{len(dcs) - 1}")

@@ -120,12 +120,6 @@ class Catalog:
     vnfs: dict[str, VnfType]
     sfcs: dict[str, SfcType]
 
-    def vnf(self, name: str) -> VnfType:
-        return self.vnfs[name]
-
-    def sfc(self, name: str) -> SfcType:
-        return self.sfcs[name]
-
 
 _VNF_ROWS = [
     # name, vcpu, ram GB, storage GB, proc time ms

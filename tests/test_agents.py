@@ -44,19 +44,19 @@ def test_setup_reinit_fresh(policy):
 
 def test_priority_rank_urgency():
     cat = default_catalog()
-    miot = SfcRequest(0, cat.sfc("MIoT"), 10.0, 0, 1)
-    vs = SfcRequest(1, cat.sfc("VS"), 4.0, 0, 1)
+    miot = SfcRequest(0, cat.sfcs["MIoT"], 10.0, 0, 1)
+    vs = SfcRequest(1, cat.sfcs["VS"], 4.0, 0, 1)
     assert priority_rank([vs, miot], 0.0)[0] is miot
 
 
 def test_priority_rank_ties_and_totality():
     cat = default_catalog()
-    a = SfcRequest(3, cat.sfc("CG"), 4.0, 0, 1)
-    b = SfcRequest(5, cat.sfc("CG"), 4.0, 0, 1)
+    a = SfcRequest(3, cat.sfcs["CG"], 4.0, 0, 1)
+    b = SfcRequest(5, cat.sfcs["CG"], 4.0, 0, 1)
     assert [r.id for r in priority_rank([b, a], 0.0)] == [3, 5]
     assert priority_rank([a], 0.0) == [a]
     # total order: sorting any permutation gives the same sequence
-    c = SfcRequest(7, cat.sfc("VoIP"), 0.064, 0, 1)
+    c = SfcRequest(7, cat.sfcs["VoIP"], 0.064, 0, 1)
     import itertools
     orders = {tuple(r.id for r in priority_rank(list(p), 0.0))
               for p in itertools.permutations([a, b, c])}
@@ -117,7 +117,7 @@ def test_transfer_target_picks_max_free_vcpu():
     policy = QNetwork(ModelConfig(), seed=0)
     world = build_world(g, 3, 0, policy)
     cat = default_catalog()
-    r = SfcRequest(0, cat.sfc("CG"), 4.0, 0, 1)
+    r = SfcRequest(0, cat.sfcs["CG"], 4.0, 0, 1)
     # drain one cluster's vCPU so the fullest-free cluster wins
     clusters = world.partition.clusters
     target_before = _pick_transfer_target(world.general, world, 0, r)
@@ -131,11 +131,12 @@ def test_transfer_target_picks_max_free_vcpu():
 
 def test_invalid_action_semantics():
     """A place action with no pending demand of that type is invalid."""
-    from sfcsim.agents import _execute_action
+    from sfcsim.agents import _execute_action, _scan_scope
     g = build_network({"dc_count": 4, "seed": 9})
     policy = QNetwork(ModelConfig(), seed=0)
     world = build_world(g, 4, 0, policy)
     agent = world.general.local_agents[0]
+    _scan_scope(agent, world)  # builds the step's view, as local_step does
     out = _execute_action(agent, world, 0, 0)  # place NAT, empty queue
     assert out.invalid and out.reward == -1.0
     out = _execute_action(agent, world, 0, 6)  # uninstall NAT, none installed
@@ -145,18 +146,21 @@ def test_invalid_action_semantics():
 
 
 def test_uninstall_needed_penalty_flows():
-    from sfcsim.agents import REWARD_UNINSTALL_NEEDED, _execute_action
+    from sfcsim.agents import (REWARD_UNINSTALL_NEEDED, _execute_action,
+                               _scan_scope)
     g = build_network({"dc_count": 4, "seed": 9})
     policy = QNetwork(ModelConfig(), seed=0)
     world = build_world(g, 4, 0, policy)
     agent = world.general.local_agents[0]
     cat = world.catalog
-    world.substrate.place_vnf(0, cat.vnf("NAT"))
-    world.substrate.place_vnf(0, cat.vnf("NAT"))
+    world.substrate.place_vnf(0, cat.vnfs["NAT"])
+    world.substrate.place_vnf(0, cat.vnfs["NAT"])
+    _scan_scope(agent, world)  # builds the step's view, as local_step does
     out = _execute_action(agent, world, 0, 6)  # uninstall NAT, not demanded
     assert not out.invalid and out.reward == 0.0
-    r = SfcRequest(0, cat.sfc("MIoT"), 5.0, 0, 1)
+    r = SfcRequest(0, cat.sfcs["MIoT"], 5.0, 0, 1)
     world.admit([r])
+    _scan_scope(agent, world)
     out = _execute_action(agent, world, 0, 6)  # uninstall NAT still demanded
     assert not out.invalid and out.reward == REWARD_UNINSTALL_NEEDED == -0.5
     assert world.substrate.installed_count(0, "NAT") == 0

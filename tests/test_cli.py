@@ -102,6 +102,12 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
                  id="link_endpoint_missing"),
     pytest.param({"topology": {"dcs": TWO_DCS, "links": [{"a": 0, "b": 2}]}},
                  {}, id="link_endpoint_out_of_range"),
+    pytest.param({"topology": {"dcs": [{"position": [0, 0], "vcpus": 1},
+                                       {"position": [1, 0]}],
+                               "links": [{"a": 0, "b": 1}]}}, {},
+                 id="dc_key_unknown"),
+    pytest.param({"topology": {"dcs": TWO_DCS, "links": [
+        {"a": 0, "b": 1, "bandwith_mbps": 5}]}}, {}, id="link_key_unknown"),
     # workload section
     pytest.param({"workload": {"overrides": {"vnf": {"NAT": {"vcpu": 99}}}}},
                  {}, id="override_section_unknown"),

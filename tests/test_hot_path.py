@@ -11,6 +11,7 @@ from sfcsim.drl import (INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, INSTANCE_NORM,
                         SFC_FEATURES, ModelConfig, PendingItem,
                         StateEncoding, StateView, encode_state)
 from sfcsim.sim import SimConfig, run_episode
+from sfcsim.substrate import Substrate
 from sfcsim.topology import build_network
 from sfcsim.workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER,
                              VNF_ORDER, SfcRequest, catalog_from_config,
@@ -148,23 +149,21 @@ class DemandPolicy:
         return q
 
 
-# (dc_count, cluster limit, scale, seed, epsilon), 30 steps each
-EPISODES = [
-    (40, 8, 3.0, 11, 0.0),
-    (40, 8, 3.0, 12, 0.5),
-    (20, 4, 1.0, 3, 0.0),
-    (20, 4, 1.0, 4, 0.5),
-]
-
-
-@pytest.mark.parametrize("dc_count,limit,scale,seed,epsilon", EPISODES)
-def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
-                                    epsilon):
-    """Before every local_step: the same encoding as the reference, the same
-    requests moved to the outbox by the scope scan, and the same priority
-    order for every VNF type."""
+def check_local_steps(monkeypatch):
+    """Check every local_step against the reference. Before it: the same
+    encoding, the same requests moved to the outbox by the scope scan, and
+    the same pending list and priority order for every VNF type. After a
+    recorded step: the same state and next state. Returns the counts of what
+    the checks saw."""
     real_local_step = sim.local_step
-    seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0}
+    real_requeue = agents.StepView.requeue
+    seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0,
+            "after_alloc_task": 0, "after_requeue": 0, "recorded": 0}
+    requeued = set()  # (cluster, step time) of every requeue
+
+    def counted_requeue(view, r):
+        requeued.add((view.cluster_id, view.now))
+        real_requeue(view, r)
 
     def checked(agent, world, now, eps, rng, record_states=False):
         if agent.last_scope_scan != now:
@@ -188,20 +187,51 @@ def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
             pending = [r for r in agent.queue
                        if ref_next_vnf(r) is not None
                        and ref_next_vnf(r).name == name]
-            assert [r.id for r in agents._pending(agent, name)] == \
+            assert [r.id for r in agent.view.pending(name)] == \
                 [r.id for r in pending]
+            want_order = [r.id for r in sorted(
+                pending, key=lambda r: ref_priority_key(r, now))]
             ranked = agents.priority_rank(pending, now)
-            assert [r.id for r in ranked] == [
-                r.id for r in sorted(pending,
-                                     key=lambda r: ref_priority_key(r, now))]
+            assert [r.id for r in ranked] == want_order
+            assert [r.id for r in agent.view.ranked(name)] == want_order
             seen["ranked"] += len(ranked) > 1
         seen["steps"] += 1
         seen["items"] += len(agent.queue)
+        # an out-of-cluster take earlier in this step left a TASK_ALLOC
+        seen["after_alloc_task"] += any(t.kind == agents.TASK_ALLOC
+                                        for t in agent.outbox)
+        seen["after_requeue"] += (agent.cluster_id, now) in requeued
         result = real_local_step(agent, world, now, eps, rng, record_states)
         seen["allocated"] += result[1].request is not None
+        if record_states:
+            _, _, state, next_state = result
+            assert_same_encoding(state, want)
+            assert_same_encoding(next_state, ref_encode_state(
+                ref_build_state_view(agent, world, current_dc), world.catalog))
+            seen["recorded"] += 1
         return result
 
     monkeypatch.setattr(sim, "local_step", checked)
+    monkeypatch.setattr(agents.StepView, "requeue", counted_requeue)
+    return seen
+
+
+# (dc_count, cluster limit, scale, seed, epsilon), 30 steps each
+EPISODES = [
+    (40, 8, 3.0, 11, 0.0),
+    (40, 8, 3.0, 12, 0.5),
+    (20, 4, 1.0, 3, 0.0),
+    (20, 4, 1.0, 4, 0.5),
+]
+
+
+@pytest.mark.parametrize("dc_count,limit,scale,seed,epsilon", EPISODES)
+def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
+                                    epsilon):
+    """Before every local_step: the same encoding as the reference, the same
+    requests moved to the outbox by the scope scan, and the same priority
+    order for every VNF type."""
+    seen = check_local_steps(monkeypatch)
     g = build_network({"dc_count": dc_count, "seed": seed})
     run_episode(g, limit, scale, seed, DemandPolicy(), epsilon=epsilon,
                 config=SimConfig(max_steps=30))
@@ -212,17 +242,53 @@ def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
         assert seen["moved"] > 0
 
 
+def test_requeue_after_failed_transfer_matches_reference(monkeypatch):
+    """Every fourth bandwidth reservation fails, so transfers put their
+    requests back at the queue tail mid-step; the view must follow."""
+    seen = check_local_steps(monkeypatch)
+    real_reserve = Substrate.reserve_bandwidth
+    calls = [0]
+
+    def flaky_reserve(self, path, request):
+        calls[0] += 1
+        return calls[0] % 4 != 0 and real_reserve(self, path, request)
+
+    monkeypatch.setattr(Substrate, "reserve_bandwidth", flaky_reserve)
+    g = build_network({"dc_count": 40, "seed": 11})
+    run_episode(g, 8, 3.0, 11, DemandPolicy(), config=SimConfig(max_steps=30))
+    assert seen["after_requeue"] > 50
+
+
+def test_out_of_cluster_alloc_matches_reference(monkeypatch):
+    """Requests handed to another cluster wait outside it; taking one for a
+    TASK_ALLOC must leave the view as the reference builds it."""
+    seen = check_local_steps(monkeypatch)
+    g = build_network({"dc_count": 40, "seed": 11})
+    run_episode(g, 4, 3.0, 11, DemandPolicy(), config=SimConfig(max_steps=30))
+    assert seen["after_alloc_task"] > 50
+
+
+def test_recorded_states_match_reference(monkeypatch):
+    """A training episode records the state before and after each action."""
+    seen = check_local_steps(monkeypatch)
+    g = build_network({"dc_count": 40, "seed": 12})
+    run_episode(g, 8, 3.0, 12, DemandPolicy(), epsilon=0.5, train=True,
+                config=SimConfig(max_steps=30))
+    assert seen["recorded"] == seen["steps"] > 300
+
+
 def test_scope_scan_asks_per_vnf_type():
     """Requests of one SFC type wait at different chain positions; only
     those whose next VNF the full cluster cannot host move out, in order."""
     g = build_network({"dc_count": 4, "seed": 1})
     world = sim.build_world(g, 4, 0, DemandPolicy())
     (agent,) = world.general.local_agents.values()
-    nat = world.catalog.vnf("NAT")
+    nat = world.catalog.vnfs["NAT"]
     for dc in agent.dc_ids:  # NAT installed everywhere, no room for more
         while world.substrate.can_place(dc, nat):
             world.substrate.place_vnf(dc, nat)
-    vs, cg = world.catalog.sfc("VS"), world.catalog.sfc("CG")  # VS: NAT FW TM
+    vs = world.catalog.sfcs["VS"]  # NAT FW TM
+    cg = world.catalog.sfcs["CG"]
     agent.queue = [SfcRequest(i, sfc, 1.0, 0, 1, next_vnf_index=k)
                    for i, (sfc, k) in enumerate([(vs, 0), (vs, 2), (cg, 0),
                                                  (vs, 0), (cg, 1), (vs, 2)])]
@@ -277,16 +343,16 @@ def test_chain_tables_match_property_formulas(catalog):
             assert sfc.completion[k] == ref_completion_fraction(r)
             assert r.next_vnf == ref_next_vnf(r)
         assert sfc.next_vnfs[n] is None and r.next_vnf is None
-    assert catalog_from_config(CHANGED_CATALOG).sfc("MIoT").chain_length == 7
+    assert catalog_from_config(CHANGED_CATALOG).sfcs["MIoT"].chain_length == 7
 
 
 def test_chain_tables_leave_equality_and_hash_alone():
     a, b = default_catalog(), default_catalog()
     assert a == b
     for name in SFC_ORDER:
-        sfc = a.sfc(name)
-        assert sfc == b.sfc(name) and hash(sfc) == hash(b.sfc(name))
+        sfc = a.sfcs[name]
+        assert sfc == b.sfcs[name] and hash(sfc) == hash(b.sfcs[name])
         # the hash covers the constructor fields only
         assert hash(sfc) == hash((sfc.name, sfc.chain, sfc.bandwidth,
                                   sfc.e2e_tolerance, sfc.bundle_range))
-    assert "remaining_proc" not in repr(a.sfc("CG"))
+    assert "remaining_proc" not in repr(a.sfcs["CG"])

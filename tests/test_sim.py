@@ -48,19 +48,21 @@ def test_empty_world_step():
 def test_preinstalled_chain_same_dc():
     """An Ind4.0 request with both VNFs on its source DC finishes with
     processing-only delay 0.06 + 0.03 ms (plus whole-step waiting chunks)."""
-    from sfcsim.agents import _execute_action
+    from sfcsim.agents import _execute_action, _scan_scope
     world = fresh_world(limit=4)
     world.config = SimConfig(count_last_mile=False)
     cat = world.catalog
-    world.substrate.place_vnf(0, cat.vnf("NAT"))
-    world.substrate.place_vnf(0, cat.vnf("FW"))
-    r = SfcRequest(0, cat.sfc("Ind4.0"), 70.0, 0, 1)
+    world.substrate.place_vnf(0, cat.vnfs["NAT"])
+    world.substrate.place_vnf(0, cat.vnfs["FW"])
+    r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1)
     world.admit([r])
     agent = world.general.local_agents[world.partition.cluster_of(0)]
+    _scan_scope(agent, world)  # each step's view, as local_step builds it
     out = _execute_action(agent, world, 0, 0)  # NAT
     assert out.request is r and not out.invalid
     world.clock.advance()
     world._complete_processing(world.clock.now)
+    _scan_scope(agent, world)
     out = _execute_action(agent, world, 0, 1)  # FW; chain complete
     assert r.status == ACCEPTED
     assert r.propagation_total == 0.0

@@ -23,7 +23,7 @@ def sub():
 
 
 def test_can_place_boundaries(cat, sub):
-    tm = cat.vnf("TM")
+    tm = cat.vnfs["TM"]
     assert sub.can_place(0, tm)  # empty 40/256/2048 DC fits a 13/7/7 TM
     dc = sub.dcs[0]
     dc.free_vcpu = 0.0
@@ -35,7 +35,7 @@ def test_can_place_boundaries(cat, sub):
 
 
 def test_place_nat_arithmetic(cat, sub):
-    sub.place_vnf(0, cat.vnf("NAT"))
+    sub.place_vnf(0, cat.vnfs["NAT"])
     dc = sub.dcs[0]
     assert dc.free_vcpu == 39.0
     assert dc.free_ram == 252.0
@@ -44,7 +44,7 @@ def test_place_nat_arithmetic(cat, sub):
 
 
 def test_place_until_exhausted_then_reject(cat, sub):
-    tm = cat.vnf("TM")
+    tm = cat.vnfs["TM"]
     placed = 0
     while sub.can_place(1, tm):
         sub.place_vnf(1, tm)
@@ -57,7 +57,7 @@ def test_place_until_exhausted_then_reject(cat, sub):
 
 def test_place_uninstall_identity(cat, sub):
     before = (sub.dcs[2].free_vcpu, sub.dcs[2].free_ram, sub.dcs[2].free_storage)
-    inst = sub.place_vnf(2, cat.vnf("VOC"))
+    inst = sub.place_vnf(2, cat.vnfs["VOC"])
     assert sub.uninstall_vnf(inst)
     after = (sub.dcs[2].free_vcpu, sub.dcs[2].free_ram, sub.dcs[2].free_storage)
     assert before == after
@@ -65,24 +65,24 @@ def test_place_uninstall_identity(cat, sub):
 
 
 def test_uninstall_busy_refused(cat, sub):
-    inst = sub.place_vnf(0, cat.vnf("FW"))
-    r = SfcRequest(0, cat.sfc("Ind4.0"), 70.0, 0, 1, next_vnf_index=1)
+    inst = sub.place_vnf(0, cat.vnfs["FW"])
+    r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     sub.allocate(r, 1, inst, 0.0)
     assert not sub.uninstall_vnf(inst)
     assert sub.installed_count(0, "FW") == 1
 
 
 def test_uninstall_unknown_instance(cat, sub):
-    inst = sub.place_vnf(0, cat.vnf("NAT"))
+    inst = sub.place_vnf(0, cat.vnfs["NAT"])
     sub.uninstall_vnf(inst)
     with pytest.raises(SubstrateError):
         sub.uninstall_vnf(inst)
 
 
 def test_allocate_waiting_and_busy_until(cat, sub):
-    fw = cat.vnf("FW")
+    fw = cat.vnfs["FW"]
     inst = sub.place_vnf(0, fw)
-    r = SfcRequest(1, cat.sfc("Ind4.0"), 70.0, 0, 1, next_vnf_index=1)
+    r = SfcRequest(1, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     r.ready_time = 10.0
     assert sub.allocate(r, 1, inst, 10.0) == 0.0
     assert inst.busy_until == pytest.approx(10.03)
@@ -90,33 +90,33 @@ def test_allocate_waiting_and_busy_until(cat, sub):
 
 
 def test_allocate_accrues_waiting(cat, sub):
-    fw = cat.vnf("FW")
+    fw = cat.vnfs["FW"]
     inst = sub.place_vnf(0, fw)
-    r = SfcRequest(2, cat.sfc("Ind4.0"), 70.0, 0, 1, next_vnf_index=1)
+    r = SfcRequest(2, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     r.ready_time = 8.0
     assert sub.allocate(r, 1, inst, 10.0) == pytest.approx(2.0)
     assert r.processing_total == pytest.approx(2.03)
 
 
 def test_allocate_chain_position_unique(cat, sub):
-    nat = cat.vnf("NAT")
+    nat = cat.vnfs["NAT"]
     i1 = sub.place_vnf(0, nat)
     i2 = sub.place_vnf(0, nat)
-    r = SfcRequest(3, cat.sfc("MIoT"), 10.0, 0, 1)
+    r = SfcRequest(3, cat.sfcs["MIoT"], 10.0, 0, 1)
     sub.allocate(r, 0, i1, 0.0)
     with pytest.raises(SubstrateError):
         sub.allocate(r, 0, i2, 0.0)  # position 0 already processed
 
 
 def test_allocate_type_mismatch_and_busy(cat, sub):
-    nat = cat.vnf("NAT")
+    nat = cat.vnfs["NAT"]
     inst = sub.place_vnf(0, nat)
-    r = SfcRequest(4, cat.sfc("Ind4.0"), 70.0, 0, 1, next_vnf_index=1)
+    r = SfcRequest(4, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     with pytest.raises(SubstrateError):
         sub.allocate(r, 1, inst, 0.0)  # FW expected, NAT given
-    r2 = SfcRequest(5, cat.sfc("MIoT"), 10.0, 0, 1)
+    r2 = SfcRequest(5, cat.sfcs["MIoT"], 10.0, 0, 1)
     sub.allocate(r2, 0, inst, 0.0)
-    r3 = SfcRequest(6, cat.sfc("MIoT"), 10.0, 0, 1)
+    r3 = SfcRequest(6, cat.sfcs["MIoT"], 10.0, 0, 1)
     with pytest.raises(SubstrateError):
         sub.allocate(r3, 0, inst, 0.0)  # instance busy
 
@@ -128,7 +128,7 @@ def one_link_path(sub):
 
 def test_reserve_release_roundtrip(cat, sub):
     path = one_link_path(sub)
-    r = SfcRequest(7, cat.sfc("AR"), 100.0, path.hops[0], path.hops[1])
+    r = SfcRequest(7, cat.sfcs["AR"], 100.0, path.hops[0], path.hops[1])
     assert sub.reserve_bandwidth(path, r)
     assert sub.link_free(path.links_used[0]) == 900.0
     sub.release_bandwidth(r.id)
@@ -138,7 +138,8 @@ def test_reserve_release_roundtrip(cat, sub):
 def test_fifteen_voip_exact_fsum(cat, sub):
     path = one_link_path(sub)
     for i in range(15):
-        r = SfcRequest(100 + i, cat.sfc("VoIP"), 0.064, path.hops[0], path.hops[1])
+        r = SfcRequest(100 + i, cat.sfcs["VoIP"], 0.064, path.hops[0],
+                       path.hops[1])
         assert sub.reserve_bandwidth(path, r)
     import math
     assert sub.link_free(path.links_used[0]) == 1000.0 - math.fsum([0.064] * 15)
@@ -151,7 +152,7 @@ def test_reserve_all_or_nothing(cat, sub):
         "links": [{"a": 0, "b": 1}, {"a": 1, "b": 2, "bandwidth_mbps": 50.0}]})
     s = Substrate(g)
     path = PathResult([0, 1, 2], 2.0, list(g.links))
-    r = SfcRequest(8, cat.sfc("AR"), 100.0, 0, 2)
+    r = SfcRequest(8, cat.sfcs["AR"], 100.0, 0, 2)
     assert not s.reserve_bandwidth(path, r)  # second link too small
     for link in g.links:
         assert s.link_free(link) == link.bandwidth_cap  # nothing held
@@ -164,7 +165,7 @@ def test_reserve_counts_repeated_link(cat):
     s = Substrate(g)
     link = g.links[0]
     path = PathResult([0, 1, 0], 2.0, [link, link])  # room for one share only
-    r = SfcRequest(10, cat.sfc("AR"), 100.0, 0, 0)
+    r = SfcRequest(10, cat.sfcs["AR"], 100.0, 0, 0)
     assert not s.reserve_bandwidth(path, r)
     assert s.link_free(link) == 150.0
     assert s.links[link.key].reservations == {}
@@ -175,7 +176,7 @@ def test_reserve_counts_repeated_link(cat):
 
 def test_release_idempotent(cat, sub):
     path = one_link_path(sub)
-    r = SfcRequest(9, cat.sfc("CG"), 4.0, path.hops[0], path.hops[1])
+    r = SfcRequest(9, cat.sfcs["CG"], 4.0, path.hops[0], path.hops[1])
     sub.reserve_bandwidth(path, r)
     sub.release_bandwidth(r.id)
     sub.release_bandwidth(r.id)
@@ -203,7 +204,7 @@ def test_fuzzed_operations_never_drift(cat):
         elif op == 2:
             link = g.links[int(rng.integers(len(g.links)))]
             path = PathResult([link.a, link.b], link.distance, [link])
-            r = SfcRequest(rid, cat.sfc("CG"), float(rng.uniform(1, 200)),
+            r = SfcRequest(rid, cat.sfcs["CG"], float(rng.uniform(1, 200)),
                            link.a, link.b)
             rid += 1
             sub.reserve_bandwidth(path, r)
@@ -233,7 +234,7 @@ def test_cached_free_bw_matches_full_recompute(cat):
                                replace=False)
             links = [g.links[int(i)] for i in picks]
             path = PathResult([links[0].a, links[0].b], 1.0, links)
-            r = SfcRequest(rid, cat.sfc("CG"), float(rng.uniform(1, 300)),
+            r = SfcRequest(rid, cat.sfcs["CG"], float(rng.uniform(1, 300)),
                            links[0].a, links[0].b)
             sub.reserve_bandwidth(path, r)
         else:
@@ -249,7 +250,7 @@ def test_cached_free_bw_matches_full_recompute(cat):
 
 def test_verify_accounting_catches_reservation_behind_cache(cat, sub):
     path = one_link_path(sub)
-    r = SfcRequest(11, cat.sfc("CG"), 4.0, path.hops[0], path.hops[1])
+    r = SfcRequest(11, cat.sfcs["CG"], 4.0, path.hops[0], path.hops[1])
     assert sub.reserve_bandwidth(path, r)
     sub.verify_accounting()
     sub.links[path.links_used[0].key].reservations[12] = 1.0

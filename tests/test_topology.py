@@ -61,6 +61,15 @@ def test_rejects_bad_configs():
         build_network({"dcs": [{"position": [0, 0], "vcpu": -1},
                                {"position": [1, 0]}],
                        "links": [{"a": 0, "b": 1}]})
+    # a misspelled key names its entry instead of falling back to a default
+    with pytest.raises(TopologyError, match=r"topology\.dcs\[0\].*'vcpus'"):
+        build_network({"dcs": [{"position": [0, 0], "vcpus": 1},
+                               {"position": [1, 0]}],
+                       "links": [{"a": 0, "b": 1}]})
+    with pytest.raises(TopologyError,
+                       match=r"topology\.links\[0\].*'bandwith_mbps'"):
+        build_network({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+                       "links": [{"a": 0, "b": 1, "bandwith_mbps": 5}]})
 
 
 def square_corner_graph():

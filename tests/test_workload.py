@@ -11,30 +11,30 @@ from sfcsim.workload import (SFC_ORDER, SfcRequest, catalog_from_config,
 
 def test_catalog_sfc_rows():
     cat = default_catalog()
-    cg = cat.sfc("CG")
+    cg = cat.sfcs["CG"]
     assert [v.name for v in cg.chain] == ["NAT", "FW", "VOC", "WO", "IDPS"]
     assert cg.bandwidth == 4.0
     assert cg.e2e_tolerance == 80.0
     assert cg.bundle_range == (40, 55)
 
-    miot = cat.sfc("MIoT")
+    miot = cat.sfcs["MIoT"]
     assert [v.name for v in miot.chain] == ["NAT", "FW", "IDPS"]
     assert miot.bandwidth == (1.0, 50.0)
     assert miot.e2e_tolerance == 5.0
     assert miot.bundle_range == (10, 15)
 
-    voip = cat.sfc("VoIP")
+    voip = cat.sfcs["VoIP"]
     assert voip.bandwidth == 0.064
     assert voip.bundle_range == (100, 200)
 
 
 def test_catalog_vnf_rows():
     cat = default_catalog()
-    nat = cat.vnf("NAT")
+    nat = cat.vnfs["NAT"]
     assert (nat.vcpu, nat.ram, nat.storage, nat.proc_time) == (1, 4, 7, 0.06)
-    idps = cat.vnf("IDPS")
+    idps = cat.vnfs["IDPS"]
     assert (idps.vcpu, idps.ram, idps.storage, idps.proc_time) == (11, 15, 2, 0.02)
-    fw = cat.vnf("FW")
+    fw = cat.vnfs["FW"]
     assert fw.proc_time == 0.03
 
 
@@ -92,7 +92,7 @@ def test_generation_deterministic():
 
 def test_request_delay_bookkeeping():
     cat = default_catalog()
-    r = SfcRequest(0, cat.sfc("Ind4.0"), 70.0, 0, 1)
+    r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1)
     assert r.next_vnf.name == "NAT"
     r.next_vnf_index = 1
     assert r.next_vnf.name == "FW"
@@ -118,13 +118,13 @@ def test_catalog_overrides():
     cat = catalog_from_config({
         "vnfs": {"NAT": {"vcpu": 2}},
         "sfcs": {"CG": {"e2e_tolerance": 50.0}}})
-    assert cat.vnf("NAT").vcpu == 2
-    assert cat.sfc("CG").e2e_tolerance == 50.0
+    assert cat.vnfs["NAT"].vcpu == 2
+    assert cat.sfcs["CG"].e2e_tolerance == 50.0
     # CG's chain references the overridden NAT
-    assert cat.sfc("CG").chain[0].vcpu == 2
+    assert cat.sfcs["CG"].chain[0].vcpu == 2
     # untouched entries keep the defaults
-    assert cat.vnf("FW").vcpu == 9
-    assert cat.sfc("VS").e2e_tolerance == 100.0
+    assert cat.vnfs["FW"].vcpu == 9
+    assert cat.sfcs["VS"].e2e_tolerance == 100.0
 
 
 def test_generation_rejects_bad_scale():
