@@ -104,49 +104,36 @@ def _group_summary(group: list[PendingItem], sfc: SfcType) -> list[float]:
 
 
 class SfcGroups:
-    """Pending items grouped per SFC type, each group in queue order. The
-    items are grouped at the first summary, so a collection no encoding
-    reads is never grouped. After that a group's summary is kept until an
-    item of its type is added or removed: a summary is recomputed only for
-    the types that changed."""
-    __slots__ = ("_items", "_groups", "_summaries")
+    """Pending items grouped per SFC type, each group in queue order. A
+    group's summary is kept until an item of its type is added or removed:
+    a summary is recomputed only for the types that changed."""
+    __slots__ = ("_groups", "_summaries")
 
     def __init__(self, items=()):
-        self._items: list[PendingItem] | None = list(items)  # until grouped
-        self._groups: dict[str, list[PendingItem]] | None = None
+        self._groups: dict[str, list[PendingItem]] = {}
         self._summaries: dict[str, list[float]] = {}
+        self.extend(items)
 
     def extend(self, items) -> None:
-        if self._groups is None:
-            self._items.extend(items)
-            return
+        groups, summaries = self._groups, self._summaries
         for it in items:
-            self._groups.setdefault(it.sfc_name, []).append(it)
-            self._summaries.pop(it.sfc_name, None)
+            group = groups.get(it.sfc_name)
+            if group is None:
+                groups[it.sfc_name] = [it]
+            else:
+                group.append(it)
+            summaries.pop(it.sfc_name, None)
 
     def remove(self, item: PendingItem) -> None:
-        if self._groups is None:
-            self._items.remove(item)
-            return
         self._groups[item.sfc_name].remove(item)
         self._summaries.pop(item.sfc_name, None)
 
     def summary(self, catalog: Catalog) -> list[float]:
         """INPUT_A_DIM floats: each type's `_group_summary` in SFC_ORDER,
         zeros for a type with no items."""
-        groups = self._groups
-        if groups is None:
-            groups = self._groups = {}
-            for it in self._items:
-                group = groups.get(it.sfc_name)
-                if group is None:
-                    groups[it.sfc_name] = [it]
-                else:
-                    group.append(it)
-            self._items = None
         out: list[float] = []
         for name in SFC_ORDER:
-            group = groups.get(name)
+            group = self._groups.get(name)
             if not group:
                 out.extend(_ZERO_BLOCK)
                 continue

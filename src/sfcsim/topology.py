@@ -117,7 +117,8 @@ class TopologyConfig:
     links: list[dict] | None = None
 
 
-_DC_KEYS = ("position", "id", "storage_gb", "vcpu", "ram_gb")
+_DC_CAPS = ("storage_gb", "vcpu", "ram_gb")  # unset: the section's defaults
+_DC_KEYS = ("position", "id") + _DC_CAPS
 _LINK_KEYS = ("a", "b", "distance_km", "bandwidth_mbps")
 
 
@@ -152,7 +153,7 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
                 _check_keys(entry, _DC_KEYS)
                 x, y = (float(v) for v in entry["position"])
                 caps = [float(entry.get(key, getattr(cfg, key)))
-                        for key in ("storage_gb", "vcpu", "ram_gb")]
+                        for key in _DC_CAPS]
                 dc_id = int(entry.get("id", i))
             dcs.append(DataCenterSpec(dc_id, (x, y), *caps))
         ids = sorted(dc.id for dc in dcs)

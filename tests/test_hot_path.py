@@ -8,7 +8,7 @@ import pytest
 
 from sfcsim import agents, sim
 from sfcsim.drl import (INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, INSTANCE_NORM,
-                        SFC_FEATURES, ModelConfig, PendingItem,
+                        SFC_FEATURES, ModelConfig, PendingItem, SfcGroups,
                         StateEncoding, StateView, encode_state)
 from sfcsim.sim import SimConfig, run_episode
 from sfcsim.substrate import Substrate
@@ -301,7 +301,9 @@ def test_scope_scan_asks_per_vnf_type():
 
 def test_encoding_matches_reference_on_random_items():
     """Random float fields, so a different summation order or a pairwise
-    (numpy) sum shows in the last bits."""
+    (numpy) sum shows in the last bits. An SfcGroups that was summarised,
+    then extended and then had items removed summarises as the reference
+    does its remaining items."""
     rng = np.random.default_rng(5)
     cat = default_catalog()
     for _ in range(200):
@@ -318,6 +320,15 @@ def test_encoding_matches_reference_on_random_items():
                          transfer_pending=bool(rng.integers(2)),
                          out_of_cluster_frac=float(rng.uniform(0, 1)))
         assert_same_encoding(encode_state(view, cat), ref_encode_state(view, cat))
+        half = len(items) // 2
+        groups = SfcGroups(items[:half])
+        groups.summary(cat)
+        groups.extend(items[half:])
+        assert np.array_equal(groups.summary(cat), ref_sfc_summary(items, cat))
+        for it in items[::3]:
+            groups.remove(it)
+        kept = [it for i, it in enumerate(items) if i % 3]
+        assert np.array_equal(groups.summary(cat), ref_sfc_summary(kept, cat))
 
 
 CHANGED_CATALOG = {
