@@ -152,24 +152,15 @@ class LocalAgent:
     cluster_id: int
     dc_ids: list[int]
     policy: QNetwork
+    rng: np.random.Generator
     cursor: int = 0
     queue: list[SfcRequest] = field(default_factory=list)
     outbox: list[AssistTask] = field(default_factory=list)
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     reward_total: float = 0.0
-    last_scope_scan: float = -1.0  # sim time of the last outbox scan
-    # built by the scope scan at the start of the agent's turn and dropped at
-    # its end; _execute_action and build_state_view read it, and the turn's
-    # takes and requeues go through it
+    # built by the scope scan at the turn's first action and dropped at the
+    # turn's end, so None means the turn has not started; _execute_action and
+    # build_state_view read it, and the turn's takes and requeues go through it
     view: StepView | None = field(default=None, repr=False)
-
-    def requeue(self, r: SfcRequest) -> None:
-        """Put a request back at the queue tail, through the view while the
-        agent's turn lasts."""
-        if self.view is None:
-            self.queue.append(r)
-        else:
-            self.view.requeue(r)
 
 
 class GeneralAgent:
@@ -181,7 +172,6 @@ class GeneralAgent:
         self.graph = graph
         self.partition = partition
         self.local_agents = local_agents
-        self.cluster_graph = routing.routing_tables(partition).adjacency
         self.counters = RouteCounters()
         self.handoff_log: list[tuple] = []
         # (cluster, sfc name) -> [generated, accepted, dropped]
@@ -199,9 +189,11 @@ def setup(graph: NetworkGraph, size_limit: int, seed: int,
     """Partition the network and register one local agent per cluster.
 
     All local agents share the policy network (architecture invariance makes
-    one weight set applicable to every cluster)."""
+    one weight set applicable to every cluster). Each agent explores with
+    its own generator, drawn from the episode seed and its cluster id."""
     partition = make_clusters(graph, size_limit, seed)
-    agents = {c: LocalAgent(c, list(partition.clusters[c]), policy)
+    agents = {c: LocalAgent(c, list(partition.clusters[c]), policy,
+                            np.random.default_rng([seed, 2, c]))
               for c in sorted(partition.clusters)}
     return GeneralAgent(graph, partition, agents)
 
@@ -267,7 +259,7 @@ def _scan_scope(agent: LocalAgent, world) -> None:
         else:
             agent.outbox.append(AssistTask(TASK_TRANSFER, r))
     agent.queue[:] = keep
-    agent.view = StepView(world.clock.now, world.partition.assignment,
+    agent.view = StepView(world.now, world.partition.assignment,
                           agent.cluster_id, agent.queue)
 
 
@@ -286,7 +278,8 @@ def _try_allocate(agent: LocalAgent, world, instance,
             if path is None:
                 continue
             agent.view.take(r)
-            world.perform_allocation(agent, r, instance, path, now)
+            if not world.perform_allocation(r, instance, path, now):
+                agent.view.requeue(r)
             return r
         # packet sits outside the cluster (post-transfer): general agent routes
         agent.view.take(r)
@@ -298,7 +291,7 @@ def _try_allocate(agent: LocalAgent, world, instance,
 
 def _execute_action(agent: LocalAgent, world, current_dc: int,
                     action: int) -> ActionOutcome:
-    now = world.clock.now
+    now = world.now
     sub = world.substrate
     nv = len(VNF_ORDER)
 
@@ -341,9 +334,8 @@ def local_step(agent: LocalAgent, world, now: float, epsilon: float,
     epsilon-greedy action, execution. Status -1 signals queued general-agent
     assistance. State encodings are returned only when recording transitions;
     otherwise the state is encoded only for a greedy action."""
-    if agent.last_scope_scan != now:
+    if agent.view is None:
         _scan_scope(agent, world)
-        agent.last_scope_scan = now
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
     agent.cursor += 1
 
@@ -373,8 +365,9 @@ def _pick_transfer_target(general: GeneralAgent, world, from_cluster: int,
                       general.partition.clusters[c], vnf)]
     if not candidates:
         return None
-    adjacent = [c for c in candidates
-                if c in general.cluster_graph.get(from_cluster, [])]
+    neighbors = routing.routing_tables(general.partition).adjacency.get(
+        from_cluster, [])
+    adjacent = [c for c in candidates if c in neighbors]
     pool = adjacent or candidates
     return max(pool, key=lambda c: (_cluster_free_vcpu(world, c), -c))
 
@@ -390,11 +383,10 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                 path = routing.find_path(
                     general.partition, general.graph, world.substrate.link_free,
                     r.loc, task.instance.dc, r.bandwidth, general.counters)
-                if path is None:
+                if path is None or not world.perform_allocation(
+                        r, task.instance, path, now):
                     task.instance.reserved = False
-                    agent.requeue(r)
-                else:
-                    world.perform_allocation(agent, r, task.instance, path, now)
+                    agent.queue.append(r)  # turns are over: no view to update
             elif task.kind == TASK_TRANSFER:
                 target = _pick_transfer_target(general, world, cid, r)
                 if target is None:

@@ -45,7 +45,6 @@ class ModelConfig:
     replay_capacity: int = 200_000
     batch_size: int = 64
     target_sync: int = 50
-    use_target: bool = True
 
     def __post_init__(self):
         self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
@@ -379,15 +378,15 @@ def update(net: QNetwork, target_net: QNetwork | None, memory: ReplayMemory,
     rewards = np.array([b[3] for b in batch])
     terminal = np.array([b[4] for b in batch], dtype=bool)
 
-    evaluator = target_net if (config.use_target and target_net is not None) else net
+    # without a target network the online network scores the next states
+    evaluator = net if target_net is None else target_net
     next_q = evaluator.forward((na, nb, nc))
     targets = rewards + np.where(terminal, 0.0, config.discount * next_q.max(axis=1))
 
     loss, grads = net.loss_and_grads(xa, xb, xc, actions, targets)
     net.apply_grads(grads)
     net.update_count += 1
-    if (config.use_target and target_net is not None
-            and net.update_count % config.target_sync == 0):
+    if target_net is not None and net.update_count % config.target_sync == 0:
         target_net.copy_params_from(net)
     return loss
 

@@ -231,15 +231,8 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
             return None
         hops.extend(seg.hops[1:])
         links.extend(seg.links_used)
+        # a gateway of b, or dst in the last segment
         entry = seg.hops[-1]
-        if b != dst_c and partition.cluster_of(entry) != b:
-            # gateway selection guarantees entry lands in b
-            return None
-    if entry != dst:
-        return None
-    result = _strip_loops(PathResult(hops, sum(l.distance for l in links), links))
-    # re-walk feasibility check
-    for link in result.links_used:
-        if link_free(link) < required_bw:
-            return None
-    return result
+    # every link passed the Dijkstra bandwidth filter, and link state does
+    # not change within the call, so the path is feasible as it stands
+    return _strip_loops(PathResult(hops, sum(l.distance for l in links), links))

@@ -7,7 +7,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar
 
 import numpy as np
 
@@ -18,11 +17,13 @@ from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist, local_step
 from .drl import ModelConfig, QNetwork, ReplayMemory
 from .routing import PathResult
 from .substrate import Substrate, VnfInstance
-from .topology import NetworkGraph, build_network
+from .topology import NetworkGraph, TopologyError, build_network
 from .workload import (ACCEPTED, Catalog, DROPPED, SFC_ORDER, SfcRequest,
                        default_catalog, generate_bundles)
 
 LIGHT_SPEED_KM_PER_MS = 300.0  # optical fiber, 3e8 m/s
+STEP_MS = 1.0
+ACTION_COST_MS = 0.01  # agent inference budget per action
 
 BW_PER_TRANSFER = "per-transfer"
 BW_WHOLE_LIFETIME = "whole-lifetime"
@@ -33,17 +34,6 @@ def propagation_delay(distance_km: float) -> float:
     if distance_km < 0:
         raise ValueError("distance must be non-negative")
     return distance_km / LIGHT_SPEED_KM_PER_MS
-
-
-@dataclass
-class SimClock:
-    STEP_MS: ClassVar[float] = 1.0
-    ACTION_COST_MS: ClassVar[float] = 0.01  # agent inference budget per action
-
-    now: float = 0.0
-
-    def advance(self) -> None:
-        self.now += self.STEP_MS
 
 
 @dataclass
@@ -63,8 +53,7 @@ class SimConfig:
     def __post_init__(self):
         if self.bw_hold not in (BW_PER_TRANSFER, BW_WHOLE_LIFETIME):
             raise ValueError(f"unknown bw_hold mode {self.bw_hold!r}")
-        if self.actions_per_step * SimClock.ACTION_COST_MS \
-                > SimClock.STEP_MS + 1e-12:
+        if self.actions_per_step * ACTION_COST_MS > STEP_MS + 1e-12:
             raise ValueError("actions per step exceed the step budget")
 
 
@@ -81,7 +70,8 @@ def recompute_ledger(request: SfcRequest) -> tuple[float, float]:
 
 
 class World:
-    """Owns the clock, the substrate, the agents, and all in-flight events."""
+    """Owns the simulated time, the substrate, the agents, and all in-flight
+    events."""
 
     def __init__(self, graph: NetworkGraph, general: GeneralAgent,
                  substrate: Substrate, catalog: Catalog, config: SimConfig):
@@ -91,7 +81,7 @@ class World:
         self.substrate = substrate
         self.catalog = catalog
         self.config = config
-        self.clock = SimClock()
+        self.now = 0.0  # ms, advanced by STEP_MS at the end of each step
         self._seq = 0
         self.processing: list[tuple[float, int, VnfInstance, SfcRequest]] = []
         self.bw_releases: list[tuple[float, int, int]] = []  # (time, seq, request id)
@@ -186,16 +176,16 @@ class World:
         else:
             self.drop_request(request, now, "deadline")
 
-    def perform_allocation(self, agent, request: SfcRequest, instance: VnfInstance,
-                           path: PathResult, now: float) -> None:
+    def perform_allocation(self, request: SfcRequest, instance: VnfInstance,
+                           path: PathResult, now: float) -> bool:
         """Transfer the packet along `path` (if it spans links) and bind the
-        instance to the request's next VNF; if the transfer cannot reserve
-        bandwidth, the request goes back on the agent's queue."""
+        instance to the request's next VNF. False, with the instance no longer
+        reserved and nothing else changed, when the transfer cannot reserve
+        bandwidth; the caller puts the request back on a queue."""
         delay = self._transfer(request, path, now)
         if delay is None:
             instance.reserved = False
-            agent.requeue(request)
-            return
+            return False
         waited = self.substrate.allocate(request, request.next_vnf_index,
                                          instance, now, transfer_delay=delay)
         request.hop_log.append(("proc", instance.dc, waited,
@@ -207,6 +197,7 @@ class World:
         if request.next_vnf is None and (not self.config.count_last_mile
                                          or request.dest_dc == instance.dc):
             self._settle(request, now)
+        return True
 
     def deliver(self, request: SfcRequest, now: float) -> None:
         """Route a fully processed packet to its destination DC and settle
@@ -276,16 +267,12 @@ def build_world(graph: NetworkGraph, size_limit: int, seed: int,
     catalog = catalog or default_catalog()
     config = config or SimConfig()
     general = setup(graph, size_limit, seed, policy)
-    substrate = Substrate(graph)
-    world = World(graph, general, substrate, catalog, config)
-    for cid, agent in general.local_agents.items():
-        agent.rng = np.random.default_rng([seed, 2, cid])
-    return world
+    return World(graph, general, Substrate(graph), catalog, config)
 
 
 def run_step(world: World, epsilon: float, train: bool = False) -> None:
-    """One simulation step: agent phase, assist phase, clock advance."""
-    now = world.clock.now
+    """One simulation step: agent phase, assist phase, time advance."""
+    now = world.now
     for cid in sorted(world.general.local_agents):
         agent = world.general.local_agents[cid]
         for _ in range(world.config.actions_per_step):
@@ -309,8 +296,8 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
                 break
         agent.view = None  # it holds for the agent's turn only
     assist(world.general, world, now)
-    world.clock.advance()
-    now = world.clock.now
+    world.now += STEP_MS
+    now = world.now
     world._release_bandwidth(now)
     world._complete_processing(now)
     world._deadline_scan(now)
@@ -398,7 +385,7 @@ def run_episode(graph: NetworkGraph, size_limit: int, scale: float, seed: int,
     # no-op for settled requests); every effect of a horizon drop is
     # independent of the order of the drops
     for r in world.requests:
-        world.drop_request(r, world.clock.now, "horizon")
+        world.drop_request(r, world.now, "horizon")
     for agent in world.general.local_agents.values():
         agent.queue.clear()
         agent.outbox.clear()
@@ -543,7 +530,14 @@ def evaluate_sweep(cells: list[SweepCell], policy: QNetwork, seeds: list[int],
                    episodes_per_seed: int = 3, catalog: Catalog | None = None,
                    config: SimConfig | None = None,
                    topology: dict | None = None) -> list[EpisodeReport]:
-    """Run every (cell, seed) combination; one aggregated report per episode."""
+    """Run every (cell, seed) combination; one aggregated report per episode.
+
+    Each cell's network is `topology` with the cell's DC count; an unset
+    topology seed is the run seed, as in `eval`. An explicit `dcs` list fixes
+    the DC count, so it is rejected."""
+    if (topology or {}).get("dcs") is not None:
+        raise TopologyError("sweep sets the DC count of each cell and cannot "
+                            "use an explicit topology.dcs network")
     catalog = catalog or default_catalog()
     config = config or SimConfig()
     reports = []
@@ -551,7 +545,8 @@ def evaluate_sweep(cells: list[SweepCell], policy: QNetwork, seeds: list[int],
         for seed in seeds:
             topo = dict(topology or {})
             topo["dc_count"] = cell.dc_count
-            topo["seed"] = seed
+            if topo.get("seed") is None:
+                topo["seed"] = seed
             graph = build_network(topo)
             for ep in range(episodes_per_seed):
                 sid = f"dc{cell.dc_count}-cl{cell.cluster_limit}-x{cell.scale}-e{ep}"

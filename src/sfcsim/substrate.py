@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .routing import PathResult
 from .topology import DataCenterSpec, LinkSpec, NetworkGraph
-from .workload import Placement, SfcRequest, VnfType
+from .workload import SfcRequest, VnfType
 
 
 class SubstrateError(RuntimeError):
@@ -151,11 +151,10 @@ class Substrate:
         if instance.allocated_request is not None:
             raise SubstrateError(f"instance {instance.instance_id} is busy")
         waited = max(0.0, now - request.ready_time)
-        start = now + transfer_delay
         instance.allocated_request = request.id
         instance.reserved = False
-        instance.busy_until = start + vnf.proc_time
-        request.placements.append(Placement(instance.dc, start, instance.busy_until))
+        # processing starts once the packet has arrived
+        instance.busy_until = now + transfer_delay + vnf.proc_time
         request.next_vnf_index = k + 1
         request.processing_total += waited + vnf.proc_time
         return waited

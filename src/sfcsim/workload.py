@@ -43,7 +43,6 @@ class SfcType:
     bundle_range: tuple[int, int]
     # chain-position tables, indexed by a request's next_vnf_index (0..n);
     # derived from `chain`, so equality and hash ignore them
-    chain_length: int = field(init=False, compare=False, repr=False)
     next_vnfs: tuple[VnfType | None, ...] = field(
         init=False, compare=False, repr=False)
     remaining_proc: tuple[float, ...] = field(
@@ -60,18 +59,10 @@ class SfcType:
             raise ValueError(f"SFC {self.name}: empty bundle range")
         n = len(self.chain)
         positions = range(n + 1)
-        object.__setattr__(self, "chain_length", n)
         object.__setattr__(self, "next_vnfs", self.chain + (None,))
         object.__setattr__(self, "remaining_proc", tuple(
             sum(v.proc_time for v in self.chain[k:]) for k in positions))
         object.__setattr__(self, "completion", tuple(k / n for k in positions))
-
-
-@dataclass
-class Placement:
-    dc: int
-    start: float
-    finish: float
 
 
 # A request is an entity with mutable progress: equality is identity, so
@@ -85,7 +76,6 @@ class SfcRequest:
     dest_dc: int
     arrival: float = 0.0
     next_vnf_index: int = 0
-    placements: list[Placement] = field(default_factory=list)
     propagation_total: float = 0.0
     processing_total: float = 0.0
     status: str = PENDING

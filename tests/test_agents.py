@@ -23,8 +23,6 @@ def test_setup_forty_dcs(policy):
     for cid, agent in general.local_agents.items():
         assert agent.cluster_id == cid
         assert set(agent.dc_ids) == set(general.partition.clusters[cid])
-    # find_path and the general agent read one cluster adjacency
-    assert general.cluster_graph is routing_tables(general.partition).adjacency
 
 
 def test_setup_degenerate_single_agent(policy):
@@ -100,8 +98,9 @@ def test_locality_agents_only_touch_own_cluster():
     rep, world = run_small_episode(seed=5, dc_count=9, limit=3)
     part = world.partition
     for r in world.requests:
-        for p in r.placements:
-            assert p.dc in part.assignment  # placement on a real DC
+        for entry in r.hop_log:
+            if entry[0] == "proc":
+                assert entry[1] in part.assignment  # processed on a real DC
     # inter-cluster reservations only happen through the general agent:
     # every multi-cluster hop in a hop log must correspond to a handoff,
     # an assist allocation, or a delivery; spot-check via cluster paths
@@ -124,9 +123,42 @@ def test_transfer_target_picks_max_free_vcpu():
     assert target_before is not None and target_before != 0
     free = {c: sum(world.substrate.dcs[d].free_vcpu for d in m)
             for c, m in clusters.items() if c != 0}
-    adjacent = [c for c in free if c in world.general.cluster_graph.get(0, [])]
+    neighbors = routing_tables(world.partition).adjacency.get(0, [])
+    adjacent = [c for c in free if c in neighbors]
     pool = adjacent or list(free)
     assert target_before == max(pool, key=lambda c: (free[c], -c))
+
+
+def test_assisted_alloc_with_failed_reservation_requeues(monkeypatch):
+    """A TASK_ALLOC whose path is found but whose bandwidth reservation
+    fails: the request goes back to the tail of its agent's queue, the
+    instance is released, and no hop is logged."""
+    from sfcsim.agents import TASK_ALLOC, AssistTask, assist
+    from sfcsim.substrate import Substrate
+    g = build_network({"dc_count": 9, "seed": 8})
+    world = build_world(g, 3, 0, QNetwork(ModelConfig(), seed=0))
+    clusters = world.partition.clusters
+    agent = world.general.local_agents[0]
+    away = clusters[1][0]  # the packet waits outside the agent's cluster
+    cat = world.catalog
+    waiting = SfcRequest(0, cat.sfcs["VS"], 4.0, clusters[0][0], 0)
+    r = SfcRequest(1, cat.sfcs["CG"], 4.0, away, clusters[0][0])
+    instance = world.substrate.place_vnf(clusters[0][0], cat.vnfs["NAT"])
+    instance.reserved = True
+    agent.queue.append(waiting)
+    agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
+    attempts = []
+
+    def failing_reserve(self, path, request):
+        attempts.append(request)
+        return False
+
+    monkeypatch.setattr(Substrate, "reserve_bandwidth", failing_reserve)
+    assist(world.general, world, world.now)
+    assert attempts == [r]  # a path was found; its reservation failed
+    assert agent.queue == [waiting, r] and agent.outbox == []
+    assert not instance.reserved and instance.allocated_request is None
+    assert r.hop_log == [] and r.next_vnf_index == 0 and r.loc == away
 
 
 def test_invalid_action_semantics():

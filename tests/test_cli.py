@@ -3,6 +3,7 @@ and byte-identical reruns."""
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 import yaml
@@ -132,6 +133,8 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     pytest.param({"train": {"round_episodes": 0}}, {}, id="round_episodes_zero"),
     pytest.param({"train": {"dc_choices": []}}, {}, id="dc_choices_empty"),
     pytest.param({"sweep": {"scales": [0.0]}}, {}, id="sweep_scale_zero"),
+    # a removed knob: a target network is used whenever training passes one
+    pytest.param({"drl": {"use_target": False}}, {}, id="use_target_removed"),
     pytest.param({}, {"SFCSIM_SEED": "abc"}, id="env_seed_text"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
@@ -205,6 +208,44 @@ def test_sweep_runs_cells(tmp_path, weights):
     lines = (out / "sweep.csv").read_text().splitlines()
     dc_counts = {line.split(",")[2] for line in lines[1:]}
     assert dc_counts == {"4", "6"}
+
+
+# the trained policy the benchmark ships: unlike untrained weights it accepts
+# requests, so report rows depend on the network
+TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
+
+
+def test_sweep_cell_equal_to_eval_gives_eval_rows(tmp_path):
+    """A sweep cell with the eval config's DC count, cluster limit and scale
+    runs the eval's networks and episodes; a set topology.seed holds in both."""
+    cfg = write_config(tmp_path / "c.yaml", {
+        "topology": {"dc_count": 8}, "cluster": {"size_limit": 4},
+        "workload": {"scale": 0.3}, "sim": {"episodes": 2, "seeds": [5, 6]},
+        "sweep": {"dc_counts": [8], "cluster_limits": [4], "scales": [0.3]}})
+    assert cli.main(["eval", "--config", cfg, "--weights", TRAINED_WEIGHTS,
+                     "--out", str(tmp_path / "e")]) == 0
+    assert cli.main(["sweep", "--config", cfg, "--weights", TRAINED_WEIGHTS,
+                     "--out", str(tmp_path / "s")]) == 0
+
+    def rows(path):  # each row without its scenario_id
+        return [line.split(",", 1)[1]
+                for line in path.read_text().splitlines()[1:]]
+    eval_rows = rows(tmp_path / "e" / "report.csv")
+    assert len(eval_rows) == 4 * 7
+    assert any(row.split(",")[-1] for row in eval_rows)  # a mean e2e delay
+    assert rows(tmp_path / "s" / "sweep.csv") == eval_rows
+
+
+def test_sweep_rejects_explicit_dcs(tmp_path, weights):
+    """Explicit DCs fix the network, so no sweep cell could change its DC
+    count."""
+    cfg = write_config(tmp_path / "c.yaml", {
+        "topology": {"dcs": TWO_DCS, "links": [{"a": 0, "b": 1}]},
+        "sweep": {"dc_counts": [2, 4]}})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--weights", weights,
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_requires_section(tmp_path, weights):

@@ -22,8 +22,7 @@ EVERY_KEY = {
     "drl": {"branch_width": 16, "hidden_widths": [32, 16, 8],
             "learning_rate": 5e-4, "momentum": 0.8, "discount": 0.9,
             "epsilon_start": 0.9, "epsilon_end": 0.1, "epsilon_decay": 0.99,
-            "replay_capacity": 1000, "batch_size": 16, "target_sync": 10,
-            "use_target": False},
+            "replay_capacity": 1000, "batch_size": 16, "target_sync": 10},
     "sim": {"bw_hold": "whole-lifetime", "count_last_mile": False,
             "eager_drop": False, "actions_per_step": 40, "max_steps": 90,
             "alloc_bonus": 0.5, "reward_clip": None, "episodes": 2,

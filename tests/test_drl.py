@@ -208,7 +208,7 @@ def test_replay_capacity_and_sampling():
 def test_update_zero_loss_fixed_point():
     cfg = small_config()
     cfg = ModelConfig(branch_width=4, hidden_widths=(8,), discount=0.0,
-                      batch_size=1, use_target=False)
+                      batch_size=1)
     net = QNetwork(cfg, seed=0)
     s = random_state(np.random.default_rng(3))
     q = net.forward(s)
@@ -227,7 +227,7 @@ def test_update_insufficient_memory():
 
 def test_update_converges_on_single_transition():
     cfg = ModelConfig(branch_width=4, hidden_widths=(8,), discount=0.0,
-                      batch_size=1, use_target=False, learning_rate=1e-2,
+                      batch_size=1, learning_rate=1e-2,
                       momentum=0.0)
     net = QNetwork(cfg, seed=9)
     s = random_state(np.random.default_rng(5))

@@ -45,7 +45,7 @@ def ref_priority_key(r, now):
 
 
 def ref_build_state_view(agent, world, current_dc):
-    now = world.clock.now
+    now = world.now
     sub = world.substrate
     items_cluster = []
     items_local = []
@@ -166,12 +166,11 @@ def check_local_steps(monkeypatch):
         real_requeue(view, r)
 
     def checked(agent, world, now, eps, rng, record_states=False):
-        if agent.last_scope_scan != now:
+        if agent.view is None:  # the turn's first action
             moved = ref_scope_moves(agent, world)
             keep = [r for r in agent.queue if not any(r is m for m in moved)]
             before = len(agent.outbox)
             agents._scan_scope(agent, world)
-            agent.last_scope_scan = now
             tasks = agent.outbox[before:]
             assert [t.request.id for t in tasks] == [r.id for r in moved]
             assert all(t.kind == agents.TASK_TRANSFER for t in tasks)
@@ -344,7 +343,6 @@ CHANGED_CATALOG = {
 def test_chain_tables_match_property_formulas(catalog):
     for sfc in catalog.sfcs.values():
         n = len(sfc.chain)
-        assert sfc.chain_length == n
         assert len(sfc.next_vnfs) == len(sfc.remaining_proc) \
             == len(sfc.completion) == n + 1
         for k in range(n + 1):
@@ -354,7 +352,7 @@ def test_chain_tables_match_property_formulas(catalog):
             assert sfc.completion[k] == ref_completion_fraction(r)
             assert r.next_vnf == ref_next_vnf(r)
         assert sfc.next_vnfs[n] is None and r.next_vnf is None
-    assert catalog_from_config(CHANGED_CATALOG).sfcs["MIoT"].chain_length == 7
+    assert len(catalog_from_config(CHANGED_CATALOG).sfcs["MIoT"].completion) == 8
 
 
 def test_chain_tables_leave_equality_and_hash_alone():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from sfcsim.drl import ModelConfig, QNetwork
-from sfcsim.sim import (BW_WHOLE_LIFETIME, SimClock, SimConfig, SweepCell,
-                        build_world, evaluate_sweep, propagation_delay,
+from sfcsim.sim import (ACTION_COST_MS, BW_WHOLE_LIFETIME, STEP_MS, SimConfig,
+                        SweepCell, build_world, evaluate_sweep, propagation_delay,
                         recompute_ledger, report_rows, run_episode, run_step,
                         train, TrainConfig)
 from sfcsim.topology import build_network
@@ -26,7 +26,7 @@ def test_propagation_delay_values():
 
 
 def test_clock_budget_invariant():
-    assert SimClock.STEP_MS == 1.0 and SimClock.ACTION_COST_MS == 0.01
+    assert STEP_MS == 1.0 and ACTION_COST_MS == 0.01
     SimConfig(actions_per_step=100)  # fine: 100 x 0.01 ms == 1 ms step
     with pytest.raises(ValueError):
         SimConfig(actions_per_step=200)
@@ -41,7 +41,7 @@ def fresh_world(dc_count=4, limit=4, seed=0, config=None):
 def test_empty_world_step():
     world = fresh_world()
     run_step(world, epsilon=1.0)
-    assert world.clock.now == 1.0
+    assert world.now == 1.0
     assert world.requests == []
 
 
@@ -60,8 +60,8 @@ def test_preinstalled_chain_same_dc():
     _scan_scope(agent, world)  # each step's view, as local_step builds it
     out = _execute_action(agent, world, 0, 0)  # NAT
     assert out.request is r and not out.invalid
-    world.clock.advance()
-    world._complete_processing(world.clock.now)
+    world.now += STEP_MS
+    world._complete_processing(world.now)
     _scan_scope(agent, world)
     out = _execute_action(agent, world, 0, 1)  # FW; chain complete
     assert r.status == ACCEPTED
@@ -205,7 +205,9 @@ def test_lifecycle_pinned():
                                 r.hop_log)).encode())
             seen[r.drop_reason or r.status] += 1
             if r.status == ACCEPTED and config.count_last_mile:
-                last = r.placements[-1].dc
+                # the DC of the last VNF's processing
+                last = next(e[1] for e in reversed(r.hop_log)
+                            if e[0] == "proc")
                 if cluster_of(last) != cluster_of(r.dest_dc):
                     seen["assisted delivery"] += 1
                 elif last != r.dest_dc:

@@ -86,7 +86,6 @@ def test_allocate_waiting_and_busy_until(cat, sub):
     r.ready_time = 10.0
     assert sub.allocate(r, 1, inst, 10.0) == 0.0
     assert inst.busy_until == pytest.approx(10.03)
-    assert r.placements[-1].dc == 0
 
 
 def test_allocate_accrues_waiting(cat, sub):
