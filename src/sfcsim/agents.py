@@ -1,6 +1,6 @@
 """Per-cluster local agents (DRL-driven provisioning with priority-point
 allocation) and the general agent (setup, path assistance, overflow transfer,
-metrics collection)."""
+cross-cluster delivery)."""
 
 from __future__ import annotations
 
@@ -165,7 +165,8 @@ class LocalAgent:
 
 class GeneralAgent:
     """Coordinator: owns the partition, inter-cluster routing, overflow
-    transfers, and system-wide bookkeeping."""
+    transfers and cross-cluster deliveries, with their routing counters and
+    handoff log."""
 
     def __init__(self, graph: NetworkGraph, partition: ClusterPartition,
                  local_agents: dict[int, LocalAgent]):
@@ -174,11 +175,6 @@ class GeneralAgent:
         self.local_agents = local_agents
         self.counters = RouteCounters()
         self.handoff_log: list[tuple] = []
-        # (cluster, sfc name) -> [generated, accepted, dropped]
-        self.stats: dict[tuple[int, str], list[int]] = {}
-
-    def stat(self, cluster: int, sfc_name: str) -> list[int]:
-        return self.stats.setdefault((cluster, sfc_name), [0, 0, 0])
 
     def agent_of_dc(self, dc_id: int) -> LocalAgent:
         return self.local_agents[self.partition.cluster_of(dc_id)]

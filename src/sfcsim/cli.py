@@ -9,19 +9,19 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import replace
 
-import numpy as np
 import yaml
 
 from . import config as config_mod
 from . import drl, sim, workload
 from .config import ConfigError, RunConfig
-from .topology import TopologyError, build_network, cluster_adjacency, make_clusters
+from .topology import TopologyError, cluster_adjacency, make_clusters
 
 CSV_FIELDS = ["scenario_id", "seed", "dc_count", "cluster_limit", "cluster_count",
               "scale", "sfc_type", "generated", "accepted", "dropped",
@@ -105,16 +105,10 @@ def _out_dir(cfg: RunConfig, args) -> str:
     return args.out or os.environ.get("SFCSIM_OUT") or cfg.output.directory
 
 
-def _network(cfg: RunConfig, seed: int):
-    """The run's network; an unset topology seed is the run seed."""
-    topology = cfg.topology
-    if topology.seed is None:
-        topology = replace(topology, seed=seed)
-    return build_network(topology)
-
-
-def _write_snapshot(cfg: RunConfig, out_dir: str, seed: int | None) -> None:
-    snap = config_mod.resolved_snapshot(cfg, seed)
+def _write_snapshot(cfg: RunConfig, out_dir: str,
+                    seeds: list[int] | None) -> None:
+    """Write resolved_config.yaml with the seeds the run used."""
+    snap = config_mod.resolved_snapshot(cfg, seeds)
     _atomic_write(os.path.join(out_dir, "resolved_config.yaml"),
                   yaml.safe_dump(snap, sort_keys=True))
 
@@ -131,27 +125,10 @@ def cmd_train(args) -> int:
     curve_fields = ["episode", "mean_reward", "loss", "epsilon", "acceptance_ratio"]
     _atomic_write(os.path.join(out_dir, "training_curve.csv"),
                   _rows_to_csv(result.curve, curve_fields))
-    _write_snapshot(cfg, out_dir, seed)
+    _write_snapshot(cfg, out_dir, [seed])
     print(f"trained {cfg.train.episodes} episodes "
           f"({result.update_calls} updates); weights -> {out_dir}/weights.bin")
     return EXIT_OK
-
-
-def _run_eval_episodes(cfg: RunConfig, policy, seeds: list[int],
-                       requests=None) -> list[sim.EpisodeReport]:
-    reports = []
-    for seed in seeds:
-        graph = _network(cfg, seed)
-        for ep in range(cfg.sim.episodes):
-            ep_seed = int(np.random.default_rng([seed, 4, ep]).integers(2 ** 31))
-            report, _ = sim.run_episode(
-                graph, cfg.cluster.size_limit, cfg.workload.scale, ep_seed,
-                policy, epsilon=0.0, catalog=cfg.catalog, config=cfg.sim,
-                scenario_id=f"eval-s{seed}-e{ep}",
-                requests=([r.fresh_copy() for r in requests]
-                          if requests is not None else None))
-            reports.append(report)
-    return reports
 
 
 def _write_reports(reports: list[sim.EpisodeReport], cfg: RunConfig,
@@ -168,9 +145,11 @@ def cmd_eval(args) -> int:
     policy = _load_policy(cfg, args, "eval")
     out_dir = _out_dir(cfg, args)
     seeds = _seed_list(cfg, args)
-    reports = _run_eval_episodes(cfg, policy, seeds)
+    reports = sim.evaluate(cfg.topology, cfg.cluster.size_limit,
+                           cfg.workload.scale, policy, seeds, cfg.sim.episodes,
+                           catalog=cfg.catalog, config=cfg.sim)
     _write_reports(reports, cfg, out_dir, "report")
-    _write_snapshot(cfg, out_dir, args.seed)
+    _write_snapshot(cfg, out_dir, seeds)
     print(f"{len(reports)} evaluation episodes -> {out_dir}/report.csv")
     return EXIT_OK
 
@@ -181,16 +160,22 @@ def cmd_sweep(args) -> int:
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("sweep requires a 'sweep' config section")
-    cells = [sim.SweepCell(dc, cl, sc) for dc in sweep.dc_counts
-             for cl in sweep.cluster_limits for sc in sweep.scales]
+    if cfg.topology.dcs is not None:
+        raise TopologyError("sweep sets the DC count of each cell and cannot "
+                            "use an explicit topology.dcs network")
     out_dir = _out_dir(cfg, args)
-    episodes = (cfg.sim.episodes if sweep.episodes_per_seed is None
-                else sweep.episodes_per_seed)
-    reports = sim.evaluate_sweep(
-        cells, policy, _seed_list(cfg, args), episodes_per_seed=episodes,
-        catalog=cfg.catalog, config=cfg.sim, topology=asdict(cfg.topology))
+    seeds = _seed_list(cfg, args)
+    # each cell runs eval's loop on the topology with the cell's DC count
+    reports = [
+        report
+        for dc, limit, scale in itertools.product(
+            sweep.dc_counts, sweep.cluster_limits, sweep.scales)
+        for report in sim.evaluate(
+            replace(cfg.topology, dc_count=dc), limit, scale, policy, seeds,
+            cfg.sim.episodes, catalog=cfg.catalog, config=cfg.sim,
+            scenario=f"dc{dc}-cl{limit}-x{scale}-e{{ep}}")]
     _write_reports(reports, cfg, out_dir, "sweep")
-    _write_snapshot(cfg, out_dir, args.seed)
+    _write_snapshot(cfg, out_dir, seeds)
     print(f"{len(reports)} sweep episodes -> {out_dir}/sweep.csv")
     return EXIT_OK
 
@@ -199,7 +184,7 @@ def cmd_clusters(args) -> int:
     cfg = config_mod.load(args.config)
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
-    graph = _network(cfg, seed)
+    graph = sim.run_network(cfg.topology, seed)
     partition = make_clusters(graph, cfg.cluster.size_limit, seed)
     payload = {
         "dc_count": graph.dc_count,
@@ -232,10 +217,13 @@ def cmd_replay(args) -> int:
         raise ConfigError(
             f"replay file not found: {cfg.workload.replay_file}") from exc
     out_dir = _out_dir(cfg, args)
-    reports = _run_eval_episodes(cfg, policy, _seed_list(cfg, args),
-                                 requests=requests)
+    seeds = _seed_list(cfg, args)
+    reports = sim.evaluate(cfg.topology, cfg.cluster.size_limit,
+                           cfg.workload.scale, policy, seeds, cfg.sim.episodes,
+                           catalog=cfg.catalog, config=cfg.sim,
+                           requests=requests)
     _write_reports(reports, cfg, out_dir, "replay")
-    _write_snapshot(cfg, out_dir, args.seed)
+    _write_snapshot(cfg, out_dir, seeds)
     print(f"replayed {len(requests)} requests -> {out_dir}/replay.csv")
     return EXIT_OK
 

@@ -59,7 +59,6 @@ class SweepConfig:
     dc_counts: list[int] = field(default_factory=lambda: [40])
     cluster_limits: list[int] = field(default_factory=lambda: [4])
     scales: list[float] = field(default_factory=lambda: [1.0])
-    episodes_per_seed: int | None = None  # unset: sim.episodes
 
     def __post_init__(self):
         if any(scale <= 0 for scale in self.scales):
@@ -169,14 +168,14 @@ def load(path: str) -> RunConfig:
     return from_dict(raw)
 
 
-def resolved_snapshot(cfg: RunConfig, seed_override: int | None = None) -> dict:
+def resolved_snapshot(cfg: RunConfig, seeds: list[int] | None = None) -> dict:
     """Every field of every section, for byte-identical reruns: `from_dict`
-    of its YAML dump equals `cfg` (with the seed override applied)."""
+    of its YAML dump equals `cfg`, with `seeds` as `sim.seeds` if given."""
     snap = {}
     for name in SECTIONS:
         section = getattr(cfg, name)
         snap[name] = None if section is None else {
             k: v for k, v in asdict(section).items() if k not in NESTED}
-    if seed_override is not None:
-        snap["sim"]["seeds"] = [seed_override]
+    if seeds is not None:
+        snap["sim"]["seeds"] = list(seeds)
     return snap

@@ -1,11 +1,11 @@
 """Discrete-time engine: 1 ms steps, up to 100 agent actions per step, VNF
-processing and inter-DC transfer advancement, deadline judging, training and
-evaluation loops."""
+processing and inter-DC transfer advancement, deadline judging, the training
+and evaluation loops, and report rows."""
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,7 @@ from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist, local_step
 from .drl import ModelConfig, QNetwork, ReplayMemory
 from .routing import PathResult
 from .substrate import Substrate, VnfInstance
-from .topology import NetworkGraph, TopologyError, build_network
+from .topology import NetworkGraph, TopologyConfig, build_network
 from .workload import (ACCEPTED, Catalog, DROPPED, SFC_ORDER, SfcRequest,
                        default_catalog, generate_bundles)
 
@@ -101,7 +101,6 @@ class World:
             cluster = self.partition.cluster_of(r.source_dc)
             r.origin_cluster = cluster
             r.ready_time = r.arrival
-            self.general.stat(cluster, r.sfc_type.name)[0] += 1
             self.general.local_agents[cluster].queue.append(r)
             self.requests.append(r)
 
@@ -120,7 +119,6 @@ class World:
         self.terminal_count += 1
         if self.config.bw_hold == BW_WHOLE_LIFETIME:
             self.substrate.release_bandwidth(request.id)
-        self.general.stat(request.origin_cluster, request.sfc_type.name)[1] += 1
         agent = self.general.local_agents[request.origin_cluster]
         agent.reward_total += agents_mod.REWARD_ACCEPT
         self.pending_credit.append((request.id, agents_mod.REWARD_ACCEPT))
@@ -133,7 +131,6 @@ class World:
         request.drop_time = now
         self.terminal_count += 1
         self.substrate.release_bandwidth(request.id)
-        self.general.stat(request.origin_cluster, request.sfc_type.name)[2] += 1
         agent = self.general.local_agents[request.origin_cluster]
         agent.reward_total += agents_mod.REWARD_DROP
         if request.id in self.credit_map:
@@ -329,18 +326,22 @@ class EpisodeReport:
 
 def _build_report(world: World, scenario_id: str, seed: int, scale: float,
                   steps: int) -> EpisodeReport:
-    per_cluster_type = {k: tuple(v) for k, v in sorted(world.general.stats.items())}
-    per_type: dict[str, list[int]] = {name: [0, 0, 0] for name in SFC_ORDER}
-    for (c, name), (g, a, d) in per_cluster_type.items():
-        per_type[name][0] += g
-        per_type[name][1] += a
-        per_type[name][2] += d
-    mean_e2e: dict[str, float | None] = {}
-    for name in SFC_ORDER:
-        delays = [r.accrued_delay for r in world.requests
-                  if r.sfc_type.name == name and r.status == ACCEPTED]
-        mean_e2e[name] = sum(delays) / len(delays) if delays else None
-    total_gen = sum(v[0] for v in per_type.values())
+    """The report of a finished episode, read from its settled requests."""
+    # (origin cluster, type) and type -> [generated, accepted, dropped]
+    per_cluster_type: dict[tuple[int, str], list[int]] = {}
+    per_type = {name: [0, 0, 0] for name in SFC_ORDER}
+    delays: dict[str, list[float]] = {name: [] for name in SFC_ORDER}
+    for r in world.requests:
+        name = r.sfc_type.name
+        accepted = r.status == ACCEPTED  # else dropped: all have settled
+        for counts in (per_cluster_type.setdefault((r.origin_cluster, name),
+                                                   [0, 0, 0]),
+                       per_type[name]):
+            counts[0] += 1
+            counts[1 if accepted else 2] += 1
+        if accepted:
+            delays[name].append(r.accrued_delay)
+    total_gen = len(world.requests)
     total_acc = sum(v[1] for v in per_type.values())
     ratio = Fraction(total_acc, total_gen) if total_gen else None
     return EpisodeReport(
@@ -350,9 +351,11 @@ def _build_report(world: World, scenario_id: str, seed: int, scale: float,
         cluster_limit=world.partition.size_limit,
         cluster_count=world.partition.cluster_count,
         scale=scale,
-        per_cluster_type=per_cluster_type,
+        per_cluster_type={k: tuple(v)
+                          for k, v in sorted(per_cluster_type.items())},
         per_type={k: tuple(v) for k, v in per_type.items()},
-        mean_e2e_ms=mean_e2e,
+        mean_e2e_ms={name: sum(d) / len(d) if d else None
+                     for name, d in delays.items()},
         acceptance_ratio=ratio,
         reward_by_agent={c: a.reward_total
                          for c, a in sorted(world.general.local_agents.items())},
@@ -519,86 +522,72 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
 
 # ---- evaluation -----------------------------------------------------------
 
-@dataclass
-class SweepCell:
-    dc_count: int
-    cluster_limit: int
-    scale: float
+def run_network(topology: TopologyConfig, seed: int) -> NetworkGraph:
+    """The network of a run with `seed`: an unset topology seed is the run
+    seed."""
+    if topology.seed is None:
+        topology = replace(topology, seed=seed)
+    return build_network(topology)
 
 
-def evaluate_sweep(cells: list[SweepCell], policy: QNetwork, seeds: list[int],
-                   episodes_per_seed: int = 3, catalog: Catalog | None = None,
-                   config: SimConfig | None = None,
-                   topology: dict | None = None) -> list[EpisodeReport]:
-    """Run every (cell, seed) combination; one aggregated report per episode.
+def evaluate(topology: TopologyConfig, size_limit: int, scale: float,
+             policy: QNetwork, seeds: list[int], episodes: int,
+             catalog: Catalog | None = None, config: SimConfig | None = None,
+             requests: list[SfcRequest] | None = None,
+             scenario: str = "eval-s{seed}-e{ep}") -> list[EpisodeReport]:
+    """Greedy episodes on each seed's run network; one report per episode.
 
-    Each cell's network is `topology` with the cell's DC count; an unset
-    topology seed is the run seed, as in `eval`. An explicit `dcs` list fixes
-    the DC count, so it is rejected."""
-    if (topology or {}).get("dcs") is not None:
-        raise TopologyError("sweep sets the DC count of each cell and cannot "
-                            "use an explicit topology.dcs network")
-    catalog = catalog or default_catalog()
-    config = config or SimConfig()
+    Episode `ep` of seed `seed` draws its episode seed from
+    `default_rng([seed, 4, ep])` and is named `scenario.format(seed=seed,
+    ep=ep)`. It generates its requests, or runs a fresh copy of `requests`."""
     reports = []
-    for cell in cells:
-        for seed in seeds:
-            topo = dict(topology or {})
-            topo["dc_count"] = cell.dc_count
-            if topo.get("seed") is None:
-                topo["seed"] = seed
-            graph = build_network(topo)
-            for ep in range(episodes_per_seed):
-                sid = f"dc{cell.dc_count}-cl{cell.cluster_limit}-x{cell.scale}-e{ep}"
-                report, _ = run_episode(
-                    graph, cell.cluster_limit, cell.scale,
-                    int(np.random.default_rng([seed, 4, ep]).integers(2 ** 31)),
-                    policy, epsilon=0.0, catalog=catalog, config=config,
-                    scenario_id=sid)
-                reports.append(report)
+    for seed in seeds:
+        graph = run_network(topology, seed)
+        for ep in range(episodes):
+            ep_seed = int(np.random.default_rng([seed, 4, ep]).integers(2 ** 31))
+            report, _ = run_episode(
+                graph, size_limit, scale, ep_seed, policy, epsilon=0.0,
+                catalog=catalog, config=config,
+                scenario_id=scenario.format(seed=seed, ep=ep),
+                requests=(None if requests is None
+                          else [r.fresh_copy() for r in requests]))
+            reports.append(report)
     return reports
 
 
-def report_rows(report: EpisodeReport) -> list[dict]:
-    """Flatten a report into CSV rows (one per SFC type plus an ALL row)."""
-    rows = []
-    for name in SFC_ORDER:
-        g, a, d = report.per_type[name]
-        ratio = Fraction(a, g) if g else None
-        rows.append({
-            "scenario_id": report.scenario_id,
-            "seed": report.seed,
-            "dc_count": report.dc_count,
-            "cluster_limit": report.cluster_limit,
-            "cluster_count": report.cluster_count,
-            "scale": report.scale,
-            "sfc_type": name,
-            "generated": g,
-            "accepted": a,
-            "dropped": d,
-            "acc_ratio": f"{float(ratio):.6f}" if ratio is not None else "",
-            "mean_e2e_ms": (f"{report.mean_e2e_ms[name]:.6f}"
-                            if report.mean_e2e_ms[name] is not None else ""),
-        })
-    total_g = sum(v[0] for v in report.per_type.values())
-    total_a = sum(v[1] for v in report.per_type.values())
-    total_d = sum(v[2] for v in report.per_type.values())
-    all_delays = [report.mean_e2e_ms[n] for n in SFC_ORDER]
-    accepted_delays = [r for r in all_delays if r is not None]
-    rows.append({
+def _report_row(report: EpisodeReport, sfc_type: str,
+                counts: tuple[int, int, int], ratio: Fraction | None,
+                mean_e2e: float | None) -> dict:
+    generated, accepted, dropped = counts
+    return {
         "scenario_id": report.scenario_id,
         "seed": report.seed,
         "dc_count": report.dc_count,
         "cluster_limit": report.cluster_limit,
         "cluster_count": report.cluster_count,
         "scale": report.scale,
-        "sfc_type": "ALL",
-        "generated": total_g,
-        "accepted": total_a,
-        "dropped": total_d,
-        "acc_ratio": (f"{float(report.acceptance_ratio):.6f}"
-                      if report.acceptance_ratio is not None else ""),
-        "mean_e2e_ms": (f"{sum(accepted_delays) / len(accepted_delays):.6f}"
-                        if accepted_delays else ""),
-    })
+        "sfc_type": sfc_type,
+        "generated": generated,
+        "accepted": accepted,
+        "dropped": dropped,
+        "acc_ratio": "" if ratio is None else f"{float(ratio):.6f}",
+        "mean_e2e_ms": "" if mean_e2e is None else f"{mean_e2e:.6f}",
+    }
+
+
+def report_rows(report: EpisodeReport) -> list[dict]:
+    """Flatten a report into CSV rows (one per SFC type plus an ALL row).
+    The ALL row's delay is the mean of the per-type means."""
+    rows = []
+    for name in SFC_ORDER:
+        counts = report.per_type[name]
+        rows.append(_report_row(
+            report, name, counts,
+            Fraction(counts[1], counts[0]) if counts[0] else None,
+            report.mean_e2e_ms[name]))
+    means = [report.mean_e2e_ms[name] for name in SFC_ORDER
+             if report.mean_e2e_ms[name] is not None]
+    rows.append(_report_row(
+        report, "ALL", tuple(sum(c) for c in zip(*report.per_type.values())),
+        report.acceptance_ratio, sum(means) / len(means) if means else None))
     return rows

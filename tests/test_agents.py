@@ -1,12 +1,16 @@
 """Local and general agent tests: setup, action semantics, priority ranking,
 assist dispatch, and reward bookkeeping."""
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from sfcsim import agents, sim
 from sfcsim.agents import priority_rank, setup
-from sfcsim.drl import ModelConfig, QNetwork
+from sfcsim.drl import ModelConfig, QNetwork, load_weights
 from sfcsim.routing import routing_tables
-from sfcsim.sim import build_world, run_episode
+from sfcsim.sim import World, build_world, run_episode
 from sfcsim.topology import build_network
 from sfcsim.workload import ACCEPTED, DROPPED, SfcRequest, default_catalog
 
@@ -67,20 +71,43 @@ def run_small_episode(seed=0, epsilon=1.0, dc_count=6, limit=3, scale=0.2):
     return run_episode(g, limit, scale, seed, policy, epsilon=epsilon)
 
 
-def test_reward_bookkeeping_exact():
-    """Accept/drop rewards are credited exactly once per request."""
-    rep, world = run_small_episode(seed=3)
-    accepted = sum(1 for r in world.requests if r.status == ACCEPTED)
-    dropped = sum(1 for r in world.requests if r.status == DROPPED)
-    assert accepted + dropped == len(world.requests)
-    # decompose each agent's total into event rewards and action penalties
-    event_total = 2.0 * accepted - 1.5 * dropped
-    action_total = sum(world.action_penalties.values()) \
-        if hasattr(world, "action_penalties") else None
-    total = sum(rep.reward_by_agent.values())
-    # total reward = event rewards + sum of -1/-0.5 action penalties (<= 0)
-    assert total <= event_total + 1e-9
-    assert (total - event_total) == pytest.approx(round(total - event_total, 1))
+# the benchmark's trained policy: unlike untrained weights it accepts
+# requests, and it fills clusters until the general agent hands requests on
+TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
+
+
+def run_trained_episode(seed=2, epsilon=0.1):
+    """9 DCs at cluster limit 3: accepts, drops, invalid actions and
+    handoffs all occur."""
+    g = build_network({"dc_count": 9, "seed": seed})
+    policy = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    return run_episode(g, 3, 0.5, seed, policy, epsilon=epsilon)
+
+
+def test_reward_bookkeeping_exact(monkeypatch):
+    """Each agent's reward is its actions' rewards plus the accept and drop
+    rewards of the requests that originate in its cluster, each credited
+    once. Every term is a multiple of 0.5, so the sums are exact."""
+    real = agents._execute_action
+    action_rewards = Counter()
+
+    def spy(agent, *args):
+        outcome = real(agent, *args)
+        action_rewards[agent.cluster_id] += outcome.reward
+        return outcome
+
+    monkeypatch.setattr(agents, "_execute_action", spy)
+    rep, world = run_trained_episode()
+    accepted, dropped = Counter(), Counter()
+    for r in world.requests:
+        assert r.status in (ACCEPTED, DROPPED)
+        (accepted if r.status == ACCEPTED else dropped)[r.origin_cluster] += 1
+    assert sum(accepted.values()) and sum(dropped.values())
+    assert any(action_rewards.values())  # some invalid or uninstall penalty
+    assert set(rep.reward_by_agent) == set(world.general.local_agents)
+    for c, total in rep.reward_by_agent.items():
+        assert total == (action_rewards[c] + 2.0 * accepted[c]
+                         - 1.5 * dropped[c])
 
 
 def test_termination_no_leaks():
@@ -92,22 +119,35 @@ def test_termination_no_leaks():
             assert r.accrued_delay <= r.sfc_type.e2e_tolerance + 1e-9
 
 
-def test_locality_agents_only_touch_own_cluster():
-    """Every placement performed by local-agent actions lands on a DC whose
-    cluster matches the agent that initiated it, except assists."""
-    rep, world = run_small_episode(seed=5, dc_count=9, limit=3)
-    part = world.partition
-    for r in world.requests:
-        for entry in r.hop_log:
-            if entry[0] == "proc":
-                assert entry[1] in part.assignment  # processed on a real DC
-    # inter-cluster reservations only happen through the general agent:
-    # every multi-cluster hop in a hop log must correspond to a handoff,
-    # an assist allocation, or a delivery; spot-check via cluster paths
-    for r in world.requests:
-        for entry in r.hop_log:
-            if entry[0] == "prop":
-                assert entry[3] >= 0.0
+def test_locality_agents_only_touch_own_cluster(monkeypatch):
+    """Every allocation a local agent's action makes binds an instance on a
+    DC of the agent's cluster, over a path whose hops all lie in it;
+    allocations across clusters are the general agent's."""
+    acting = []  # the agent whose action runs, if any
+    allocations = []  # (acting agent's cluster, instance DC, path hops)
+    real_step, real_alloc = sim.local_step, World.perform_allocation
+
+    def step_spy(agent, *args, **kwargs):
+        acting.append(agent)
+        try:
+            return real_step(agent, *args, **kwargs)
+        finally:
+            acting.pop()
+
+    def alloc_spy(world, request, instance, path, now):
+        if acting:
+            allocations.append((acting[-1].cluster_id, instance.dc, path.hops))
+        return real_alloc(world, request, instance, path, now)
+
+    monkeypatch.setattr(sim, "local_step", step_spy)
+    monkeypatch.setattr(World, "perform_allocation", alloc_spy)
+    rep, world = run_trained_episode()
+    assert world.general.handoff_log  # requests wait outside their cluster
+    assert allocations
+    cluster_of = world.partition.cluster_of
+    for cluster, dc, hops in allocations:
+        assert cluster_of(dc) == cluster
+        assert hops and all(cluster_of(h) == cluster for h in hops)
 
 
 def test_transfer_target_picks_max_free_vcpu():

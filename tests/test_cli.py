@@ -135,6 +135,9 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     pytest.param({"sweep": {"scales": [0.0]}}, {}, id="sweep_scale_zero"),
     # a removed knob: a target network is used whenever training passes one
     pytest.param({"drl": {"use_target": False}}, {}, id="use_target_removed"),
+    # a removed knob: sweep runs sim.episodes per seed, as eval does
+    pytest.param({"sweep": {"episodes_per_seed": 1}}, {},
+                 id="episodes_per_seed_removed"),
     pytest.param({}, {"SFCSIM_SEED": "abc"}, id="env_seed_text"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
@@ -197,10 +200,26 @@ def test_eval_from_resolved_config_is_byte_identical(tmp_path, weights,
     assert {row.split(",")[5] for row in rows} == {str(float(workload["scale"]))}
 
 
+def test_env_seed_recorded_in_snapshot(tmp_path, weights, monkeypatch):
+    """A seed from SFCSIM_SEED is the seed list resolved_config.yaml records,
+    so an eval from the snapshot writes the same report."""
+    cfg = write_config(tmp_path / "c.yaml")
+    first, second = tmp_path / "a", tmp_path / "b"
+    monkeypatch.setenv("SFCSIM_SEED", "9")
+    assert cli.main(["eval", "--config", cfg, "--weights", weights,
+                     "--out", str(first)]) == 0
+    monkeypatch.delenv("SFCSIM_SEED")
+    snap = yaml.safe_load((first / "resolved_config.yaml").read_text())
+    assert snap["sim"]["seeds"] == [9]
+    assert cli.main(["eval", "--config", str(first / "resolved_config.yaml"),
+                     "--weights", weights, "--out", str(second)]) == 0
+    assert (first / "report.csv").read_bytes() == \
+        (second / "report.csv").read_bytes()
+
+
 def test_sweep_runs_cells(tmp_path, weights):
     cfg = write_config(tmp_path / "c.yaml", {
-        "sweep": {"dc_counts": [4, 6], "cluster_limits": [2], "scales": [0.1],
-                  "episodes_per_seed": 1}})
+        "sweep": {"dc_counts": [4, 6], "cluster_limits": [2], "scales": [0.1]}})
     out = tmp_path / "out"
     rc = cli.main(["sweep", "--config", cfg, "--weights", weights,
                    "--out", str(out)])
@@ -283,6 +302,33 @@ def test_replay_roundtrip(tmp_path, weights):
     all_rows = [l for l in lines[1:] if ",ALL," in l]
     gen = sum(int(l.split(",")[7]) for l in all_rows)
     assert gen == len(reqs)
+
+
+def test_replay_reproduces_eval(tmp_path):
+    """Replaying the requests of eval's seed-0 episode 0 runs eval's network,
+    episode seed and scenario id: the same rows, byte for byte."""
+    import numpy as np
+    from sfcsim.topology import build_network
+    from sfcsim.workload import default_catalog, export_workload, generate_bundles
+    g = build_network({"dc_count": 8, "seed": 0})  # the run seed's network
+    ep_seed = int(np.random.default_rng([0, 4, 0]).integers(2 ** 31))
+    wl = tmp_path / "wl.jsonl"
+    export_workload(generate_bundles(default_catalog(), g, 0.5,
+                                     np.random.default_rng([ep_seed, 1])),
+                    str(wl))
+    cfg = write_config(tmp_path / "c.yaml", {
+        "topology": {"dc_count": 8, "seed": None},
+        "cluster": {"size_limit": 4},
+        "workload": {"scale": 0.5, "replay_file": str(wl)},
+        "sim": {"episodes": 1, "seeds": [0]}})
+    out = tmp_path / "out"
+    for command in ("eval", "replay"):
+        assert cli.main([command, "--config", cfg, "--weights",
+                         TRAINED_WEIGHTS, "--out", str(out)]) == 0
+    report = (out / "report.csv").read_text()
+    assert (out / "replay.csv").read_text() == report
+    all_row = report.splitlines()[-1].split(",")
+    assert all_row[6] == "ALL" and int(all_row[8]) > 0  # some accepted
 
 
 def test_replay_requires_file(tmp_path, weights):

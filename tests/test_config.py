@@ -31,8 +31,7 @@ EVERY_KEY = {
               "scale_range": [0.1, 0.2], "round_episodes": 10,
               "updates_per_round": 7, "area_km": 250.0, "radius_km": 100.0,
               "validation_cell": [10, 3, 0.5], "validation_seed": 2},
-    "sweep": {"dc_counts": [6], "cluster_limits": [2, 3], "scales": [0.5],
-              "episodes_per_seed": 1},
+    "sweep": {"dc_counts": [6], "cluster_limits": [2, 3], "scales": [0.5]},
     "output": {"directory": "results", "formats": ["json"]},
 }
 

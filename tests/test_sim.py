@@ -10,10 +10,10 @@ import pytest
 
 from sfcsim.drl import ModelConfig, QNetwork
 from sfcsim.sim import (ACTION_COST_MS, BW_WHOLE_LIFETIME, STEP_MS, SimConfig,
-                        SweepCell, build_world, evaluate_sweep, propagation_delay,
+                        build_world, evaluate, propagation_delay,
                         recompute_ledger, report_rows, run_episode, run_step,
                         train, TrainConfig)
-from sfcsim.topology import build_network
+from sfcsim.topology import TopologyConfig, build_network
 from sfcsim.workload import ACCEPTED, SfcRequest, default_catalog
 
 
@@ -157,8 +157,10 @@ def test_training_update_cadence():
 
 def test_sweep_rows_consistent():
     policy = QNetwork(ModelConfig(), seed=0)
-    cells = [SweepCell(6, 3, 0.2), SweepCell(6, 6, 0.2)]
-    reports = evaluate_sweep(cells, policy, seeds=[0], episodes_per_seed=1)
+    # the reports of a sweep's two cells: 6 DCs at cluster limits 3 and 6
+    reports = [rep for limit in (3, 6)
+               for rep in evaluate(TopologyConfig(dc_count=6), limit, 0.2,
+                                   policy, seeds=[0], episodes=1)]
     assert len(reports) == 2
     for rep in reports:
         rows = report_rows(rep)
