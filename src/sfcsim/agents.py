@@ -48,10 +48,10 @@ class StepView:
     """An agent's queue as its state view reads it, built by the scope scan
     at the start of the agent's turn, once per step. Within the turn `now` is
     fixed, so each queued request's PendingItem is too, and the agent's own
-    takes and requeues, made through this view, are the only changes to the
-    queue. The items are made for every request up front; the groups per DC
-    and the waiting requests per VNF type are built the first time the turn
-    asks for them, and kept current from then on."""
+    takes, made through this view, are the only changes to the queue: it
+    only shrinks. The items are made for every request up front; the groups
+    per DC and the waiting requests per VNF type are built the first time
+    the turn asks for them, and kept current from then on."""
 
     def __init__(self, now: float, assignment, cluster_id: int,
                  queue: list[SfcRequest]):
@@ -60,21 +60,9 @@ class StepView:
         self.cluster_id = cluster_id
         self.queue = queue  # the agent's queue, which `items` runs parallel to
         self.items: list[PendingItem] = []
-        self.out_count = 0  # requests bound for a DC outside the cluster
-        self._index(queue)
-        self.cluster = SfcGroups(self.items)
-        self._local: dict[int, SfcGroups] = {}  # DC -> items of requests there
-        # VNF type -> the queued requests waiting for it, in queue order
-        self._pending: dict[str, list[SfcRequest]] = {}
-        self._ranked: dict[str, list[SfcRequest]] = {}  # pending, by priority
-
-    def _index(self, requests) -> None:
-        """Append the item of each request and count those bound outside."""
-        now = self.now
-        assignment, cluster_id = self.assignment, self.cluster_id
         append = self.items.append
-        out_count = 0
-        for r in requests:
+        out_count = 0  # requests bound for a DC outside the cluster
+        for r in queue:
             t = r.sfc_type
             k = r.next_vnf_index
             waited = now - r.ready_time
@@ -86,7 +74,12 @@ class StepView:
                 r.bandwidth, t.completion[k], t.next_vnfs[k].name))
             if assignment[r.dest_dc] != cluster_id:
                 out_count += 1
-        self.out_count += out_count
+        self.out_count = out_count
+        self.cluster = SfcGroups(self.items)
+        self._local: dict[int, SfcGroups] = {}  # DC -> items of requests there
+        # VNF type -> the queued requests waiting for it, in queue order
+        self._pending: dict[str, list[SfcRequest]] = {}
+        self._ranked: dict[str, list[SfcRequest]] = {}  # pending, by priority
 
     def local(self, dc: int) -> SfcGroups:
         """The items of the requests whose packet is at `dc`."""
@@ -132,20 +125,6 @@ class StepView:
         if self.assignment[r.dest_dc] != self.cluster_id:
             self.out_count -= 1
 
-    def requeue(self, r: SfcRequest) -> None:
-        """Put a request back at the queue tail."""
-        self.queue.append(r)
-        self._index((r,))
-        item = self.items[-1]
-        self.cluster.extend((item,))
-        local = self._local.get(r.loc)
-        if local is not None:
-            local.extend((item,))
-        waiting = self._pending.get(item.next_vnf_name)
-        if waiting is not None:
-            waiting.append(r)
-        self._ranked.pop(item.next_vnf_name, None)  # ranked again at next use
-
 
 @dataclass
 class LocalAgent:
@@ -159,7 +138,7 @@ class LocalAgent:
     reward_total: float = 0.0
     # built by the scope scan at the turn's first action and dropped at the
     # turn's end, so None means the turn has not started; _execute_action and
-    # build_state_view read it, and the turn's takes and requeues go through it
+    # build_state_view read it, and the turn's takes go through it
     view: StepView | None = field(default=None, repr=False)
 
 
@@ -264,8 +243,7 @@ def _try_allocate(agent: LocalAgent, world, instance,
     """Allocate the top-priority queued request waiting for the instance's
     type, routing the packet to the instance's DC. Cross-cluster packet
     locations defer to the general agent. Returns the request taken from the
-    queue (even when its transfer could not reserve bandwidth and it was
-    queued again), or None."""
+    queue, or None."""
     for r in agent.view.ranked(instance.vnf_type.name):
         if world.partition.cluster_of(r.loc) == agent.cluster_id:
             path = routing.d2d_shortest_path(
@@ -274,8 +252,7 @@ def _try_allocate(agent: LocalAgent, world, instance,
             if path is None:
                 continue
             agent.view.take(r)
-            if not world.perform_allocation(r, instance, path, now):
-                agent.view.requeue(r)
+            world.perform_allocation(r, instance, path, now)
             return r
         # packet sits outside the cluster (post-transfer): general agent routes
         agent.view.take(r)
@@ -379,10 +356,11 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                 path = routing.find_path(
                     general.partition, general.graph, world.substrate.link_free,
                     r.loc, task.instance.dc, r.bandwidth, general.counters)
-                if path is None or not world.perform_allocation(
-                        r, task.instance, path, now):
+                if path is None:
                     task.instance.reserved = False
                     agent.queue.append(r)  # turns are over: no view to update
+                else:
+                    world.perform_allocation(r, task.instance, path, now)
             elif task.kind == TASK_TRANSFER:
                 target = _pick_transfer_target(general, world, cid, r)
                 if target is None:

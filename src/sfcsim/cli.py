@@ -185,7 +185,9 @@ def cmd_clusters(args) -> int:
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
     graph = sim.run_network(cfg.topology, seed)
-    partition = make_clusters(graph, cfg.cluster.size_limit, seed)
+    # the partition of the seed's first eval episode
+    partition = make_clusters(graph, cfg.cluster.size_limit,
+                              sim.episode_seed(seed, 0))
     payload = {
         "dc_count": graph.dc_count,
         "size_limit": cfg.cluster.size_limit,
@@ -240,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--weights", default=None)
+        if fn in (cmd_eval, cmd_sweep, cmd_replay):  # the runs of a policy
+            p.add_argument("--weights", default=None)
         p.set_defaults(fn=fn)
     return parser
 

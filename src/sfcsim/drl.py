@@ -104,24 +104,20 @@ def _group_summary(group: list[PendingItem], sfc: SfcType) -> list[float]:
 
 class SfcGroups:
     """Pending items grouped per SFC type, each group in queue order. A
-    group's summary is kept until an item of its type is added or removed:
-    a summary is recomputed only for the types that changed."""
+    group's summary is kept until an item of its type is removed: a summary
+    is recomputed only for the types that changed."""
     __slots__ = ("_groups", "_summaries")
 
-    def __init__(self, items=()):
-        self._groups: dict[str, list[PendingItem]] = {}
-        self._summaries: dict[str, list[float]] = {}
-        self.extend(items)
-
-    def extend(self, items) -> None:
-        groups, summaries = self._groups, self._summaries
+    def __init__(self, items):
+        groups: dict[str, list[PendingItem]] = {}
         for it in items:
             group = groups.get(it.sfc_name)
             if group is None:
                 groups[it.sfc_name] = [it]
             else:
                 group.append(it)
-            summaries.pop(it.sfc_name, None)
+        self._groups = groups
+        self._summaries: dict[str, list[float]] = {}
 
     def remove(self, item: PendingItem) -> None:
         self._groups[item.sfc_name].remove(item)

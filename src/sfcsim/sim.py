@@ -16,7 +16,7 @@ from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist, local_step
                      setup)
 from .drl import ModelConfig, QNetwork, ReplayMemory
 from .routing import PathResult
-from .substrate import Substrate, VnfInstance
+from .substrate import Substrate, SubstrateError, VnfInstance
 from .topology import NetworkGraph, TopologyConfig, build_network
 from .workload import (ACCEPTED, Catalog, DROPPED, SFC_ORDER, SfcRequest,
                        default_catalog, generate_bundles)
@@ -150,14 +150,18 @@ class World:
         self.pending_credit.clear()
 
     def _transfer(self, request: SfcRequest, path: PathResult,
-                  now: float) -> float | None:
+                  now: float) -> float:
         """Move the packet along `path`: reserve bandwidth on its links and log
-        the propagation delay, which is returned. None (and no change) when a
-        link lacks the bandwidth."""
+        the propagation delay, which is returned. The router admits only
+        links with room for the request and nothing changes link state
+        before the transfer, so a routed path always reserves; one that does
+        not is a routing fault and raises SubstrateError."""
         delay = propagation_delay(path.total_distance)
         if path.links_used:
             if not self.substrate.reserve_bandwidth(path, request):
-                return None
+                raise SubstrateError(
+                    f"request {request.id}: routed path {path.hops} cannot "
+                    "reserve its bandwidth")
             if self.config.bw_hold == BW_PER_TRANSFER:
                 heapq.heappush(self.bw_releases,
                                (now + delay, self._next_seq(), request.id))
@@ -174,15 +178,10 @@ class World:
             self.drop_request(request, now, "deadline")
 
     def perform_allocation(self, request: SfcRequest, instance: VnfInstance,
-                           path: PathResult, now: float) -> bool:
+                           path: PathResult, now: float) -> None:
         """Transfer the packet along `path` (if it spans links) and bind the
-        instance to the request's next VNF. False, with the instance no longer
-        reserved and nothing else changed, when the transfer cannot reserve
-        bandwidth; the caller puts the request back on a queue."""
+        instance to the request's next VNF."""
         delay = self._transfer(request, path, now)
-        if delay is None:
-            instance.reserved = False
-            return False
         waited = self.substrate.allocate(request, request.next_vnf_index,
                                          instance, now, transfer_delay=delay)
         request.hop_log.append(("proc", instance.dc, waited,
@@ -194,7 +193,6 @@ class World:
         if request.next_vnf is None and (not self.config.count_last_mile
                                          or request.dest_dc == instance.dc):
             self._settle(request, now)
-        return True
 
     def deliver(self, request: SfcRequest, now: float) -> None:
         """Route a fully processed packet to its destination DC and settle
@@ -205,9 +203,8 @@ class World:
             self.general.counters)
         if path is None:
             self.drop_request(request, now, "delivery-unroutable")
-        elif self._transfer(request, path, now) is None:
-            self.drop_request(request, now, "delivery-bandwidth")
         else:
+            self._transfer(request, path, now)
             request.loc = request.dest_dc
             self._settle(request, now)
 
@@ -440,7 +437,6 @@ class TrainResult:
     best_params: dict
     curve: list[dict]  # one row per episode
     update_calls: int
-    validation: list[tuple[int, float]] = field(default_factory=list)
 
 
 def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
@@ -458,7 +454,6 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
     update_calls = 0
     best = (None, -1.0)
     losses: list[float] = []
-    validation: list[tuple[int, float]] = []
     val_graph = None
     if config.validation_cell is not None:
         val_graph = build_network({"dc_count": config.validation_cell[0],
@@ -509,7 +504,6 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
                                       config=config.sim,
                                       scenario_id=f"validate-{ep}")
                 vacc = vrep.acceptance_float or 0.0
-                validation.append((ep, vacc))
                 if vacc > best[1]:
                     best = ({k: v.copy() for k, v in policy.params.items()},
                             vacc)
@@ -517,7 +511,7 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
         if progress is not None:
             progress(ep, curve[-1])
     best_params = best[0] or {k: v.copy() for k, v in policy.params.items()}
-    return TrainResult(policy, best_params, curve, update_calls, validation)
+    return TrainResult(policy, best_params, curve, update_calls)
 
 
 # ---- evaluation -----------------------------------------------------------
@@ -530,6 +524,12 @@ def run_network(topology: TopologyConfig, seed: int) -> NetworkGraph:
     return build_network(topology)
 
 
+def episode_seed(seed: int, ep: int) -> int:
+    """The episode seed of episode `ep` of run seed `seed`: it seeds the
+    episode's partition, agents and generated requests."""
+    return int(np.random.default_rng([seed, 4, ep]).integers(2 ** 31))
+
+
 def evaluate(topology: TopologyConfig, size_limit: int, scale: float,
              policy: QNetwork, seeds: list[int], episodes: int,
              catalog: Catalog | None = None, config: SimConfig | None = None,
@@ -537,17 +537,16 @@ def evaluate(topology: TopologyConfig, size_limit: int, scale: float,
              scenario: str = "eval-s{seed}-e{ep}") -> list[EpisodeReport]:
     """Greedy episodes on each seed's run network; one report per episode.
 
-    Episode `ep` of seed `seed` draws its episode seed from
-    `default_rng([seed, 4, ep])` and is named `scenario.format(seed=seed,
-    ep=ep)`. It generates its requests, or runs a fresh copy of `requests`."""
+    Episode `ep` of seed `seed` runs at `episode_seed(seed, ep)` and is
+    named `scenario.format(seed=seed, ep=ep)`. It generates its requests, or
+    runs a fresh copy of `requests`."""
     reports = []
     for seed in seeds:
         graph = run_network(topology, seed)
         for ep in range(episodes):
-            ep_seed = int(np.random.default_rng([seed, 4, ep]).integers(2 ** 31))
             report, _ = run_episode(
-                graph, size_limit, scale, ep_seed, policy, epsilon=0.0,
-                catalog=catalog, config=config,
+                graph, size_limit, scale, episode_seed(seed, ep), policy,
+                epsilon=0.0, catalog=catalog, config=config,
                 scenario_id=scenario.format(seed=seed, ep=ep),
                 requests=(None if requests is None
                           else [r.fresh_copy() for r in requests]))

@@ -67,7 +67,6 @@ class Substrate:
     """Mutable runtime state over a NetworkGraph."""
 
     def __init__(self, graph: NetworkGraph):
-        self.graph = graph
         self.dcs: dict[int, DcRuntime] = {dc.id: DcRuntime(dc) for dc in graph.dcs}
         self.links: dict[tuple[int, int], LinkRuntime] = {
             l.key: LinkRuntime(l) for l in graph.links}

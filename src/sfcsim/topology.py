@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CENTROID_TOL_KM = 1e-9
 MAX_KMEANS_ITERS = 100
 
 
@@ -321,11 +320,8 @@ def make_clusters(graph: NetworkGraph, size_limit: int, seed: int) -> ClusterPar
             members = [i for i in range(n) if assign[i] == c]
             if members:
                 new_centroids[c] = points[members].mean(axis=0)
-        moved = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         assign = _greedy_assign(points, centroids, size_limit)
-        if moved <= CENTROID_TOL_KM and assign == prev:
-            break
 
     # drop empty clusters; renumber by ascending lowest member id
     members_by_c: dict[int, list[int]] = {}

@@ -169,12 +169,10 @@ def test_transfer_target_picks_max_free_vcpu():
     assert target_before == max(pool, key=lambda c: (free[c], -c))
 
 
-def test_assisted_alloc_with_failed_reservation_requeues(monkeypatch):
-    """A TASK_ALLOC whose path is found but whose bandwidth reservation
-    fails: the request goes back to the tail of its agent's queue, the
-    instance is released, and no hop is logged."""
-    from sfcsim.agents import TASK_ALLOC, AssistTask, assist
-    from sfcsim.substrate import Substrate
+def assisted_alloc_world():
+    """A world whose agent 0 queues one request and has handed the general
+    agent a TASK_ALLOC for a packet that waits in cluster 1."""
+    from sfcsim.agents import TASK_ALLOC, AssistTask
     g = build_network({"dc_count": 9, "seed": 8})
     world = build_world(g, 3, 0, QNetwork(ModelConfig(), seed=0))
     clusters = world.partition.clusters
@@ -187,6 +185,28 @@ def test_assisted_alloc_with_failed_reservation_requeues(monkeypatch):
     instance.reserved = True
     agent.queue.append(waiting)
     agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
+    return world, agent, waiting, r, instance
+
+
+def test_assisted_alloc_without_path_requeues(monkeypatch):
+    """A TASK_ALLOC with no feasible path: the request goes back to the
+    tail of its agent's queue, the instance is released, and no hop is
+    logged."""
+    from sfcsim.agents import assist
+    world, agent, waiting, r, instance = assisted_alloc_world()
+    monkeypatch.setattr(agents.routing, "find_path", lambda *args: None)
+    assist(world.general, world, world.now)
+    assert agent.queue == [waiting, r] and agent.outbox == []
+    assert not instance.reserved and instance.allocated_request is None
+    assert r.hop_log == [] and r.next_vnf_index == 0 and r.loc == r.source_dc
+
+
+def test_unreservable_routed_path_raises(monkeypatch):
+    """The router returns only paths with room for the request, so a
+    reservation that fails on one is a fault: the assisted allocation and
+    the delivery raise instead of requeueing or dropping the request."""
+    from sfcsim.agents import assist
+    from sfcsim.substrate import Substrate, SubstrateError
     attempts = []
 
     def failing_reserve(self, path, request):
@@ -194,11 +214,17 @@ def test_assisted_alloc_with_failed_reservation_requeues(monkeypatch):
         return False
 
     monkeypatch.setattr(Substrate, "reserve_bandwidth", failing_reserve)
-    assist(world.general, world, world.now)
+    world, _, _, r, _ = assisted_alloc_world()
+    with pytest.raises(SubstrateError):
+        assist(world.general, world, world.now)
     assert attempts == [r]  # a path was found; its reservation failed
-    assert agent.queue == [waiting, r] and agent.outbox == []
-    assert not instance.reserved and instance.allocated_request is None
-    assert r.hop_log == [] and r.next_vnf_index == 0 and r.loc == away
+    clusters = world.partition.clusters
+    late = SfcRequest(2, world.catalog.sfcs["CG"], 4.0, clusters[0][0],
+                      clusters[1][0])
+    with pytest.raises(SubstrateError):
+        world.deliver(late, world.now)
+    assert attempts == [r, late]
+    assert late.status not in (ACCEPTED, DROPPED)
 
 
 def test_invalid_action_semantics():

@@ -283,6 +283,48 @@ def test_clusters_json_covers_all_dcs(tmp_path):
     assert all(len(dcs) <= 2 for dcs in payload["clusters"].values())
 
 
+def test_clusters_reports_first_eval_episode_partition(tmp_path, weights,
+                                                        monkeypatch):
+    """`clusters` reports the partition that eval's first episode, of the
+    first seed, runs on."""
+    from sfcsim import sim
+    cfg = write_config(tmp_path / "c.yaml", {
+        "topology": {"dc_count": 40, "seed": 7},
+        "cluster": {"size_limit": 4},
+        "sim": {"seeds": [0, 1], "max_steps": 2}})
+    partitions = []
+    real_run_episode = sim.run_episode
+
+    def spy(*args, **kwargs):
+        report, world = real_run_episode(*args, **kwargs)
+        partitions.append(world.partition.clusters)
+        return report, world
+
+    monkeypatch.setattr(sim, "run_episode", spy)
+    assert cli.main(["eval", "--config", cfg, "--weights", weights,
+                     "--out", str(tmp_path / "eval")]) == 0
+    out = tmp_path / "clusters"
+    assert cli.main(["clusters", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "clusters.json").read_text())
+    assert len(partitions) == 2
+    assert payload["clusters"] == {str(c): members for c, members
+                                   in sorted(partitions[0].items())}
+
+
+@pytest.mark.parametrize("command", ["train", "clusters"])
+def test_weights_rejected_where_unused(tmp_path, weights, command):
+    """Only eval, sweep and replay run a policy; the others take no
+    --weights rather than ignore it."""
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"train": {"episodes": 1, "validation_cell": None}})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--weights", weights,
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_replay_roundtrip(tmp_path, weights):
     import numpy as np
     from sfcsim.topology import build_network

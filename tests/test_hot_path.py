@@ -11,7 +11,6 @@ from sfcsim.drl import (INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, INSTANCE_NORM,
                         SFC_FEATURES, ModelConfig, PendingItem, SfcGroups,
                         StateEncoding, StateView, encode_state)
 from sfcsim.sim import SimConfig, run_episode
-from sfcsim.substrate import Substrate
 from sfcsim.topology import build_network
 from sfcsim.workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER,
                              VNF_ORDER, SfcRequest, catalog_from_config,
@@ -156,14 +155,8 @@ def check_local_steps(monkeypatch):
     recorded step: the same state and next state. Returns the counts of what
     the checks saw."""
     real_local_step = sim.local_step
-    real_requeue = agents.StepView.requeue
     seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0,
-            "after_alloc_task": 0, "after_requeue": 0, "recorded": 0}
-    requeued = set()  # (cluster, step time) of every requeue
-
-    def counted_requeue(view, r):
-        requeued.add((view.cluster_id, view.now))
-        real_requeue(view, r)
+            "after_alloc_task": 0, "recorded": 0}
 
     def checked(agent, world, now, eps, rng, record_states=False):
         if agent.view is None:  # the turn's first action
@@ -199,7 +192,6 @@ def check_local_steps(monkeypatch):
         # an out-of-cluster take earlier in this step left a TASK_ALLOC
         seen["after_alloc_task"] += any(t.kind == agents.TASK_ALLOC
                                         for t in agent.outbox)
-        seen["after_requeue"] += (agent.cluster_id, now) in requeued
         result = real_local_step(agent, world, now, eps, rng, record_states)
         seen["allocated"] += result[1].request is not None
         if record_states:
@@ -211,7 +203,6 @@ def check_local_steps(monkeypatch):
         return result
 
     monkeypatch.setattr(sim, "local_step", checked)
-    monkeypatch.setattr(agents.StepView, "requeue", counted_requeue)
     return seen
 
 
@@ -239,23 +230,6 @@ def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
     assert seen["ranked"] > 0 and seen["allocated"] > 100
     if epsilon == 0.0:
         assert seen["moved"] > 0
-
-
-def test_requeue_after_failed_transfer_matches_reference(monkeypatch):
-    """Every fourth bandwidth reservation fails, so transfers put their
-    requests back at the queue tail mid-step; the view must follow."""
-    seen = check_local_steps(monkeypatch)
-    real_reserve = Substrate.reserve_bandwidth
-    calls = [0]
-
-    def flaky_reserve(self, path, request):
-        calls[0] += 1
-        return calls[0] % 4 != 0 and real_reserve(self, path, request)
-
-    monkeypatch.setattr(Substrate, "reserve_bandwidth", flaky_reserve)
-    g = build_network({"dc_count": 40, "seed": 11})
-    run_episode(g, 8, 3.0, 11, DemandPolicy(), config=SimConfig(max_steps=30))
-    assert seen["after_requeue"] > 50
 
 
 def test_out_of_cluster_alloc_matches_reference(monkeypatch):
@@ -300,9 +274,9 @@ def test_scope_scan_asks_per_vnf_type():
 
 def test_encoding_matches_reference_on_random_items():
     """Random float fields, so a different summation order or a pairwise
-    (numpy) sum shows in the last bits. An SfcGroups that was summarised,
-    then extended and then had items removed summarises as the reference
-    does its remaining items."""
+    (numpy) sum shows in the last bits. An SfcGroups that was summarised
+    and then had items removed summarises as the reference does its
+    remaining items."""
     rng = np.random.default_rng(5)
     cat = default_catalog()
     for _ in range(200):
@@ -319,10 +293,7 @@ def test_encoding_matches_reference_on_random_items():
                          transfer_pending=bool(rng.integers(2)),
                          out_of_cluster_frac=float(rng.uniform(0, 1)))
         assert_same_encoding(encode_state(view, cat), ref_encode_state(view, cat))
-        half = len(items) // 2
-        groups = SfcGroups(items[:half])
-        groups.summary(cat)
-        groups.extend(items[half:])
+        groups = SfcGroups(items)
         assert np.array_equal(groups.summary(cat), ref_sfc_summary(items, cat))
         for it in items[::3]:
             groups.remove(it)

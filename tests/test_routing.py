@@ -4,9 +4,12 @@ and the combined two-level traversal."""
 import numpy as np
 import pytest
 
-from sfcsim.routing import (RouteCounters, RoutingError, c2c_cluster_path,
-                            d2d_shortest_path, find_path, routing_tables)
+from sfcsim.routing import (PathResult, RouteCounters, RoutingError,
+                            c2c_cluster_path, d2d_shortest_path, find_path,
+                            routing_tables)
+from sfcsim.substrate import Substrate
 from sfcsim.topology import build_network, cluster_adjacency, make_clusters
+from sfcsim.workload import SfcRequest, default_catalog
 
 
 def const_free(value):
@@ -155,6 +158,54 @@ def test_find_path_feasible_and_not_shorter_than_global():
         glob = d2d_shortest_path(range(n), g, free, int(src), int(dst), bw)
         assert glob is not None
         assert got.total_distance >= glob.total_distance - 1e-9
+
+
+def test_routed_paths_are_reservable():
+    """The engine reserves a routed path right after the search, with no
+    change to link state between them. So every path that find_path or
+    d2d_shortest_path returns over a substrate's free bandwidth must have
+    distinct links and be accepted by reserve_bandwidth, here on random
+    networks and partitions whose links carry random earlier reservations
+    that often leave less room than the request needs."""
+    sfc = default_catalog().sfcs["CG"]
+    rng = np.random.default_rng(31)
+    ids = iter(range(10 ** 9))
+    reserved = tight = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        g = build_network({"dc_count": n, "seed": int(rng.integers(2 ** 31))})
+        part = make_clusters(g, int(rng.integers(1, 12)),
+                             int(rng.integers(2 ** 31)))
+        sub = Substrate(g)
+        for link in g.links:
+            for _ in range(int(rng.integers(0, 3))):
+                held = SfcRequest(next(ids), sfc,
+                                  float(rng.uniform(0, sub.link_free(link))),
+                                  link.a, link.b)
+                assert sub.reserve_bandwidth(
+                    PathResult([link.a, link.b], link.distance, [link]), held)
+        for _ in range(25):
+            src, dst = (int(x) for x in rng.integers(n, size=2))
+            bw = float(rng.uniform(1, 500))
+            cluster = part.clusters[part.cluster_of(src)]
+            routes = [lambda: find_path(part, g, sub.link_free, src, dst, bw),
+                      lambda: d2d_shortest_path(range(n), g, sub.link_free,
+                                                src, dst, bw)]
+            if dst in cluster:
+                routes.append(lambda: d2d_shortest_path(
+                    cluster, g, sub.link_free, src, dst, bw))
+            for route in routes:
+                tight += any(sub.link_free(l) < bw for l in g.links)
+                path = route()  # searched on the state it is reserved on
+                if path is None:
+                    continue
+                keys = [link.key for link in path.links_used]
+                assert len(set(keys)) == len(keys)
+                assert sub.reserve_bandwidth(
+                    path, SfcRequest(next(ids), sfc, bw, src, dst))
+                reserved += len(keys) > 0
+        sub.verify_accounting()
+    assert reserved > 500 and tight > 1000
 
 
 def reference_c2c_path(cluster_graph, src, dst):

@@ -17,9 +17,13 @@ def cat():
 
 
 @pytest.fixture
-def sub():
-    g = build_network({"dc_count": 4, "seed": 0})
-    return Substrate(g)
+def graph():
+    return build_network({"dc_count": 4, "seed": 0})
+
+
+@pytest.fixture
+def sub(graph):
+    return Substrate(graph)
 
 
 def test_can_place_boundaries(cat, sub):
@@ -120,13 +124,13 @@ def test_allocate_type_mismatch_and_busy(cat, sub):
         sub.allocate(r3, 0, inst, 0.0)  # instance busy
 
 
-def one_link_path(sub):
-    link = sub.graph.links[0]
+def one_link_path(graph):
+    link = graph.links[0]
     return PathResult([link.a, link.b], link.distance, [link])
 
 
-def test_reserve_release_roundtrip(cat, sub):
-    path = one_link_path(sub)
+def test_reserve_release_roundtrip(cat, graph, sub):
+    path = one_link_path(graph)
     r = SfcRequest(7, cat.sfcs["AR"], 100.0, path.hops[0], path.hops[1])
     assert sub.reserve_bandwidth(path, r)
     assert sub.link_free(path.links_used[0]) == 900.0
@@ -134,8 +138,8 @@ def test_reserve_release_roundtrip(cat, sub):
     assert sub.link_free(path.links_used[0]) == 1000.0
 
 
-def test_fifteen_voip_exact_fsum(cat, sub):
-    path = one_link_path(sub)
+def test_fifteen_voip_exact_fsum(cat, graph, sub):
+    path = one_link_path(graph)
     for i in range(15):
         r = SfcRequest(100 + i, cat.sfcs["VoIP"], 0.064, path.hops[0],
                        path.hops[1])
@@ -173,8 +177,8 @@ def test_reserve_counts_repeated_link(cat):
     s.verify_accounting()
 
 
-def test_release_idempotent(cat, sub):
-    path = one_link_path(sub)
+def test_release_idempotent(cat, graph, sub):
+    path = one_link_path(graph)
     r = SfcRequest(9, cat.sfcs["CG"], 4.0, path.hops[0], path.hops[1])
     sub.reserve_bandwidth(path, r)
     sub.release_bandwidth(r.id)
@@ -247,8 +251,8 @@ def test_cached_free_bw_matches_full_recompute(cat):
         sub.verify_accounting()
 
 
-def test_verify_accounting_catches_reservation_behind_cache(cat, sub):
-    path = one_link_path(sub)
+def test_verify_accounting_catches_reservation_behind_cache(cat, graph, sub):
+    path = one_link_path(graph)
     r = SfcRequest(11, cat.sfcs["CG"], 4.0, path.hops[0], path.hops[1])
     assert sub.reserve_bandwidth(path, r)
     sub.verify_accounting()
