@@ -220,10 +220,10 @@ def cmd_replay(args) -> int:
             f"replay file not found: {cfg.workload.replay_file}") from exc
     out_dir = _out_dir(cfg, args)
     seeds = _seed_list(cfg, args)
-    reports = sim.evaluate(cfg.topology, cfg.cluster.size_limit,
-                           cfg.workload.scale, policy, seeds, cfg.sim.episodes,
-                           catalog=cfg.catalog, config=cfg.sim,
-                           requests=requests)
+    # replayed requests do not depend on workload.scale: rows carry no scale
+    reports = sim.evaluate(cfg.topology, cfg.cluster.size_limit, None, policy,
+                           seeds, cfg.sim.episodes, catalog=cfg.catalog,
+                           config=cfg.sim, requests=requests)
     _write_reports(reports, cfg, out_dir, "replay")
     _write_snapshot(cfg, out_dir, seeds)
     print(f"replayed {len(requests)} requests -> {out_dir}/replay.csv")

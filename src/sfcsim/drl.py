@@ -358,9 +358,11 @@ class ReplayMemory:
         return [self.buffer[int(i)] for i in idx]
 
 
-def update(net: QNetwork, target_net: QNetwork | None, memory: ReplayMemory,
+def update(net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
            config: ModelConfig, rng: np.random.Generator) -> float | None:
-    """One DQN gradient step on a random replay batch; None if memory is short."""
+    """One DQN gradient step on a random replay batch, with next states scored
+    by `target_net`, which takes `net`'s parameters every `target_sync`
+    updates; None if memory is short."""
     if len(memory) < config.batch_size:
         return None
     batch = memory.sample(config.batch_size, rng)
@@ -374,15 +376,13 @@ def update(net: QNetwork, target_net: QNetwork | None, memory: ReplayMemory,
     rewards = np.array([b[3] for b in batch])
     terminal = np.array([b[4] for b in batch], dtype=bool)
 
-    # without a target network the online network scores the next states
-    evaluator = net if target_net is None else target_net
-    next_q = evaluator.forward((na, nb, nc))
+    next_q = target_net.forward((na, nb, nc))
     targets = rewards + np.where(terminal, 0.0, config.discount * next_q.max(axis=1))
 
     loss, grads = net.loss_and_grads(xa, xb, xc, actions, targets)
     net.apply_grads(grads)
     net.update_count += 1
-    if target_net is not None and net.update_count % config.target_sync == 0:
+    if net.update_count % config.target_sync == 0:
         target_net.copy_params_from(net)
     return loss
 

@@ -155,10 +155,11 @@ def c2c_cluster_path(cluster_graph: dict[int, list[int]], src_cluster: int,
 def _nearest_target(entry: int, targets: list[int], nodes: set[int],
                     graph: NetworkGraph, link_free: LinkFree, required_bw: float,
                     counters: RouteCounters | None) -> PathResult | None:
-    """Shortest feasible path from entry to the nearest of `targets` inside nodes."""
+    """Shortest feasible path from entry to the nearest of `targets` (sorted;
+    equal distances go to the first) inside nodes."""
     dist, prev = _dijkstra(nodes, graph, link_free, entry, required_bw, counters)
     best = None
-    for t in sorted(targets):
+    for t in targets:
         if t == entry:
             return PathResult([entry], 0.0, [])
         if t in dist and (best is None or dist[t] < dist[best]):
@@ -219,12 +220,8 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
     links: list[LinkSpec] = []
     for a, b in zip(cpath, cpath[1:]):
         nodes = set(partition.clusters[a]) | set(partition.clusters[b])
-        if b == dst_c:
-            targets = [dst]
-        else:
-            targets = tables.gateways.get((a, b))
-            if not targets:
-                return None
+        # adjacent clusters share an inter-cluster link: (a, b) has gateways
+        targets = [dst] if b == dst_c else tables.gateways[(a, b)]
         seg = _nearest_target(entry, targets, nodes, graph, link_free,
                               required_bw, counters)
         if seg is None:

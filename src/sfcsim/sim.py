@@ -25,9 +25,6 @@ LIGHT_SPEED_KM_PER_MS = 300.0  # optical fiber, 3e8 m/s
 STEP_MS = 1.0
 ACTION_COST_MS = 0.01  # agent inference budget per action
 
-BW_PER_TRANSFER = "per-transfer"
-BW_WHOLE_LIFETIME = "whole-lifetime"
-
 
 def propagation_delay(distance_km: float) -> float:
     """Propagation delay in ms for a fiber span of the given length."""
@@ -38,9 +35,6 @@ def propagation_delay(distance_km: float) -> float:
 
 @dataclass
 class SimConfig:
-    bw_hold: str = BW_PER_TRANSFER
-    count_last_mile: bool = True
-    eager_drop: bool = True
     actions_per_step: int = 100
     max_steps: int = 500
     # training-only shaping credited to recorded transitions whose action
@@ -51,8 +45,6 @@ class SimConfig:
     reward_clip: float | None = 2.0
 
     def __post_init__(self):
-        if self.bw_hold not in (BW_PER_TRANSFER, BW_WHOLE_LIFETIME):
-            raise ValueError(f"unknown bw_hold mode {self.bw_hold!r}")
         if self.actions_per_step * ACTION_COST_MS > STEP_MS + 1e-12:
             raise ValueError("actions per step exceed the step budget")
 
@@ -117,8 +109,6 @@ class World:
             return
         request.status = ACCEPTED
         self.terminal_count += 1
-        if self.config.bw_hold == BW_WHOLE_LIFETIME:
-            self.substrate.release_bandwidth(request.id)
         agent = self.general.local_agents[request.origin_cluster]
         agent.reward_total += agents_mod.REWARD_ACCEPT
         self.pending_credit.append((request.id, agents_mod.REWARD_ACCEPT))
@@ -151,20 +141,20 @@ class World:
 
     def _transfer(self, request: SfcRequest, path: PathResult,
                   now: float) -> float:
-        """Move the packet along `path`: reserve bandwidth on its links and log
-        the propagation delay, which is returned. The router admits only
-        links with room for the request and nothing changes link state
-        before the transfer, so a routed path always reserves; one that does
-        not is a routing fault and raises SubstrateError."""
+        """Move the packet along `path`: reserve bandwidth on its links until
+        the packet arrives and log the propagation delay, which is returned.
+        The router admits only links with room for the request and nothing
+        changes link state before the transfer, so a routed path always
+        reserves; one that does not is a routing fault and raises
+        SubstrateError."""
         delay = propagation_delay(path.total_distance)
         if path.links_used:
             if not self.substrate.reserve_bandwidth(path, request):
                 raise SubstrateError(
                     f"request {request.id}: routed path {path.hops} cannot "
                     "reserve its bandwidth")
-            if self.config.bw_hold == BW_PER_TRANSFER:
-                heapq.heappush(self.bw_releases,
-                               (now + delay, self._next_seq(), request.id))
+            heapq.heappush(self.bw_releases,
+                           (now + delay, self._next_seq(), request.id))
             request.propagation_total += delay
             request.hop_log.append(("prop", path.hops[0], path.hops[-1],
                                     path.total_distance, delay))
@@ -189,9 +179,8 @@ class World:
         heapq.heappush(self.processing,
                        (instance.busy_until, self._next_seq(), instance, request))
         # the chain completes once processing ends; settle early when the
-        # final destination is already decided
-        if request.next_vnf is None and (not self.config.count_last_mile
-                                         or request.dest_dc == instance.dc):
+        # last VNF runs at the destination DC, so no delivery follows
+        if request.next_vnf is None and request.dest_dc == instance.dc:
             self._settle(request, now)
 
     def deliver(self, request: SfcRequest, now: float) -> None:
@@ -232,18 +221,18 @@ class World:
             self.substrate.release_bandwidth(rid)
 
     def _deadline_scan(self, now: float) -> None:
-        eager_drop = self.config.eager_drop
+        """Drop each queued request that cannot finish its chain in budget
+        even if every remaining VNF started now."""
         for cid in sorted(self.general.local_agents):
             agent = self.general.local_agents[cid]
             keep = []
             for r in agent.queue:
                 t = r.sfc_type
                 waited = now - r.ready_time
-                # accrued delay + max(0.0, waited) (+ the remaining processing)
+                # accrued delay + max(0.0, waited) + the remaining processing
                 bound = ((r.propagation_total + r.processing_total)
-                         + (waited if waited > 0.0 else 0.0))
-                if eager_drop:
-                    bound += t.remaining_proc[r.next_vnf_index]
+                         + (waited if waited > 0.0 else 0.0)
+                         + t.remaining_proc[r.next_vnf_index])
                 if bound > t.e2e_tolerance:
                     self.drop_request(r, now, "deadline")
                 else:
@@ -305,7 +294,7 @@ class EpisodeReport:
     dc_count: int
     cluster_limit: int
     cluster_count: int
-    scale: float
+    scale: float | None  # None: the episode ran given requests
     per_cluster_type: dict[tuple[int, str], tuple[int, int, int]]
     per_type: dict[str, tuple[int, int, int]]  # generated, accepted, dropped
     mean_e2e_ms: dict[str, float | None]
@@ -321,8 +310,8 @@ class EpisodeReport:
         return float(self.acceptance_ratio)
 
 
-def _build_report(world: World, scenario_id: str, seed: int, scale: float,
-                  steps: int) -> EpisodeReport:
+def _build_report(world: World, scenario_id: str, seed: int,
+                  scale: float | None, steps: int) -> EpisodeReport:
     """The report of a finished episode, read from its settled requests."""
     # (origin cluster, type) and type -> [generated, accepted, dropped]
     per_cluster_type: dict[tuple[int, str], list[int]] = {}
@@ -361,13 +350,15 @@ def _build_report(world: World, scenario_id: str, seed: int, scale: float,
     )
 
 
-def run_episode(graph: NetworkGraph, size_limit: int, scale: float, seed: int,
-                policy: QNetwork, epsilon: float = 0.0,
+def run_episode(graph: NetworkGraph, size_limit: int, scale: float | None,
+                seed: int, policy: QNetwork, epsilon: float = 0.0,
                 catalog: Catalog | None = None, config: SimConfig | None = None,
                 train: bool = False, scenario_id: str = "episode",
                 requests: list[SfcRequest] | None = None,
                 step_hook=None) -> tuple[EpisodeReport, World]:
-    """Run one episode to completion: every request ends accepted or dropped."""
+    """Run one episode to completion: every request ends accepted or dropped.
+    It generates requests at `scale`, or runs the given `requests`, which
+    take no scale."""
     catalog = catalog or default_catalog()
     config = config or SimConfig()
     world = build_world(graph, size_limit, seed, policy, catalog, config)
@@ -530,7 +521,7 @@ def episode_seed(seed: int, ep: int) -> int:
     return int(np.random.default_rng([seed, 4, ep]).integers(2 ** 31))
 
 
-def evaluate(topology: TopologyConfig, size_limit: int, scale: float,
+def evaluate(topology: TopologyConfig, size_limit: int, scale: float | None,
              policy: QNetwork, seeds: list[int], episodes: int,
              catalog: Catalog | None = None, config: SimConfig | None = None,
              requests: list[SfcRequest] | None = None,

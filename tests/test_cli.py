@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, output artifacts,
 and byte-identical reruns."""
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -125,7 +126,6 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     pytest.param({"workload": {"scale": -1}}, {}, id="scale_negative"),
     pytest.param({"workload": {"scale": 0}}, {}, id="scale_zero"),
     # values that crashed mid-run or passed silently
-    pytest.param({"sim": {"eager_drop": "x"}}, {}, id="eager_drop_text"),
     pytest.param({"sim": {"max_steps": "x"}}, {}, id="max_steps_text"),
     pytest.param({"sim": {"max_steps": 2.5}}, {}, id="max_steps_fraction"),
     pytest.param({"drl": {"learning_rate": "x"}}, {}, id="learning_rate_text"),
@@ -138,6 +138,14 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     # a removed knob: sweep runs sim.episodes per seed, as eval does
     pytest.param({"sweep": {"episodes_per_seed": 1}}, {},
                  id="episodes_per_seed_removed"),
+    # removed engine switches: the one model holds bandwidth per transfer,
+    # counts the last mile and drops a request once its remaining processing
+    # cannot fit
+    pytest.param({"sim": {"bw_hold": "whole-lifetime"}}, {},
+                 id="bw_hold_removed"),
+    pytest.param({"sim": {"count_last_mile": False}}, {},
+                 id="count_last_mile_removed"),
+    pytest.param({"sim": {"eager_drop": False}}, {}, id="eager_drop_removed"),
     pytest.param({}, {"SFCSIM_SEED": "abc"}, id="env_seed_text"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
@@ -348,7 +356,8 @@ def test_replay_roundtrip(tmp_path, weights):
 
 def test_replay_reproduces_eval(tmp_path):
     """Replaying the requests of eval's seed-0 episode 0 runs eval's network,
-    episode seed and scenario id: the same rows, byte for byte."""
+    episode seed and scenario id: the same rows, byte for byte, apart from
+    replay's empty scale."""
     import numpy as np
     from sfcsim.topology import build_network
     from sfcsim.workload import default_catalog, export_workload, generate_bundles
@@ -367,10 +376,38 @@ def test_replay_reproduces_eval(tmp_path):
     for command in ("eval", "replay"):
         assert cli.main([command, "--config", cfg, "--weights",
                          TRAINED_WEIGHTS, "--out", str(out)]) == 0
-    report = (out / "report.csv").read_text()
-    assert (out / "replay.csv").read_text() == report
-    all_row = report.splitlines()[-1].split(",")
-    assert all_row[6] == "ALL" and int(all_row[8]) > 0  # some accepted
+    report, replay = (
+        list(csv.DictReader((out / name).read_text().splitlines()))
+        for name in ("report.csv", "replay.csv"))
+    assert len(replay) == len(report)
+    for ev, rp in zip(report, replay):
+        assert ev.pop("scale") == "0.5" and rp.pop("scale") == ""
+        assert rp == ev
+    assert report[-1]["sfc_type"] == "ALL"
+    assert int(report[-1]["accepted"]) > 0
+    assert all(entry["scale"] is None for entry in
+               json.loads((out / "replay.json").read_text()))
+
+
+def test_replay_rows_independent_of_scale(tmp_path, weights):
+    """Replayed requests do not depend on workload.scale, so neither do the
+    replay's rows."""
+    import numpy as np
+    from sfcsim.topology import build_network
+    from sfcsim.workload import default_catalog, export_workload, generate_bundles
+    wl = tmp_path / "wl.jsonl"
+    export_workload(generate_bundles(default_catalog(),
+                                     build_network({"dc_count": 4, "seed": 3}),
+                                     0.3, np.random.default_rng(2)), str(wl))
+    outs = []
+    for scale in (0.25, 4.0):
+        cfg = write_config(tmp_path / f"c{scale}.yaml", {
+            "workload": {"scale": scale, "replay_file": str(wl)}})
+        outs.append(tmp_path / f"out{scale}")
+        assert cli.main(["replay", "--config", cfg, "--weights", weights,
+                         "--out", str(outs[-1])]) == 0
+    for name in ("replay.csv", "replay.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_replay_requires_file(tmp_path, weights):

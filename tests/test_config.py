@@ -23,10 +23,8 @@ EVERY_KEY = {
             "learning_rate": 5e-4, "momentum": 0.8, "discount": 0.9,
             "epsilon_start": 0.9, "epsilon_end": 0.1, "epsilon_decay": 0.99,
             "replay_capacity": 1000, "batch_size": 16, "target_sync": 10},
-    "sim": {"bw_hold": "whole-lifetime", "count_last_mile": False,
-            "eager_drop": False, "actions_per_step": 40, "max_steps": 90,
-            "alloc_bonus": 0.5, "reward_clip": None, "episodes": 2,
-            "seeds": [4, 9]},
+    "sim": {"actions_per_step": 40, "max_steps": 90, "alloc_bonus": 0.5,
+            "reward_clip": None, "episodes": 2, "seeds": [4, 9]},
     "train": {"episodes": 30, "dc_choices": [3, 5], "size_limit": 3,
               "scale_range": [0.1, 0.2], "round_episodes": 10,
               "updates_per_round": 7, "area_km": 250.0, "radius_km": 100.0,
@@ -43,8 +41,8 @@ def reload(cfg):
 @pytest.mark.parametrize("raw", [
     {},
     EVERY_KEY,
-    {"sim": {"bw_hold": "whole-lifetime", "actions_per_step": 25,
-             "max_steps": 60, "alloc_bonus": 0.0, "reward_clip": 1.0}},
+    {"sim": {"actions_per_step": 25, "max_steps": 60, "alloc_bonus": 0.0,
+             "reward_clip": 1.0}},
     {"train": {"validation_cell": None}},
 ], ids=["empty", "every_key", "sim", "no_validation_cell"])
 def test_resolved_snapshot_round_trips(raw):

@@ -215,14 +215,15 @@ def test_update_zero_loss_fixed_point():
     a = int(np.argmax(q))
     mem = ReplayMemory(10)
     mem.push(s, a, s, float(q[a]), False)  # reward equals current estimate
-    loss = update(net, None, mem, cfg, np.random.default_rng(0))
+    loss = update(net, net.clone(), mem, cfg, np.random.default_rng(0))
     assert loss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_update_insufficient_memory():
     cfg = ModelConfig(branch_width=4, hidden_widths=(8,), batch_size=64)
     net = QNetwork(cfg, seed=0)
-    assert update(net, None, ReplayMemory(10), cfg, np.random.default_rng(0)) is None
+    assert update(net, net.clone(), ReplayMemory(10), cfg,
+                  np.random.default_rng(0)) is None
 
 
 def test_update_converges_on_single_transition():
@@ -233,7 +234,8 @@ def test_update_converges_on_single_transition():
     s = random_state(np.random.default_rng(5))
     mem = ReplayMemory(4)
     mem.push(s, 3, s, 2.0, True)
-    losses = [update(net, None, mem, cfg, np.random.default_rng(0))
+    target = net.clone()  # discount 0: next-state values never count
+    losses = [update(net, target, mem, cfg, np.random.default_rng(0))
               for _ in range(200)]
     assert losses[-1] < losses[0]
     assert net.forward(s)[3] == pytest.approx(2.0, abs=0.05)

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from sfcsim.drl import ModelConfig, QNetwork
-from sfcsim.sim import (ACTION_COST_MS, BW_WHOLE_LIFETIME, STEP_MS, SimConfig,
-                        build_world, evaluate, propagation_delay,
-                        recompute_ledger, report_rows, run_episode, run_step,
-                        train, TrainConfig)
+from sfcsim.sim import (ACTION_COST_MS, STEP_MS, SimConfig, build_world,
+                        evaluate, propagation_delay, recompute_ledger,
+                        report_rows, run_episode, run_step, train, TrainConfig)
 from sfcsim.topology import TopologyConfig, build_network
 from sfcsim.workload import ACCEPTED, SfcRequest, default_catalog
 
@@ -46,15 +45,15 @@ def test_empty_world_step():
 
 
 def test_preinstalled_chain_same_dc():
-    """An Ind4.0 request with both VNFs on its source DC finishes with
-    processing-only delay 0.06 + 0.03 ms (plus whole-step waiting chunks)."""
+    """An Ind4.0 request with both VNFs on its source DC, which is also its
+    destination, finishes with processing-only delay 0.06 + 0.03 ms (plus
+    whole-step waiting chunks)."""
     from sfcsim.agents import _execute_action, _scan_scope
     world = fresh_world(limit=4)
-    world.config = SimConfig(count_last_mile=False)
     cat = world.catalog
     world.substrate.place_vnf(0, cat.vnfs["NAT"])
     world.substrate.place_vnf(0, cat.vnfs["FW"])
-    r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1)
+    r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 0)
     world.admit([r])
     agent = world.general.local_agents[world.partition.cluster_of(0)]
     _scan_scope(agent, world)  # each step's view, as local_step builds it
@@ -182,11 +181,9 @@ LIFECYCLE_EPISODES = [
     (6, 2, 0.2, 3, SimConfig(max_steps=60)),
     (8, 2, 0.3, 2, SimConfig(max_steps=100)),
     (10, 4, 0.3, 7, SimConfig(max_steps=80)),
-    (8, 2, 0.3, 1, SimConfig(max_steps=60, bw_hold=BW_WHOLE_LIFETIME,
-                             count_last_mile=False, eager_drop=False)),
 ]
 LIFECYCLE_DIGEST = (
-    "4e186179c6139e5baa94944763743fcda13410abea2b8fed80c1bc4e7e2a6a4e")
+    "fe20bc9d50a5774ebc69c88a35ab0aca9c6d1ff720a8ee8de6ea254016fff4f6")
 
 
 def test_lifecycle_pinned():
@@ -206,7 +203,7 @@ def test_lifecycle_pinned():
             digest.update(repr((r.id, r.status, r.drop_reason,
                                 r.hop_log)).encode())
             seen[r.drop_reason or r.status] += 1
-            if r.status == ACCEPTED and config.count_last_mile:
+            if r.status == ACCEPTED:
                 # the DC of the last VNF's processing
                 last = next(e[1] for e in reversed(r.hop_log)
                             if e[0] == "proc")
