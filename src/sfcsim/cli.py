@@ -72,7 +72,7 @@ def _report_json(reports: list[sim.EpisodeReport]) -> str:
             "acceptance_ratio": (None if r.acceptance_ratio is None else
                                  [r.acceptance_ratio.numerator,
                                   r.acceptance_ratio.denominator]),
-            "empty_workload": r.empty_workload,
+            "empty_workload": r.acceptance_ratio is None,
             "steps": r.steps,
         })
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -218,8 +218,17 @@ def cmd_replay(args) -> int:
     except FileNotFoundError as exc:
         raise ConfigError(
             f"replay file not found: {cfg.workload.replay_file}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed replay file: {exc}") from exc
     out_dir = _out_dir(cfg, args)
     seeds = _seed_list(cfg, args)
+    # every seed's run network has the same DCs, with ids 0..N-1
+    dc_count = sim.run_network(cfg.topology, seeds[0]).dc_count
+    for r in requests:
+        if not (0 <= r.source_dc < dc_count and 0 <= r.dest_dc < dc_count):
+            raise ConfigError(
+                f"replay request {r.id} runs from DC {r.source_dc} to DC "
+                f"{r.dest_dc}, outside the run's {dc_count}-DC network")
     # replayed requests do not depend on workload.scale: rows carry no scale
     reports = sim.evaluate(cfg.topology, cfg.cluster.size_limit, None, policy,
                            seeds, cfg.sim.episodes, catalog=cfg.catalog,

@@ -97,8 +97,8 @@ class RunConfig:
 
 
 def _convert(value, kind, where: str):
-    """`value` as the declared field type `kind`: bool, int, float, str or
-    dict, a list or tuple of those, or `X | None`; else ValueError."""
+    """`value` as the declared field type `kind`: int, float, str or dict, a
+    list or tuple of those, or `X | None`; else ValueError."""
     while get_origin(kind) in (Union, UnionType):
         if value is None:
             return None
@@ -110,8 +110,8 @@ def _convert(value, kind, where: str):
         if len(kinds) == len(value):
             return origin(_convert(v, k, f"{where}[{i}]")
                           for i, (v, k) in enumerate(zip(value, kinds)))
-    elif kind in (dict, bool):
-        if isinstance(value, kind):
+    elif kind is dict:
+        if isinstance(value, dict):
             return value
     elif origin is None and isinstance(value, (int, float, str)) \
             and not isinstance(value, bool):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER, VNF_ORDER,
-                       Catalog, SfcType, default_catalog)
+                       Catalog, SfcType)
 
 SFC_FEATURES = 4 + len(VNF_ORDER)  # per-type summary + next-VNF histogram
 INPUT_A_DIM = len(SFC_ORDER) * SFC_FEATURES            # 60
@@ -50,6 +50,14 @@ class ModelConfig:
         self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
         if self.branch_width <= 0 or any(w <= 0 for w in self.hidden_widths):
             raise DrlError("layer widths must be positive")
+        for name in ("batch_size", "replay_capacity", "target_sync"):
+            if getattr(self, name) < 1:
+                raise DrlError(f"drl.{name} must be at least 1, "
+                               f"got {getattr(self, name)}")
+        for name in ("epsilon_start", "epsilon_end", "epsilon_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DrlError(f"drl.{name} must be in [0, 1], "
+                               f"got {getattr(self, name)}")
 
     @property
     def action_count(self) -> int:
@@ -143,10 +151,9 @@ class SfcGroups:
 @dataclass
 class StateView:
     """Everything the encoder needs, pre-extracted by the owning agent. The
-    item collections are lists in queue order, or `SfcGroups` that keep
-    their summaries between encodings."""
-    items_local: list[PendingItem] | SfcGroups
-    items_cluster: list[PendingItem] | SfcGroups
+    item groups keep their summaries between encodings."""
+    items_local: SfcGroups
+    items_cluster: SfcGroups
     installed: dict[str, int]
     idle: dict[str, int]
     free_fracs: tuple[float, float, float]
@@ -154,28 +161,19 @@ class StateView:
     out_of_cluster_frac: float
 
 
-def _sfc_summary(items: list[PendingItem] | SfcGroups,
-                 catalog: Catalog) -> list[float]:
-    """INPUT_A_DIM floats summarising the items per SFC type."""
-    if not isinstance(items, SfcGroups):
-        items = SfcGroups(items)
-    return items.summary(catalog)
-
-
-def encode_state(view: StateView, catalog: Catalog | None = None) -> StateEncoding:
+def encode_state(view: StateView, catalog: Catalog) -> StateEncoding:
     """Fixed-length normalized encoding, independent of cluster size."""
-    catalog = catalog or default_catalog()
     input_b = []
     for name in VNF_ORDER:
         input_b.append(_clip01(view.installed.get(name, 0) / INSTANCE_NORM))
         input_b.append(_clip01(view.idle.get(name, 0) / INSTANCE_NORM))
     input_b.extend(_clip01(f) for f in view.free_fracs)
-    input_c = _sfc_summary(view.items_cluster, catalog)
+    input_c = view.items_cluster.summary(catalog)
     input_c.append(1.0 if view.transfer_pending else 0.0)
     input_c.append(_clip01(view.out_of_cluster_frac))
     # fromiter with the length known skips np.array's type inference
     return StateEncoding(
-        np.fromiter(_sfc_summary(view.items_local, catalog), float, INPUT_A_DIM),
+        np.fromiter(view.items_local.summary(catalog), float, INPUT_A_DIM),
         np.fromiter(input_b, float, INPUT_B_DIM),
         np.fromiter(input_c, float, INPUT_C_DIM))
 

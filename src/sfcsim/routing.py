@@ -156,12 +156,11 @@ def _nearest_target(entry: int, targets: list[int], nodes: set[int],
                     graph: NetworkGraph, link_free: LinkFree, required_bw: float,
                     counters: RouteCounters | None) -> PathResult | None:
     """Shortest feasible path from entry to the nearest of `targets` (sorted;
-    equal distances go to the first) inside nodes."""
+    equal distances go to the first) inside nodes. The targets lie in
+    another cluster than entry, so none of them is entry."""
     dist, prev = _dijkstra(nodes, graph, link_free, entry, required_bw, counters)
     best = None
     for t in targets:
-        if t == entry:
-            return PathResult([entry], 0.0, [])
         if t in dist and (best is None or dist[t] < dist[best]):
             best = t
     if best is None:

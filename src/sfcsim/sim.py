@@ -40,9 +40,9 @@ class SimConfig:
     # training-only shaping credited to recorded transitions whose action
     # allocated a VNF; reported episode rewards never include it
     alloc_bonus: float = 1.0
-    # training-only symmetric clip on recorded rewards (None disables); keeps
-    # lumped drop penalties from drowning per-action reward differences
-    reward_clip: float | None = 2.0
+    # training-only symmetric clip on recorded rewards; keeps lumped drop
+    # penalties from drowning per-action reward differences
+    reward_clip: float = 2.0
 
     def __post_init__(self):
         if self.actions_per_step * ACTION_COST_MS > STEP_MS + 1e-12:
@@ -172,8 +172,7 @@ class World:
         """Transfer the packet along `path` (if it spans links) and bind the
         instance to the request's next VNF."""
         delay = self._transfer(request, path, now)
-        waited = self.substrate.allocate(request, request.next_vnf_index,
-                                         instance, now, transfer_delay=delay)
+        waited = self.substrate.allocate(request, instance, now, delay)
         request.hop_log.append(("proc", instance.dc, waited,
                                 instance.vnf_type.proc_time))
         heapq.heappush(self.processing,
@@ -263,7 +262,7 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
                 break
             status, outcome, state, next_state = local_step(
                 agent, world, now, epsilon, agent.rng, record_states=train)
-            if train and state is not None:
+            if train:
                 shaped = outcome.reward + world.orphan_credit[cid]
                 if outcome.request is not None:
                     shaped += world.config.alloc_bonus
@@ -301,7 +300,6 @@ class EpisodeReport:
     acceptance_ratio: Fraction | None
     reward_by_agent: dict[int, float]
     steps: int
-    empty_workload: bool = False
 
     @property
     def acceptance_float(self) -> float | None:
@@ -346,7 +344,6 @@ def _build_report(world: World, scenario_id: str, seed: int,
         reward_by_agent={c: a.reward_total
                          for c, a in sorted(world.general.local_agents.items())},
         steps=steps,
-        empty_workload=(total_gen == 0),
     )
 
 
@@ -407,19 +404,21 @@ class TrainConfig:
     radius_km: float = 150.0
     # held-out scenario (dc_count, cluster_limit, scale) scored greedily after
     # each update round; the best-scoring parameters are the shipped policy
-    validation_cell: tuple[int, int, float] | None = (20, 4, 1.0)
+    validation_cell: tuple[int, int, float] = (20, 4, 1.0)
     validation_seed: int = 7
     model: ModelConfig = field(default_factory=ModelConfig)
     sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self):
-        self.dc_choices = tuple(self.dc_choices)
-        self.scale_range = tuple(self.scale_range)
         if not self.dc_choices or self.round_episodes < 1:
             raise ValueError("train.dc_choices must be non-empty and "
                              "train.round_episodes at least 1")
-        if self.validation_cell is not None:
-            self.validation_cell = tuple(self.validation_cell)
+        if min(self.scale_range) <= 0:
+            raise ValueError(f"train.scale_range must be positive, "
+                             f"got {self.scale_range}")
+        if self.validation_cell[2] <= 0:
+            raise ValueError(f"train.validation_cell's scale must be "
+                             f"positive, got {self.validation_cell}")
 
 
 @dataclass
@@ -445,12 +444,11 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
     update_calls = 0
     best = (None, -1.0)
     losses: list[float] = []
-    val_graph = None
-    if config.validation_cell is not None:
-        val_graph = build_network({"dc_count": config.validation_cell[0],
-                                   "seed": config.validation_seed,
-                                   "area_km": config.area_km,
-                                   "radius_km": config.radius_km})
+    val_dcs, val_limit, val_scale = config.validation_cell
+    val_graph = build_network({"dc_count": val_dcs,
+                               "seed": config.validation_seed,
+                               "area_km": config.area_km,
+                               "radius_km": config.radius_km})
     for ep in range(config.episodes):
         dc_count = int(rng.choice(config.dc_choices))
         topo = {"dc_count": dc_count, "area_km": config.area_km,
@@ -465,9 +463,7 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
         clip = config.sim.reward_clip
         for cid in sorted(world.transitions):
             for s, a, s2, r, terminal in world.transitions[cid]:
-                if clip is not None:
-                    r = max(-clip, min(clip, r))
-                memory.push(s, a, s2, r, terminal)
+                memory.push(s, a, s2, max(-clip, min(clip, r)), terminal)
         mean_loss = sum(losses) / len(losses) if losses else float("nan")
         acc = report.acceptance_float
         curve.append({
@@ -485,19 +481,16 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
                 update_calls += 1
                 if loss is not None:
                     losses.append(loss)
-            if val_graph is not None:
-                # score the greedy policy on the held-out scenario; the best
-                # round's parameters become the shipped policy
-                _, limit, vscale = config.validation_cell
-                vrep, _ = run_episode(val_graph, limit, vscale,
-                                      config.validation_seed, policy,
-                                      epsilon=0.0, catalog=catalog,
-                                      config=config.sim,
-                                      scenario_id=f"validate-{ep}")
-                vacc = vrep.acceptance_float or 0.0
-                if vacc > best[1]:
-                    best = ({k: v.copy() for k, v in policy.params.items()},
-                            vacc)
+            # score the greedy policy on the held-out scenario; the best
+            # round's parameters become the shipped policy
+            vrep, _ = run_episode(val_graph, val_limit, val_scale,
+                                  config.validation_seed, policy,
+                                  epsilon=0.0, catalog=catalog,
+                                  config=config.sim,
+                                  scenario_id=f"validate-{ep}")
+            vacc = vrep.acceptance_float or 0.0
+            if vacc > best[1]:
+                best = ({k: v.copy() for k, v in policy.params.items()}, vacc)
         epsilon = max(mc.epsilon_end, epsilon * mc.epsilon_decay)
         if progress is not None:
             progress(ep, curve[-1])

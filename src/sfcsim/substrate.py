@@ -136,13 +136,12 @@ class Substrate:
         dc.free_storage += vnf.storage
         return True
 
-    def allocate(self, request: SfcRequest, k: int, instance: VnfInstance,
-                 now: float, transfer_delay: float = 0.0) -> float:
-        """Bind an idle instance to the request's k-th VNF at time `now`;
-        return the ms the request waited for it."""
-        if k != request.next_vnf_index:
-            raise SubstrateError(
-                f"request {request.id}: chain index {k} already processed or not ready")
+    def allocate(self, request: SfcRequest, instance: VnfInstance,
+                 now: float, transfer_delay: float) -> float:
+        """Bind an idle instance to the request's next VNF at time `now`,
+        starting once the packet arrives `transfer_delay` ms later; return
+        the ms the request waited for it."""
+        k = request.next_vnf_index
         vnf = request.sfc_type.chain[k]
         if instance.vnf_type.name != vnf.name:
             raise SubstrateError(

@@ -235,19 +235,39 @@ def export_workload(requests: list[SfcRequest], path: str) -> None:
 
 
 def import_workload(catalog: Catalog, path: str) -> list[SfcRequest]:
+    """The requests of a file written by `export_workload`. A line that is
+    not a request record of a catalog SFC type with positive bandwidth, or
+    that repeats a request id, raises ValueError naming the line."""
     requests = []
+    ids = set()
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            requests.append(SfcRequest(
-                id=int(rec["id"]),
-                sfc_type=catalog.sfcs[rec["sfc_type"]],
-                bandwidth=float(rec["bandwidth"]),
-                source_dc=int(rec["source_dc"]),
-                dest_dc=int(rec["dest_dc"]),
-                arrival=float(rec.get("arrival", 0.0)),
-            ))
+            where = f"{path} line {lineno}"
+            try:
+                rec = json.loads(line)
+                sfc = catalog.sfcs.get(rec["sfc_type"])
+                if sfc is None:
+                    raise ValueError(f"unknown sfc_type {rec['sfc_type']!r}")
+                request = SfcRequest(
+                    id=int(rec["id"]),
+                    sfc_type=sfc,
+                    bandwidth=float(rec["bandwidth"]),
+                    source_dc=int(rec["source_dc"]),
+                    dest_dc=int(rec["dest_dc"]),
+                    arrival=float(rec.get("arrival", 0.0)),
+                )
+                if not request.bandwidth > 0:  # also NaN
+                    raise ValueError(
+                        f"bandwidth must be positive, got {request.bandwidth}")
+            except KeyError as exc:
+                raise ValueError(f"{where}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if request.id in ids:
+                raise ValueError(f"{where}: duplicate request id {request.id}")
+            ids.add(request.id)
+            requests.append(request)
     return requests

@@ -133,6 +133,24 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     pytest.param({"train": {"round_episodes": 0}}, {}, id="round_episodes_zero"),
     pytest.param({"train": {"dc_choices": []}}, {}, id="dc_choices_empty"),
     pytest.param({"sweep": {"scales": [0.0]}}, {}, id="sweep_scale_zero"),
+    pytest.param({"drl": {"target_sync": 0}}, {}, id="target_sync_zero"),
+    pytest.param({"drl": {"batch_size": 0}}, {}, id="batch_size_zero"),
+    pytest.param({"drl": {"replay_capacity": 0}}, {},
+                 id="replay_capacity_zero"),
+    pytest.param({"drl": {"epsilon_start": 1.5}}, {},
+                 id="epsilon_start_above_one"),
+    pytest.param({"drl": {"epsilon_end": -0.1}}, {}, id="epsilon_end_negative"),
+    pytest.param({"drl": {"epsilon_decay": 2.0}}, {},
+                 id="epsilon_decay_above_one"),
+    pytest.param({"train": {"scale_range": [0.0, 0.0]}}, {},
+                 id="scale_range_zero"),
+    pytest.param({"train": {"validation_cell": [20, 4, 0.0]}}, {},
+                 id="validation_scale_zero"),
+    # null is no value: rewards are always clipped, and every update round
+    # is validated
+    pytest.param({"sim": {"reward_clip": None}}, {}, id="reward_clip_null"),
+    pytest.param({"train": {"validation_cell": None}}, {},
+                 id="validation_cell_null"),
     # a removed knob: a target network is used whenever training passes one
     pytest.param({"drl": {"use_target": False}}, {}, id="use_target_removed"),
     # a removed knob: sweep runs sim.episodes per seed, as eval does
@@ -323,8 +341,7 @@ def test_clusters_reports_first_eval_episode_partition(tmp_path, weights,
 def test_weights_rejected_where_unused(tmp_path, weights, command):
     """Only eval, sweep and replay run a policy; the others take no
     --weights rather than ignore it."""
-    cfg = write_config(tmp_path / "c.yaml",
-                       {"train": {"episodes": 1, "validation_cell": None}})
+    cfg = write_config(tmp_path / "c.yaml", {"train": {"episodes": 1}})
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--config", cfg, "--weights", weights,
@@ -415,6 +432,35 @@ def test_replay_requires_file(tmp_path, weights):
                        {"workload": {"replay_file": str(tmp_path / "nope.jsonl")}})
     assert cli.main(["replay", "--config", cfg, "--weights", weights,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+REPLAY_RECORD = {"id": 0, "sfc_type": "CG", "bandwidth": 4.0,
+                 "source_dc": 0, "dest_dc": 1, "arrival": 0.0}
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param([{**REPLAY_RECORD, "sfc_type": "XX"}], id="sfc_type_unknown"),
+    pytest.param([{k: v for k, v in REPLAY_RECORD.items() if k != "sfc_type"}],
+                 id="sfc_type_missing"),
+    pytest.param([REPLAY_RECORD, "{not json"], id="not_json"),
+    pytest.param([{**REPLAY_RECORD, "dest_dc": 12}], id="dc_outside_network"),
+    pytest.param([{**REPLAY_RECORD, "bandwidth": -500.0}],
+                 id="bandwidth_negative"),
+    pytest.param([REPLAY_RECORD, {**REPLAY_RECORD, "source_dc": 2}],
+                 id="id_duplicate"),
+])
+def test_replay_rejects_malformed_requests(tmp_path, weights, lines):
+    """A replay file is outside input: a malformed one exits 2 before any
+    output, as a malformed config does."""
+    wl = tmp_path / "wl.jsonl"
+    wl.write_text("".join((line if isinstance(line, str) else json.dumps(line))
+                          + "\n" for line in lines))
+    cfg = write_config(tmp_path / "c.yaml",  # a 4-DC network
+                       {"workload": {"replay_file": str(wl)}})
+    out = tmp_path / "out"
+    assert cli.main(["replay", "--config", cfg, "--weights", weights,
+                     "--out", str(out)]) == 2
+    assert not (out / "replay.csv").exists()
 
 
 def test_env_overrides(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ EVERY_KEY = {
             "epsilon_start": 0.9, "epsilon_end": 0.1, "epsilon_decay": 0.99,
             "replay_capacity": 1000, "batch_size": 16, "target_sync": 10},
     "sim": {"actions_per_step": 40, "max_steps": 90, "alloc_bonus": 0.5,
-            "reward_clip": None, "episodes": 2, "seeds": [4, 9]},
+            "reward_clip": 1.5, "episodes": 2, "seeds": [4, 9]},
     "train": {"episodes": 30, "dc_choices": [3, 5], "size_limit": 3,
               "scale_range": [0.1, 0.2], "round_episodes": 10,
               "updates_per_round": 7, "area_km": 250.0, "radius_km": 100.0,
@@ -43,8 +43,8 @@ def reload(cfg):
     EVERY_KEY,
     {"sim": {"actions_per_step": 25, "max_steps": 60, "alloc_bonus": 0.0,
              "reward_clip": 1.0}},
-    {"train": {"validation_cell": None}},
-], ids=["empty", "every_key", "sim", "no_validation_cell"])
+    {"train": {"validation_cell": [4, 2, 0.1]}},
+], ids=["empty", "every_key", "sim", "validation_cell"])
 def test_resolved_snapshot_round_trips(raw):
     cfg = from_dict(raw)
     again = reload(cfg)

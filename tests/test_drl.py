@@ -6,13 +6,13 @@ import pytest
 
 from sfcsim.drl import (DrlError, INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM,
                         ModelConfig, PendingItem, QNetwork, ReplayMemory,
-                        StateEncoding, StateView, act, encode_state,
+                        SfcGroups, StateEncoding, StateView, act, encode_state,
                         load_weights, save_weights, update)
 from sfcsim.workload import default_catalog
 
 
 def empty_view():
-    return StateView(items_local=[], items_cluster=[],
+    return StateView(items_local=SfcGroups([]), items_cluster=SfcGroups([]),
                      installed={}, idle={}, free_fracs=(1.0, 1.0, 1.0),
                      transfer_pending=False, out_of_cluster_frac=0.0)
 
@@ -37,7 +37,7 @@ def test_encode_single_cg_request():
     cat = default_catalog()
     item = PendingItem("CG", 80.0, 4.0, 0.0, "NAT")
     view = empty_view()
-    view.items_local = [item]
+    view.items_local = SfcGroups([item])
     enc = encode_state(view, cat)
     base = 0  # CG is the first SFC type
     assert enc.input_a[base + 0] == pytest.approx(1 / 55)
@@ -61,8 +61,8 @@ def test_encoding_bounds_and_locality():
                              ["NAT", "FW", "VOC", "TM", "WO", "IDPS"][int(rng.integers(6))])
                  for _ in range(int(rng.integers(1, 30)))]
         view = empty_view()
-        view.items_local = items
-        view.items_cluster = items
+        view.items_local = SfcGroups(items)
+        view.items_cluster = SfcGroups(items)
         view.installed = {"NAT": int(rng.integers(0, 30))}
         enc = encode_state(view, cat)
         for arr in (enc.input_a, enc.input_b, enc.input_c):
@@ -73,7 +73,7 @@ def test_architecture_invariant_to_cluster_size():
     # encoding length is fixed by config, not by how many DCs feed the view
     enc_small = encode_state(empty_view(), default_catalog())
     big = empty_view()
-    big.items_cluster = [PendingItem("VoIP", 50.0, 0.064, 0.2, "FW")] * 40
+    big.items_cluster = SfcGroups([PendingItem("VoIP", 50.0, 0.064, 0.2, "FW")] * 40)
     enc_big = encode_state(big, default_catalog())
     assert enc_small.input_a.shape == enc_big.input_a.shape
     assert enc_small.input_c.shape == enc_big.input_c.shape

@@ -3,6 +3,8 @@ priority order) against a reference copy of the straightforward
 per-request-property implementation it replaced. The floats must match bit
 for bit: a last-bit difference can flip a greedy argmax."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,7 +294,10 @@ def test_encoding_matches_reference_on_random_items():
                          free_fracs=tuple(float(x) for x in rng.uniform(0, 1, 3)),
                          transfer_pending=bool(rng.integers(2)),
                          out_of_cluster_frac=float(rng.uniform(0, 1)))
-        assert_same_encoding(encode_state(view, cat), ref_encode_state(view, cat))
+        grouped = replace(view, items_local=SfcGroups(items[::2]),
+                          items_cluster=SfcGroups(items))
+        assert_same_encoding(encode_state(grouped, cat),
+                             ref_encode_state(view, cat))
         groups = SfcGroups(items)
         assert np.array_equal(groups.summary(cat), ref_sfc_summary(items, cat))
         for it in items[::3]:

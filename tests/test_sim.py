@@ -2,12 +2,14 @@
 report identities, and determinism."""
 
 import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sfcsim import cli
 from sfcsim.drl import ModelConfig, QNetwork
 from sfcsim.sim import (ACTION_COST_MS, STEP_MS, SimConfig, build_world,
                         evaluate, propagation_delay, recompute_ledger,
@@ -102,8 +104,8 @@ def test_empty_workload_flagged():
     g = build_network({"dc_count": 4, "seed": 4})
     rep, world = run_episode(g, 4, 0.3, 4, QNetwork(ModelConfig(), seed=0),
                              epsilon=1.0, requests=[])
-    assert rep.empty_workload
     assert rep.acceptance_ratio is None
+    assert json.loads(cli._report_json([rep]))[0]["empty_workload"]
 
 
 def test_saturating_instance_accepts_everything():

@@ -71,7 +71,7 @@ def test_place_uninstall_identity(cat, sub):
 def test_uninstall_busy_refused(cat, sub):
     inst = sub.place_vnf(0, cat.vnfs["FW"])
     r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
-    sub.allocate(r, 1, inst, 0.0)
+    sub.allocate(r, inst, 0.0, 0.0)
     assert not sub.uninstall_vnf(inst)
     assert sub.installed_count(0, "FW") == 1
 
@@ -88,7 +88,7 @@ def test_allocate_waiting_and_busy_until(cat, sub):
     inst = sub.place_vnf(0, fw)
     r = SfcRequest(1, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     r.ready_time = 10.0
-    assert sub.allocate(r, 1, inst, 10.0) == 0.0
+    assert sub.allocate(r, inst, 10.0, 0.0) == 0.0
     assert inst.busy_until == pytest.approx(10.03)
 
 
@@ -97,18 +97,8 @@ def test_allocate_accrues_waiting(cat, sub):
     inst = sub.place_vnf(0, fw)
     r = SfcRequest(2, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     r.ready_time = 8.0
-    assert sub.allocate(r, 1, inst, 10.0) == pytest.approx(2.0)
+    assert sub.allocate(r, inst, 10.0, 0.0) == pytest.approx(2.0)
     assert r.processing_total == pytest.approx(2.03)
-
-
-def test_allocate_chain_position_unique(cat, sub):
-    nat = cat.vnfs["NAT"]
-    i1 = sub.place_vnf(0, nat)
-    i2 = sub.place_vnf(0, nat)
-    r = SfcRequest(3, cat.sfcs["MIoT"], 10.0, 0, 1)
-    sub.allocate(r, 0, i1, 0.0)
-    with pytest.raises(SubstrateError):
-        sub.allocate(r, 0, i2, 0.0)  # position 0 already processed
 
 
 def test_allocate_type_mismatch_and_busy(cat, sub):
@@ -116,12 +106,12 @@ def test_allocate_type_mismatch_and_busy(cat, sub):
     inst = sub.place_vnf(0, nat)
     r = SfcRequest(4, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     with pytest.raises(SubstrateError):
-        sub.allocate(r, 1, inst, 0.0)  # FW expected, NAT given
+        sub.allocate(r, inst, 0.0, 0.0)  # FW expected, NAT given
     r2 = SfcRequest(5, cat.sfcs["MIoT"], 10.0, 0, 1)
-    sub.allocate(r2, 0, inst, 0.0)
+    sub.allocate(r2, inst, 0.0, 0.0)
     r3 = SfcRequest(6, cat.sfcs["MIoT"], 10.0, 0, 1)
     with pytest.raises(SubstrateError):
-        sub.allocate(r3, 0, inst, 0.0)  # instance busy
+        sub.allocate(r3, inst, 0.0, 0.0)  # instance busy
 
 
 def one_link_path(graph):

@@ -137,3 +137,13 @@ def test_generation_rejects_bad_scale():
 def test_sfc_order_covers_catalog():
     cat = default_catalog()
     assert sorted(SFC_ORDER) == sorted(cat.sfcs)
+
+
+def test_import_workload_names_the_malformed_line(tmp_path):
+    cat = default_catalog()
+    path = tmp_path / "wl.jsonl"
+    export_workload([SfcRequest(0, cat.sfcs["CG"], 4.0, 0, 1)], str(path))
+    with open(path, "a") as fh:
+        fh.write('{"id": 1, "sfc_type": "XX"}\n')
+    with pytest.raises(ValueError, match="line 2: unknown sfc_type 'XX'"):
+        import_workload(cat, str(path))
