@@ -5,12 +5,13 @@ cross-cluster delivery)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import routing
 from .drl import (PendingItem, QNetwork, SfcGroups, StateEncoding, StateView,
-                  act, encode_state)
+                  encode_state)
 from .routing import RouteCounters
 from .topology import ClusterPartition, NetworkGraph, make_clusters
 # stays importable here: perfbench's tracer wraps agents.cluster_adjacency
@@ -136,9 +137,10 @@ class LocalAgent:
     queue: list[SfcRequest] = field(default_factory=list)
     outbox: list[AssistTask] = field(default_factory=list)
     reward_total: float = 0.0
-    # built by the scope scan at the turn's first action and dropped at the
-    # turn's end, so None means the turn has not started; _execute_action and
-    # build_state_view read it, and the turn's takes go through it
+    # built by the scope scan at the agent's first action in a step and
+    # dropped when the agent leaves the step's rounds, so None means its turn
+    # has not started; _execute_action and build_state_view read it, and the
+    # turn's takes go through it
     view: StepView | None = field(default=None, repr=False)
 
 
@@ -299,14 +301,12 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
                          if agent.view.pending(vnf.name) else 0.0)
 
 
-def local_step(agent: LocalAgent, world, now: float, epsilon: float,
-               rng: np.random.Generator, record_states: bool = False
-               ) -> tuple[int, ActionOutcome, StateEncoding | None,
-                          StateEncoding | None]:
-    """One agent action: scope scan (once per step), DC cursor advance,
-    epsilon-greedy action, execution. Status -1 signals queued general-agent
-    assistance. State encodings are returned only when recording transitions;
-    otherwise the state is encoded only for a greedy action."""
+def begin_action(agent: LocalAgent, world, record_states: bool = False
+                 ) -> tuple[int, StateEncoding | Callable[[], StateEncoding]]:
+    """The agent's part of a round before its epsilon-greedy draw: scope scan
+    (once per step) and DC cursor advance. Returns the action's DC and its
+    state: encoded now when recording transitions, else a callable that
+    encodes it, which `act` calls only for a greedy action."""
     if agent.view is None:
         _scan_scope(agent, world)
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
@@ -316,11 +316,21 @@ def local_step(agent: LocalAgent, world, now: float, epsilon: float,
         return encode_state(build_state_view(agent, world, current_dc),
                             world.catalog)
 
-    state = encode() if record_states else None
-    action = act(agent.policy, encode if state is None else state, epsilon, rng)
+    return current_dc, (encode() if record_states else encode)
+
+
+def local_step(agent: LocalAgent, world, current_dc: int, action: int,
+               state: StateEncoding | None = None, record_states: bool = False
+               ) -> tuple[int, ActionOutcome, StateEncoding | None,
+                          StateEncoding | None]:
+    """Execute one agent action that `begin_action` and `act` chose at
+    `current_dc`. Returns (status, outcome, state, next_state): status -1
+    signals queued general-agent assistance, and the state after the action
+    is encoded only when recording transitions."""
     outcome = _execute_action(agent, world, current_dc, action)
     agent.reward_total += outcome.reward  # accept/drop credited by the world
-    next_state = encode() if record_states else None
+    next_state = (encode_state(build_state_view(agent, world, current_dc),
+                               world.catalog) if record_states else None)
     status = -1 if agent.outbox else 0
     return status, outcome, state, next_state
 

@@ -178,6 +178,13 @@ def encode_state(view: StateView, catalog: Catalog) -> StateEncoding:
         np.fromiter(input_c, float, INPUT_C_DIM))
 
 
+def stack(states: list[StateEncoding]) -> tuple[np.ndarray, ...]:
+    """The states' input arrays stacked into `QNetwork.forward`'s rows."""
+    return (np.stack([s.input_a for s in states]),
+            np.stack([s.input_b for s in states]),
+            np.stack([s.input_c for s in states]))
+
+
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
@@ -237,15 +244,10 @@ class QNetwork:
         q = h @ p["Wout"] + p["bout"]
         return q, cache
 
-    def forward(self, state) -> np.ndarray:
-        """Q-values for one StateEncoding or a batch of stacked input arrays."""
-        if isinstance(state, StateEncoding):
-            xa = state.input_a[None, :]
-            xb = state.input_b[None, :]
-            xc = state.input_c[None, :]
-            q, _ = self._forward_cached(xa, xb, xc)
-            return q[0]
-        xa, xb, xc = state
+    def forward(self, inputs) -> np.ndarray:
+        """Q-values, one row per row of the stacked input arrays (xa, xb,
+        xc)."""
+        xa, xb, xc = inputs
         self._check_dims(xa, xb, xc)
         q, _ = self._forward_cached(xa, xb, xc)
         return q
@@ -316,19 +318,30 @@ class QNetwork:
         return net
 
 
-def act(net: QNetwork, state, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy action; greedy ties break to the lowest index.
+def act(net: QNetwork, states, epsilon: float,
+        rngs: list[np.random.Generator]) -> list[int]:
+    """Epsilon-greedy actions for a round of states, one generator each;
+    greedy ties break to the lowest index.
 
-    `state` is a StateEncoding or a zero-argument callable returning one; a
-    callable is called only when the action is greedy, so exploring skips
-    the encoding."""
+    Each state is a StateEncoding or a zero-argument callable returning one;
+    a callable is called only when its action is greedy, so exploring skips
+    the encoding. Each generator draws `random()`, then `integers` when it
+    explores. The greedy rows go through one `forward` call."""
     if not 0.0 <= epsilon <= 1.0:
         raise DrlError("epsilon must be in [0,1]")
-    if rng.random() < epsilon:
-        return int(rng.integers(net.config.action_count))
-    if callable(state):
-        state = state()
-    return int(np.argmax(net.forward(state)))
+    actions: list[int] = []
+    greedy: list[tuple[int, StateEncoding]] = []  # (round index, encoding)
+    for i, (state, rng) in enumerate(zip(states, rngs)):
+        if rng.random() < epsilon:
+            actions.append(int(rng.integers(net.config.action_count)))
+        else:
+            actions.append(-1)
+            greedy.append((i, state() if callable(state) else state))
+    if greedy:
+        q = net.forward(stack([s for _, s in greedy]))
+        for (i, _), a in zip(greedy, q.argmax(axis=1)):
+            actions[i] = int(a)
+    return actions
 
 
 class ReplayMemory:
@@ -364,17 +377,12 @@ def update(net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
     if len(memory) < config.batch_size:
         return None
     batch = memory.sample(config.batch_size, rng)
-    xa = np.stack([b[0].input_a for b in batch])
-    xb = np.stack([b[0].input_b for b in batch])
-    xc = np.stack([b[0].input_c for b in batch])
-    na = np.stack([b[2].input_a for b in batch])
-    nb = np.stack([b[2].input_b for b in batch])
-    nc = np.stack([b[2].input_c for b in batch])
+    xa, xb, xc = stack([b[0] for b in batch])
     actions = np.array([b[1] for b in batch], dtype=int)
     rewards = np.array([b[3] for b in batch])
     terminal = np.array([b[4] for b in batch], dtype=bool)
 
-    next_q = target_net.forward((na, nb, nc))
+    next_q = target_net.forward(stack([b[2] for b in batch]))
     targets = rewards + np.where(terminal, 0.0, config.discount * next_q.max(axis=1))
 
     loss, grads = net.loss_and_grads(xa, xb, xc, actions, targets)

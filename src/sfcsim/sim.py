@@ -12,8 +12,8 @@ import numpy as np
 
 from . import agents as agents_mod
 from . import drl, routing
-from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist, local_step,
-                     setup)
+from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist,
+                     begin_action, local_step, setup)
 from .drl import ModelConfig, QNetwork, ReplayMemory
 from .routing import PathResult
 from .substrate import Substrate, SubstrateError, VnfInstance
@@ -47,6 +47,9 @@ class SimConfig:
     def __post_init__(self):
         if self.actions_per_step * ACTION_COST_MS > STEP_MS + 1e-12:
             raise ValueError("actions per step exceed the step budget")
+        if self.reward_clip < 0:
+            raise ValueError(f"sim.reward_clip must be non-negative, "
+                             f"got {self.reward_clip}")
 
 
 def recompute_ledger(request: SfcRequest) -> tuple[float, float]:
@@ -253,16 +256,36 @@ def build_world(graph: NetworkGraph, size_limit: int, seed: int,
 
 
 def run_step(world: World, epsilon: float, train: bool = False) -> None:
-    """One simulation step: agent phase, assist phase, time advance."""
+    """One simulation step: agent phase, assist phase, time advance.
+
+    The agent phase runs in rounds of at most one action per agent. In a
+    round, each agent that still acts takes its `begin_action` in agent-id
+    order, one `act` call picks all their actions with a single batched
+    forward pass over the greedy ones, and each agent's `local_step` then
+    executes its action, again in agent-id order. An agent leaves the phase
+    when its queue and outbox are empty, when its action was invalid or
+    idle, or after `actions_per_step` rounds. A local agent's action touches
+    only its own queue, outbox, DCs and intra-cluster links, links sum their
+    reservations in request-id order, and the rewards that settling a
+    request credits to its origin agent are multiples of 0.5, which add
+    exactly in any order. So the rounds give the same results as running
+    each agent's actions in turn."""
     now = world.now
-    for cid in sorted(world.general.local_agents):
-        agent = world.general.local_agents[cid]
-        for _ in range(world.config.actions_per_step):
-            if not agent.queue and not agent.outbox:
-                break
+    acting = [a for _, a in sorted(world.general.local_agents.items())
+              if a.queue or a.outbox]
+    for _ in range(world.config.actions_per_step):
+        if not acting:
+            break
+        begun = [begin_action(agent, world, train) for agent in acting]
+        actions = drl.act(acting[0].policy, [state for _, state in begun],
+                          epsilon, [agent.rng for agent in acting])
+        still = []
+        for agent, (current_dc, state), action in zip(acting, begun, actions):
             status, outcome, state, next_state = local_step(
-                agent, world, now, epsilon, agent.rng, record_states=train)
+                agent, world, current_dc, action, state if train else None,
+                record_states=train)
             if train:
+                cid = agent.cluster_id
                 shaped = outcome.reward + world.orphan_credit[cid]
                 if outcome.request is not None:
                     shaped += world.config.alloc_bonus
@@ -272,11 +295,16 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
                 if outcome.request is not None:
                     world.credit_map[outcome.request.id] = record
                 world._flush_credit()
-            if outcome.invalid or outcome.action == agents_mod.ACTION_IDLE:
+            if (outcome.invalid or outcome.action == agents_mod.ACTION_IDLE
+                    or not (agent.queue or agent.outbox)):
                 # an invalid action stalls the agent until the next step;
                 # idling means waiting for the next step by choice
-                break
-        agent.view = None  # it holds for the agent's turn only
+                agent.view = None  # it holds for the agent's turn only
+            else:
+                still.append(agent)
+        acting = still
+    for agent in acting:
+        agent.view = None
     assist(world.general, world, now)
     world.now += STEP_MS
     now = world.now

@@ -283,11 +283,12 @@ def _greedy_assign(points: np.ndarray, centroids: np.ndarray, size_limit: int) -
     part = np.sort(dist, axis=1)
     # most committed DCs (largest gap between best and runner-up) assigned first
     order = sorted(range(n), key=lambda i: (part[i, 0] - part[i, 1], i))
-    remaining = [size_limit] * k
+    remaining = np.full(k, size_limit)
     assign = [-1] * n
     for i in order:
-        best = min((c for c in range(k) if remaining[c] > 0),
-                   key=lambda c: (dist[i, c], c))
+        # the nearest open centroid; argmin takes the first of equal
+        # distances, so ties go to the lowest cluster index
+        best = int(np.where(remaining > 0, dist[i], np.inf).argmin())
         assign[i] = best
         remaining[best] -= 1
     return assign

@@ -146,6 +146,8 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
                  id="scale_range_zero"),
     pytest.param({"train": {"validation_cell": [20, 4, 0.0]}}, {},
                  id="validation_scale_zero"),
+    # a negative clip inverted the clip: every recorded reward became |clip|
+    pytest.param({"sim": {"reward_clip": -1.0}}, {}, id="reward_clip_negative"),
     # null is no value: rewards are always clipped, and every update round
     # is validated
     pytest.param({"sim": {"reward_clip": None}}, {}, id="reward_clip_null"),

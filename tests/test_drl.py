@@ -7,7 +7,7 @@ import pytest
 from sfcsim.drl import (DrlError, INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM,
                         ModelConfig, PendingItem, QNetwork, ReplayMemory,
                         SfcGroups, StateEncoding, StateView, act, encode_state,
-                        load_weights, save_weights, update)
+                        load_weights, save_weights, stack, update)
 from sfcsim.workload import default_catalog
 
 
@@ -21,6 +21,11 @@ def random_state(rng):
     return StateEncoding(rng.uniform(0, 1, INPUT_A_DIM),
                          rng.uniform(0, 1, INPUT_B_DIM),
                          rng.uniform(0, 1, INPUT_C_DIM))
+
+
+def q_values(net, s):
+    """One state's Q-values from a 1-row forward call."""
+    return net.forward(stack([s]))[0]
 
 
 def test_encode_empty_system():
@@ -83,17 +88,18 @@ def test_forward_shapes_and_determinism():
     cfg = ModelConfig()
     net = QNetwork(cfg, seed=3)
     s = random_state(np.random.default_rng(1))
-    q1 = net.forward(s)
-    q2 = net.forward(s)
-    assert q1.shape == (13,)
+    q1 = net.forward(stack([s]))
+    q2 = net.forward(stack([s]))
+    assert q1.shape == (1, 13)
     assert np.array_equal(q1, q2)
+    assert net.forward(stack([s, s, s])).shape == (3, 13)
 
 
 def test_forward_zero_weights():
     net = QNetwork(ModelConfig(), seed=0)
     for k in net.params:
         net.params[k] = np.zeros_like(net.params[k])
-    q = net.forward(random_state(np.random.default_rng(2)))
+    q = q_values(net, random_state(np.random.default_rng(2)))
     assert np.all(q == 0.0)
 
 
@@ -115,10 +121,9 @@ def test_act_epsilon_extremes():
     net = QNetwork(ModelConfig(), seed=1)
     s = random_state(np.random.default_rng(4))
     rng = np.random.default_rng(0)
-    greedy = act(net, s, 0.0, rng)
-    assert greedy == int(np.argmax(net.forward(s)))
+    assert act(net, [s], 0.0, [rng]) == [int(np.argmax(q_values(net, s)))]
     with pytest.raises(DrlError):
-        act(net, s, 1.5, rng)
+        act(net, [s], 1.5, [rng])
 
 
 def test_act_encodes_lazily():
@@ -130,11 +135,43 @@ def test_act_encodes_lazily():
     def encode():
         calls.append(1)
         return s
-    act(net, encode, 1.0, np.random.default_rng(0))
+    act(net, [encode], 1.0, [np.random.default_rng(0)])
     assert calls == []
-    assert act(net, encode, 0.0, np.random.default_rng(0)) == act(
-        net, s, 0.0, np.random.default_rng(0))
+    assert act(net, [encode], 0.0, [np.random.default_rng(0)]) == act(
+        net, [s], 0.0, [np.random.default_rng(0)])
     assert calls == [1]
+
+
+def test_act_draws_as_one_state_at_a_time():
+    """A round of states gives each generator the draws one single-state
+    epsilon-greedy makes (`random()`, then `integers` when exploring), and
+    each greedy row the argmax of its own forward pass; a round of one
+    greedy row is one 1-row forward call."""
+    net = QNetwork(ModelConfig(), seed=1)
+    rng = np.random.default_rng(4)
+    for epsilon in (0.0, 0.3, 1.0):
+        states = [random_state(rng) for _ in range(7)]
+        seeds = [int(x) for x in rng.integers(2 ** 31, size=7)]
+        want = []
+        for s, seed in zip(states, seeds):
+            r = np.random.default_rng(seed)
+            if r.random() < epsilon:
+                want.append(int(r.integers(net.config.action_count)))
+            else:
+                want.append(int(np.argmax(q_values(net, s))))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        assert act(net, states, epsilon, rngs) == want
+        # and each generator is left where the single-state draws leave it
+        for r, seed in zip(rngs, seeds):
+            ref = np.random.default_rng(seed)
+            if ref.random() < epsilon:
+                ref.integers(net.config.action_count)
+            assert r.random() == ref.random()
+    seen = []
+    real = net.forward
+    net.forward = lambda x: seen.append(x[0].shape) or real(x)
+    act(net, [states[0]], 0.0, [np.random.default_rng(0)])
+    assert seen == [(1, INPUT_A_DIM)]
 
 
 def test_act_uniform_at_epsilon_one():
@@ -143,8 +180,8 @@ def test_act_uniform_at_epsilon_one():
     rng = np.random.default_rng(99)
     n = 100_000
     counts = np.zeros(13)
-    for _ in range(n):
-        counts[act(net, s, 1.0, rng)] += 1
+    for a in act(net, [s] * n, 1.0, [rng] * n):
+        counts[a] += 1
     expected = n / 13
     sigma = np.sqrt(n * (1 / 13) * (12 / 13))
     assert np.all(np.abs(counts - expected) <= 3 * sigma)
@@ -153,10 +190,10 @@ def test_act_uniform_at_epsilon_one():
 def test_argmax_scale_invariance():
     net = QNetwork(ModelConfig(), seed=6)
     s = random_state(np.random.default_rng(8))
-    a1 = int(np.argmax(net.forward(s)))
+    a1 = int(np.argmax(q_values(net, s)))
     for k in ("Wout", "bout"):
         net.params[k] = net.params[k] * 2.0
-    assert int(np.argmax(net.forward(s))) == a1
+    assert int(np.argmax(q_values(net, s))) == a1
 
 
 def small_config():
@@ -211,7 +248,7 @@ def test_update_zero_loss_fixed_point():
                       batch_size=1)
     net = QNetwork(cfg, seed=0)
     s = random_state(np.random.default_rng(3))
-    q = net.forward(s)
+    q = q_values(net, s)
     a = int(np.argmax(q))
     mem = ReplayMemory(10)
     mem.push(s, a, s, float(q[a]), False)  # reward equals current estimate
@@ -238,7 +275,7 @@ def test_update_converges_on_single_transition():
     losses = [update(net, target, mem, cfg, np.random.default_rng(0))
               for _ in range(200)]
     assert losses[-1] < losses[0]
-    assert net.forward(s)[3] == pytest.approx(2.0, abs=0.05)
+    assert q_values(net, s)[3] == pytest.approx(2.0, abs=0.05)
 
 
 def test_weight_roundtrip(tmp_path):
@@ -248,7 +285,7 @@ def test_weight_roundtrip(tmp_path):
     save_weights(net, path)
     back = load_weights(path, cfg)
     s = random_state(np.random.default_rng(11))
-    assert np.array_equal(net.forward(s), back.forward(s))
+    assert np.array_equal(q_values(net, s), q_values(back, s))
 
 
 def test_weight_arch_mismatch(tmp_path):

@@ -137,30 +137,34 @@ class DemandPolicy:
     """Greedy stand-in for a trained network: place or reuse the VNF type
     most wanted at the current DC (then in the cluster), else idle. Its
     Q-values are read off the encoding, and unlike an untrained network it
-    keeps agents allocating, so DCs fill up and requests move out."""
+    keeps agents allocating, so DCs fill up and requests move out. Like
+    `QNetwork.forward`, it scores stacked input arrays, one row per state."""
     config = ModelConfig()
 
-    def forward(self, state):
-        q = np.full(self.config.action_count, -1.0)
-        q[:len(VNF_ORDER)] = (
-            state.input_a.reshape(len(SFC_ORDER), SFC_FEATURES)[:, 4:].sum(axis=0)
-            + 0.1 * state.input_c[:INPUT_A_DIM].reshape(
-                len(SFC_ORDER), SFC_FEATURES)[:, 4:].sum(axis=0))
-        q[agents.ACTION_IDLE] = 0.05
+    def forward(self, inputs):
+        xa, _, xc = inputs
+        shape = (len(xa), len(SFC_ORDER), SFC_FEATURES)
+        q = np.full((len(xa), self.config.action_count), -1.0)
+        q[:, :len(VNF_ORDER)] = (
+            xa.reshape(shape)[:, :, 4:].sum(axis=1)
+            + 0.1 * xc[:, :INPUT_A_DIM].reshape(shape)[:, :, 4:].sum(axis=1))
+        q[:, agents.ACTION_IDLE] = 0.05
         return q
 
 
 def check_local_steps(monkeypatch):
-    """Check every local_step against the reference. Before it: the same
-    encoding, the same requests moved to the outbox by the scope scan, and
-    the same pending list and priority order for every VNF type. After a
-    recorded step: the same state and next state. Returns the counts of what
-    the checks saw."""
-    real_local_step = sim.local_step
+    """Check every agent action against the reference. At its decide step
+    (`begin_action`): the same encoding, the same requests moved to the
+    outbox by the scope scan, and the same pending list and priority order
+    for every VNF type. After a recorded action (`local_step`): the same
+    state and next state. Returns the counts of what the checks saw."""
+    real_begin, real_local_step = sim.begin_action, sim.local_step
     seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0,
             "after_alloc_task": 0, "recorded": 0}
+    wanted = {}  # agent -> the reference encoding at its latest decide step
 
-    def checked(agent, world, now, eps, rng, record_states=False):
+    def begun(agent, world, record_states=False):
+        now = world.now
         if agent.view is None:  # the turn's first action
             moved = ref_scope_moves(agent, world)
             keep = [r for r in agent.queue if not any(r is m for m in moved)]
@@ -171,11 +175,12 @@ def check_local_steps(monkeypatch):
             assert all(t.kind == agents.TASK_TRANSFER for t in tasks)
             assert [r.id for r in agent.queue] == [r.id for r in keep]
             seen["moved"] += len(moved)
-        current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
+        result = real_begin(agent, world, record_states)
+        current_dc = result[0]
         got = encode_state(agents.build_state_view(agent, world, current_dc),
                            world.catalog)
-        want = ref_encode_state(ref_build_state_view(agent, world, current_dc),
-                                world.catalog)
+        want = wanted[id(agent)] = ref_encode_state(
+            ref_build_state_view(agent, world, current_dc), world.catalog)
         assert_same_encoding(got, want)
         for name in VNF_ORDER:
             pending = [r for r in agent.queue
@@ -194,16 +199,22 @@ def check_local_steps(monkeypatch):
         # an out-of-cluster take earlier in this step left a TASK_ALLOC
         seen["after_alloc_task"] += any(t.kind == agents.TASK_ALLOC
                                         for t in agent.outbox)
-        result = real_local_step(agent, world, now, eps, rng, record_states)
+        return result
+
+    def checked(agent, world, current_dc, action, state=None,
+                record_states=False):
+        result = real_local_step(agent, world, current_dc, action, state,
+                                 record_states)
         seen["allocated"] += result[1].request is not None
         if record_states:
             _, _, state, next_state = result
-            assert_same_encoding(state, want)
+            assert_same_encoding(state, wanted[id(agent)])
             assert_same_encoding(next_state, ref_encode_state(
                 ref_build_state_view(agent, world, current_dc), world.catalog))
             seen["recorded"] += 1
         return result
 
+    monkeypatch.setattr(sim, "begin_action", begun)
     monkeypatch.setattr(sim, "local_step", checked)
     return seen
 
@@ -220,7 +231,7 @@ EPISODES = [
 @pytest.mark.parametrize("dc_count,limit,scale,seed,epsilon", EPISODES)
 def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
                                     epsilon):
-    """Before every local_step: the same encoding as the reference, the same
+    """At every decide step: the same encoding as the reference, the same
     requests moved to the outbox by the scope scan, and the same priority
     order for every VNF type."""
     seen = check_local_steps(monkeypatch)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sfcsim import topology
 from sfcsim.topology import (TopologyError, build_network, cluster_adjacency,
                              make_clusters)
 
@@ -196,3 +197,55 @@ def test_cluster_adjacency_matches_brute_force():
             expect[ca].add(cb)
             expect[cb].add(ca)
     assert adj == {c: sorted(s) for c, s in expect.items()}
+
+
+def ref_greedy_assign(points, centroids, size_limit):
+    """The capacity-respecting assignment step with a Python `min` over the
+    open clusters, keyed by (distance, cluster index)."""
+    n, k = len(points), len(centroids)
+    dist = np.sqrt(((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
+    if k == 1:
+        return [0] * n
+    part = np.sort(dist, axis=1)
+    order = sorted(range(n), key=lambda i: (part[i, 0] - part[i, 1], i))
+    remaining = [size_limit] * k
+    assign = [-1] * n
+    for i in order:
+        best = min((c for c in range(k) if remaining[c] > 0),
+                   key=lambda c: (dist[i, c], c))
+        assign[i] = best
+        remaining[best] -= 1
+    return assign
+
+
+BENCHMARK_GEOMETRY = {"area_km": 1000.0, "radius_km": 250.0}
+# (DCs, topology seed, cluster limit, partition seeds) of perfbench's
+# eval-fragmented, eval-dense and eval-wide workloads
+BENCHMARK_PARTITIONS = [(80, 5, 4, (2, 7, 11)), (40, 11, 8, (11, 12, 13)),
+                        (200, 11, 8, (12, 13, 14))]
+
+
+def test_greedy_assign_matches_reference(monkeypatch):
+    """The vectorised assignment step gives the same partitions as the
+    reference: on the benchmark's partitions, and on random graphs where
+    DCs tie on distance to several centroids (a square grid)."""
+    cases = [(build_network({"dc_count": n, "seed": topo, **BENCHMARK_GEOMETRY}),
+              limit, seed)
+             for n, topo, limit, seeds in BENCHMARK_PARTITIONS for seed in seeds]
+    rng = np.random.default_rng(17)
+    for i in range(30):
+        n = int(rng.integers(3, 100))
+        cases.append((build_network({"dc_count": n, "seed": i}),
+                      int(rng.integers(1, 9)), i))
+    grid = {"dcs": [{"position": [100.0 * (i % 4), 100.0 * (i // 4)]}
+                    for i in range(16)],
+            "links": [{"a": i, "b": i + 1} for i in range(15)]}
+    cases += [(build_network(grid), limit, seed)
+              for limit in (2, 3, 5) for seed in range(5)]
+    for graph, limit, seed in cases:
+        got = make_clusters(graph, limit, seed)
+        with monkeypatch.context() as m:
+            m.setattr(topology, "_greedy_assign", ref_greedy_assign)
+            want = make_clusters(graph, limit, seed)
+        assert got.assignment == want.assignment
+        assert got.centroids == want.centroids
