@@ -180,7 +180,7 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
 
     Priority = 1 - slack/tolerance where slack discounts accrued delay, time
     already spent waiting, and a lower bound on the remaining processing work.
-    Ties break by arrival time, then request id."""
+    Ties break by request id."""
     def key(r: SfcRequest):
         t = r.sfc_type
         waited = now - r.ready_time
@@ -188,7 +188,7 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
         slack = (t.e2e_tolerance - (r.propagation_total + r.processing_total)
                  - (waited if waited > 0.0 else 0.0)
                  - t.remaining_proc[r.next_vnf_index])
-        return (slack / t.e2e_tolerance, r.arrival, r.id)
+        return (slack / t.e2e_tolerance, r.id)
     return sorted(pending, key=key)
 
 

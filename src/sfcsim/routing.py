@@ -34,8 +34,8 @@ class RouteCounters:
 class RoutingTables:
     """Cluster-level routing tables of one partition."""
     adjacency: dict[int, list[int]]  # cluster -> neighbor clusters, ascending
-    # (a, b) -> sorted DCs of cluster b that an inter-cluster link from a enters
-    gateways: dict[tuple[int, int], list[int]]
+    # (a, b) -> DCs of cluster b that an inter-cluster link from a enters
+    gateways: dict[tuple[int, int], set[int]]
 
 
 def routing_tables(partition: ClusterPartition) -> RoutingTables:
@@ -46,25 +46,35 @@ def routing_tables(partition: ClusterPartition) -> RoutingTables:
             ca, cb = partition.cluster_of(link.a), partition.cluster_of(link.b)
             gateways.setdefault((ca, cb), set()).add(link.b)
             gateways.setdefault((cb, ca), set()).add(link.a)
-        partition.routing_cache = RoutingTables(
-            cluster_adjacency(partition),
-            {pair: sorted(dcs) for pair, dcs in gateways.items()})
+        partition.routing_cache = RoutingTables(cluster_adjacency(partition),
+                                                gateways)
     return partition.routing_cache
 
 
-def _dijkstra(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
-              src: int, required_bw: float,
-              counters: RouteCounters | None) -> tuple[dict[int, float], dict[int, tuple[int, LinkSpec]]]:
-    """Single-source shortest distances over bandwidth-feasible links inside `nodes`."""
+def _shortest_to(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
+                 src: int, targets: set[int], required_bw: float,
+                 counters: RouteCounters | None) -> PathResult | None:
+    """Shortest path from src to the nearest DC of `targets` (src not among
+    them) over bandwidth-feasible links inside `nodes`; None if none is
+    reachable.
+
+    Dijkstra that stops at the first target it settles: settled distances and
+    predecessors are final, and the heap settles equal distances lowest id
+    first, so that is the nearest target with the lowest id, and every other
+    DC of the path, settled before it, is no target."""
     dist: dict[int, float] = {src: 0.0}
     prev: dict[int, tuple[int, LinkSpec]] = {}
     settled: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, src)]
+    end = None
     while heap:
         d, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled.add(u)
+        if u in targets:
+            end = u
+            break
         for v, link in graph.neighbors(u):
             if v not in nodes or v in settled:
                 continue
@@ -77,22 +87,14 @@ def _dijkstra(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
                 heapq.heappush(heap, (nd, v))
     if counters is not None:
         counters.dijkstra_settled.append(len(settled))
-    return dist, prev
-
-
-def _reconstruct(src: int, dst: int, prev: dict[int, tuple[int, LinkSpec]],
-                 dist: dict[int, float]) -> PathResult:
-    hops = [dst]
-    links: list[LinkSpec] = []
-    u = dst
-    while u != src:
-        p, link = prev[u]
+    if end is None:
+        return None
+    hops, links = [end], []
+    while hops[-1] != src:
+        u, link = prev[hops[-1]]
+        hops.append(u)
         links.append(link)
-        hops.append(p)
-        u = p
-    hops.reverse()
-    links.reverse()
-    return PathResult(hops, dist[dst], links)
+    return PathResult(hops[::-1], dist[end], links[::-1])
 
 
 def d2d_shortest_path(subgraph: Iterable[int], graph: NetworkGraph, link_free: LinkFree,
@@ -105,10 +107,8 @@ def d2d_shortest_path(subgraph: Iterable[int], graph: NetworkGraph, link_free: L
         raise RoutingError(f"src {src} or dst {dst} outside subgraph")
     if src == dst:
         return PathResult([src], 0.0, [])
-    dist, prev = _dijkstra(nodes, graph, link_free, src, required_bw, counters)
-    if dst not in dist:
-        return None
-    return _reconstruct(src, dst, prev, dist)
+    return _shortest_to(nodes, graph, link_free, src, {dst}, required_bw,
+                        counters)
 
 
 def c2c_cluster_path(cluster_graph: dict[int, list[int]], src_cluster: int,
@@ -152,44 +152,6 @@ def c2c_cluster_path(cluster_graph: dict[int, list[int]], src_cluster: int,
     return path if found else None
 
 
-def _nearest_target(entry: int, targets: list[int], nodes: set[int],
-                    graph: NetworkGraph, link_free: LinkFree, required_bw: float,
-                    counters: RouteCounters | None) -> PathResult | None:
-    """Shortest feasible path from entry to the nearest of `targets` (sorted;
-    equal distances go to the first) inside nodes. The targets lie in
-    another cluster than entry, so none of them is entry."""
-    dist, prev = _dijkstra(nodes, graph, link_free, entry, required_bw, counters)
-    best = None
-    for t in targets:
-        if t in dist and (best is None or dist[t] < dist[best]):
-            best = t
-    if best is None:
-        return None
-    return _reconstruct(entry, best, prev, dist)
-
-
-def _strip_loops(path: PathResult) -> PathResult:
-    """Remove revisit cycles, keeping the first occurrence of each DC."""
-    if len(set(path.hops)) == len(path.hops):
-        return path
-    hops: list[int] = []
-    links: list[LinkSpec] = []
-    index: dict[int, int] = {}
-    for i, h in enumerate(path.hops):
-        if h in index:
-            cut = index[h]
-            for removed in hops[cut + 1:]:
-                del index[removed]
-            del links[cut:]
-            del hops[cut + 1:]
-        else:
-            hops.append(h)
-            index[h] = len(hops) - 1
-            if i > 0:
-                links.append(path.links_used[i - 1])
-    return PathResult(hops, sum(l.distance for l in links), links)
-
-
 def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkFree,
               src: int, dst: int, required_bw: float,
               counters: RouteCounters | None = None) -> PathResult | None:
@@ -200,7 +162,11 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
     per segment (entry DC to the nearest gateway of the next cluster, or to the
     destination once its cluster is reached).
 
-    The cluster adjacency and gateway lists come from `routing_tables`, built
+    The path is simple by construction: each segment but the last ends at the
+    first gateway of b its search settles, so its other DCs lie in a, and the
+    cluster path is simple, so no DC repeats.
+
+    The cluster adjacency and gateway sets come from `routing_tables`, built
     once per partition; the cluster path costs O(V+E) in the cluster graph.
     """
     src_c = partition.cluster_of(src)
@@ -220,9 +186,9 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
     for a, b in zip(cpath, cpath[1:]):
         nodes = set(partition.clusters[a]) | set(partition.clusters[b])
         # adjacent clusters share an inter-cluster link: (a, b) has gateways
-        targets = [dst] if b == dst_c else tables.gateways[(a, b)]
-        seg = _nearest_target(entry, targets, nodes, graph, link_free,
-                              required_bw, counters)
+        targets = {dst} if b == dst_c else tables.gateways[(a, b)]
+        seg = _shortest_to(nodes, graph, link_free, entry, targets,
+                           required_bw, counters)
         if seg is None:
             return None
         hops.extend(seg.hops[1:])
@@ -231,4 +197,4 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
         entry = seg.hops[-1]
     # every link passed the Dijkstra bandwidth filter, and link state does
     # not change within the call, so the path is feasible as it stands
-    return _strip_loops(PathResult(hops, sum(l.distance for l in links), links))
+    return PathResult(hops, sum(l.distance for l in links), links)

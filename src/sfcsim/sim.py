@@ -95,7 +95,6 @@ class World:
         for r in requests:
             cluster = self.partition.cluster_of(r.source_dc)
             r.origin_cluster = cluster
-            r.ready_time = r.arrival
             self.general.local_agents[cluster].queue.append(r)
             self.requests.append(r)
 

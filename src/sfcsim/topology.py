@@ -82,24 +82,6 @@ def _euclidean(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def _is_connected(n: int, links: list[LinkSpec]) -> bool:
-    if n == 0:
-        return False
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for link in links:
-        adj[link.a].append(link.b)
-        adj[link.b].append(link.a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
-
 @dataclass
 class TopologyConfig:
     """The `topology` config section: the explicit `dcs` and `links` if
@@ -143,6 +125,7 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
 
     Explicit topologies must already be connected; generated ones are random
     geometric graphs repaired to connectivity by adding minimum-distance edges.
+    One union-find finds the components of both.
     """
     cfg = config if isinstance(config, TopologyConfig) else TopologyConfig(**config)
     if cfg.dcs is not None:
@@ -178,31 +161,26 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
             if dist < min_dist - 1e-9:
                 raise TopologyError(f"link ({a},{b}) shorter than DC separation")
             links.append(LinkSpec(a, b, bandwidth, dist))
-        if not _is_connected(len(dcs), links):
-            raise TopologyError("explicit topology is disconnected")
-        return NetworkGraph(dcs, links)
+    else:
+        n = cfg.dc_count
+        if n < 2:
+            raise TopologyError("need at least 2 DCs")
+        rng = np.random.default_rng(0 if cfg.seed is None else cfg.seed)
+        pos = rng.uniform(0.0, cfg.area_km, size=(n, 2))
+        dcs = [DataCenterSpec(i, (float(pos[i, 0]), float(pos[i, 1])),
+                              cfg.storage_gb, cfg.vcpu, cfg.ram_gb)
+               for i in range(n)]
+        links = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = _euclidean(dcs[i].position, dcs[j].position)
+                if d <= cfg.radius_km:
+                    links.append(LinkSpec(i, j, cfg.link_bw_mbps, d))
 
-    n = cfg.dc_count
-    if n < 2:
-        raise TopologyError("need at least 2 DCs")
-
-    rng = np.random.default_rng(0 if cfg.seed is None else cfg.seed)
-    pos = rng.uniform(0.0, cfg.area_km, size=(n, 2))
-    dcs = [DataCenterSpec(i, (float(pos[i, 0]), float(pos[i, 1])),
-                          cfg.storage_gb, cfg.vcpu, cfg.ram_gb)
-           for i in range(n)]
-
-    radius, link_bw = cfg.radius_km, cfg.link_bw_mbps
-    links = []
-    link_keys = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _euclidean(dcs[i].position, dcs[j].position)
-            if d <= radius:
-                links.append(LinkSpec(i, j, link_bw, d))
-                link_keys.add((i, j))
-
-    # connectivity repair: merge components along their closest DC pair
+    # connectivity: a generated graph merges its components along their
+    # closest DC pair; an explicit one must have a single component
+    n = len(dcs)
+    link_keys = {link.key for link in links}
     parent = list(range(n))
 
     def find(x):
@@ -213,10 +191,9 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
 
     for link in links:
         parent[find(link.a)] = find(link.b)
-    while True:
-        roots = {find(i) for i in range(n)}
-        if len(roots) == 1:
-            break
+    while len({find(i) for i in range(n)}) > 1:
+        if cfg.dcs is not None:
+            raise TopologyError("explicit topology is disconnected")
         best = None
         for i in range(n):
             for j in range(i + 1, n):
@@ -225,7 +202,7 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
                     if best is None or d < best[0]:
                         best = (d, i, j)
         d, i, j = best
-        links.append(LinkSpec(i, j, link_bw, d))
+        links.append(LinkSpec(i, j, cfg.link_bw_mbps, d))
         link_keys.add((i, j))
         parent[find(i)] = find(j)
 

@@ -74,7 +74,6 @@ class SfcRequest:
     bandwidth: float
     source_dc: int
     dest_dc: int
-    arrival: float = 0.0
     next_vnf_index: int = 0
     propagation_total: float = 0.0
     processing_total: float = 0.0
@@ -94,7 +93,7 @@ class SfcRequest:
     def fresh_copy(self) -> "SfcRequest":
         """A pristine copy with all runtime progress reset (for replays)."""
         return SfcRequest(self.id, self.sfc_type, self.bandwidth,
-                          self.source_dc, self.dest_dc, self.arrival)
+                          self.source_dc, self.dest_dc)
 
     @property
     def accrued_delay(self) -> float:
@@ -230,14 +229,14 @@ def export_workload(requests: list[SfcRequest], path: str) -> None:
                 "bandwidth": r.bandwidth,
                 "source_dc": r.source_dc,
                 "dest_dc": r.dest_dc,
-                "arrival": r.arrival,
             }) + "\n")
 
 
 def import_workload(catalog: Catalog, path: str) -> list[SfcRequest]:
     """The requests of a file written by `export_workload`. A line that is
-    not a request record of a catalog SFC type with positive bandwidth, or
-    that repeats a request id, raises ValueError naming the line."""
+    not a request record of a catalog SFC type with positive bandwidth and an
+    `arrival` that is absent or 0, or that repeats a request id, raises
+    ValueError naming the line."""
     requests = []
     ids = set()
     with open(path) as fh:
@@ -257,11 +256,14 @@ def import_workload(catalog: Catalog, path: str) -> list[SfcRequest]:
                     bandwidth=float(rec["bandwidth"]),
                     source_dc=int(rec["source_dc"]),
                     dest_dc=int(rec["dest_dc"]),
-                    arrival=float(rec.get("arrival", 0.0)),
                 )
                 if not request.bandwidth > 0:  # also NaN
                     raise ValueError(
                         f"bandwidth must be positive, got {request.bandwidth}")
+                # every request is queued at time 0
+                if float(rec.get("arrival", 0.0)) != 0.0:
+                    raise ValueError(
+                        f"arrival must be 0 or absent, got {rec['arrival']!r}")
             except KeyError as exc:
                 raise ValueError(f"{where}: missing field {exc}") from None
             except (TypeError, ValueError) as exc:

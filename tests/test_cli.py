@@ -437,7 +437,7 @@ def test_replay_requires_file(tmp_path, weights):
 
 
 REPLAY_RECORD = {"id": 0, "sfc_type": "CG", "bandwidth": 4.0,
-                 "source_dc": 0, "dest_dc": 1, "arrival": 0.0}
+                 "source_dc": 0, "dest_dc": 1}
 
 
 @pytest.mark.parametrize("lines", [
@@ -450,6 +450,7 @@ REPLAY_RECORD = {"id": 0, "sfc_type": "CG", "bandwidth": 4.0,
                  id="bandwidth_negative"),
     pytest.param([REPLAY_RECORD, {**REPLAY_RECORD, "source_dc": 2}],
                  id="id_duplicate"),
+    pytest.param([{**REPLAY_RECORD, "arrival": 400.0}], id="arrival_nonzero"),
 ])
 def test_replay_rejects_malformed_requests(tmp_path, weights, lines):
     """A replay file is outside input: a malformed one exits 2 before any

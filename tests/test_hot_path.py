@@ -42,7 +42,7 @@ def ref_remaining_tolerance(r, now):
 
 def ref_priority_key(r, now):
     slack = ref_remaining_tolerance(r, now) - ref_remaining_proc_time(r)
-    return (slack / r.sfc_type.e2e_tolerance, r.arrival, r.id)
+    return (slack / r.sfc_type.e2e_tolerance, r.id)
 
 
 def ref_build_state_view(agent, world, current_dc):

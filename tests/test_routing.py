@@ -1,6 +1,8 @@
 """Path discovery tests: D2D Dijkstra vs brute-force enumeration, C2C DFS,
 and the combined two-level traversal."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from sfcsim.routing import (PathResult, RouteCounters, RoutingError,
                             c2c_cluster_path, d2d_shortest_path, find_path,
                             routing_tables)
 from sfcsim.substrate import Substrate
-from sfcsim.topology import build_network, cluster_adjacency, make_clusters
+from sfcsim.topology import (ClusterPartition, build_network, cluster_adjacency,
+                             make_clusters)
 from sfcsim.workload import SfcRequest, default_catalog
 
 
@@ -297,7 +300,7 @@ def test_routing_tables_built_once_per_partition():
     entries = {(part.cluster_of(x), y) for l in part.inter_links
                for x, y in ((l.a, l.b), (l.b, l.a))}
     for (a, b), dcs in tables.gateways.items():
-        assert dcs == sorted(set(dcs))
+        assert isinstance(dcs, set)
         assert all(part.cluster_of(d) == b for d in dcs)
     assert entries == {(a, d) for (a, _), dcs in tables.gateways.items()
                        for d in dcs}
@@ -310,3 +313,166 @@ def test_routing_deterministic():
     a = find_path(part, g, free, 1, 13, 5.0)
     b = find_path(part, g, free, 1, 13, 5.0)
     assert a.hops == b.hops and a.total_distance == b.total_distance
+
+
+# Reference two-level router: a full Dijkstra per segment, the nearest
+# gateway picked by a scan of the sorted gateways (equal distances go to the
+# lowest id), and `ref_strip_loops` cutting any cycle out of the joined path.
+# Where every link has positive length, find_path must agree with it exactly.
+
+def ref_dijkstra(nodes, graph, free, src, bw):
+    dist, prev, settled = {src: 0.0}, {}, set()
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        for v, link in graph.neighbors(u):
+            if v not in nodes or v in settled or free(link) < bw:
+                continue
+            nd = d + link.distance
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                prev[v] = (u, link)
+                heapq.heappush(heap, (nd, v))
+    return dist, prev
+
+
+def ref_reconstruct(src, dst, prev, dist):
+    hops, links, u = [dst], [], dst
+    while u != src:
+        u, link = prev[u]
+        links.append(link)
+        hops.append(u)
+    return PathResult(hops[::-1], dist[dst], links[::-1])
+
+
+def ref_d2d(nodes, graph, free, src, dst, bw):
+    if src == dst:
+        return PathResult([src], 0.0, [])
+    dist, prev = ref_dijkstra(set(nodes), graph, free, src, bw)
+    return ref_reconstruct(src, dst, prev, dist) if dst in dist else None
+
+
+def ref_strip_loops(path):
+    hops, links, index = [], [], {}
+    for i, h in enumerate(path.hops):
+        if h in index:
+            cut = index[h]
+            for removed in hops[cut + 1:]:
+                del index[removed]
+            del links[cut:]
+            del hops[cut + 1:]
+        else:
+            hops.append(h)
+            index[h] = len(hops) - 1
+            if i > 0:
+                links.append(path.links_used[i - 1])
+    return PathResult(hops, sum(l.distance for l in links), links)
+
+
+def ref_find_path(part, graph, free, src, dst, bw, strip=True):
+    src_c, dst_c = part.cluster_of(src), part.cluster_of(dst)
+    if src_c == dst_c:
+        return ref_d2d(part.clusters[src_c], graph, free, src, dst, bw)
+    tables = routing_tables(part)
+    cpath = c2c_cluster_path(tables.adjacency, src_c, dst_c)
+    if cpath is None:
+        return None
+    entry, hops, links = src, [src], []
+    for a, b in zip(cpath, cpath[1:]):
+        nodes = set(part.clusters[a]) | set(part.clusters[b])
+        targets = [dst] if b == dst_c else sorted(tables.gateways[(a, b)])
+        dist, prev = ref_dijkstra(nodes, graph, free, entry, bw)
+        best = None
+        for t in targets:
+            if t in dist and (best is None or dist[t] < dist[best]):
+                best = t
+        if best is None:
+            return None
+        seg = ref_reconstruct(entry, best, prev, dist)
+        hops.extend(seg.hops[1:])
+        links.extend(seg.links_used)
+        entry = best
+    path = PathResult(hops, sum(l.distance for l in links), links)
+    return ref_strip_loops(path) if strip else path
+
+
+def tied_network(rng, n):
+    """DCs in a unit square joined by links 2, 3 or 4 km long: equal
+    distances, and so ties between paths and between gateways, are common."""
+    pos = rng.uniform(0.0, 1.0, size=(n, 2))
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}  # a spanning tree
+    for _ in range(n):
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((a, b))
+    return build_network({
+        "dcs": [{"position": [float(x), float(y)]} for x, y in pos],
+        "links": [{"a": a, "b": b, "distance_km": float(rng.integers(2, 5))}
+                  for a, b in sorted(pairs)]})
+
+
+def test_router_matches_reference_on_random_graphs():
+    """On random graphs, partitions and per-link free bandwidth, find_path
+    and d2d_shortest_path return exactly the reference's PathResult or None,
+    and every path has distinct hops."""
+    rng = np.random.default_rng(14)
+    found = crossing = 0
+    for trial in range(160):
+        n = int(rng.integers(2, 24))
+        if trial % 2:
+            g = tied_network(rng, n)
+        else:
+            g = build_network({"dc_count": n, "seed": int(rng.integers(2 ** 31))})
+        part = make_clusters(g, int(rng.integers(1, 6)),
+                             int(rng.integers(2 ** 31)))
+        loads = {l.key: float(rng.uniform(0, 1000)) for l in g.links}
+        free = lambda link: loads[link.key]
+        for _ in range(20):
+            src, dst = (int(x) for x in rng.integers(n, size=2))
+            bw = float(rng.choice([0.0, rng.uniform(0, 600)]))
+            cluster = part.clusters[part.cluster_of(src)]
+            pairs = [(find_path(part, g, free, src, dst, bw),
+                      ref_find_path(part, g, free, src, dst, bw)),
+                     (d2d_shortest_path(range(n), g, free, src, dst, bw),
+                      ref_d2d(range(n), g, free, src, dst, bw))]
+            if dst in cluster:
+                pairs.append((d2d_shortest_path(cluster, g, free, src, dst, bw),
+                              ref_d2d(cluster, g, free, src, dst, bw)))
+            for got, want in pairs:
+                assert got == want
+                if got is not None:
+                    assert len(set(got.hops)) == len(got.hops)
+                    found += 1
+            crossing += part.cluster_of(src) != part.cluster_of(dst)
+    assert found > 3000 and crossing > 1500
+
+
+def test_zero_length_link_gives_simple_path():
+    """DCs 1 and 2 share a position and a 0 km link, and both are gateways
+    of cluster {1, 2} from DC 0. Both lie 5 km from DC 0, but DC 1 only
+    through DC 2. The search stops at DC 2, the first gateway it settles, so
+    the path never enters DC 1. The reference's scan takes DC 1, the lower
+    id, behind DC 2, and its next segment goes back through DC 2: a loop
+    that `ref_strip_loops` cuts, which leaves the same path."""
+    g = build_network({
+        "dcs": [{"position": [0, 0]}, {"position": [5, 0]},
+                {"position": [5, 0]}, {"position": [10, 0]}],
+        "links": [{"a": 0, "b": 2, "distance_km": 5},
+                  {"a": 0, "b": 1, "distance_km": 7},
+                  {"a": 1, "b": 2, "distance_km": 0},
+                  {"a": 2, "b": 3, "distance_km": 5}]})
+    assignment = {0: 0, 1: 1, 2: 1, 3: 2}
+    clusters = {0: [0], 1: [1, 2], 2: [3]}
+    intra = {c: [l for l in g.links if {assignment[l.a], assignment[l.b]} == {c}]
+             for c in clusters}
+    inter = [l for l in g.links if assignment[l.a] != assignment[l.b]]
+    part = ClusterPartition(assignment, clusters, intra, inter,
+                            {0: (0, 0), 1: (5, 0), 2: (10, 0)}, 2)
+    free = const_free(1000.0)
+    path = find_path(part, g, free, 0, 3, 1.0)
+    assert path.hops == [0, 2, 3] and path.total_distance == 10.0
+    assert ref_find_path(part, g, free, 0, 3, 1.0, strip=False).hops == \
+        [0, 2, 1, 2, 3]
+    assert ref_find_path(part, g, free, 0, 3, 1.0) == path

@@ -54,7 +54,7 @@ def test_generated_graph_deterministic_and_connected():
 def test_rejects_bad_configs():
     with pytest.raises(TopologyError):
         build_network({"dc_count": 1})
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="disconnected"):
         build_network({"dcs": [{"position": [0, 0]}, {"position": [1, 0]},
                                {"position": [2, 0]}],
                        "links": [{"a": 0, "b": 1}]})  # DC 2 unreachable

@@ -1,5 +1,7 @@
 """Catalog values and request-bundle generation tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,6 @@ def test_fields_within_catalog_ranges():
             assert 1.0 <= r.bandwidth <= 50.0
         else:
             assert r.bandwidth == r.sfc_type.bandwidth
-        assert r.arrival == 0.0
         assert r.next_vnf_index == 0
 
 
@@ -146,4 +147,19 @@ def test_import_workload_names_the_malformed_line(tmp_path):
     with open(path, "a") as fh:
         fh.write('{"id": 1, "sfc_type": "XX"}\n')
     with pytest.raises(ValueError, match="line 2: unknown sfc_type 'XX'"):
+        import_workload(cat, str(path))
+
+
+def test_import_workload_accepts_only_arrival_zero(tmp_path):
+    """Every request is queued at time 0, so a record's `arrival` may be
+    absent or 0; any other value raises ValueError naming the line."""
+    cat = default_catalog()
+    path = tmp_path / "wl.jsonl"
+    record = {"sfc_type": "CG", "bandwidth": 4.0, "source_dc": 0, "dest_dc": 1}
+    path.write_text(json.dumps({**record, "id": 0}) + "\n"
+                    + json.dumps({**record, "id": 1, "arrival": 0.0}) + "\n")
+    assert [r.id for r in import_workload(cat, str(path))] == [0, 1]
+    with open(path, "a") as fh:
+        fh.write(json.dumps({**record, "id": 2, "arrival": 400.0}) + "\n")
+    with pytest.raises(ValueError, match="line 3: arrival must be 0"):
         import_workload(cat, str(path))
