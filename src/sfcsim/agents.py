@@ -326,11 +326,17 @@ def local_step(agent: LocalAgent, world, current_dc: int, action: int,
     """Execute one agent action that `begin_action` and `act` chose at
     `current_dc`. Returns (status, outcome, state, next_state): status -1
     signals queued general-agent assistance, and the state after the action
-    is encoded only when recording transitions."""
+    is encoded only when recording transitions. An invalid or idle action
+    changes nothing the state reads, so its next state is `state` itself."""
     outcome = _execute_action(agent, world, current_dc, action)
     agent.reward_total += outcome.reward  # accept/drop credited by the world
-    next_state = (encode_state(build_state_view(agent, world, current_dc),
-                               world.catalog) if record_states else None)
+    if not record_states:
+        next_state = None
+    elif outcome.invalid or action == ACTION_IDLE:
+        next_state = state
+    else:
+        next_state = encode_state(build_state_view(agent, world, current_dc),
+                                  world.catalog)
     status = -1 if agent.outbox else 0
     return status, outcome, state, next_state
 

@@ -20,6 +20,7 @@ SFC_FEATURES = 4 + len(VNF_ORDER)  # per-type summary + next-VNF histogram
 INPUT_A_DIM = len(SFC_ORDER) * SFC_FEATURES            # 60
 INPUT_B_DIM = 2 * len(VNF_ORDER) + 3                   # 15
 INPUT_C_DIM = INPUT_A_DIM + 2                          # 62
+STATE_DIM = INPUT_A_DIM + INPUT_B_DIM + INPUT_C_DIM    # 137: a replay row
 INSTANCE_NORM = 10.0
 _VNF_INDEX = {name: i for i, name in enumerate(VNF_ORDER)}
 _ZERO_HISTOGRAM = (0.0,) * len(VNF_ORDER)
@@ -58,6 +59,11 @@ class ModelConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise DrlError(f"drl.{name} must be in [0, 1], "
                                f"got {getattr(self, name)}")
+        try:  # as much as the replay arrays take, reserved and released
+            np.empty((self.replay_capacity, 2 * STATE_DIM + 3))
+        except MemoryError:
+            raise DrlError(f"drl.replay_capacity {self.replay_capacity} is too "
+                           "large: its replay arrays cannot be reserved") from None
 
     @property
     def action_count(self) -> int:
@@ -301,10 +307,14 @@ class QNetwork:
         return loss, grads
 
     def apply_grads(self, grads: dict[str, np.ndarray]) -> None:
+        """Momentum step, in place: the operations of `v = mom * v - lr * g`,
+        in that order, without its temporaries."""
         lr, mom = self.config.learning_rate, self.config.momentum
         for k, g in grads.items():
-            self.velocity[k] = mom * self.velocity[k] - lr * g
-            self.params[k] += self.velocity[k]
+            v = self.velocity[k]
+            v *= mom
+            v -= lr * g
+            self.params[k] += v
 
     # ---- weight transfer --------------------------------------------------
 
@@ -345,47 +355,67 @@ def act(net: QNetwork, states, epsilon: float,
 
 
 class ReplayMemory:
-    """Ring buffer of (state, action, next_state, reward, terminal) tuples."""
+    """Ring buffer of transitions, one row each in arrays allocated once at
+    `capacity`: a state's three inputs side by side in a row of `states`
+    and `next_states`, and the action, reward and terminal flag in one
+    slot each. `np.empty` only reserves them; a page becomes resident when
+    a row on it is first written. Each push writes row `pos` and advances
+    it, back to row 0 after the last."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.buffer: list[tuple] = []
+        self.states = np.empty((capacity, STATE_DIM))
+        self.next_states = np.empty((capacity, STATE_DIM))
+        self.actions = np.empty(capacity, dtype=int)
+        self.rewards = np.empty(capacity)
+        self.terminal = np.empty(capacity, dtype=bool)
+        self.size = 0
         self.pos = 0
 
     def push(self, state: StateEncoding, action: int, next_state: StateEncoding,
              reward: float, terminal: bool) -> None:
-        item = (state, action, next_state, reward, terminal)
-        if len(self.buffer) < self.capacity:
-            self.buffer.append(item)
-        else:
-            self.buffer[self.pos] = item
-        self.pos = (self.pos + 1) % self.capacity
+        i = self.pos
+        np.concatenate((state.input_a, state.input_b, state.input_c),
+                       out=self.states[i])
+        np.concatenate((next_state.input_a, next_state.input_b,
+                        next_state.input_c), out=self.next_states[i])
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.terminal[i] = terminal
+        self.pos = (i + 1) % self.capacity
+        if self.size < self.capacity:
+            self.size += 1
 
     def __len__(self) -> int:
-        return len(self.buffer)
+        return self.size
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[tuple]:
-        idx = rng.choice(len(self.buffer), size=batch_size, replace=False)
-        return [self.buffer[int(i)] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """The row indices of a batch drawn without replacement."""
+        return rng.choice(self.size, size=batch_size, replace=False)
+
+
+def _columns(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Replay rows split into `QNetwork.forward`'s three input blocks."""
+    b = INPUT_A_DIM + INPUT_B_DIM
+    return rows[:, :INPUT_A_DIM], rows[:, INPUT_A_DIM:b], rows[:, b:]
 
 
 def update(net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
            config: ModelConfig, rng: np.random.Generator) -> float | None:
     """One DQN gradient step on a random replay batch, with next states scored
     by `target_net`, which takes `net`'s parameters every `target_sync`
-    updates; None if memory is short."""
+    updates; None if memory is short. The batch's rows are gathered from
+    the replay arrays by index: the values `stack` would build from the
+    transitions' encodings."""
     if len(memory) < config.batch_size:
         return None
-    batch = memory.sample(config.batch_size, rng)
-    xa, xb, xc = stack([b[0] for b in batch])
-    actions = np.array([b[1] for b in batch], dtype=int)
-    rewards = np.array([b[3] for b in batch])
-    terminal = np.array([b[4] for b in batch], dtype=bool)
+    idx = memory.sample(config.batch_size, rng)
+    next_q = target_net.forward(_columns(memory.next_states[idx]))
+    targets = memory.rewards[idx] + np.where(
+        memory.terminal[idx], 0.0, config.discount * next_q.max(axis=1))
 
-    next_q = target_net.forward(stack([b[2] for b in batch]))
-    targets = rewards + np.where(terminal, 0.0, config.discount * next_q.max(axis=1))
-
-    loss, grads = net.loss_and_grads(xa, xb, xc, actions, targets)
+    loss, grads = net.loss_and_grads(*_columns(memory.states[idx]),
+                                     memory.actions[idx], targets)
     net.apply_grads(grads)
     net.update_count += 1
     if net.update_count % config.target_sync == 0:

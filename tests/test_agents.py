@@ -243,6 +243,20 @@ def test_invalid_action_semantics():
     assert not out.invalid and out.reward == 0.0
 
 
+def test_noop_action_records_its_state_as_next_state():
+    """An invalid place action and an idle action change nothing the state
+    reads: the recorded next state is the state itself, not a re-encoding."""
+    g = build_network({"dc_count": 4, "seed": 9})
+    world = build_world(g, 4, 0, QNetwork(ModelConfig(), seed=0))
+    agent = world.general.local_agents[0]
+    for action in (0, agents.ACTION_IDLE):  # place NAT with an empty queue
+        current_dc, state = agents.begin_action(agent, world, True)
+        _, outcome, got, next_state = agents.local_step(
+            agent, world, current_dc, action, state, record_states=True)
+        assert outcome.invalid == (action == 0)
+        assert got is state and next_state is state
+
+
 def test_uninstall_needed_penalty_flows():
     from sfcsim.agents import (REWARD_UNINSTALL_NEEDED, _execute_action,
                                _scan_scope)

@@ -137,6 +137,9 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     pytest.param({"drl": {"batch_size": 0}}, {}, id="batch_size_zero"),
     pytest.param({"drl": {"replay_capacity": 0}}, {},
                  id="replay_capacity_zero"),
+    # replay arrays np.empty cannot reserve: refused at once, nothing allocated
+    pytest.param({"drl": {"replay_capacity": 1000000000000}}, {},
+                 id="replay_capacity_unreservable"),
     pytest.param({"drl": {"epsilon_start": 1.5}}, {},
                  id="epsilon_start_above_one"),
     pytest.param({"drl": {"epsilon_end": -0.1}}, {}, id="epsilon_end_negative"),
@@ -177,6 +180,17 @@ def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
     out = tmp_path / "out"
     assert cli.main(["eval", "--config", cfg, "--weights", weights,
                      "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_train_rejects_unreservable_replay(tmp_path, capsys):
+    """Training with replay arrays too large to reserve exits 2 with a
+    message, not a MemoryError traceback."""
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"drl": {"replay_capacity": 10 ** 12}})
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "drl.replay_capacity" in capsys.readouterr().err
     assert not out.exists()
 
 

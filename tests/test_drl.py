@@ -8,6 +8,8 @@ from sfcsim.drl import (DrlError, INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM,
                         ModelConfig, PendingItem, QNetwork, ReplayMemory,
                         SfcGroups, StateEncoding, StateView, act, encode_state,
                         load_weights, save_weights, stack, update)
+from sfcsim.sim import SimConfig, run_episode
+from sfcsim.topology import build_network
 from sfcsim.workload import default_catalog
 
 
@@ -232,14 +234,133 @@ def test_gradient_matches_finite_differences():
 
 
 def test_replay_capacity_and_sampling():
+    """Pushes fill rows 0, 1, ... and then wrap: after 8 pushes into 5 rows,
+    rows 0-2 hold pushes 5-7 and rows 3-4 pushes 3-4."""
     mem = ReplayMemory(5)
-    s = random_state(np.random.default_rng(0))
-    for i in range(8):
-        mem.push(s, i % 13, s, float(i), False)
-    assert len(mem) == 5
-    batch = mem.sample(5, np.random.default_rng(1))
-    actions = [b[1] for b in batch]
-    assert len(actions) == len(set(zip(actions, [b[3] for b in batch])))
+    rng = np.random.default_rng(0)
+    pushed = [(random_state(rng), random_state(rng)) for _ in range(8)]
+    for i, (s, s2) in enumerate(pushed):
+        mem.push(s, i % 13, s2, float(i), i % 2 == 1)
+    assert len(mem) == 5 and mem.pos == 3
+    survivors = [5, 6, 7, 3, 4]
+    assert mem.rewards.tolist() == [float(i) for i in survivors]
+    assert mem.actions.tolist() == [i % 13 for i in survivors]
+    assert mem.terminal.tolist() == [i % 2 == 1 for i in survivors]
+    for row, i in enumerate(survivors):
+        s, s2 = pushed[i]
+        assert np.array_equal(mem.states[row], np.concatenate(stack([s]), 1)[0])
+        assert np.array_equal(mem.next_states[row],
+                              np.concatenate(stack([s2]), 1)[0])
+    idx = mem.sample(5, np.random.default_rng(1))
+    assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
+
+
+class RefReplayMemory:
+    """The list-of-tuples ring buffer the row arrays replaced."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.buffer = []
+        self.pos = 0
+
+    def push(self, state, action, next_state, reward, terminal):
+        item = (state, action, next_state, reward, terminal)
+        if len(self.buffer) < self.capacity:
+            self.buffer.append(item)
+        else:
+            self.buffer[self.pos] = item
+        self.pos = (self.pos + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        idx = rng.choice(len(self.buffer), size=batch_size, replace=False)
+        return [self.buffer[int(i)] for i in idx]
+
+
+def ref_update(net, target_net, memory, config, rng, velocity):
+    """The update on stacked encodings, with the momentum step written as
+    `v = mom * v - lr * g` on `velocity`."""
+    if len(memory.buffer) < config.batch_size:
+        return None
+    batch = memory.sample(config.batch_size, rng)
+    xa, xb, xc = stack([b[0] for b in batch])
+    actions = np.array([b[1] for b in batch], dtype=int)
+    rewards = np.array([b[3] for b in batch])
+    terminal = np.array([b[4] for b in batch], dtype=bool)
+    next_q = target_net.forward(stack([b[2] for b in batch]))
+    targets = rewards + np.where(terminal, 0.0,
+                                 config.discount * next_q.max(axis=1))
+    loss, grads = net.loss_and_grads(xa, xb, xc, actions, targets)
+    for k, g in grads.items():
+        velocity[k] = config.momentum * velocity[k] - config.learning_rate * g
+        net.params[k] += velocity[k]
+    net.update_count += 1
+    if net.update_count % config.target_sync == 0:
+        target_net.copy_params_from(net)
+    return loss
+
+
+def recorded_transitions():
+    """The clipped transitions one training episode records, in the order
+    `sim.train` pushes them."""
+    sim_config = SimConfig(max_steps=100)
+    _, world = run_episode(build_network({"dc_count": 40, "seed": 5}), 4, 3.0,
+                           5, QNetwork(ModelConfig(), seed=1), epsilon=0.5,
+                           config=sim_config, train=True)
+    clip = sim_config.reward_clip
+    return [(s, a, s2, max(-clip, min(clip, r)), terminal)
+            for cid in sorted(world.transitions)
+            for s, a, s2, r, terminal in world.transitions[cid]]
+
+
+def test_update_matches_list_replay_reference():
+    """Row replay and the list reference, fed the same recorded transitions
+    in chunks through a ring that wraps, give bit-equal parameters and equal
+    losses after every update."""
+    transitions = recorded_transitions()
+    config = ModelConfig(replay_capacity=256, target_sync=20)
+    assert len(transitions) > 3 * config.replay_capacity
+    net, ref_net = QNetwork(config, seed=4), QNetwork(config, seed=4)
+    target, ref_target = net.clone(), ref_net.clone()
+    mem, ref_mem = ReplayMemory(256), RefReplayMemory(256)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    velocity = {k: np.zeros_like(v) for k, v in ref_net.params.items()}
+    updates = 0
+    for start in range(0, len(transitions), 40):
+        for t in transitions[start:start + 40]:
+            mem.push(*t)
+            ref_mem.push(*t)
+        for _ in range(8):
+            loss = update(net, target, mem, config, rng)
+            assert loss == ref_update(ref_net, ref_target, ref_mem, config,
+                                      ref_rng, velocity)
+            for k in net.params:
+                assert np.array_equal(net.params[k], ref_net.params[k]), k
+                assert np.array_equal(target.params[k], ref_target.params[k])
+            updates += loss is not None
+    assert updates >= 200
+    assert mem.pos == ref_mem.pos
+
+
+def test_apply_grads_matches_momentum_formula():
+    """The in-place momentum step gives the bits of `v = mom * v - lr * g;
+    p += v` after 50 steps."""
+    config = small_config()
+    net = QNetwork(config, seed=2)
+    params = {k: v.copy() for k, v in net.params.items()}
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        states = [random_state(rng) for _ in range(8)]
+        _, grads = net.loss_and_grads(
+            *stack(states), rng.integers(config.action_count, size=8),
+            rng.normal(size=8))
+        for k, g in grads.items():
+            velocity[k] = config.momentum * velocity[k] - config.learning_rate * g
+            params[k] += velocity[k]
+        net.apply_grads(grads)
+    for k in params:
+        assert np.array_equal(net.params[k], params[k])
+        assert np.array_equal(net.velocity[k], velocity[k])
 
 
 def test_update_zero_loss_fixed_point():

@@ -160,7 +160,7 @@ def check_local_steps(monkeypatch):
     state and next state. Returns the counts of what the checks saw."""
     real_begin, real_local_step = sim.begin_action, sim.local_step
     seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0,
-            "after_alloc_task": 0, "recorded": 0}
+            "after_alloc_task": 0, "recorded": 0, "recorded_noop": 0}
     wanted = {}  # agent -> the reference encoding at its latest decide step
 
     def begun(agent, world, record_states=False):
@@ -212,6 +212,9 @@ def check_local_steps(monkeypatch):
             assert_same_encoding(next_state, ref_encode_state(
                 ref_build_state_view(agent, world, current_dc), world.catalog))
             seen["recorded"] += 1
+            # an invalid or idle action records its state as the next state
+            seen["recorded_noop"] += (result[1].invalid
+                                      or action == agents.ACTION_IDLE)
         return result
 
     monkeypatch.setattr(sim, "begin_action", begun)
@@ -255,12 +258,14 @@ def test_out_of_cluster_alloc_matches_reference(monkeypatch):
 
 
 def test_recorded_states_match_reference(monkeypatch):
-    """A training episode records the state before and after each action."""
+    """A training episode records the state before and after each action,
+    the no-op actions' next states included."""
     seen = check_local_steps(monkeypatch)
     g = build_network({"dc_count": 40, "seed": 12})
     run_episode(g, 8, 3.0, 12, DemandPolicy(), epsilon=0.5, train=True,
                 config=SimConfig(max_steps=30))
     assert seen["recorded"] == seen["steps"] > 300
+    assert seen["recorded_noop"] > 0
 
 
 def test_scope_scan_asks_per_vnf_type():
