@@ -5,7 +5,6 @@ cross-cluster delivery)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -301,22 +300,16 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
                          if agent.view.pending(vnf.name) else 0.0)
 
 
-def begin_action(agent: LocalAgent, world, record_states: bool = False
-                 ) -> tuple[int, StateEncoding | Callable[[], StateEncoding]]:
+def begin_action(agent: LocalAgent, world) -> tuple[int, StateEncoding]:
     """The agent's part of a round before its epsilon-greedy draw: scope scan
-    (once per step) and DC cursor advance. Returns the action's DC and its
-    state: encoded now when recording transitions, else a callable that
-    encodes it, which `act` calls only for a greedy action."""
+    (once per step), DC cursor advance and state encoding. Returns the
+    action's DC and its state."""
     if agent.view is None:
         _scan_scope(agent, world)
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
     agent.cursor += 1
-
-    def encode() -> StateEncoding:
-        return encode_state(build_state_view(agent, world, current_dc),
-                            world.catalog)
-
-    return current_dc, (encode() if record_states else encode)
+    return current_dc, encode_state(build_state_view(agent, world, current_dc),
+                                    world.catalog)
 
 
 def local_step(agent: LocalAgent, world, current_dc: int, action: int,

@@ -142,7 +142,9 @@ def from_dict(raw: dict) -> RunConfig:
             content = {} if content is None else content
             if not isinstance(content, dict):
                 raise ConfigError(f"section {name!r} must be a mapping")
-            unknown = set(content) - {f.name for f in fields(cls)} - set(NESTED)
+            # the nested sections are set from their own sections only
+            unknown = set(content) - ({f.name for f in fields(cls)}
+                                      - set(NESTED))
             if unknown:
                 raise ConfigError(
                     f"unknown keys in section {name!r}: {sorted(unknown)}")

@@ -1,7 +1,7 @@
 """Multi-input Q-network with an attention block, replay memory, and DQN updates.
 
-The network is cluster-size invariant: the three input vectors are fixed-length
-aggregates, so the same weights apply to clusters of any DC count.
+A state is one fixed-length row of three aggregate blocks, whatever the
+cluster's DC count, so the same weights apply to clusters of any size.
 """
 
 from __future__ import annotations
@@ -81,9 +81,11 @@ class ModelConfig:
 
 @dataclass
 class StateEncoding:
-    input_a: np.ndarray  # current DC's incoming SFC summary
-    input_b: np.ndarray  # current DC resources and installed VNFI counts
-    input_c: np.ndarray  # cluster-wide SFC summary plus coordinator signals
+    """One state as the STATE_DIM row that `act`, replay and `QNetwork`
+    take: the current DC's incoming SFC summary (INPUT_A_DIM floats), its
+    resources and installed VNFI counts (INPUT_B_DIM), and the cluster-wide
+    SFC summary plus coordinator signals (INPUT_C_DIM)."""
+    row: np.ndarray
 
 
 # identity equality: a view removes the item of one request from its groups
@@ -169,26 +171,16 @@ class StateView:
 
 def encode_state(view: StateView, catalog: Catalog) -> StateEncoding:
     """Fixed-length normalized encoding, independent of cluster size."""
-    input_b = []
+    row = view.items_local.summary(catalog)  # a new list on every call
     for name in VNF_ORDER:
-        input_b.append(_clip01(view.installed.get(name, 0) / INSTANCE_NORM))
-        input_b.append(_clip01(view.idle.get(name, 0) / INSTANCE_NORM))
-    input_b.extend(_clip01(f) for f in view.free_fracs)
-    input_c = view.items_cluster.summary(catalog)
-    input_c.append(1.0 if view.transfer_pending else 0.0)
-    input_c.append(_clip01(view.out_of_cluster_frac))
+        row.append(_clip01(view.installed.get(name, 0) / INSTANCE_NORM))
+        row.append(_clip01(view.idle.get(name, 0) / INSTANCE_NORM))
+    row.extend(_clip01(f) for f in view.free_fracs)
+    row += view.items_cluster.summary(catalog)
+    row.append(1.0 if view.transfer_pending else 0.0)
+    row.append(_clip01(view.out_of_cluster_frac))
     # fromiter with the length known skips np.array's type inference
-    return StateEncoding(
-        np.fromiter(view.items_local.summary(catalog), float, INPUT_A_DIM),
-        np.fromiter(input_b, float, INPUT_B_DIM),
-        np.fromiter(input_c, float, INPUT_C_DIM))
-
-
-def stack(states: list[StateEncoding]) -> tuple[np.ndarray, ...]:
-    """The states' input arrays stacked into `QNetwork.forward`'s rows."""
-    return (np.stack([s.input_a for s in states]),
-            np.stack([s.input_b for s in states]),
-            np.stack([s.input_c for s in states]))
+    return StateEncoding(np.fromiter(row, float, STATE_DIM))
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -224,9 +216,11 @@ class QNetwork:
 
     # ---- forward ----------------------------------------------------------
 
-    def _forward_cached(self, xa, xb, xc):
+    def _forward_cached(self, x):
         p = self.params
         F = self.config.branch_width
+        b = INPUT_A_DIM + INPUT_B_DIM
+        xa, xb, xc = x[:, :INPUT_A_DIM], x[:, INPUT_A_DIM:b], x[:, b:]
         cache = {"xa": xa, "xb": xb, "xc": xc}
         za = xa @ p["Wa"] + p["ba"]
         zb = xb @ p["Wb"] + p["bb"]
@@ -250,27 +244,22 @@ class QNetwork:
         q = h @ p["Wout"] + p["bout"]
         return q, cache
 
-    def forward(self, inputs) -> np.ndarray:
-        """Q-values, one row per row of the stacked input arrays (xa, xb,
-        xc)."""
-        xa, xb, xc = inputs
-        self._check_dims(xa, xb, xc)
-        q, _ = self._forward_cached(xa, xb, xc)
-        return q
-
-    def _check_dims(self, xa, xb, xc):
-        if xa.shape[1] != INPUT_A_DIM or xb.shape[1] != INPUT_B_DIM \
-                or xc.shape[1] != INPUT_C_DIM:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Q-values, one row per state row of `x`, shape (B, STATE_DIM)."""
+        if x.shape[1] != STATE_DIM:
             raise DrlError("input dimension mismatch")
+        q, _ = self._forward_cached(x)
+        return q
 
     # ---- backward ---------------------------------------------------------
 
-    def loss_and_grads(self, xa, xb, xc, actions, targets):
-        """Mean squared TD error on the selected actions, with gradients."""
+    def loss_and_grads(self, x, actions, targets):
+        """Mean squared TD error on the selected actions of the state rows
+        `x`, with gradients."""
         p = self.params
         F = self.config.branch_width
-        B = xa.shape[0]
-        q, cache = self._forward_cached(xa, xb, xc)
+        B = x.shape[0]
+        q, cache = self._forward_cached(x)
         idx = np.arange(B)
         diff = q[idx, actions] - targets
         loss = float(np.mean(diff ** 2))
@@ -328,39 +317,36 @@ class QNetwork:
         return net
 
 
-def act(net: QNetwork, states, epsilon: float,
+def act(net: QNetwork, states: list[StateEncoding], epsilon: float,
         rngs: list[np.random.Generator]) -> list[int]:
     """Epsilon-greedy actions for a round of states, one generator each;
-    greedy ties break to the lowest index.
-
-    Each state is a StateEncoding or a zero-argument callable returning one;
-    a callable is called only when its action is greedy, so exploring skips
-    the encoding. Each generator draws `random()`, then `integers` when it
-    explores. The greedy rows go through one `forward` call."""
+    greedy ties break to the lowest index. Each generator draws `random()`,
+    then `integers` when it explores. The greedy rows go through one
+    `forward` call."""
     if not 0.0 <= epsilon <= 1.0:
         raise DrlError("epsilon must be in [0,1]")
     actions: list[int] = []
-    greedy: list[tuple[int, StateEncoding]] = []  # (round index, encoding)
-    for i, (state, rng) in enumerate(zip(states, rngs)):
+    greedy: list[int] = []  # round indices
+    for i, rng in enumerate(rngs):
         if rng.random() < epsilon:
             actions.append(int(rng.integers(net.config.action_count)))
         else:
             actions.append(-1)
-            greedy.append((i, state() if callable(state) else state))
+            greedy.append(i)
     if greedy:
-        q = net.forward(stack([s for _, s in greedy]))
-        for (i, _), a in zip(greedy, q.argmax(axis=1)):
+        q = net.forward(np.stack([states[i].row for i in greedy]))
+        for i, a in zip(greedy, q.argmax(axis=1)):
             actions[i] = int(a)
     return actions
 
 
 class ReplayMemory:
     """Ring buffer of transitions, one row each in arrays allocated once at
-    `capacity`: a state's three inputs side by side in a row of `states`
-    and `next_states`, and the action, reward and terminal flag in one
-    slot each. `np.empty` only reserves them; a page becomes resident when
-    a row on it is first written. Each push writes row `pos` and advances
-    it, back to row 0 after the last."""
+    `capacity`: a state's row in `states` and `next_states`, and the
+    action, reward and terminal flag in one slot each. `np.empty` only
+    reserves them; a page becomes resident when a row on it is first
+    written. Each push writes row `pos` and advances it, back to row 0
+    after the last."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -375,10 +361,8 @@ class ReplayMemory:
     def push(self, state: StateEncoding, action: int, next_state: StateEncoding,
              reward: float, terminal: bool) -> None:
         i = self.pos
-        np.concatenate((state.input_a, state.input_b, state.input_c),
-                       out=self.states[i])
-        np.concatenate((next_state.input_a, next_state.input_b,
-                        next_state.input_c), out=self.next_states[i])
+        self.states[i] = state.row
+        self.next_states[i] = next_state.row
         self.actions[i] = action
         self.rewards[i] = reward
         self.terminal[i] = terminal
@@ -394,28 +378,21 @@ class ReplayMemory:
         return rng.choice(self.size, size=batch_size, replace=False)
 
 
-def _columns(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Replay rows split into `QNetwork.forward`'s three input blocks."""
-    b = INPUT_A_DIM + INPUT_B_DIM
-    return rows[:, :INPUT_A_DIM], rows[:, INPUT_A_DIM:b], rows[:, b:]
-
-
 def update(net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
            config: ModelConfig, rng: np.random.Generator) -> float | None:
     """One DQN gradient step on a random replay batch, with next states scored
     by `target_net`, which takes `net`'s parameters every `target_sync`
-    updates; None if memory is short. The batch's rows are gathered from
-    the replay arrays by index: the values `stack` would build from the
-    transitions' encodings."""
+    updates; None if memory is short. The batch's state rows are gathered
+    from the replay arrays by index."""
     if len(memory) < config.batch_size:
         return None
     idx = memory.sample(config.batch_size, rng)
-    next_q = target_net.forward(_columns(memory.next_states[idx]))
+    next_q = target_net.forward(memory.next_states[idx])
     targets = memory.rewards[idx] + np.where(
         memory.terminal[idx], 0.0, config.discount * next_q.max(axis=1))
 
-    loss, grads = net.loss_and_grads(*_columns(memory.states[idx]),
-                                     memory.actions[idx], targets)
+    loss, grads = net.loss_and_grads(memory.states[idx], memory.actions[idx],
+                                     targets)
     net.apply_grads(grads)
     net.update_count += 1
     if net.update_count % config.target_sync == 0:

@@ -264,25 +264,31 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
     executes its action, again in agent-id order. An agent leaves the phase
     when its queue and outbox are empty, when its action was invalid or
     idle, or after `actions_per_step` rounds. A local agent's action touches
-    only its own queue, outbox, DCs and intra-cluster links, links sum their
-    reservations in request-id order, and the rewards that settling a
-    request credits to its origin agent are multiples of 0.5, which add
-    exactly in any order. So the rounds give the same results as running
-    each agent's actions in turn."""
+    only its own queue, outbox, DCs and intra-cluster links, a link's free
+    bandwidth is a correctly rounded sum of its reservations, which does not
+    depend on their order, and the rewards that settling a request credits
+    to its origin agent are multiples of 0.5, which add exactly in any
+    order. So the rounds give the same results as running each agent's
+    actions in turn.
+
+    In training, the step-end flush moves accept and drop rewards onto the
+    records of the actions that allocated the requests. A record takes at
+    most one such reward, and no request allocated in the agent phase is
+    allocated again within the step, so a flush after every action would
+    give the same records."""
     now = world.now
     acting = [a for _, a in sorted(world.general.local_agents.items())
               if a.queue or a.outbox]
     for _ in range(world.config.actions_per_step):
         if not acting:
             break
-        begun = [begin_action(agent, world, train) for agent in acting]
+        begun = [begin_action(agent, world) for agent in acting]
         actions = drl.act(acting[0].policy, [state for _, state in begun],
                           epsilon, [agent.rng for agent in acting])
         still = []
         for agent, (current_dc, state), action in zip(acting, begun, actions):
             status, outcome, state, next_state = local_step(
-                agent, world, current_dc, action, state if train else None,
-                record_states=train)
+                agent, world, current_dc, action, state, record_states=train)
             if train:
                 cid = agent.cluster_id
                 shaped = outcome.reward + world.orphan_credit[cid]
@@ -293,7 +299,6 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
                 world.transitions[cid].append(record)
                 if outcome.request is not None:
                     world.credit_map[outcome.request.id] = record
-                world._flush_credit()
             if (outcome.invalid or outcome.action == agents_mod.ACTION_IDLE
                     or not (agent.queue or agent.outbox)):
                 # an invalid action stalls the agent until the next step;

@@ -58,9 +58,9 @@ class LinkRuntime:
         self.free_bw = self.computed_free_bw()
 
     def computed_free_bw(self) -> float:
-        """Free bandwidth recomputed from the reservations in request-id order."""
-        return self.link.bandwidth_cap - math.fsum(
-            self.reservations[r] for r in sorted(self.reservations))
+        """Free bandwidth recomputed from the reservations. `fsum` is
+        correctly rounded, so the result does not depend on their order."""
+        return self.link.bandwidth_cap - math.fsum(self.reservations.values())
 
 
 class Substrate:

@@ -54,6 +54,11 @@ class SfcType:
             raise ValueError(f"SFC {self.name}: chain must be non-empty")
         if self.e2e_tolerance <= 0:
             raise ValueError(f"SFC {self.name}: tolerance must be positive")
+        bw = self.bandwidth
+        lo_hi = bw if isinstance(bw, tuple) else (bw, bw)
+        if len(lo_hi) != 2 or not 0 < lo_hi[0] <= lo_hi[1]:  # also NaN
+            raise ValueError(f"SFC {self.name}: bandwidth must be positive or "
+                             f"a range 0 < lo <= hi, got {bw!r}")
         lo, hi = self.bundle_range
         if lo > hi or lo < 0:
             raise ValueError(f"SFC {self.name}: empty bundle range")

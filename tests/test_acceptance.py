@@ -187,23 +187,20 @@ def test_criterion_06_gradient_check():
     for _ in range(100):
         cfg = ModelConfig(branch_width=4, hidden_widths=(8,))
         net = QNetwork(cfg, seed=int(rng.integers(2 ** 31)))
-        from sfcsim.drl import INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, StateEncoding
-        s = StateEncoding(rng.uniform(0, 1, INPUT_A_DIM),
-                          rng.uniform(0, 1, INPUT_B_DIM),
-                          rng.uniform(0, 1, INPUT_C_DIM))
-        xa, xb, xc = s.input_a[None], s.input_b[None], s.input_c[None]
+        from sfcsim.drl import STATE_DIM
+        x = rng.uniform(0, 1, (1, STATE_DIM))
         action = np.array([int(rng.integers(cfg.action_count))])
         target = np.array([float(rng.normal())])
-        _, grads = net.loss_and_grads(xa, xb, xc, action, target)
+        _, grads = net.loss_and_grads(x, action, target)
         for name in net.params:
             flat = net.params[name].reshape(-1)
             for idx in rng.choice(flat.size, size=min(2, flat.size),
                                   replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                lp, _ = net.loss_and_grads(xa, xb, xc, action, target)
+                lp, _ = net.loss_and_grads(x, action, target)
                 flat[idx] = orig - eps
-                lm, _ = net.loss_and_grads(xa, xb, xc, action, target)
+                lm, _ = net.loss_and_grads(x, action, target)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 an = grads[name].reshape(-1)[idx]

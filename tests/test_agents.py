@@ -250,7 +250,7 @@ def test_noop_action_records_its_state_as_next_state():
     world = build_world(g, 4, 0, QNetwork(ModelConfig(), seed=0))
     agent = world.general.local_agents[0]
     for action in (0, agents.ACTION_IDLE):  # place NAT with an empty queue
-        current_dc, state = agents.begin_action(agent, world, True)
+        current_dc, state = agents.begin_action(agent, world)
         _, outcome, got, next_state = agents.local_step(
             agent, world, current_dc, action, state, record_states=True)
         assert outcome.invalid == (action == 0)

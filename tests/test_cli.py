@@ -170,6 +170,26 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
                  id="count_last_mile_removed"),
     pytest.param({"sim": {"eager_drop": False}}, {}, id="eager_drop_removed"),
     pytest.param({}, {"SFCSIM_SEED": "abc"}, id="env_seed_text"),
+    # the training config's nested names, given in another section, crashed
+    # with a KeyError
+    pytest.param({"cluster": {"size_limit": 2, "model": 1}}, {},
+                 id="cluster_model_key"),
+    pytest.param({"drl": {"sim": 3}}, {}, id="drl_sim_key"),
+    pytest.param({"output": {"model": None}}, {}, id="output_model_key"),
+    # an SFC bandwidth override takes a positive number or a range
+    # 0 < lo <= hi, as a request file takes a positive bandwidth
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "bandwidth": -4}}}}}, {}, id="override_bandwidth_negative"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "bandwidth": 0}}}}}, {}, id="override_bandwidth_zero"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "bandwidth": float("nan")}}}}}, {}, id="override_bandwidth_nan"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"MIoT": {
+        "bandwidth": [50, -1]}}}}}, {}, id="override_bandwidth_range_negative"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"MIoT": {
+        "bandwidth": [50, 1]}}}}}, {}, id="override_bandwidth_range_reversed"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"MIoT": {
+        "bandwidth": [1, 2, 3]}}}}}, {}, id="override_bandwidth_triple"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
                                      env):

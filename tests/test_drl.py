@@ -1,16 +1,20 @@
 """Q-network tests: encoding invariance, forward determinism, gradient checks
 against finite differences, replay and update mechanics, weight persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sfcsim.drl import (DrlError, INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM,
-                        ModelConfig, PendingItem, QNetwork, ReplayMemory,
-                        SfcGroups, StateEncoding, StateView, act, encode_state,
-                        load_weights, save_weights, stack, update)
+                        STATE_DIM, ModelConfig, PendingItem, QNetwork,
+                        ReplayMemory, SfcGroups, StateEncoding, StateView, act,
+                        encode_state, load_weights, save_weights, update)
 from sfcsim.sim import SimConfig, run_episode
 from sfcsim.topology import build_network
 from sfcsim.workload import default_catalog
+
+TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
 
 def empty_view():
@@ -20,24 +24,30 @@ def empty_view():
 
 
 def random_state(rng):
-    return StateEncoding(rng.uniform(0, 1, INPUT_A_DIM),
-                         rng.uniform(0, 1, INPUT_B_DIM),
-                         rng.uniform(0, 1, INPUT_C_DIM))
+    return StateEncoding(rng.uniform(0, 1, STATE_DIM))
+
+
+def blocks(enc):
+    """The three input blocks of a state row."""
+    b = INPUT_A_DIM + INPUT_B_DIM
+    return enc.row[:INPUT_A_DIM], enc.row[INPUT_A_DIM:b], enc.row[b:]
 
 
 def q_values(net, s):
     """One state's Q-values from a 1-row forward call."""
-    return net.forward(stack([s]))[0]
+    return net.forward(s.row[None])[0]
 
 
 def test_encode_empty_system():
     enc = encode_state(empty_view(), default_catalog())
-    assert enc.input_a.shape == (INPUT_A_DIM,)
-    assert enc.input_b.shape == (INPUT_B_DIM,)
-    assert enc.input_c.shape == (INPUT_C_DIM,)
-    assert np.all(enc.input_a == 0.0)
-    assert np.all(enc.input_b[-3:] == 1.0)  # fully free resources
-    assert np.all(enc.input_c == 0.0)
+    assert enc.row.shape == (STATE_DIM,)
+    input_a, input_b, input_c = blocks(enc)
+    assert input_a.shape == (INPUT_A_DIM,)
+    assert input_b.shape == (INPUT_B_DIM,)
+    assert input_c.shape == (INPUT_C_DIM,)
+    assert np.all(input_a == 0.0)
+    assert np.all(input_b[-3:] == 1.0)  # fully free resources
+    assert np.all(input_c == 0.0)
 
 
 def test_encode_single_cg_request():
@@ -45,15 +55,15 @@ def test_encode_single_cg_request():
     item = PendingItem("CG", 80.0, 4.0, 0.0, "NAT")
     view = empty_view()
     view.items_local = SfcGroups([item])
-    enc = encode_state(view, cat)
+    input_a, _, _ = blocks(encode_state(view, cat))
     base = 0  # CG is the first SFC type
-    assert enc.input_a[base + 0] == pytest.approx(1 / 55)
-    assert enc.input_a[base + 1] == pytest.approx(0.8)  # 80 ms / 100 ms
-    assert enc.input_a[base + 2] == pytest.approx(0.04)
-    assert enc.input_a[base + 4] == 1.0  # next VNF is NAT
-    assert np.all(enc.input_a[base + 5:base + 10] == 0.0)
+    assert input_a[base + 0] == pytest.approx(1 / 55)
+    assert input_a[base + 1] == pytest.approx(0.8)  # 80 ms / 100 ms
+    assert input_a[base + 2] == pytest.approx(0.04)
+    assert input_a[base + 4] == 1.0  # next VNF is NAT
+    assert np.all(input_a[base + 5:base + 10] == 0.0)
     # other SFC type blocks untouched
-    assert np.all(enc.input_a[10:] == 0.0)
+    assert np.all(input_a[10:] == 0.0)
 
 
 def test_encoding_bounds_and_locality():
@@ -71,9 +81,8 @@ def test_encoding_bounds_and_locality():
         view.items_local = SfcGroups(items)
         view.items_cluster = SfcGroups(items)
         view.installed = {"NAT": int(rng.integers(0, 30))}
-        enc = encode_state(view, cat)
-        for arr in (enc.input_a, enc.input_b, enc.input_c):
-            assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
+        row = encode_state(view, cat).row
+        assert np.all(row >= 0.0) and np.all(row <= 1.0)
 
 
 def test_architecture_invariant_to_cluster_size():
@@ -82,19 +91,51 @@ def test_architecture_invariant_to_cluster_size():
     big = empty_view()
     big.items_cluster = SfcGroups([PendingItem("VoIP", 50.0, 0.064, 0.2, "FW")] * 40)
     enc_big = encode_state(big, default_catalog())
-    assert enc_small.input_a.shape == enc_big.input_a.shape
-    assert enc_small.input_c.shape == enc_big.input_c.shape
+    assert enc_small.row.shape == enc_big.row.shape == (STATE_DIM,)
 
 
 def test_forward_shapes_and_determinism():
     cfg = ModelConfig()
     net = QNetwork(cfg, seed=3)
     s = random_state(np.random.default_rng(1))
-    q1 = net.forward(stack([s]))
-    q2 = net.forward(stack([s]))
+    q1 = net.forward(s.row[None])
+    q2 = net.forward(s.row[None])
     assert q1.shape == (1, 13)
     assert np.array_equal(q1, q2)
-    assert net.forward(stack([s, s, s])).shape == (3, 13)
+    assert net.forward(np.stack([s.row] * 3)).shape == (3, 13)
+
+
+def ref_forward_blocks(net, xa, xb, xc):
+    """`QNetwork.forward` as it was on three separate contiguous input
+    arrays, one per block."""
+    p = net.params
+    F = net.config.branch_width
+    z = np.concatenate([np.maximum(xa @ p["Wa"] + p["ba"], 0.0),
+                        np.maximum(xb @ p["Wb"] + p["bb"], 0.0),
+                        np.maximum(xc @ p["Wc"] + p["bc"], 0.0)], axis=1)
+    u = z @ p["Watt"] + p["batt"]
+    exp = np.exp(u - u.max(axis=1, keepdims=True))
+    h = 3 * F * z * (exp / exp.sum(axis=1, keepdims=True))
+    for i in range(len(net.config.hidden_widths)):
+        h = np.maximum(h @ p[f"Wh{i}"] + p[f"bh{i}"], 0.0)
+    return h @ p["Wout"] + p["bout"]
+
+
+def test_forward_on_rows_matches_contiguous_blocks():
+    """Slicing the blocks out of stacked rows gives the bits the three
+    contiguous input arrays give, at every batch size up to a round of 20
+    agents and at the update batch of 64, with the trained weights."""
+    net = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    rng = np.random.default_rng(12)
+    for size in [*range(1, 21), 64]:
+        x = rng.uniform(0, 1, (size, STATE_DIM))
+        x[rng.uniform(size=x.shape) < 0.5] = 0.0  # encodings are sparse
+        b = INPUT_A_DIM + INPUT_B_DIM
+        want = ref_forward_blocks(
+            net, *(np.ascontiguousarray(x[:, cols]) for cols in
+                   (slice(0, INPUT_A_DIM), slice(INPUT_A_DIM, b),
+                    slice(b, None))))
+        assert net.forward(x).tobytes() == want.tobytes(), size
 
 
 def test_forward_zero_weights():
@@ -108,15 +149,14 @@ def test_forward_zero_weights():
 def test_attention_weights_normalized():
     net = QNetwork(ModelConfig(), seed=5)
     s = random_state(np.random.default_rng(7))
-    _, cache = net._forward_cached(s.input_a[None], s.input_b[None], s.input_c[None])
+    _, cache = net._forward_cached(s.row[None])
     assert cache["alpha"].sum(axis=1) == pytest.approx(1.0)
 
 
 def test_forward_dim_mismatch():
     net = QNetwork(ModelConfig(), seed=0)
-    bad = (np.zeros((1, 3)), np.zeros((1, INPUT_B_DIM)), np.zeros((1, INPUT_C_DIM)))
     with pytest.raises(DrlError):
-        net.forward(bad)
+        net.forward(np.zeros((1, STATE_DIM - 1)))
 
 
 def test_act_epsilon_extremes():
@@ -126,22 +166,6 @@ def test_act_epsilon_extremes():
     assert act(net, [s], 0.0, [rng]) == [int(np.argmax(q_values(net, s)))]
     with pytest.raises(DrlError):
         act(net, [s], 1.5, [rng])
-
-
-def test_act_encodes_lazily():
-    """A callable state is encoded only for a greedy action."""
-    net = QNetwork(ModelConfig(), seed=1)
-    s = random_state(np.random.default_rng(4))
-    calls = []
-
-    def encode():
-        calls.append(1)
-        return s
-    act(net, [encode], 1.0, [np.random.default_rng(0)])
-    assert calls == []
-    assert act(net, [encode], 0.0, [np.random.default_rng(0)]) == act(
-        net, [s], 0.0, [np.random.default_rng(0)])
-    assert calls == [1]
 
 
 def test_act_draws_as_one_state_at_a_time():
@@ -171,9 +195,9 @@ def test_act_draws_as_one_state_at_a_time():
             assert r.random() == ref.random()
     seen = []
     real = net.forward
-    net.forward = lambda x: seen.append(x[0].shape) or real(x)
+    net.forward = lambda x: seen.append(x.shape) or real(x)
     act(net, [states[0]], 0.0, [np.random.default_rng(0)])
-    assert seen == [(1, INPUT_A_DIM)]
+    assert seen == [(1, STATE_DIM)]
 
 
 def test_act_uniform_at_epsilon_one():
@@ -211,19 +235,19 @@ def test_gradient_matches_finite_differences():
         cfg = small_config()
         net = QNetwork(cfg, seed=int(rng.integers(2 ** 31)))
         s = random_state(rng)
-        xa, xb, xc = (s.input_a[None], s.input_b[None], s.input_c[None])
+        x = s.row[None]
         action = np.array([int(rng.integers(cfg.action_count))])
         target = np.array([float(rng.normal())])
-        _, grads = net.loss_and_grads(xa, xb, xc, action, target)
+        _, grads = net.loss_and_grads(x, action, target)
         # probe a handful of coordinates from every parameter tensor
         for name in net.params:
             flat = net.params[name].reshape(-1)
             for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                lp, _ = net.loss_and_grads(xa, xb, xc, action, target)
+                lp, _ = net.loss_and_grads(x, action, target)
                 flat[idx] = orig - eps
-                lm, _ = net.loss_and_grads(xa, xb, xc, action, target)
+                lm, _ = net.loss_and_grads(x, action, target)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 an = grads[name].reshape(-1)[idx]
@@ -248,9 +272,8 @@ def test_replay_capacity_and_sampling():
     assert mem.terminal.tolist() == [i % 2 == 1 for i in survivors]
     for row, i in enumerate(survivors):
         s, s2 = pushed[i]
-        assert np.array_equal(mem.states[row], np.concatenate(stack([s]), 1)[0])
-        assert np.array_equal(mem.next_states[row],
-                              np.concatenate(stack([s2]), 1)[0])
+        assert np.array_equal(mem.states[row], s.row)
+        assert np.array_equal(mem.next_states[row], s2.row)
     idx = mem.sample(5, np.random.default_rng(1))
     assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
 
@@ -282,14 +305,14 @@ def ref_update(net, target_net, memory, config, rng, velocity):
     if len(memory.buffer) < config.batch_size:
         return None
     batch = memory.sample(config.batch_size, rng)
-    xa, xb, xc = stack([b[0] for b in batch])
+    x = np.stack([b[0].row for b in batch])
     actions = np.array([b[1] for b in batch], dtype=int)
     rewards = np.array([b[3] for b in batch])
     terminal = np.array([b[4] for b in batch], dtype=bool)
-    next_q = target_net.forward(stack([b[2] for b in batch]))
+    next_q = target_net.forward(np.stack([b[2].row for b in batch]))
     targets = rewards + np.where(terminal, 0.0,
                                  config.discount * next_q.max(axis=1))
-    loss, grads = net.loss_and_grads(xa, xb, xc, actions, targets)
+    loss, grads = net.loss_and_grads(x, actions, targets)
     for k, g in grads.items():
         velocity[k] = config.momentum * velocity[k] - config.learning_rate * g
         net.params[k] += velocity[k]
@@ -352,8 +375,8 @@ def test_apply_grads_matches_momentum_formula():
     for _ in range(50):
         states = [random_state(rng) for _ in range(8)]
         _, grads = net.loss_and_grads(
-            *stack(states), rng.integers(config.action_count, size=8),
-            rng.normal(size=8))
+            np.stack([s.row for s in states]),
+            rng.integers(config.action_count, size=8), rng.normal(size=8))
         for k, g in grads.items():
             velocity[k] = config.momentum * velocity[k] - config.learning_rate * g
             params[k] += velocity[k]

@@ -10,8 +10,8 @@ import pytest
 
 from sfcsim import agents, sim
 from sfcsim.drl import (INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, INSTANCE_NORM,
-                        SFC_FEATURES, ModelConfig, PendingItem, SfcGroups,
-                        StateEncoding, StateView, encode_state)
+                        SFC_FEATURES, STATE_DIM, ModelConfig, PendingItem,
+                        SfcGroups, StateEncoding, StateView, encode_state)
 from sfcsim.sim import SimConfig, run_episode
 from sfcsim.topology import build_network
 from sfcsim.workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER,
@@ -112,7 +112,7 @@ def ref_encode_state(view, catalog):
     input_c[:INPUT_A_DIM] = ref_sfc_summary(view.items_cluster, catalog)
     input_c[-2] = 1.0 if view.transfer_pending else 0.0
     input_c[-1] = _clip01(view.out_of_cluster_frac)
-    return StateEncoding(input_a, input_b, input_c)
+    return StateEncoding(np.concatenate([input_a, input_b, input_c]))
 
 
 def ref_scope_moves(agent, world):
@@ -124,10 +124,10 @@ def ref_scope_moves(agent, world):
 
 
 def assert_same_encoding(got, want):
-    for name in ("input_a", "input_b", "input_c"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert a.tobytes() == b.tobytes(), name  # also tells 0.0 from -0.0
+    a, b = got.row, want.row
+    assert a.shape == b.shape == (STATE_DIM,)
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # also tells 0.0 from -0.0
 
 
 # ---- checks ----------------------------------------------------------------
@@ -138,11 +138,11 @@ class DemandPolicy:
     most wanted at the current DC (then in the cluster), else idle. Its
     Q-values are read off the encoding, and unlike an untrained network it
     keeps agents allocating, so DCs fill up and requests move out. Like
-    `QNetwork.forward`, it scores stacked input arrays, one row per state."""
+    `QNetwork.forward`, it scores stacked state rows."""
     config = ModelConfig()
 
-    def forward(self, inputs):
-        xa, _, xc = inputs
+    def forward(self, x):
+        xa, xc = x[:, :INPUT_A_DIM], x[:, INPUT_A_DIM + INPUT_B_DIM:]
         shape = (len(xa), len(SFC_ORDER), SFC_FEATURES)
         q = np.full((len(xa), self.config.action_count), -1.0)
         q[:, :len(VNF_ORDER)] = (
@@ -163,7 +163,7 @@ def check_local_steps(monkeypatch):
             "after_alloc_task": 0, "recorded": 0, "recorded_noop": 0}
     wanted = {}  # agent -> the reference encoding at its latest decide step
 
-    def begun(agent, world, record_states=False):
+    def begun(agent, world):
         now = world.now
         if agent.view is None:  # the turn's first action
             moved = ref_scope_moves(agent, world)
@@ -175,10 +175,8 @@ def check_local_steps(monkeypatch):
             assert all(t.kind == agents.TASK_TRANSFER for t in tasks)
             assert [r.id for r in agent.queue] == [r.id for r in keep]
             seen["moved"] += len(moved)
-        result = real_begin(agent, world, record_states)
-        current_dc = result[0]
-        got = encode_state(agents.build_state_view(agent, world, current_dc),
-                           world.catalog)
+        result = real_begin(agent, world)
+        current_dc, got = result
         want = wanted[id(agent)] = ref_encode_state(
             ref_build_state_view(agent, world, current_dc), world.catalog)
         assert_same_encoding(got, want)

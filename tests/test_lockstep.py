@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sfcsim import agents, sim
-from sfcsim.drl import ModelConfig, encode_state, load_weights, stack
+from sfcsim.drl import ModelConfig, encode_state, load_weights
 from sfcsim.sim import SimConfig, World, report_rows, run_episode
 from sfcsim.topology import build_network, make_clusters
 from sfcsim.workload import SfcRequest, catalog_from_config
@@ -45,7 +45,7 @@ def ref_local_step(agent, world, now, epsilon, rng, record_states=False):
         action = int(rng.integers(agent.policy.config.action_count))
     else:
         action = int(np.argmax(agent.policy.forward(
-            stack([encode() if state is None else state]))[0]))
+            (encode() if state is None else state).row[None])[0]))
     outcome = agents._execute_action(agent, world, current_dc, action)
     agent.reward_total += outcome.reward
     next_state = encode() if record_states else None
@@ -91,8 +91,7 @@ def assert_same_state(a, b):
     if a is None or b is None:
         assert a is b
         return
-    for name in ("input_a", "input_b", "input_c"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.row.tobytes() == b.row.tobytes()
 
 
 def assert_same_episode(got, want):
@@ -137,9 +136,9 @@ def test_rounds_match_per_agent_loop(monkeypatch, policy, dc_count, limit,
     rounds = []  # greedy rows per batched forward call
     real_forward = type(policy).forward
 
-    def count_rows(net, inputs):
-        rounds.append(len(inputs[0]))
-        return real_forward(net, inputs)
+    def count_rows(net, x):
+        rounds.append(len(x))
+        return real_forward(net, x)
 
     with monkeypatch.context() as m:
         m.setattr(type(policy), "forward", count_rows)
@@ -166,13 +165,13 @@ def test_batched_argmax_matches_single_rows(policy):
     states = [s for records in world.transitions.values()
               for record in records for s in (record[0], record[2])]
     assert len(states) > 2000
-    single = [int(np.argmax(policy.forward(stack([s]))[0])) for s in states]
+    single = [int(np.argmax(policy.forward(s.row[None])[0])) for s in states]
     start = 0
     for size in itertools.cycle(range(1, 21)):
         batch = states[start:start + size]
         if not batch:
             break
-        q = policy.forward(stack(batch))
+        q = policy.forward(np.stack([s.row for s in batch]))
         assert list(q.argmax(axis=1)) == single[start:start + size]
         start += size
 

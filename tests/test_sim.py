@@ -217,8 +217,7 @@ def test_lifecycle_pinned():
             for state, action, next_state, reward, terminal in \
                     world.transitions[cid]:
                 for enc in (state, next_state):
-                    for arr in (enc.input_a, enc.input_b, enc.input_c):
-                        digest.update(arr.tobytes())
+                    digest.update(enc.row.tobytes())
                 digest.update(repr((action, reward, terminal)).encode())
     for what in (ACCEPTED, "deadline", "horizon", "delivery-unroutable",
                  "assisted delivery", "same-cluster delivery"):

@@ -241,6 +241,34 @@ def test_cached_free_bw_matches_full_recompute(cat):
         sub.verify_accounting()
 
 
+def test_free_bw_does_not_depend_on_reservation_order(cat):
+    """The same reservations made, and some released, in a permuted order
+    leave the same free bandwidth, bit for bit: `fsum` is correctly
+    rounded, so the order of the sum does not matter."""
+    g = build_network({
+        "dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+        "links": [{"a": 0, "b": 1, "bandwidth_mbps": 1e6}]})
+    link = g.links[0]
+    path = PathResult([0, 1], 1.0, [link])
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        # magnitudes from 1e-3 to 1e3 Mbps, so a plain sum would round
+        # differently in different orders
+        bws = 10.0 ** rng.uniform(-3, 3, 40)
+        released = set(rng.choice(40, size=10, replace=False).tolist())
+        frees = set()
+        for order in (range(40), rng.permutation(40), rng.permutation(40)):
+            s = Substrate(g)
+            for i in order:
+                assert s.reserve_bandwidth(path, SfcRequest(
+                    int(i), cat.sfcs["CG"], float(bws[i]), 0, 1))
+            for i in rng.permutation(sorted(released)):
+                s.release_bandwidth(int(i))
+            frees.add(s.link_free(link).hex())
+            s.verify_accounting()
+        assert len(frees) == 1
+
+
 def test_verify_accounting_catches_reservation_behind_cache(cat, graph, sub):
     path = one_link_path(graph)
     r = SfcRequest(11, cat.sfcs["CG"], 4.0, path.hops[0], path.hops[1])
