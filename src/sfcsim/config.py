@@ -5,6 +5,7 @@ every value is converted to its field's declared type or rejected."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -37,8 +38,9 @@ class WorkloadConfig:
     replay_file: str | None = None
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"workload.scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:  # also NaN
+            raise ValueError(f"workload.scale must be positive and finite, "
+                             f"got {self.scale}")
 
 
 @dataclass
@@ -61,8 +63,9 @@ class SweepConfig:
     scales: list[float] = field(default_factory=lambda: [1.0])
 
     def __post_init__(self):
-        if any(scale <= 0 for scale in self.scales):
-            raise ValueError(f"sweep.scales must be positive, got {self.scales}")
+        if not all(0 < scale < math.inf for scale in self.scales):
+            raise ValueError(f"sweep.scales must be positive and finite, got "
+                             f"{self.scales}")
 
 
 @dataclass

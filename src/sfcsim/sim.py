@@ -5,6 +5,7 @@ and evaluation loops, and report rows."""
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -445,12 +446,12 @@ class TrainConfig:
         if not self.dc_choices or self.round_episodes < 1:
             raise ValueError("train.dc_choices must be non-empty and "
                              "train.round_episodes at least 1")
-        if min(self.scale_range) <= 0:
-            raise ValueError(f"train.scale_range must be positive, "
+        if not all(0 < scale < math.inf for scale in self.scale_range):
+            raise ValueError(f"train.scale_range must be positive and finite, "
                              f"got {self.scale_range}")
-        if self.validation_cell[2] <= 0:
+        if not 0 < self.validation_cell[2] < math.inf:  # also NaN
             raise ValueError(f"train.validation_cell's scale must be "
-                             f"positive, got {self.validation_cell}")
+                             f"positive and finite, got {self.validation_cell}")
 
 
 @dataclass

@@ -8,6 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Lloyd's loop on capacitated clusters often cycles instead of converging; the
+# cap picks which phase of the cycle make_clusters returns, not how many
+# iterations it runs (it stops as soon as its state repeats)
 MAX_KMEANS_ITERS = 100
 
 
@@ -252,22 +255,26 @@ def _kmeans_pp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
     return points[chosen].copy()
 
 
-def _greedy_assign(points: np.ndarray, centroids: np.ndarray, size_limit: int) -> list[int]:
+def _greedy_assign(points: np.ndarray, centroids: np.ndarray, size_limit: int) -> np.ndarray:
     n, k = len(points), len(centroids)
     dist = np.sqrt(((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
     if k == 1:
-        return [0] * n
-    part = np.sort(dist, axis=1)
+        return np.zeros(n, dtype=np.intp)
+    # each DC's clusters nearest first; the stable sort puts equal distances
+    # in index order, so ties go to the lowest cluster index
+    prefs = np.argsort(dist, axis=1, kind="stable")
+    part = np.take_along_axis(dist, prefs[:, :2], axis=1)
     # most committed DCs (largest gap between best and runner-up) assigned first
-    order = sorted(range(n), key=lambda i: (part[i, 0] - part[i, 1], i))
-    remaining = np.full(k, size_limit)
-    assign = [-1] * n
-    for i in order:
-        # the nearest open centroid; argmin takes the first of equal
-        # distances, so ties go to the lowest cluster index
-        best = int(np.where(remaining > 0, dist[i], np.inf).argmin())
-        assign[i] = best
-        remaining[best] -= 1
+    order = np.argsort(part[:, 0] - part[:, 1], kind="stable")
+    remaining = [size_limit] * k
+    assign = np.empty(n, dtype=np.intp)
+    rows = prefs.tolist()
+    for i in order.tolist():
+        for c in rows[i]:  # the nearest open centroid
+            if remaining[c]:
+                break
+        assign[i] = c
+        remaining[c] -= 1
     return assign
 
 
@@ -275,7 +282,11 @@ def make_clusters(graph: NetworkGraph, size_limit: int, seed: int) -> ClusterPar
     """Partition DCs into clusters of at most `size_limit` members.
 
     Lloyd iterations with a capacity-respecting greedy assignment step;
-    k-means++ seeding; deterministic for a fixed seed.
+    k-means++ seeding; deterministic for a fixed seed. The centroids fix
+    every later iteration (an empty cluster keeps its centroid), so the loop
+    stops when the assignment repeats the previous one, or when the
+    centroids repeat earlier ones; in a cycle it returns the phase that
+    iteration MAX_KMEANS_ITERS lands on, without running up to it.
     """
     n = graph.dc_count
     if size_limit < 1:
@@ -287,19 +298,28 @@ def make_clusters(graph: NetworkGraph, size_limit: int, seed: int) -> ClusterPar
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_seeds(points, k, rng)
 
+    history: list[np.ndarray] = []  # the centroids of iteration t at index t
+    first_seen: dict[bytes, int] = {}
     prev = None
-    assign = _greedy_assign(points, centroids, size_limit)
-    for _ in range(MAX_KMEANS_ITERS):
-        if assign == prev:
+    for it in range(MAX_KMEANS_ITERS + 1):
+        start = first_seen.setdefault(centroids.tobytes(), it)
+        if start != it:
+            # iteration it repeats iteration start, so every later one
+            # repeats with period it - start: take the phase of the cap
+            centroids = history[start + (MAX_KMEANS_ITERS - start) % (it - start)]
+        assign = np.asarray(_greedy_assign(points, centroids, size_limit))
+        if (start != it or it == MAX_KMEANS_ITERS
+                or prev is not None and np.array_equal(assign, prev)):
             break
+        history.append(centroids)
         prev = assign
         new_centroids = centroids.copy()
         for c in range(k):
-            members = [i for i in range(n) if assign[i] == c]
-            if members:
+            members = np.flatnonzero(assign == c)
+            if len(members):
                 new_centroids[c] = points[members].mean(axis=0)
         centroids = new_centroids
-        assign = _greedy_assign(points, centroids, size_limit)
+    assign = assign.tolist()
 
     # drop empty clusters; renumber by ascending lowest member id
     members_by_c: dict[int, list[int]] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,8 +31,11 @@ class VnfType:
     proc_time: float  # ms
 
     def __post_init__(self):
-        if self.vcpu <= 0 or self.ram <= 0 or self.storage <= 0 or self.proc_time <= 0:
-            raise ValueError(f"VNF {self.name}: all fields must be positive")
+        values = (self.vcpu, self.ram, self.storage, self.proc_time)
+        if not all(0 < v < math.inf for v in values):  # also NaN
+            raise ValueError(f"VNF {self.name}: vcpu, ram, storage and "
+                             f"proc_time must be positive and finite, got "
+                             f"{values}")
 
 
 @dataclass(frozen=True)
@@ -52,13 +56,14 @@ class SfcType:
     def __post_init__(self):
         if not self.chain:
             raise ValueError(f"SFC {self.name}: chain must be non-empty")
-        if self.e2e_tolerance <= 0:
-            raise ValueError(f"SFC {self.name}: tolerance must be positive")
+        if not 0 < self.e2e_tolerance < math.inf:  # also NaN
+            raise ValueError(f"SFC {self.name}: tolerance must be positive and "
+                             f"finite, got {self.e2e_tolerance!r}")
         bw = self.bandwidth
         lo_hi = bw if isinstance(bw, tuple) else (bw, bw)
-        if len(lo_hi) != 2 or not 0 < lo_hi[0] <= lo_hi[1]:  # also NaN
-            raise ValueError(f"SFC {self.name}: bandwidth must be positive or "
-                             f"a range 0 < lo <= hi, got {bw!r}")
+        if len(lo_hi) != 2 or not 0 < lo_hi[0] <= lo_hi[1] < math.inf:
+            raise ValueError(f"SFC {self.name}: bandwidth must be positive and "
+                             f"finite or a range 0 < lo <= hi < inf, got {bw!r}")
         lo, hi = self.bundle_range
         if lo > hi or lo < 0:
             raise ValueError(f"SFC {self.name}: empty bundle range")
@@ -177,7 +182,7 @@ def _overridden(overrides: dict, section: str, table: dict, kinds: dict) -> dict
         try:
             table[name] = replace(table[name], **{k: kinds[k](v)
                                                   for k, v in fields.items()})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}.{name} is malformed: {exc!r}") from exc
     return table
 
@@ -239,9 +244,9 @@ def export_workload(requests: list[SfcRequest], path: str) -> None:
 
 def import_workload(catalog: Catalog, path: str) -> list[SfcRequest]:
     """The requests of a file written by `export_workload`. A line that is
-    not a request record of a catalog SFC type with positive bandwidth and an
-    `arrival` that is absent or 0, or that repeats a request id, raises
-    ValueError naming the line."""
+    not a request record of a catalog SFC type with positive, finite
+    bandwidth and an `arrival` that is absent or 0, or that repeats a request
+    id, raises ValueError naming the line."""
     requests = []
     ids = set()
     with open(path) as fh:
@@ -262,9 +267,9 @@ def import_workload(catalog: Catalog, path: str) -> list[SfcRequest]:
                     source_dc=int(rec["source_dc"]),
                     dest_dc=int(rec["dest_dc"]),
                 )
-                if not request.bandwidth > 0:  # also NaN
-                    raise ValueError(
-                        f"bandwidth must be positive, got {request.bandwidth}")
+                if not 0 < request.bandwidth < math.inf:  # also NaN
+                    raise ValueError(f"bandwidth must be positive and finite, "
+                                     f"got {request.bandwidth}")
                 # every request is queued at time 0
                 if float(rec.get("arrival", 0.0)) != 0.0:
                     raise ValueError(

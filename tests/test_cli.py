@@ -190,6 +190,38 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
         "bandwidth": [50, 1]}}}}}, {}, id="override_bandwidth_range_reversed"),
     pytest.param({"workload": {"overrides": {"sfcs": {"MIoT": {
         "bandwidth": [1, 2, 3]}}}}}, {}, id="override_bandwidth_triple"),
+    # non-finite catalog values loaded: a NaN tolerance or processing time
+    # made every agent's priority ranking NaN, and an infinite bandwidth
+    # dropped every request of its type; an infinite integer field crashed
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "bandwidth": float("inf")}}}}}, {}, id="override_bandwidth_inf"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"MIoT": {
+        "bandwidth": [1, float("inf")]}}}}}, {},
+        id="override_bandwidth_range_inf"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "e2e_tolerance": float("nan")}}}}}, {}, id="override_tolerance_nan"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "e2e_tolerance": float("inf")}}}}}, {}, id="override_tolerance_inf"),
+    pytest.param({"workload": {"overrides": {"vnfs": {"IDPS": {
+        "proc_time": float("nan")}}}}}, {}, id="override_proc_time_nan"),
+    pytest.param({"workload": {"overrides": {"vnfs": {"IDPS": {
+        "ram": float("inf")}}}}}, {}, id="override_ram_inf"),
+    pytest.param({"workload": {"overrides": {"vnfs": {"IDPS": {
+        "vcpu": float("inf")}}}}}, {}, id="override_vcpu_inf"),
+    pytest.param({"workload": {"overrides": {"sfcs": {"CG": {
+        "bundle_range": [1, float("inf")]}}}}}, {},
+        id="override_bundle_range_inf"),
+    # a non-finite scale crashed while generating bundles
+    pytest.param({"workload": {"scale": float("nan")}}, {}, id="scale_nan"),
+    pytest.param({"workload": {"scale": float("inf")}}, {}, id="scale_inf"),
+    pytest.param({"sweep": {"scales": [1.0, float("nan")]}}, {},
+                 id="sweep_scale_nan"),
+    pytest.param({"sweep": {"scales": [float("inf")]}}, {},
+                 id="sweep_scale_inf"),
+    pytest.param({"train": {"scale_range": [0.1, float("inf")]}}, {},
+                 id="scale_range_inf"),
+    pytest.param({"train": {"validation_cell": [20, 4, float("nan")]}}, {},
+                 id="validation_scale_nan"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
                                      env):

@@ -249,3 +249,102 @@ def test_greedy_assign_matches_reference(monkeypatch):
             want = make_clusters(graph, limit, seed)
         assert got.assignment == want.assignment
         assert got.centroids == want.centroids
+
+
+def ref_lloyd_greedy_assign(points, centroids, size_limit):
+    """The assignment step as a masked `argmin` per DC."""
+    n, k = len(points), len(centroids)
+    dist = np.sqrt(((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
+    if k == 1:
+        return [0] * n
+    part = np.sort(dist, axis=1)
+    order = sorted(range(n), key=lambda i: (part[i, 0] - part[i, 1], i))
+    remaining = np.full(k, size_limit)
+    assign = [-1] * n
+    for i in order:
+        best = int(np.where(remaining > 0, dist[i], np.inf).argmin())
+        assign[i] = best
+        remaining[best] -= 1
+    return assign
+
+
+def ref_make_clusters(graph, size_limit, seed):
+    """Lloyd's loop run to its fixed point or to all MAX_KMEANS_ITERS
+    iterations. Returns the partition and the centroid bytes of every
+    iteration it ran."""
+    n = graph.dc_count
+    size_limit = min(size_limit, n)
+    k = math.ceil(n / size_limit)
+    points = np.array([graph.dc(i).position for i in range(n)], dtype=float)
+    centroids = topology._kmeans_pp_seeds(points, k, np.random.default_rng(seed))
+    states = [centroids.tobytes()]
+    prev = None
+    assign = ref_lloyd_greedy_assign(points, centroids, size_limit)
+    for _ in range(topology.MAX_KMEANS_ITERS):
+        if assign == prev:
+            break
+        prev = assign
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = [i for i in range(n) if assign[i] == c]
+            if members:
+                new_centroids[c] = points[members].mean(axis=0)
+        centroids = new_centroids
+        states.append(centroids.tobytes())
+        assign = ref_lloyd_greedy_assign(points, centroids, size_limit)
+
+    members_by_c = {}
+    for i, c in enumerate(assign):
+        members_by_c.setdefault(c, []).append(i)
+    old_ids = sorted(members_by_c, key=lambda c: min(members_by_c[c]))
+    remap = {old: new for new, old in enumerate(old_ids)}
+    assignment = {i: remap[assign[i]] for i in range(n)}
+    clusters = {remap[c]: sorted(members_by_c[c]) for c in old_ids}
+    cents = {remap[c]: (float(centroids[c][0]), float(centroids[c][1]))
+             for c in old_ids}
+    intra = {c: [] for c in clusters}
+    inter = []
+    for link in graph.links:
+        ca, cb = assignment[link.a], assignment[link.b]
+        if ca == cb:
+            intra[ca].append(link)
+        else:
+            inter.append(link)
+    return (topology.ClusterPartition(assignment, clusters, intra, inter, cents,
+                                      size_limit), states)
+
+
+def test_early_stop_matches_full_lloyd_loop():
+    """Stopping at the fixed point or at the first repeated state returns
+    what running every iteration returns, on random graphs, the benchmark's
+    partitions and a grid with ties; some of these cycle to the cap."""
+    cases = [(build_network({"dc_count": n, "seed": topo, **BENCHMARK_GEOMETRY}),
+              limit, seed)
+             for n, topo, limit, seeds in BENCHMARK_PARTITIONS for seed in seeds]
+    rng = np.random.default_rng(2000)
+    for i in range(200):
+        n = int(rng.integers(2, 200))
+        cases.append((build_network({"dc_count": n, "seed": 1000 + i}),
+                      int(rng.integers(1, 10)), i))
+    grid = {"dcs": [{"position": [100.0 * (i % 4), 100.0 * (i // 4)]}
+                    for i in range(16)],
+            "links": [{"a": i, "b": i + 1} for i in range(15)]}
+    cases += [(build_network(grid), limit, seed)
+              for limit in (2, 3, 5) for seed in range(5)]
+    capped = cycles = 0
+    for graph, limit, seed in cases:
+        got = make_clusters(graph, limit, seed)
+        want, states = ref_make_clusters(graph, limit, seed)
+        assert got.assignment == want.assignment
+        assert got.clusters == want.clusters
+        assert (np.array(list(got.centroids.values())).tobytes()
+                == np.array(list(want.centroids.values())).tobytes())
+        assert got.intra_links == want.intra_links
+        assert got.inter_links == want.inter_links
+        if len(states) == topology.MAX_KMEANS_ITERS + 1:
+            capped += 1
+            last = states[-1]
+            period = next(j for j in range(1, len(states))
+                          if states[-1 - j] == last)
+            cycles += period >= 2
+    assert capped >= 10 and cycles >= 1

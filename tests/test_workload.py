@@ -1,6 +1,7 @@
 """Catalog values and request-bundle generation tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ def test_catalog_overrides():
     assert cat.sfcs["VS"].e2e_tolerance == 100.0
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"sfcs": {"CG": {"e2e_tolerance": math.nan}}}, "tolerance .*got nan"),
+    ({"sfcs": {"CG": {"e2e_tolerance": math.inf}}}, "tolerance .*got inf"),
+    ({"sfcs": {"CG": {"bandwidth": math.inf}}}, "bandwidth .*got inf"),
+    ({"sfcs": {"MIoT": {"bandwidth": [1.0, math.inf]}}},
+     r"bandwidth .*got \(1.0, inf\)"),
+    ({"vnfs": {"IDPS": {"proc_time": math.nan}}}, "proc_time .*nan"),
+    ({"vnfs": {"NAT": {"storage": math.inf}}}, "storage .*inf"),
+    ({"vnfs": {"NAT": {"vcpu": math.inf}}}, "vnfs.NAT .*infinity"),
+])
+def test_catalog_rejects_non_finite_values(overrides, message):
+    """Every catalog number is positive and finite: a NaN tolerance or
+    processing time would rank every request NaN, and an infinite bandwidth
+    would drop every request of its type."""
+    with pytest.raises(ValueError, match=message):
+        catalog_from_config(overrides)
+
+
 def test_generation_rejects_bad_scale():
     cat = default_catalog()
     g = build_network({"dc_count": 4, "seed": 0})
@@ -162,4 +181,19 @@ def test_import_workload_accepts_only_arrival_zero(tmp_path):
     with open(path, "a") as fh:
         fh.write(json.dumps({**record, "id": 2, "arrival": 400.0}) + "\n")
     with pytest.raises(ValueError, match="line 3: arrival must be 0"):
+        import_workload(cat, str(path))
+
+
+@pytest.mark.parametrize("bandwidth", [math.inf, math.nan])
+def test_import_workload_rejects_bandwidth_not_positive_finite(tmp_path,
+                                                              bandwidth):
+    cat = default_catalog()
+    path = tmp_path / "wl.jsonl"
+    path.write_text(json.dumps({"id": 0, "sfc_type": "CG", "bandwidth": 4.0,
+                                "source_dc": 0, "dest_dc": 1}) + "\n"
+                    + json.dumps({"id": 1, "sfc_type": "CG",
+                                  "bandwidth": bandwidth, "source_dc": 0,
+                                  "dest_dc": 1}) + "\n")
+    with pytest.raises(ValueError,
+                       match="line 2: bandwidth must be positive and finite"):
         import_workload(cat, str(path))
