@@ -18,7 +18,8 @@ from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist,
 from .drl import ModelConfig, QNetwork, ReplayMemory
 from .routing import PathResult
 from .substrate import Substrate, SubstrateError, VnfInstance
-from .topology import NetworkGraph, TopologyConfig, build_network
+from .topology import (NetworkGraph, TopologyConfig, build_network,
+                       check_geometry)
 from .workload import (ACCEPTED, Catalog, DROPPED, SFC_ORDER, SfcRequest,
                        default_catalog, generate_bundles)
 
@@ -452,6 +453,7 @@ class TrainConfig:
         if not 0 < self.validation_cell[2] < math.inf:  # also NaN
             raise ValueError(f"train.validation_cell's scale must be "
                              f"positive and finite, got {self.validation_cell}")
+        check_geometry("train", self.area_km, self.radius_km)
 
 
 @dataclass

@@ -27,8 +27,13 @@ class DataCenterSpec:
     ram_cap: float  # GB
 
     def __post_init__(self):
-        if self.storage_cap <= 0 or self.compute_cap <= 0 or self.ram_cap <= 0:
-            raise TopologyError(f"DC {self.id}: capacities must be positive")
+        if not all(map(math.isfinite, self.position)):
+            raise TopologyError(f"DC {self.id}: position must be finite, "
+                                f"got {self.position}")
+        caps = (self.storage_cap, self.compute_cap, self.ram_cap)
+        if not all(0 < cap < math.inf for cap in caps):  # also NaN
+            raise TopologyError(f"DC {self.id}: storage, vCPU and RAM capacities "
+                                f"must be positive and finite, got {caps}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,12 @@ class LinkSpec:
     def __post_init__(self):
         if self.a == self.b:
             raise TopologyError(f"self-loop link at DC {self.a}")
-        if self.bandwidth_cap <= 0:
-            raise TopologyError(f"link ({self.a},{self.b}): bandwidth must be positive")
+        if not 0 < self.bandwidth_cap < math.inf:
+            raise TopologyError(f"link ({self.a},{self.b}): bandwidth must be "
+                                f"positive and finite, got {self.bandwidth_cap}")
+        if not math.isfinite(self.distance):
+            raise TopologyError(f"link ({self.a},{self.b}): distance must be "
+                                f"finite, got {self.distance}")
         if self.a > self.b:
             lo, hi = self.b, self.a
             object.__setattr__(self, "a", lo)
@@ -52,22 +61,19 @@ class LinkSpec:
     def key(self) -> tuple[int, int]:
         return (self.a, self.b)
 
-    def other(self, dc_id: int) -> int:
-        return self.b if dc_id == self.a else self.a
-
 
 @dataclass
 class NetworkGraph:
     dcs: list[DataCenterSpec]
     links: list[LinkSpec]
-    adjacency: dict[int, list[LinkSpec]] = field(default_factory=dict)
+    # DC id -> (other end, link) for each link at the DC, in `links` order
+    adjacency: dict[int, list[tuple[int, LinkSpec]]] = field(init=False)
 
     def __post_init__(self):
-        if not self.adjacency:
-            self.adjacency = {dc.id: [] for dc in self.dcs}
-            for link in self.links:
-                self.adjacency[link.a].append(link)
-                self.adjacency[link.b].append(link)
+        self.adjacency = {dc.id: [] for dc in self.dcs}
+        for link in self.links:
+            self.adjacency[link.a].append((link.b, link))
+            self.adjacency[link.b].append((link.a, link))
 
     @property
     def dc_count(self) -> int:
@@ -76,13 +82,23 @@ class NetworkGraph:
     def dc(self, dc_id: int) -> DataCenterSpec:
         return self.dcs[dc_id]
 
-    def neighbors(self, dc_id: int):
-        for link in self.adjacency[dc_id]:
-            yield link.other(dc_id), link
+    def neighbors(self, dc_id: int) -> list[tuple[int, LinkSpec]]:
+        return self.adjacency[dc_id]
 
 
 def _euclidean(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def check_geometry(section: str, area_km: float, radius_km: float) -> None:
+    """A generated network's area must be positive and finite, and its link
+    radius finite and at least 0."""
+    if not 0 < area_km < math.inf:  # also NaN
+        raise TopologyError(f"{section}.area_km must be positive and finite, "
+                            f"got {area_km}")
+    if not 0 <= radius_km < math.inf:
+        raise TopologyError(f"{section}.radius_km must be finite and at least "
+                            f"0, got {radius_km}")
 
 
 @dataclass
@@ -99,6 +115,14 @@ class TopologyConfig:
     seed: int | None = None  # unset: 0 here; the CLI uses the run seed
     dcs: list[dict] | None = None
     links: list[dict] | None = None
+
+    def __post_init__(self):
+        check_geometry("topology", self.area_km, self.radius_km)
+        for key in ("storage_gb", "ram_gb", "vcpu", "link_bw_mbps"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:  # also NaN
+                raise TopologyError(f"topology.{key} must be positive and "
+                                    f"finite, got {value}")
 
 
 _DC_CAPS = ("storage_gb", "vcpu", "ram_gb")  # unset: the section's defaults
@@ -126,9 +150,10 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
     """Build a connected NetworkGraph from a TopologyConfig or a dict of its
     fields.
 
-    Explicit topologies must already be connected; generated ones are random
-    geometric graphs repaired to connectivity by adding minimum-distance edges.
-    One union-find finds the components of both.
+    Explicit topologies must already be connected. Generated ones are random
+    geometric graphs whose components are joined Kruskal-style by the shortest
+    pairs between them, which gives the same links as joining the two closest
+    components again and again. One union-find finds the components of both.
     """
     cfg = config if isinstance(config, TopologyConfig) else TopologyConfig(**config)
     if cfg.dcs is not None:
@@ -180,10 +205,7 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
                 if d <= cfg.radius_km:
                     links.append(LinkSpec(i, j, cfg.link_bw_mbps, d))
 
-    # connectivity: a generated graph merges its components along their
-    # closest DC pair; an explicit one must have a single component
     n = len(dcs)
-    link_keys = {link.key for link in links}
     parent = list(range(n))
 
     def find(x):
@@ -194,20 +216,19 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
 
     for link in links:
         parent[find(link.a)] = find(link.b)
-    while len({find(i) for i in range(n)}) > 1:
+    roots = [find(i) for i in range(n)]
+    if len(set(roots)) > 1:
         if cfg.dcs is not None:
             raise TopologyError("explicit topology is disconnected")
-        best = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if find(i) != find(j) and (i, j) not in link_keys:
-                    d = _euclidean(dcs[i].position, dcs[j].position)
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
-        d, i, j = best
-        links.append(LinkSpec(i, j, cfg.link_bw_mbps, d))
-        link_keys.add((i, j))
-        parent[find(i)] = find(j)
+        # Kruskal: a pair skipped inside one component stays inside one, so
+        # each accepted pair is the shortest (d, i, j) between two components
+        pairs = sorted((_euclidean(dcs[i].position, dcs[j].position), i, j)
+                       for i in range(n) for j in range(i + 1, n)
+                       if roots[i] != roots[j])
+        for d, i, j in pairs:
+            if find(i) != find(j):
+                links.append(LinkSpec(i, j, cfg.link_bw_mbps, d))
+                parent[find(i)] = find(j)
 
     return NetworkGraph(dcs, links)
 

@@ -222,6 +222,42 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
                  id="scale_range_inf"),
     pytest.param({"train": {"validation_cell": [20, 4, float("nan")]}}, {},
                  id="validation_scale_nan"),
+    # non-finite topology values loaded: NaN capacities and bandwidths passed
+    # the `<= 0` checks, and a NaN or infinite area crashed with an
+    # OverflowError while placing the DCs
+    pytest.param({"topology": {"link_bw_mbps": float("nan")}}, {},
+                 id="topology_link_bw_nan"),
+    pytest.param({"topology": {"vcpu": float("nan")}}, {},
+                 id="topology_vcpu_nan"),
+    pytest.param({"topology": {"storage_gb": float("inf")}}, {},
+                 id="topology_storage_inf"),
+    pytest.param({"topology": {"radius_km": float("nan")}}, {},
+                 id="topology_radius_nan"),
+    pytest.param({"topology": {"radius_km": -5}}, {},
+                 id="topology_radius_negative"),
+    pytest.param({"topology": {"area_km": float("nan")}}, {},
+                 id="topology_area_nan"),
+    pytest.param({"topology": {"area_km": float("inf")}}, {},
+                 id="topology_area_inf"),
+    pytest.param({"topology": {"dcs": [{"position": [float("nan"), 0]},
+                                       {"position": [1, 0]}],
+                               "links": [{"a": 0, "b": 1}]}}, {},
+                 id="dc_position_nan"),
+    pytest.param({"topology": {"dcs": [{"position": [0, 0],
+                                        "vcpu": float("nan")},
+                                       {"position": [1, 0]}],
+                               "links": [{"a": 0, "b": 1}]}}, {},
+                 id="dc_vcpu_nan"),
+    pytest.param({"topology": {"dcs": TWO_DCS, "links": [
+        {"a": 0, "b": 1, "distance_km": float("inf")}]}}, {},
+        id="link_distance_inf"),
+    pytest.param({"topology": {"dcs": TWO_DCS, "links": [
+        {"a": 0, "b": 1, "bandwidth_mbps": float("nan")}]}}, {},
+        id="link_bandwidth_nan"),
+    pytest.param({"train": {"radius_km": float("nan")}}, {},
+                 id="train_radius_nan"),
+    pytest.param({"train": {"area_km": float("nan")}}, {},
+                 id="train_area_nan"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
                                      env):

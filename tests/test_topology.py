@@ -73,6 +73,153 @@ def test_rejects_bad_configs():
                        "links": [{"a": 0, "b": 1, "bandwith_mbps": 5}]})
 
 
+@pytest.mark.parametrize("section,match", [
+    ({"dc_count": 4, "link_bw_mbps": float("nan")}, r"link_bw_mbps.*nan"),
+    ({"dc_count": 4, "vcpu": float("nan")}, r"vcpu.*nan"),
+    ({"dc_count": 4, "storage_gb": float("inf")}, r"storage_gb.*inf"),
+    ({"dc_count": 4, "area_km": float("nan")}, r"area_km.*nan"),
+    ({"dc_count": 4, "radius_km": -5.0}, r"radius_km.*-5"),
+    ({"dcs": [{"position": [float("nan"), 0]}, {"position": [1, 0]}],
+      "links": [{"a": 0, "b": 1}]}, r"DC 0: position.*nan"),
+    ({"dcs": [{"position": [0, 0], "ram_gb": float("inf")},
+              {"position": [1, 0]}],
+      "links": [{"a": 0, "b": 1}]}, r"DC 0: .*capacities.*inf"),
+    ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+      "links": [{"a": 0, "b": 1, "distance_km": float("inf")}]},
+     r"link \(0,1\): distance.*inf"),
+    ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+      "links": [{"a": 0, "b": 1, "bandwidth_mbps": float("nan")}]},
+     r"link \(0,1\): bandwidth.*nan"),
+], ids=["link_bw_nan", "vcpu_nan", "storage_inf", "area_nan", "radius_negative",
+        "dc_position_nan", "dc_ram_inf", "link_distance_inf",
+        "link_bandwidth_nan"])
+def test_rejects_non_finite_values(section, match):
+    """Non-finite capacities, bandwidths, positions and distances, and a
+    non-finite area or radius, name the value instead of building a network
+    that routes by NaN."""
+    with pytest.raises(TopologyError, match=match):
+        build_network(section)
+
+
+def ref_generated_network(cfg):
+    """A generated network as an earlier build_network made it: each repair
+    link came from a rescan of every DC pair, and a DC's neighbours were read
+    through each of its links' other end. Returns the positions, the links,
+    each DC's neighbour list and the number of repair links."""
+    n = cfg["dc_count"]
+    rng = np.random.default_rng(cfg["seed"])
+    pos = rng.uniform(0.0, cfg["area_km"], size=(n, 2))
+    points = [(float(pos[i, 0]), float(pos[i, 1])) for i in range(n)]
+    links = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = topology._euclidean(points[i], points[j])
+            if d <= cfg["radius_km"]:
+                links.append(topology.LinkSpec(i, j, 1000.0, d))
+    generated = len(links)
+    link_keys = {link.key for link in links}
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for link in links:
+        parent[find(link.a)] = find(link.b)
+    while len({find(i) for i in range(n)}) > 1:
+        best = None
+        for i in range(n):
+            for j in range(i + 1, n):
+                if find(i) != find(j) and (i, j) not in link_keys:
+                    d = topology._euclidean(points[i], points[j])
+                    if best is None or d < best[0]:
+                        best = (d, i, j)
+        d, i, j = best
+        links.append(topology.LinkSpec(i, j, 1000.0, d))
+        link_keys.add((i, j))
+        parent[find(i)] = find(j)
+
+    adjacency = {i: [] for i in range(n)}
+    for link in links:
+        adjacency[link.a].append(link)
+        adjacency[link.b].append(link)
+
+    def other(link, u):
+        return link.b if u == link.a else link.a
+
+    neighbors = {u: [(other(link, u), link) for link in adjacency[u]]
+                 for u in range(n)}
+    return points, links, neighbors, len(links) - generated
+
+
+def graph_configs(count, max_dcs, seed):
+    """Generated configs over 2..max_dcs DCs, radius 0-250 km and areas
+    200-3,000 km; every tenth has radius 0, so all its links are repair
+    links. Networks of over 100 DCs get radii of 100 km or more in areas up
+    to 1,500 km, which keeps the reference's rescans affordable."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for k in range(count):
+        if k % 10 == 0:
+            n, radius, area = 2 + 59 * k // count, 0.0, 1000.0
+        elif k % 10 < 8 or max_dcs <= 100:
+            n = int(round(math.exp(rng.uniform(math.log(2),
+                                               math.log(min(max_dcs, 100))))))
+            radius, area = rng.uniform(0, 250), rng.uniform(200, 3000)
+        else:
+            n = int(rng.integers(100, max_dcs + 1))
+            radius, area = rng.uniform(100, 250), rng.uniform(200, 1500)
+        configs.append({"dc_count": n, "seed": k, "area_km": float(area),
+                        "radius_km": float(radius)})
+    return configs
+
+
+@pytest.mark.parametrize("whole_km", [False, True])
+def test_generated_graph_matches_rescan_reference(monkeypatch, whole_km):
+    """One sorted pass over the pairs between components adds the same repair
+    links, in the same order, as rescanning every pair per link, and each
+    DC's neighbour list is the one read through the links' other ends.
+    Rounding distances to whole km makes ties common, so the (d, i, j)
+    tie-break is exercised too."""
+    if whole_km:
+        monkeypatch.setattr(topology, "_euclidean",
+                            lambda p, q: float(round(math.dist(p, q))))
+        configs = graph_configs(80, 60, 1956)
+    else:
+        configs = graph_configs(210, 200, 18)
+    repairs = []
+    for cfg in configs:
+        points, links, neighbors, repaired = ref_generated_network(cfg)
+        g = build_network(cfg)
+        assert [dc.position for dc in g.dcs] == points
+        assert ([(l.a, l.b, l.bandwidth_cap, l.distance) for l in g.links]
+                == [(l.a, l.b, l.bandwidth_cap, l.distance) for l in links])
+        assert all(g.neighbors(u) == neighbors[u] for u in range(len(points)))
+        repairs.append(repaired)
+    assert sum(r > 0 for r in repairs) >= (40 if whole_km else 100)
+    assert max(repairs) >= 50
+
+
+def test_repair_work_is_bounded(monkeypatch):
+    """150 DCs at radius 0 need 149 repair links; the sorted pass computes
+    each pair's distance at most once more than generation does, where a
+    rescan per link made 1,568,455 distance calls."""
+    calls = 0
+    euclidean = topology._euclidean
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return euclidean(p, q)
+
+    monkeypatch.setattr(topology, "_euclidean", counted)
+    g = build_network({"dc_count": 150, "seed": 4, "radius_km": 0})
+    assert len(g.links) == 149
+    assert calls <= 150 * 149
+
+
 def square_corner_graph():
     return build_network({
         "dcs": [{"position": [0.0, 0.0]}, {"position": [10.0, 0.0]},
