@@ -183,7 +183,7 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
     def key(r: SfcRequest):
         t = r.sfc_type
         waited = now - r.ready_time
-        # r.remaining_tolerance(now) - r.remaining_proc_time, inlined
+        # tolerance - accrued delay - time waited - remaining processing
         slack = (t.e2e_tolerance - (r.propagation_total + r.processing_total)
                  - (waited if waited > 0.0 else 0.0)
                  - t.remaining_proc[r.next_vnf_index])
@@ -347,8 +347,7 @@ def _pick_transfer_target(general: GeneralAgent, world, from_cluster: int,
                       general.partition.clusters[c], vnf)]
     if not candidates:
         return None
-    neighbors = routing.routing_tables(general.partition).adjacency.get(
-        from_cluster, [])
+    neighbors = general.partition.adjacency[from_cluster]
     adjacent = [c for c in candidates if c in neighbors]
     pool = adjacent or candidates
     return max(pool, key=lambda c: (_cluster_free_vcpu(world, c), -c))

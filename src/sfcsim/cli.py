@@ -21,7 +21,7 @@ import yaml
 from . import config as config_mod
 from . import drl, sim, workload
 from .config import ConfigError, RunConfig
-from .topology import TopologyError, cluster_adjacency, make_clusters
+from .topology import TopologyError, make_clusters
 
 CSV_FIELDS = ["scenario_id", "seed", "dc_count", "cluster_limit", "cluster_count",
               "scale", "sfc_type", "generated", "accepted", "dropped",
@@ -117,17 +117,17 @@ def cmd_train(args) -> int:
     cfg = config_mod.load(args.config)
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
-    result = sim.train(cfg.train, seed, catalog=cfg.catalog)
-    best = drl.QNetwork(cfg.drl, seed=0)
-    best.params = result.best_params
+    result = sim.train(cfg.train, seed, cfg.drl, cfg.sim, cfg.catalog)
     os.makedirs(out_dir, exist_ok=True)
-    drl.save_weights(best, os.path.join(out_dir, "weights.bin"))
+    drl.save_weights(result.best, os.path.join(out_dir, "weights.bin"))
     curve_fields = ["episode", "mean_reward", "loss", "epsilon", "acceptance_ratio"]
     _atomic_write(os.path.join(out_dir, "training_curve.csv"),
                   _rows_to_csv(result.curve, curve_fields))
     _write_snapshot(cfg, out_dir, [seed])
+    updates = (cfg.train.episodes // cfg.train.round_episodes
+               * cfg.train.updates_per_round)
     print(f"trained {cfg.train.episodes} episodes "
-          f"({result.update_calls} updates); weights -> {out_dir}/weights.bin")
+          f"({updates} updates); weights -> {out_dir}/weights.bin")
     return EXIT_OK
 
 
@@ -197,7 +197,7 @@ def cmd_clusters(args) -> int:
                               for c, links in sorted(partition.intra_links.items())},
         "inter_link_count": len(partition.inter_links),
         "cluster_adjacency": {str(c): nbrs
-                              for c, nbrs in cluster_adjacency(partition).items()},
+                              for c, nbrs in partition.adjacency.items()},
     }
     for c in sorted(partition.clusters):
         print(f"cluster {c}: DCs {partition.clusters[c]} "

@@ -52,6 +52,9 @@ class SimSection(SimConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.episodes < 1:
+            raise ValueError(f"sim.episodes must be at least 1, "
+                             f"got {self.episodes}")
         if not self.seeds:
             raise ValueError("sim.seeds must be a non-empty list")
 
@@ -82,8 +85,6 @@ class OutputConfig:
 SECTIONS = {"topology": TopologyConfig, "cluster": ClusterConfig,
             "workload": WorkloadConfig, "drl": ModelConfig, "sim": SimSection,
             "train": TrainConfig, "sweep": SweepConfig, "output": OutputConfig}
-# the training config's nested model and sim are the drl and sim sections
-NESTED = {"model": "drl", "sim": "sim"}
 
 
 @dataclass
@@ -145,17 +146,13 @@ def from_dict(raw: dict) -> RunConfig:
             content = {} if content is None else content
             if not isinstance(content, dict):
                 raise ConfigError(f"section {name!r} must be a mapping")
-            # the nested sections are set from their own sections only
-            unknown = set(content) - ({f.name for f in fields(cls)}
-                                      - set(NESTED))
+            unknown = set(content) - {f.name for f in fields(cls)}
             if unknown:
                 raise ConfigError(
                     f"unknown keys in section {name!r}: {sorted(unknown)}")
             hints = get_type_hints(cls)
-            built[name] = cls(
-                **{k: _convert(v, hints[k], f"{name}.{k}")
-                   for k, v in content.items()},
-                **{f: built[s] for f, s in NESTED.items() if f in hints})
+            built[name] = cls(**{k: _convert(v, hints[k], f"{name}.{k}")
+                                 for k, v in content.items()})
         catalog = catalog_from_config(built["workload"].overrides)
     except (TypeError, ValueError, DrlError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -179,8 +176,7 @@ def resolved_snapshot(cfg: RunConfig, seeds: list[int] | None = None) -> dict:
     snap = {}
     for name in SECTIONS:
         section = getattr(cfg, name)
-        snap[name] = None if section is None else {
-            k: v for k, v in asdict(section).items() if k not in NESTED}
+        snap[name] = None if section is None else asdict(section)
     if seeds is not None:
         snap["sim"]["seeds"] = list(seeds)
     return snap

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -55,10 +56,17 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise DrlError(f"drl.{name} must be at least 1, "
                                f"got {getattr(self, name)}")
-        for name in ("epsilon_start", "epsilon_end", "epsilon_decay"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+        for name in ("epsilon_start", "epsilon_end", "epsilon_decay",
+                     "discount"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # also NaN
                 raise DrlError(f"drl.{name} must be in [0, 1], "
                                f"got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise DrlError(f"drl.learning_rate must be positive and finite, "
+                           f"got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise DrlError(f"drl.momentum must be in [0, 1), "
+                           f"got {self.momentum}")
         try:  # as much as the replay arrays take, reserved and released
             np.empty((self.replay_capacity, 2 * STATE_DIM + 3))
         except MemoryError:

@@ -7,7 +7,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .topology import ClusterPartition, LinkSpec, NetworkGraph, cluster_adjacency
+from .topology import ClusterPartition, LinkSpec, NetworkGraph
+# stays importable here: perfbench's tracer wraps routing.cluster_adjacency
+from .topology import cluster_adjacency  # noqa: F401
 
 LinkFree = Callable[[LinkSpec], float]
 
@@ -28,27 +30,6 @@ class RouteCounters:
     """Instrumentation for complexity checks."""
     dijkstra_settled: list[int] = field(default_factory=list)
     dfs_edges: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class RoutingTables:
-    """Cluster-level routing tables of one partition."""
-    adjacency: dict[int, list[int]]  # cluster -> neighbor clusters, ascending
-    # (a, b) -> DCs of cluster b that an inter-cluster link from a enters
-    gateways: dict[tuple[int, int], set[int]]
-
-
-def routing_tables(partition: ClusterPartition) -> RoutingTables:
-    """The partition's routing tables, built on first use and cached on it."""
-    if partition.routing_cache is None:
-        gateways: dict[tuple[int, int], set[int]] = {}
-        for link in partition.inter_links:
-            ca, cb = partition.cluster_of(link.a), partition.cluster_of(link.b)
-            gateways.setdefault((ca, cb), set()).add(link.b)
-            gateways.setdefault((cb, ca), set()).add(link.a)
-        partition.routing_cache = RoutingTables(cluster_adjacency(partition),
-                                                gateways)
-    return partition.routing_cache
 
 
 def _shortest_to(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
@@ -166,8 +147,8 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
     first gateway of b its search settles, so its other DCs lie in a, and the
     cluster path is simple, so no DC repeats.
 
-    The cluster adjacency and gateway sets come from `routing_tables`, built
-    once per partition; the cluster path costs O(V+E) in the cluster graph.
+    The cluster adjacency and gateway sets are the partition's, built once
+    with it; the cluster path costs O(V+E) in the cluster graph.
     """
     src_c = partition.cluster_of(src)
     dst_c = partition.cluster_of(dst)
@@ -175,8 +156,7 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
         return d2d_shortest_path(partition.clusters[src_c], graph, link_free,
                                  src, dst, required_bw, counters)
 
-    tables = routing_tables(partition)
-    cpath = c2c_cluster_path(tables.adjacency, src_c, dst_c, counters)
+    cpath = c2c_cluster_path(partition.adjacency, src_c, dst_c, counters)
     if cpath is None:
         return None
 
@@ -186,7 +166,7 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
     for a, b in zip(cpath, cpath[1:]):
         nodes = set(partition.clusters[a]) | set(partition.clusters[b])
         # adjacent clusters share an inter-cluster link: (a, b) has gateways
-        targets = {dst} if b == dst_c else tables.gateways[(a, b)]
+        targets = {dst} if b == dst_c else partition.gateways[(a, b)]
         seg = _shortest_to(nodes, graph, link_free, entry, targets,
                            required_bw, counters)
         if seg is None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,11 +47,18 @@ class SimConfig:
     reward_clip: float = 2.0
 
     def __post_init__(self):
+        for name in ("actions_per_step", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"sim.{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
         if self.actions_per_step * ACTION_COST_MS > STEP_MS + 1e-12:
             raise ValueError("actions per step exceed the step budget")
-        if self.reward_clip < 0:
+        if not self.reward_clip >= 0:  # also NaN
             raise ValueError(f"sim.reward_clip must be non-negative, "
                              f"got {self.reward_clip}")
+        if not math.isfinite(self.alloc_bonus):
+            raise ValueError(f"sim.alloc_bonus must be finite, "
+                             f"got {self.alloc_bonus}")
 
 
 def recompute_ledger(request: SfcRequest) -> tuple[float, float]:
@@ -440,13 +447,15 @@ class TrainConfig:
     # each update round; the best-scoring parameters are the shipped policy
     validation_cell: tuple[int, int, float] = (20, 4, 1.0)
     validation_seed: int = 7
-    model: ModelConfig = field(default_factory=ModelConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self):
         if not self.dc_choices or self.round_episodes < 1:
             raise ValueError("train.dc_choices must be non-empty and "
                              "train.round_episodes at least 1")
+        if self.episodes < 1 or self.updates_per_round < 0:
+            raise ValueError(f"train.episodes must be at least 1 and "
+                             f"train.updates_per_round at least 0, got "
+                             f"{self.episodes} and {self.updates_per_round}")
         if not all(0 < scale < math.inf for scale in self.scale_range):
             raise ValueError(f"train.scale_range must be positive and finite, "
                              f"got {self.scale_range}")
@@ -459,24 +468,25 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     policy: QNetwork
-    best_params: dict
+    best: QNetwork  # the best validation round's policy, else `policy`
     curve: list[dict]  # one row per episode
-    update_calls: int
 
 
-def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
-          progress=None) -> TrainResult:
+def train(config: TrainConfig, seed: int, model: ModelConfig | None = None,
+          sim_config: SimConfig | None = None,
+          catalog: Catalog | None = None) -> TrainResult:
     """DQN training on the small-network curriculum: random DC counts per
-    episode, replay appended at episode end, batched update rounds."""
+    episode, replay appended at episode end, batched update rounds. `model`
+    and `sim_config` are the `drl` and `sim` sections; None runs defaults."""
     catalog = catalog or default_catalog()
-    mc = config.model
+    mc = model or ModelConfig()
+    sim_config = sim_config or SimConfig()
     policy = QNetwork(mc, seed=seed)
     target = policy.clone()
     memory = ReplayMemory(mc.replay_capacity)
     rng = np.random.default_rng([seed, 3])
     epsilon = mc.epsilon_start
     curve: list[dict] = []
-    update_calls = 0
     best = (None, -1.0)
     losses: list[float] = []
     val_dcs, val_limit, val_scale = config.validation_cell
@@ -493,9 +503,9 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
         scale = float(rng.uniform(*config.scale_range))
         report, world = run_episode(
             graph, config.size_limit, scale, ep_seed, policy,
-            epsilon=epsilon, catalog=catalog, config=config.sim, train=True,
+            epsilon=epsilon, catalog=catalog, config=sim_config, train=True,
             scenario_id=f"train-{ep}")
-        clip = config.sim.reward_clip
+        clip = sim_config.reward_clip
         for cid in sorted(world.transitions):
             for s, a, s2, r, terminal in world.transitions[cid]:
                 memory.push(s, a, s2, max(-clip, min(clip, r)), terminal)
@@ -513,7 +523,6 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
             losses = []
             for _ in range(config.updates_per_round):
                 loss = drl.update(policy, target, memory, mc, rng)
-                update_calls += 1
                 if loss is not None:
                     losses.append(loss)
             # score the greedy policy on the held-out scenario; the best
@@ -521,16 +530,13 @@ def train(config: TrainConfig, seed: int, catalog: Catalog | None = None,
             vrep, _ = run_episode(val_graph, val_limit, val_scale,
                                   config.validation_seed, policy,
                                   epsilon=0.0, catalog=catalog,
-                                  config=config.sim,
+                                  config=sim_config,
                                   scenario_id=f"validate-{ep}")
             vacc = vrep.acceptance_float or 0.0
             if vacc > best[1]:
-                best = ({k: v.copy() for k, v in policy.params.items()}, vacc)
+                best = (policy.clone(), vacc)
         epsilon = max(mc.epsilon_end, epsilon * mc.epsilon_decay)
-        if progress is not None:
-            progress(ep, curve[-1])
-    best_params = best[0] or {k: v.copy() for k, v in policy.params.items()}
-    return TrainResult(policy, best_params, curve, update_calls)
+    return TrainResult(policy, best[0] or policy, curve)
 
 
 # ---- evaluation -----------------------------------------------------------

@@ -241,10 +241,18 @@ class ClusterPartition:
     inter_links: list[LinkSpec]
     centroids: dict[int, tuple[float, float]]
     size_limit: int
-    # routing.RoutingTables derived from the fields above, built on first use
-    # by routing.routing_tables; partitions are not modified once made
-    routing_cache: object = field(default=None, init=False, repr=False,
-                                  compare=False)
+    # cluster -> neighbour clusters, ascending (see cluster_adjacency)
+    adjacency: dict[int, list[int]] = field(init=False)
+    # (a, b) -> DCs of cluster b that an inter-cluster link from a enters
+    gateways: dict[tuple[int, int], set[int]] = field(init=False)
+
+    def __post_init__(self):
+        self.adjacency = cluster_adjacency(self)
+        self.gateways = {}
+        for link in self.inter_links:
+            ca, cb = self.assignment[link.a], self.assignment[link.b]
+            self.gateways.setdefault((ca, cb), set()).add(link.b)
+            self.gateways.setdefault((cb, ca), set()).add(link.a)
 
     @property
     def cluster_count(self) -> int:

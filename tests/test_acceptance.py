@@ -220,11 +220,9 @@ EVAL_SEEDS = (11, 12, 13, 14, 15)
 @pytest.fixture(scope="module")
 def trained_eval():
     t0 = time.perf_counter()
-    config = sim.TrainConfig()
-    result = sim.train(config, seed=0)
-    # the shipped policy: parameters of the best near-greedy training episode
-    policy = QNetwork(config.model, seed=0)
-    policy.params = result.best_params
+    result = sim.train(sim.TrainConfig(), seed=0)
+    # the shipped policy: the best validation round's
+    policy = result.best
     g = build_network({"dc_count": 20, "seed": 11})
 
     def evaluate(policy, limit, epsilon):

@@ -9,9 +9,8 @@ import pytest
 from sfcsim import agents, sim
 from sfcsim.agents import priority_rank, setup
 from sfcsim.drl import ModelConfig, QNetwork, load_weights
-from sfcsim.routing import routing_tables
 from sfcsim.sim import World, build_world, run_episode
-from sfcsim.topology import build_network
+from sfcsim.topology import build_network, cluster_adjacency
 from sfcsim.workload import ACCEPTED, DROPPED, SfcRequest, default_catalog
 
 
@@ -163,7 +162,7 @@ def test_transfer_target_picks_max_free_vcpu():
     assert target_before is not None and target_before != 0
     free = {c: sum(world.substrate.dcs[d].free_vcpu for d in m)
             for c, m in clusters.items() if c != 0}
-    neighbors = routing_tables(world.partition).adjacency.get(0, [])
+    neighbors = cluster_adjacency(world.partition)[0]
     adjacent = [c for c in free if c in neighbors]
     pool = adjacent or list(free)
     assert target_before == max(pool, key=lambda c: (free[c], -c))

@@ -49,6 +49,31 @@ def test_train_writes_artifacts(tmp_path):
     assert snap["train"]["episodes"] == 2
 
 
+def test_train_runs_the_drl_and_sim_sections(tmp_path, monkeypatch, capsys):
+    """`train` trains with the config's `drl` and `sim` sections and ships
+    the best round's policy."""
+    seen = {}
+    real = cli.sim.train
+
+    def spy(config, seed, model=None, sim_config=None, catalog=None):
+        seen["result"] = real(config, seed, model, sim_config, catalog)
+        seen["sections"] = (model, sim_config)
+        return seen["result"]
+
+    monkeypatch.setattr(cli.sim, "train", spy)
+    cfg = write_config(tmp_path / "c.yaml", {
+        "drl": {"batch_size": 8}, "sim": {"max_steps": 40},
+        "train": {"episodes": 3, "round_episodes": 2, "updates_per_round": 4}})
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    loaded = cli.config_mod.load(cfg)
+    assert seen["sections"] == (loaded.drl, loaded.sim)
+    assert "trained 3 episodes (4 updates)" in capsys.readouterr().out
+    best = cli.drl.load_weights(str(out / "weights.bin"), loaded.drl)
+    for k, v in seen["result"].best.params.items():
+        assert (best.params[k] == v).all()
+
+
 def test_eval_writes_report(tmp_path, weights):
     cfg = write_config(tmp_path / "c.yaml")
     out = tmp_path / "out"
@@ -258,6 +283,30 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
                  id="train_radius_nan"),
     pytest.param({"train": {"area_km": float("nan")}}, {},
                  id="train_area_nan"),
+    # training loaded these and wrote NaN weights
+    pytest.param({"drl": {"learning_rate": float("nan")}}, {},
+                 id="learning_rate_nan"),
+    pytest.param({"drl": {"learning_rate": -1.0}}, {},
+                 id="learning_rate_negative"),
+    pytest.param({"drl": {"learning_rate": float("inf")}}, {},
+                 id="learning_rate_inf"),
+    pytest.param({"drl": {"discount": float("nan")}}, {}, id="discount_nan"),
+    pytest.param({"drl": {"discount": 1.5}}, {}, id="discount_above_one"),
+    pytest.param({"drl": {"momentum": float("inf")}}, {}, id="momentum_inf"),
+    pytest.param({"drl": {"momentum": 1.0}}, {}, id="momentum_one"),
+    pytest.param({"sim": {"reward_clip": float("nan")}}, {},
+                 id="reward_clip_nan"),
+    pytest.param({"sim": {"alloc_bonus": float("inf")}}, {},
+                 id="alloc_bonus_inf"),
+    # counts below 1: no episode ran, or every request was dropped
+    pytest.param({"sim": {"episodes": -1}}, {}, id="episodes_negative"),
+    pytest.param({"sim": {"episodes": 0}}, {}, id="episodes_zero"),
+    pytest.param({"sim": {"max_steps": 0}}, {}, id="max_steps_zero"),
+    pytest.param({"sim": {"actions_per_step": 0}}, {},
+                 id="actions_per_step_zero"),
+    pytest.param({"train": {"episodes": -1}}, {}, id="train_episodes_negative"),
+    pytest.param({"train": {"updates_per_round": -3}}, {},
+                 id="updates_per_round_negative"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
                                      env):

@@ -7,8 +7,8 @@ import pytest
 import yaml
 
 from sfcsim import cli
-from sfcsim.config import NESTED, SECTIONS, from_dict, resolved_snapshot
-from sfcsim.sim import SimConfig, TrainConfig
+from sfcsim.config import ConfigError, SECTIONS, from_dict, resolved_snapshot
+from sfcsim.sim import SimConfig
 
 EVERY_KEY = {
     "topology": {"dc_count": 6, "area_km": 400.0, "radius_km": 120.0,
@@ -50,8 +50,6 @@ def test_resolved_snapshot_round_trips(raw):
     again = reload(cfg)
     assert again == cfg
     assert reload(again) == cfg
-    # training and evaluation share one SimConfig
-    assert again.train.sim is again.sim and again.train.model is again.drl
 
 
 def test_every_dataclass_field_is_a_yaml_key(tmp_path):
@@ -62,7 +60,7 @@ def test_every_dataclass_field_is_a_yaml_key(tmp_path):
     written = yaml.safe_load((tmp_path / "resolved_config.yaml").read_text())
     assert set(written) == set(SECTIONS)
     for section, cls in SECTIONS.items():
-        names = {f.name for f in fields(cls)} - set(NESTED)
+        names = {f.name for f in fields(cls)}
         assert set(written[section]) == names
         for name in names:
             # each field is accepted on its own, with the value written
@@ -71,5 +69,21 @@ def test_every_dataclass_field_is_a_yaml_key(tmp_path):
 
 
 def test_training_and_evaluation_share_sim_defaults():
-    assert TrainConfig().sim == SimConfig()
+    # `sim.train` runs SimConfig() when given no sim config
+    section = from_dict({}).sim
+    assert all(getattr(section, f.name) == getattr(SimConfig(), f.name)
+               for f in fields(SimConfig))
     assert (SimConfig().alloc_bonus, SimConfig().reward_clip) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("drl", "learning_rate", float("nan")), ("drl", "learning_rate", -1.0),
+    ("drl", "discount", float("nan")), ("drl", "momentum", float("inf")),
+    ("sim", "reward_clip", float("nan")), ("sim", "alloc_bonus", float("nan")),
+    ("sim", "episodes", -1), ("sim", "max_steps", 0),
+    ("sim", "actions_per_step", 0)])
+def test_rejected_value_is_named(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        from_dict({section: {key: value}})
+    assert f"{section}.{key}" in str(err.value)
+    assert str(err.value).endswith(f"got {value}")

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from sfcsim.routing import (PathResult, RouteCounters, RoutingError,
-                            c2c_cluster_path, d2d_shortest_path, find_path,
-                            routing_tables)
+                            c2c_cluster_path, d2d_shortest_path, find_path)
 from sfcsim.substrate import Substrate
 from sfcsim.topology import (ClusterPartition, build_network, cluster_adjacency,
                              make_clusters)
@@ -290,20 +289,57 @@ def test_counters_bounded_at_100_dcs_limit_4():
     check_counters_bounded(100)
 
 
-def test_routing_tables_built_once_per_partition():
-    g = build_network({"dc_count": 24, "seed": 9})
-    part = make_clusters(g, 4, 0)
-    tables = routing_tables(part)
-    assert routing_tables(part) is tables
-    assert tables.adjacency == cluster_adjacency(part)
-    # gateways of (a, b): each DC of b entered by an inter-cluster link from a
-    entries = {(part.cluster_of(x), y) for l in part.inter_links
-               for x, y in ((l.a, l.b), (l.b, l.a))}
-    for (a, b), dcs in tables.gateways.items():
-        assert isinstance(dcs, set)
-        assert all(part.cluster_of(d) == b for d in dcs)
-    assert entries == {(a, d) for (a, _), dcs in tables.gateways.items()
-                       for d in dcs}
+def brute_cluster_graph(part, graph):
+    """Cluster adjacency and gateways by a scan of every ordered pair of
+    clusters against every link of the network."""
+    ends = {e for l in graph.links for e in ((l.a, l.b), (l.b, l.a))}
+    gateways = {}
+    for a in part.clusters:
+        for b in part.clusters:
+            entered = {y for x in part.clusters[a] for y in part.clusters[b]
+                       if a != b and (x, y) in ends}
+            if entered:
+                gateways[(a, b)] = entered
+    adjacency = {a: [b for b in sorted(part.clusters) if (a, b) in gateways]
+                 for a in sorted(part.clusters)}
+    return adjacency, gateways
+
+
+def hand_built_partition():
+    """DCs 1 and 2 share a position and a 0 km link, and both are gateways
+    of cluster {1, 2} from DC 0."""
+    g = build_network({
+        "dcs": [{"position": [0, 0]}, {"position": [5, 0]},
+                {"position": [5, 0]}, {"position": [10, 0]}],
+        "links": [{"a": 0, "b": 2, "distance_km": 5},
+                  {"a": 0, "b": 1, "distance_km": 7},
+                  {"a": 1, "b": 2, "distance_km": 0},
+                  {"a": 2, "b": 3, "distance_km": 5}]})
+    assignment = {0: 0, 1: 1, 2: 1, 3: 2}
+    clusters = {0: [0], 1: [1, 2], 2: [3]}
+    intra = {c: [l for l in g.links if {assignment[l.a], assignment[l.b]} == {c}]
+             for c in clusters}
+    inter = [l for l in g.links if assignment[l.a] != assignment[l.b]]
+    return g, ClusterPartition(assignment, clusters, intra, inter,
+                               {0: (0, 0), 1: (5, 0), 2: (10, 0)}, 2)
+
+
+def test_partition_cluster_graph_matches_brute_force():
+    """Each partition's adjacency and gateways, made by `make_clusters` or
+    built by hand, equal a brute-force build."""
+    cases = []
+    for dc_count, limit, seed in [(24, 4, 0), (40, 4, 3), (60, 8, 1),
+                                  (12, 1, 2), (10, 10, 5)]:
+        g = build_network({"dc_count": dc_count, "seed": seed + 9})
+        cases.append((g, make_clusters(g, limit, seed)))
+    cases.append(hand_built_partition())
+    for g, part in cases:
+        assert (part.adjacency, part.gateways) == brute_cluster_graph(part, g)
+        assert part.adjacency == cluster_adjacency(part)
+    _, part = cases[-1]
+    assert part.adjacency == {0: [1], 1: [0, 2], 2: [1]}
+    assert part.gateways == {(0, 1): {1, 2}, (1, 0): {0}, (1, 2): {3},
+                             (2, 1): {2}}
 
 
 def test_routing_deterministic():
@@ -376,14 +412,14 @@ def ref_find_path(part, graph, free, src, dst, bw, strip=True):
     src_c, dst_c = part.cluster_of(src), part.cluster_of(dst)
     if src_c == dst_c:
         return ref_d2d(part.clusters[src_c], graph, free, src, dst, bw)
-    tables = routing_tables(part)
-    cpath = c2c_cluster_path(tables.adjacency, src_c, dst_c)
+    adjacency, gateways = brute_cluster_graph(part, graph)
+    cpath = c2c_cluster_path(adjacency, src_c, dst_c)
     if cpath is None:
         return None
     entry, hops, links = src, [src], []
     for a, b in zip(cpath, cpath[1:]):
         nodes = set(part.clusters[a]) | set(part.clusters[b])
-        targets = [dst] if b == dst_c else sorted(tables.gateways[(a, b)])
+        targets = [dst] if b == dst_c else sorted(gateways[(a, b)])
         dist, prev = ref_dijkstra(nodes, graph, free, entry, bw)
         best = None
         for t in targets:
@@ -456,20 +492,7 @@ def test_zero_length_link_gives_simple_path():
     the path never enters DC 1. The reference's scan takes DC 1, the lower
     id, behind DC 2, and its next segment goes back through DC 2: a loop
     that `ref_strip_loops` cuts, which leaves the same path."""
-    g = build_network({
-        "dcs": [{"position": [0, 0]}, {"position": [5, 0]},
-                {"position": [5, 0]}, {"position": [10, 0]}],
-        "links": [{"a": 0, "b": 2, "distance_km": 5},
-                  {"a": 0, "b": 1, "distance_km": 7},
-                  {"a": 1, "b": 2, "distance_km": 0},
-                  {"a": 2, "b": 3, "distance_km": 5}]})
-    assignment = {0: 0, 1: 1, 2: 1, 3: 2}
-    clusters = {0: [0], 1: [1, 2], 2: [3]}
-    intra = {c: [l for l in g.links if {assignment[l.a], assignment[l.b]} == {c}]
-             for c in clusters}
-    inter = [l for l in g.links if assignment[l.a] != assignment[l.b]]
-    part = ClusterPartition(assignment, clusters, intra, inter,
-                            {0: (0, 0), 1: (5, 0), 2: (10, 0)}, 2)
+    g, part = hand_built_partition()
     free = const_free(1000.0)
     path = find_path(part, g, free, 0, 3, 1.0)
     assert path.hops == [0, 2, 3] and path.total_distance == 10.0

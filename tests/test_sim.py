@@ -146,14 +146,24 @@ def test_accounting_verified_every_step():
 
 
 def test_training_update_cadence():
-    tc = TrainConfig(episodes=20, round_episodes=20, updates_per_round=35,
-                     model=ModelConfig(batch_size=8))
-    res = train(tc, seed=0)
-    assert res.update_calls == 35
+    tc = TrainConfig(episodes=20, round_episodes=20, updates_per_round=35)
+    res = train(tc, seed=0, model=ModelConfig(batch_size=8))
+    assert res.policy.update_count == 35
     assert len(res.curve) == 20
     for row in res.curve:
         assert {"episode", "mean_reward", "loss", "epsilon",
                 "acceptance_ratio"} <= set(row)
+
+
+def test_training_without_update_round_ships_final_policy():
+    """With fewer episodes than `round_episodes` no round is validated, so
+    the shipped policy is the final one."""
+    res = train(TrainConfig(episodes=2, round_episodes=3), seed=0,
+                model=ModelConfig(batch_size=8))
+    assert res.policy.update_count == 0
+    assert res.best.params.keys() == res.policy.params.keys()
+    for k, v in res.policy.params.items():
+        assert np.array_equal(res.best.params[k], v)
 
 
 def test_sweep_rows_consistent():
@@ -237,8 +247,7 @@ def test_validation_runs_the_configured_sim(monkeypatch):
 
     monkeypatch.setattr(sim_mod, "run_episode", spy)
     train(TrainConfig(episodes=2, round_episodes=1, updates_per_round=1,
-                      validation_cell=(4, 2, 0.1),
-                      model=ModelConfig(batch_size=8),
-                      sim=SimConfig(max_steps=3)), seed=0)
+                      validation_cell=(4, 2, 0.1)), seed=0,
+          model=ModelConfig(batch_size=8), sim_config=SimConfig(max_steps=3))
     assert max_steps == {"train-0": 3, "validate-0": 3,
                          "train-1": 3, "validate-1": 3}
