@@ -15,12 +15,14 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from typing import Annotated
 
 import yaml
 
 from . import config as config_mod
 from . import drl, sim, workload
 from .config import ConfigError, RunConfig
+from .schema import AT_LEAST_0, convert
 from .topology import TopologyError, make_clusters
 
 CSV_FIELDS = ["scenario_id", "seed", "dc_count", "cluster_limit", "cluster_count",
@@ -90,14 +92,14 @@ def _load_policy(cfg: RunConfig, args, command: str) -> drl.QNetwork:
 
 
 def _seed_list(cfg: RunConfig, args) -> list[int]:
-    env = os.environ.get("SFCSIM_SEED")
-    if args.seed is not None:
-        return [args.seed]
-    if env is not None:
-        try:
-            return [int(env)]
-        except ValueError:
-            raise ConfigError(f"SFCSIM_SEED must be an integer, got {env!r}") from None
+    """`--seed`, else `SFCSIM_SEED`, else `sim.seeds`; a seed is at least 0."""
+    for where, seed in (("--seed", args.seed),
+                        ("SFCSIM_SEED", os.environ.get("SFCSIM_SEED"))):
+        if seed is not None:
+            try:
+                return [convert(seed, Annotated[int, AT_LEAST_0], where)]
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
     return cfg.sim.seeds
 
 

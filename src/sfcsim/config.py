@@ -1,18 +1,18 @@
 """Run configuration: YAML loading, strict validation, typed section objects.
 
 Each YAML section is one dataclass and takes exactly that dataclass's fields;
-every value is converted to its field's declared type or rejected."""
+every value is converted to its field's declared type and range, or rejected."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, fields
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Annotated
 
 import yaml
 
-from .drl import DrlError, ModelConfig
+from .drl import ModelConfig
+from .schema import AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, NON_EMPTY, POSITIVE, \
+    Range, Section
 from .sim import SimConfig, TrainConfig
 from .topology import TopologyConfig
 from .workload import Catalog, catalog_from_config
@@ -23,63 +23,43 @@ class ConfigError(ValueError):
 
 
 OUTPUT_FORMATS = ("csv", "json")
+OUTPUT_FORMAT = Range(f"one of {list(OUTPUT_FORMATS)}", OUTPUT_FORMATS.__contains__)
 
 
 @dataclass
-class ClusterConfig:
-    size_limit: int = 4
+class ClusterConfig(Section, name="cluster"):
+    size_limit: Annotated[int, AT_LEAST_1] = 4
 
 
 @dataclass
-class WorkloadConfig:
-    scale: float = 1.0
+class WorkloadConfig(Section, name="workload"):
+    scale: Annotated[float, POSITIVE] = 1.0
     # per-type catalog fields, read by workload.catalog_from_config
     overrides: dict | None = None
     replay_file: str | None = None
-
-    def __post_init__(self):
-        if not 0 < self.scale < math.inf:  # also NaN
-            raise ValueError(f"workload.scale must be positive and finite, "
-                             f"got {self.scale}")
 
 
 @dataclass
 class SimSection(SimConfig):
     """The SimConfig that eval and training share, plus eval runs' episode
     count and seed list."""
-    episodes: int = 3
-    seeds: list[int] = field(default_factory=lambda: [0])
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.episodes < 1:
-            raise ValueError(f"sim.episodes must be at least 1, "
-                             f"got {self.episodes}")
-        if not self.seeds:
-            raise ValueError("sim.seeds must be a non-empty list")
+    episodes: Annotated[int, AT_LEAST_1] = 3
+    seeds: Annotated[list[Annotated[int, AT_LEAST_0]], NON_EMPTY] = field(
+        default_factory=lambda: [0])
 
 
 @dataclass
-class SweepConfig:
-    dc_counts: list[int] = field(default_factory=lambda: [40])
-    cluster_limits: list[int] = field(default_factory=lambda: [4])
-    scales: list[float] = field(default_factory=lambda: [1.0])
-
-    def __post_init__(self):
-        if not all(0 < scale < math.inf for scale in self.scales):
-            raise ValueError(f"sweep.scales must be positive and finite, got "
-                             f"{self.scales}")
+class SweepConfig(Section, name="sweep"):
+    dc_counts: list[Annotated[int, AT_LEAST_2]] = field(default_factory=lambda: [40])
+    cluster_limits: list[Annotated[int, AT_LEAST_1]] = field(default_factory=lambda: [4])
+    scales: list[Annotated[float, POSITIVE]] = field(default_factory=lambda: [1.0])
 
 
 @dataclass
-class OutputConfig:
+class OutputConfig(Section, name="output"):
     directory: str = "out"
-    formats: list[str] = field(default_factory=lambda: list(OUTPUT_FORMATS))
-
-    def __post_init__(self):
-        if not self.formats or not set(self.formats) <= set(OUTPUT_FORMATS):
-            raise ValueError(f"output.formats must be a non-empty list drawn "
-                             f"from {list(OUTPUT_FORMATS)}, got {self.formats!r}")
+    formats: Annotated[list[Annotated[str, OUTPUT_FORMAT]], NON_EMPTY] = field(
+        default_factory=lambda: list(OUTPUT_FORMATS))
 
 
 SECTIONS = {"topology": TopologyConfig, "cluster": ClusterConfig,
@@ -98,36 +78,6 @@ class RunConfig:
     sweep: SweepConfig | None  # None: no sweep section
     output: OutputConfig
     catalog: Catalog  # the default catalog with workload.overrides applied
-
-
-def _convert(value, kind, where: str):
-    """`value` as the declared field type `kind`: int, float, str or dict, a
-    list or tuple of those, or `X | None`; else ValueError."""
-    while get_origin(kind) in (Union, UnionType):
-        if value is None:
-            return None
-        kind = get_args(kind)[0]
-    origin, args = get_origin(kind), get_args(kind)
-    if origin in (list, tuple) and isinstance(value, (list, tuple)):
-        kinds = (args[:1] * len(value) if origin is list or args[-1] is Ellipsis
-                 else args)
-        if len(kinds) == len(value):
-            return origin(_convert(v, k, f"{where}[{i}]")
-                          for i, (v, k) in enumerate(zip(value, kinds)))
-    elif kind is dict:
-        if isinstance(value, dict):
-            return value
-    elif origin is None and isinstance(value, (int, float, str)) \
-            and not isinstance(value, bool):
-        try:
-            converted = kind(value)
-            # an int field takes only whole numbers
-            if kind is not int or converted == float(value):
-                return converted
-        except (ValueError, OverflowError):
-            pass
-    name = kind.__name__ if origin is None else kind
-    raise ValueError(f"{where} must be {name}, got {value!r}")
 
 
 def from_dict(raw: dict) -> RunConfig:
@@ -150,11 +100,9 @@ def from_dict(raw: dict) -> RunConfig:
             if unknown:
                 raise ConfigError(
                     f"unknown keys in section {name!r}: {sorted(unknown)}")
-            hints = get_type_hints(cls)
-            built[name] = cls(**{k: _convert(v, hints[k], f"{name}.{k}")
-                                 for k, v in content.items()})
+            built[name] = cls(**content)
         catalog = catalog_from_config(built["workload"].overrides)
-    except (TypeError, ValueError, DrlError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(**built, catalog=catalog)
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .schema import AT_LEAST_1, BELOW_1, POSITIVE, UNIT, Section
 from .workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER, VNF_ORDER,
                        Catalog, SfcType)
 
@@ -35,43 +36,26 @@ class DrlError(RuntimeError):
 
 
 @dataclass
-class ModelConfig:
-    branch_width: int = 32
-    hidden_widths: tuple[int, ...] = (128, 64)
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    discount: float = 0.95
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay: float = 0.995
-    replay_capacity: int = 200_000
-    batch_size: int = 64
-    target_sync: int = 50
+class ModelConfig(Section, name="drl"):
+    branch_width: Annotated[int, AT_LEAST_1] = 32
+    hidden_widths: tuple[Annotated[int, AT_LEAST_1], ...] = (128, 64)
+    learning_rate: Annotated[float, POSITIVE] = 1e-3
+    momentum: Annotated[float, BELOW_1] = 0.9
+    discount: Annotated[float, UNIT] = 0.95
+    epsilon_start: Annotated[float, UNIT] = 1.0
+    epsilon_end: Annotated[float, UNIT] = 0.05
+    epsilon_decay: Annotated[float, UNIT] = 0.995
+    replay_capacity: Annotated[int, AT_LEAST_1] = 200_000
+    batch_size: Annotated[int, AT_LEAST_1] = 64
+    target_sync: Annotated[int, AT_LEAST_1] = 50
 
     def __post_init__(self):
-        self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
-        if self.branch_width <= 0 or any(w <= 0 for w in self.hidden_widths):
-            raise DrlError("layer widths must be positive")
-        for name in ("batch_size", "replay_capacity", "target_sync"):
-            if getattr(self, name) < 1:
-                raise DrlError(f"drl.{name} must be at least 1, "
-                               f"got {getattr(self, name)}")
-        for name in ("epsilon_start", "epsilon_end", "epsilon_decay",
-                     "discount"):
-            if not 0.0 <= getattr(self, name) <= 1.0:  # also NaN
-                raise DrlError(f"drl.{name} must be in [0, 1], "
-                               f"got {getattr(self, name)}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise DrlError(f"drl.learning_rate must be positive and finite, "
-                           f"got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise DrlError(f"drl.momentum must be in [0, 1), "
-                           f"got {self.momentum}")
+        super().__post_init__()
         try:  # as much as the replay arrays take, reserved and released
             np.empty((self.replay_capacity, 2 * STATE_DIM + 3))
         except MemoryError:
-            raise DrlError(f"drl.replay_capacity {self.replay_capacity} is too "
-                           "large: its replay arrays cannot be reserved") from None
+            raise ValueError(f"drl.replay_capacity {self.replay_capacity} is too "
+                             "large: its replay arrays cannot be reserved") from None
 
     @property
     def action_count(self) -> int:

@@ -5,9 +5,9 @@ and evaluation loops, and report rows."""
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Annotated
 
 import numpy as np
 
@@ -17,9 +17,10 @@ from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist,
                      begin_action, local_step, setup)
 from .drl import ModelConfig, QNetwork, ReplayMemory
 from .routing import PathResult
+from .schema import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, FINITE,
+                     FINITE_AT_LEAST_0, NON_EMPTY, POSITIVE, Section)
 from .substrate import Substrate, SubstrateError, VnfInstance
-from .topology import (NetworkGraph, TopologyConfig, build_network,
-                       check_geometry)
+from .topology import NetworkGraph, TopologyConfig, build_network
 from .workload import (ACCEPTED, Catalog, DROPPED, SFC_ORDER, SfcRequest,
                        default_catalog, generate_bundles)
 
@@ -36,29 +37,20 @@ def propagation_delay(distance_km: float) -> float:
 
 
 @dataclass
-class SimConfig:
-    actions_per_step: int = 100
-    max_steps: int = 500
+class SimConfig(Section, name="sim"):
+    actions_per_step: Annotated[int, AT_LEAST_1] = 100
+    max_steps: Annotated[int, AT_LEAST_1] = 500
     # training-only shaping credited to recorded transitions whose action
     # allocated a VNF; reported episode rewards never include it
-    alloc_bonus: float = 1.0
+    alloc_bonus: Annotated[float, FINITE] = 1.0
     # training-only symmetric clip on recorded rewards; keeps lumped drop
     # penalties from drowning per-action reward differences
-    reward_clip: float = 2.0
+    reward_clip: Annotated[float, AT_LEAST_0] = 2.0
 
     def __post_init__(self):
-        for name in ("actions_per_step", "max_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"sim.{name} must be at least 1, "
-                                 f"got {getattr(self, name)}")
+        super().__post_init__()
         if self.actions_per_step * ACTION_COST_MS > STEP_MS + 1e-12:
             raise ValueError("actions per step exceed the step budget")
-        if not self.reward_clip >= 0:  # also NaN
-            raise ValueError(f"sim.reward_clip must be non-negative, "
-                             f"got {self.reward_clip}")
-        if not math.isfinite(self.alloc_bonus):
-            raise ValueError(f"sim.alloc_bonus must be finite, "
-                             f"got {self.alloc_bonus}")
 
 
 def recompute_ledger(request: SfcRequest) -> tuple[float, float]:
@@ -434,35 +426,23 @@ def run_episode(graph: NetworkGraph, size_limit: int, scale: float | None,
 # ---- training -------------------------------------------------------------
 
 @dataclass
-class TrainConfig:
-    episodes: int = 600
-    dc_choices: tuple[int, ...] = (2, 3, 4)
-    size_limit: int = 2
-    scale_range: tuple[float, float] = (0.05, 0.3)  # per-episode volume draw
-    round_episodes: int = 20
-    updates_per_round: int = 350
-    area_km: float = 200.0
-    radius_km: float = 150.0
+class TrainConfig(Section, name="train"):
+    episodes: Annotated[int, AT_LEAST_1] = 600
+    dc_choices: Annotated[tuple[Annotated[int, AT_LEAST_2], ...],
+                          NON_EMPTY] = (2, 3, 4)
+    size_limit: Annotated[int, AT_LEAST_1] = 2
+    # per-episode volume draw
+    scale_range: tuple[Annotated[float, POSITIVE],
+                       Annotated[float, POSITIVE]] = (0.05, 0.3)
+    round_episodes: Annotated[int, AT_LEAST_1] = 20
+    updates_per_round: Annotated[int, AT_LEAST_0] = 350
+    area_km: Annotated[float, POSITIVE] = 200.0
+    radius_km: Annotated[float, FINITE_AT_LEAST_0] = 150.0
     # held-out scenario (dc_count, cluster_limit, scale) scored greedily after
     # each update round; the best-scoring parameters are the shipped policy
-    validation_cell: tuple[int, int, float] = (20, 4, 1.0)
-    validation_seed: int = 7
-
-    def __post_init__(self):
-        if not self.dc_choices or self.round_episodes < 1:
-            raise ValueError("train.dc_choices must be non-empty and "
-                             "train.round_episodes at least 1")
-        if self.episodes < 1 or self.updates_per_round < 0:
-            raise ValueError(f"train.episodes must be at least 1 and "
-                             f"train.updates_per_round at least 0, got "
-                             f"{self.episodes} and {self.updates_per_round}")
-        if not all(0 < scale < math.inf for scale in self.scale_range):
-            raise ValueError(f"train.scale_range must be positive and finite, "
-                             f"got {self.scale_range}")
-        if not 0 < self.validation_cell[2] < math.inf:  # also NaN
-            raise ValueError(f"train.validation_cell's scale must be "
-                             f"positive and finite, got {self.validation_cell}")
-        check_geometry("train", self.area_km, self.radius_km)
+    validation_cell: tuple[Annotated[int, AT_LEAST_2], Annotated[int, AT_LEAST_1],
+                           Annotated[float, POSITIVE]] = (20, 4, 1.0)
+    validation_seed: Annotated[int, AT_LEAST_0] = 7
 
 
 @dataclass

@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
+
+from .schema import AT_LEAST_0, FINITE_AT_LEAST_0, POSITIVE, Section
 
 # Lloyd's loop on capacitated clusters often cycles instead of converging; the
 # cap picks which phase of the cycle make_clusters returns, not how many
@@ -90,39 +93,20 @@ def _euclidean(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def check_geometry(section: str, area_km: float, radius_km: float) -> None:
-    """A generated network's area must be positive and finite, and its link
-    radius finite and at least 0."""
-    if not 0 < area_km < math.inf:  # also NaN
-        raise TopologyError(f"{section}.area_km must be positive and finite, "
-                            f"got {area_km}")
-    if not 0 <= radius_km < math.inf:
-        raise TopologyError(f"{section}.radius_km must be finite and at least "
-                            f"0, got {radius_km}")
-
-
 @dataclass
-class TopologyConfig:
+class TopologyConfig(Section, name="topology"):
     """The `topology` config section: the explicit `dcs` and `links` if
     `dcs` is given, else a random geometric graph of `dc_count` DCs."""
     dc_count: int = 0
-    area_km: float = 1000.0
-    radius_km: float = 250.0
-    storage_gb: float = 2048.0
-    ram_gb: float = 256.0
-    vcpu: float = 40.0
-    link_bw_mbps: float = 1000.0
-    seed: int | None = None  # unset: 0 here; the CLI uses the run seed
+    area_km: Annotated[float, POSITIVE] = 1000.0
+    radius_km: Annotated[float, FINITE_AT_LEAST_0] = 250.0
+    storage_gb: Annotated[float, POSITIVE] = 2048.0
+    ram_gb: Annotated[float, POSITIVE] = 256.0
+    vcpu: Annotated[float, POSITIVE] = 40.0
+    link_bw_mbps: Annotated[float, POSITIVE] = 1000.0
+    seed: Annotated[int, AT_LEAST_0] | None = None  # unset: 0, or the run seed
     dcs: list[dict] | None = None
     links: list[dict] | None = None
-
-    def __post_init__(self):
-        check_geometry("topology", self.area_km, self.radius_km)
-        for key in ("storage_gb", "ram_gb", "vcpu", "link_bw_mbps"):
-            value = getattr(self, key)
-            if not 0 < value < math.inf:  # also NaN
-                raise TopologyError(f"topology.{key} must be positive and "
-                                    f"finite, got {value}")
 
 
 _DC_CAPS = ("storage_gb", "vcpu", "ram_gb")  # unset: the section's defaults
@@ -155,7 +139,10 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
     pairs between them, which gives the same links as joining the two closest
     components again and again. One union-find finds the components of both.
     """
-    cfg = config if isinstance(config, TopologyConfig) else TopologyConfig(**config)
+    try:
+        cfg = config if isinstance(config, TopologyConfig) else TopologyConfig(**config)
+    except ValueError as exc:  # a value its field does not take
+        raise TopologyError(str(exc)) from None
     if cfg.dcs is not None:
         dcs = []
         for i, entry in enumerate(cfg.dcs):

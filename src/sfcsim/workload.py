@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .schema import convert
 from .topology import NetworkGraph
 
 VNF_ORDER = ["NAT", "FW", "VOC", "TM", "WO", "IDPS"]
@@ -152,15 +153,11 @@ def default_catalog() -> Catalog:
     return Catalog(vnfs, sfcs)
 
 
-# the fields a `workload.overrides` entry may set, with their conversions;
+# the fields a `workload.overrides` entry may set, with their declared types;
 # `chain` names VNFs of the overridden catalog
 VNF_OVERRIDES = {"vcpu": int, "ram": float, "storage": float, "proc_time": float}
-SFC_OVERRIDES = {
-    "e2e_tolerance": float,
-    "bandwidth": lambda bw: (tuple(map(float, bw))
-                             if isinstance(bw, (list, tuple)) else float(bw)),
-    "bundle_range": lambda pair: tuple(map(int, pair)),
-}
+SFC_OVERRIDES = {"e2e_tolerance": float, "bandwidth": float | tuple[float, float],
+                 "bundle_range": tuple[int, int], "chain": tuple[str, ...]}
 
 
 def _check_known(where: str, given, known) -> None:
@@ -171,18 +168,23 @@ def _check_known(where: str, given, known) -> None:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _overridden(overrides: dict, section: str, table: dict, kinds: dict) -> dict:
-    """`table` with the `section` overrides applied, each value converted."""
+def _overridden(overrides: dict, section: str, table: dict, kinds: dict,
+                vnfs: dict | None = None) -> dict:
+    """`table` with the `section` overrides applied, each value converted;
+    a `chain` takes its VNFs from `vnfs`."""
     where = f"workload.overrides.{section}"
     given = overrides.get(section) or {}
     _check_known(where, given, table)
     table = dict(table)
     for name, fields in given.items():
         _check_known(f"{where}.{name}", fields, kinds)
+        values = {k: convert(v, kinds[k], f"{where}.{name}.{k}")
+                  for k, v in fields.items()}
         try:
-            table[name] = replace(table[name], **{k: kinds[k](v)
-                                                  for k, v in fields.items()})
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if "chain" in values:
+                values["chain"] = tuple(vnfs[v] for v in values["chain"])
+            table[name] = replace(table[name], **values)
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"{where}.{name} is malformed: {exc!r}") from exc
     return table
 
@@ -198,8 +200,7 @@ def catalog_from_config(overrides: dict | None) -> Catalog:
     # every chain takes the overridden VNFs
     sfcs = {name: replace(sfc, chain=tuple(vnfs[v.name] for v in sfc.chain))
             for name, sfc in cat.sfcs.items()}
-    sfcs = _overridden(overrides, "sfcs", sfcs, {
-        **SFC_OVERRIDES, "chain": lambda names: tuple(vnfs[n] for n in names)})
+    sfcs = _overridden(overrides, "sfcs", sfcs, SFC_OVERRIDES, vnfs)
     return Catalog(vnfs, sfcs)
 
 

@@ -307,6 +307,18 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     pytest.param({"train": {"episodes": -1}}, {}, id="train_episodes_negative"),
     pytest.param({"train": {"updates_per_round": -3}}, {},
                  id="updates_per_round_negative"),
+    # a cluster limit below 1 or a DC count below 2 that eval loaded
+    pytest.param({"train": {"size_limit": 0}}, {}, id="train_size_limit_zero"),
+    pytest.param({"train": {"dc_choices": [3, 1]}}, {}, id="dc_choices_one"),
+    pytest.param({"train": {"validation_cell": [1, 0, 1.0]}}, {},
+                 id="validation_cell_one_dc"),
+    pytest.param({"cluster": {"size_limit": 0}}, {},
+                 id="cluster_size_limit_zero"),
+    pytest.param({"sweep": {"dc_counts": [1]}}, {}, id="sweep_dc_count_one"),
+    pytest.param({"sweep": {"cluster_limits": [0]}}, {},
+                 id="sweep_cluster_limit_zero"),
+    pytest.param({"workload": {"overrides": {"vnfs": {"NAT": {
+        "vcpu": 1.5}}}}}, {}, id="override_vcpu_fraction"),
 ])
 def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
                                      env):
@@ -317,6 +329,24 @@ def test_unknown_config_key_rejected(tmp_path, weights, monkeypatch, extra,
     out = tmp_path / "out"
     assert cli.main(["eval", "--config", cfg, "--weights", weights,
                      "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,env,extra", [
+    (["--seed", "-1"], {}, None),
+    ([], {"SFCSIM_SEED": "-1"}, None),
+    ([], {}, {"sim": {"seeds": [-2]}}),
+], ids=["flag", "env", "config"])
+def test_negative_seed_rejected(tmp_path, weights, monkeypatch, capsys, argv,
+                                env, extra):
+    """A negative seed exits 2 naming it; it used to crash inside numpy."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = write_config(tmp_path / "c.yaml", extra)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--config", cfg, "--weights", weights,
+                     "--out", str(out), *argv]) == 2
+    assert "must be at least 0, got" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,14 +1,17 @@
 """Config tests: every section's keys are its dataclass's fields, and
 `resolved_config.yaml` reloads to the same run config."""
 
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import pytest
 import yaml
 
 from sfcsim import cli
 from sfcsim.config import ConfigError, SECTIONS, from_dict, resolved_snapshot
-from sfcsim.sim import SimConfig
+from sfcsim.drl import ModelConfig
+from sfcsim.sim import SimConfig, TrainConfig
+from sfcsim.topology import TopologyConfig
 
 EVERY_KEY = {
     "topology": {"dc_count": 6, "area_km": 400.0, "radius_km": 120.0,
@@ -81,9 +84,48 @@ def test_training_and_evaluation_share_sim_defaults():
     ("drl", "discount", float("nan")), ("drl", "momentum", float("inf")),
     ("sim", "reward_clip", float("nan")), ("sim", "alloc_bonus", float("nan")),
     ("sim", "episodes", -1), ("sim", "max_steps", 0),
-    ("sim", "actions_per_step", 0)])
+    ("sim", "actions_per_step", 0),
+    # these loaded, and eval ran them
+    ("train", "size_limit", 0), ("cluster", "size_limit", 0),
+    ("train", "dc_choices", [1]), ("train", "dc_choices", [3, 1]),
+    ("sweep", "dc_counts", [1]), ("sweep", "cluster_limits", [0]),
+    ("train", "validation_cell", [1, 0, 1.0]),
+    ("train", "validation_cell", [20, 0, 1.0]),
+    # a negative seed crashed inside numpy
+    ("sim", "seeds", [-2]), ("topology", "seed", -3),
+    ("train", "validation_seed", -1)])
 def test_rejected_value_is_named(section, key, value):
     with pytest.raises(ConfigError) as err:
         from_dict({section: {key: value}})
-    assert f"{section}.{key}" in str(err.value)
-    assert str(err.value).endswith(f"got {value}")
+    message = str(err.value)
+    assert message.startswith(f"{section}.{key}")
+    if isinstance(value, list):  # a list names its first entry out of range
+        index = int(re.match(rf"{section}\.{key}\[(\d+)\] ", message)[1])
+        value = value[index]
+    assert message.endswith(f"got {value}")
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: TrainConfig(size_limit=0), "train.size_limit"),
+    (lambda: SimConfig(max_steps=0), "sim.max_steps"),
+    (lambda: ModelConfig(momentum=1.0), "drl.momentum"),
+    (lambda: TopologyConfig(seed=-1), "topology.seed"),
+    (lambda: replace(TrainConfig(), dc_choices=(2, 1)), "train.dc_choices[1]"),
+], ids=["train", "sim", "drl", "topology", "replace"])
+def test_direct_construction_is_checked(make, name):
+    """Code that builds a section itself gets the loader's checks."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
+        make()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"vnfs": {"NAT": {"vcpu": 1.5}}}, "vnfs.NAT.vcpu must be int, got 1.5"),
+    ({"sfcs": {"AR": {"bundle_range": [1.7, 4.2]}}},
+     "sfcs.AR.bundle_range[0] must be int, got 1.7"),
+], ids=["vcpu", "bundle_range"])
+def test_override_ints_take_whole_numbers(overrides, message):
+    """Override ints follow the section fields' rule: a vcpu of 1.5 used to
+    load as 1, and a bundle range of [1.7, 4.2] as (1, 4)."""
+    with pytest.raises(ConfigError) as err:
+        from_dict({"workload": {"overrides": overrides}})
+    assert str(err.value) == f"workload.overrides.{message}"

@@ -119,8 +119,12 @@ def test_workload_roundtrip(tmp_path):
 def test_catalog_overrides():
     cat = catalog_from_config({
         "vnfs": {"NAT": {"vcpu": 2}},
-        "sfcs": {"CG": {"e2e_tolerance": 50.0}}})
+        "sfcs": {"CG": {"e2e_tolerance": 50.0},
+                 "AR": {"bundle_range": [2.0, 5]}}})
     assert cat.vnfs["NAT"].vcpu == 2
+    # an int field takes a whole float as its int
+    assert cat.sfcs["AR"].bundle_range == (2, 5)
+    assert all(type(n) is int for n in cat.sfcs["AR"].bundle_range)
     assert cat.sfcs["CG"].e2e_tolerance == 50.0
     # CG's chain references the overridden NAT
     assert cat.sfcs["CG"].chain[0].vcpu == 2
@@ -137,7 +141,7 @@ def test_catalog_overrides():
      r"bandwidth .*got \(1.0, inf\)"),
     ({"vnfs": {"IDPS": {"proc_time": math.nan}}}, "proc_time .*nan"),
     ({"vnfs": {"NAT": {"storage": math.inf}}}, "storage .*inf"),
-    ({"vnfs": {"NAT": {"vcpu": math.inf}}}, "vnfs.NAT .*infinity"),
+    ({"vnfs": {"NAT": {"vcpu": math.inf}}}, "vnfs.NAT.vcpu .*got inf"),
 ])
 def test_catalog_rejects_non_finite_values(overrides, message):
     """Every catalog number is positive and finite: a NaN tolerance or
