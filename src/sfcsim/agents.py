@@ -148,9 +148,8 @@ class GeneralAgent:
     transfers and cross-cluster deliveries, with their routing counters and
     handoff log."""
 
-    def __init__(self, graph: NetworkGraph, partition: ClusterPartition,
+    def __init__(self, partition: ClusterPartition,
                  local_agents: dict[int, LocalAgent]):
-        self.graph = graph
         self.partition = partition
         self.local_agents = local_agents
         self.counters = RouteCounters()
@@ -171,7 +170,7 @@ def setup(graph: NetworkGraph, size_limit: int, seed: int,
     agents = {c: LocalAgent(c, list(partition.clusters[c]), policy,
                             np.random.default_rng([seed, 2, c]))
               for c in sorted(partition.clusters)}
-    return GeneralAgent(graph, partition, agents)
+    return GeneralAgent(partition, agents)
 
 
 def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
@@ -248,8 +247,9 @@ def _try_allocate(agent: LocalAgent, world, instance,
     for r in agent.view.ranked(instance.vnf_type.name):
         if world.partition.cluster_of(r.loc) == agent.cluster_id:
             path = routing.d2d_shortest_path(
-                agent.dc_ids, world.graph, world.substrate.link_free,
-                r.loc, instance.dc, r.bandwidth, world.general.counters)
+                world.partition.cluster_tables[agent.cluster_id],
+                world.substrate.link_free, r.loc, instance.dc, r.bandwidth,
+                world.general.counters)
             if path is None:
                 continue
             agent.view.take(r)
@@ -362,8 +362,8 @@ def assist(general: GeneralAgent, world, now: float) -> None:
             r = task.request
             if task.kind == TASK_ALLOC:
                 path = routing.find_path(
-                    general.partition, general.graph, world.substrate.link_free,
-                    r.loc, task.instance.dc, r.bandwidth, general.counters)
+                    general.partition, world.substrate.link_free, r.loc,
+                    task.instance.dc, r.bandwidth, general.counters)
                 if path is None:
                     task.instance.reserved = False
                     agent.queue.append(r)  # turns are over: no view to update

@@ -50,9 +50,12 @@ class SimSection(SimConfig):
 
 @dataclass
 class SweepConfig(Section, name="sweep"):
-    dc_counts: list[Annotated[int, AT_LEAST_2]] = field(default_factory=lambda: [40])
-    cluster_limits: list[Annotated[int, AT_LEAST_1]] = field(default_factory=lambda: [4])
-    scales: list[Annotated[float, POSITIVE]] = field(default_factory=lambda: [1.0])
+    dc_counts: Annotated[list[Annotated[int, AT_LEAST_2]], NON_EMPTY] = field(
+        default_factory=lambda: [40])
+    cluster_limits: Annotated[list[Annotated[int, AT_LEAST_1]], NON_EMPTY] = field(
+        default_factory=lambda: [4])
+    scales: Annotated[list[Annotated[float, POSITIVE]], NON_EMPTY] = field(
+        default_factory=lambda: [1.0])
 
 
 @dataclass

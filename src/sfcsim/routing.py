@@ -4,10 +4,11 @@ DFS (C2C), and the combined two-cluster iterative traversal."""
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
-from .topology import ClusterPartition, LinkSpec, NetworkGraph
+from .topology import ClusterPartition, LinkSpec, NeighbourTable
 # stays importable here: perfbench's tracer wraps routing.cluster_adjacency
 from .topology import cluster_adjacency  # noqa: F401
 
@@ -32,17 +33,20 @@ class RouteCounters:
     dfs_edges: list[int] = field(default_factory=list)
 
 
-def _shortest_to(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
-                 src: int, targets: set[int], required_bw: float,
+def _shortest_to(table: NeighbourTable, link_free: LinkFree, src: int,
+                 targets: set[int], required_bw: float,
                  counters: RouteCounters | None) -> PathResult | None:
     """Shortest path from src to the nearest DC of `targets` (src not among
-    them) over bandwidth-feasible links inside `nodes`; None if none is
+    them) over the bandwidth-feasible links of `table`; None if none is
     reachable.
 
     Dijkstra that stops at the first target it settles: settled distances and
     predecessors are final, and the heap settles equal distances lowest id
     first, so that is the nearest target with the lowest id, and every other
-    DC of the path, settled before it, is no target."""
+    DC of the path, settled before it, is no target. A link's free bandwidth
+    is asked for only when the link would shorten its far end's distance;
+    `link_free` is pure and relaxation strict, so neither this order nor the
+    order of a DC's neighbours changes the path."""
     dist: dict[int, float] = {src: 0.0}
     prev: dict[int, tuple[int, LinkSpec]] = {}
     settled: set[int] = set()
@@ -56,13 +60,10 @@ def _shortest_to(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
         if u in targets:
             end = u
             break
-        for v, link in graph.neighbors(u):
-            if v not in nodes or v in settled:
-                continue
-            if link_free(link) < required_bw:
-                continue
+        for v, link in table[u]:
             nd = d + link.distance
-            if nd < dist.get(v, float("inf")):
+            if (nd < dist.get(v, math.inf) and v not in settled
+                    and not link_free(link) < required_bw):
                 dist[v] = nd
                 prev[v] = (u, link)
                 heapq.heappush(heap, (nd, v))
@@ -78,18 +79,19 @@ def _shortest_to(nodes: set[int], graph: NetworkGraph, link_free: LinkFree,
     return PathResult(hops[::-1], dist[end], links[::-1])
 
 
-def d2d_shortest_path(subgraph: Iterable[int], graph: NetworkGraph, link_free: LinkFree,
-                      src: int, dst: int, required_bw: float,
+def d2d_shortest_path(table: NeighbourTable, link_free: LinkFree, src: int,
+                      dst: int, required_bw: float,
                       counters: RouteCounters | None = None) -> PathResult | None:
-    """Minimum-distance path between DCs of `subgraph` whose links all have at
-    least `required_bw` available. None if no feasible path exists."""
-    nodes = set(subgraph)
-    if src not in nodes or dst not in nodes:
-        raise RoutingError(f"src {src} or dst {dst} outside subgraph")
+    """Minimum-distance path between DCs of `table` over its links, each with
+    at least `required_bw` available. None if no feasible path exists.
+
+    `table` is a partition's table of one cluster, or a network's
+    `adjacency` for the whole network."""
+    if src not in table or dst not in table:
+        raise RoutingError(f"src {src} or dst {dst} outside the table")
     if src == dst:
         return PathResult([src], 0.0, [])
-    return _shortest_to(nodes, graph, link_free, src, {dst}, required_bw,
-                        counters)
+    return _shortest_to(table, link_free, src, {dst}, required_bw, counters)
 
 
 def c2c_cluster_path(cluster_graph: dict[int, list[int]], src_cluster: int,
@@ -133,27 +135,29 @@ def c2c_cluster_path(cluster_graph: dict[int, list[int]], src_cluster: int,
     return path if found else None
 
 
-def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkFree,
-              src: int, dst: int, required_bw: float,
+def find_path(partition: ClusterPartition, link_free: LinkFree, src: int,
+              dst: int, required_bw: float,
               counters: RouteCounters | None = None) -> PathResult | None:
     """Two-level path discovery.
 
-    Same-cluster queries use D2D directly. Cross-cluster queries follow the DFS
-    cluster path, running D2D over the union of exactly two consecutive clusters
-    per segment (entry DC to the nearest gateway of the next cluster, or to the
-    destination once its cluster is reached).
+    Same-cluster queries use D2D over the cluster's neighbour table.
+    Cross-cluster queries follow the DFS cluster path, searching the
+    neighbour table of exactly two consecutive clusters per segment (entry DC
+    to the nearest gateway of the next cluster, or to the destination once
+    its cluster is reached).
 
     The path is simple by construction: each segment but the last ends at the
     first gateway of b its search settles, so its other DCs lie in a, and the
     cluster path is simple, so no DC repeats.
 
-    The cluster adjacency and gateway sets are the partition's, built once
-    with it; the cluster path costs O(V+E) in the cluster graph.
+    The cluster adjacency, gateway sets and neighbour tables are the
+    partition's, built once with it; the cluster path costs O(V+E) in the
+    cluster graph.
     """
     src_c = partition.cluster_of(src)
     dst_c = partition.cluster_of(dst)
     if src_c == dst_c:
-        return d2d_shortest_path(partition.clusters[src_c], graph, link_free,
+        return d2d_shortest_path(partition.cluster_tables[src_c], link_free,
                                  src, dst, required_bw, counters)
 
     cpath = c2c_cluster_path(partition.adjacency, src_c, dst_c, counters)
@@ -164,11 +168,11 @@ def find_path(partition: ClusterPartition, graph: NetworkGraph, link_free: LinkF
     hops: list[int] = [src]
     links: list[LinkSpec] = []
     for a, b in zip(cpath, cpath[1:]):
-        nodes = set(partition.clusters[a]) | set(partition.clusters[b])
         # adjacent clusters share an inter-cluster link: (a, b) has gateways
+        # and a table
         targets = {dst} if b == dst_c else partition.gateways[(a, b)]
-        seg = _shortest_to(nodes, graph, link_free, entry, targets,
-                           required_bw, counters)
+        seg = _shortest_to(partition.pair_tables[(a, b)], link_free, entry,
+                           targets, required_bw, counters)
         if seg is None:
             return None
         hops.extend(seg.hops[1:])

@@ -189,9 +189,8 @@ class World:
         """Route a fully processed packet to its destination DC and settle
         it; the last mile may cross clusters."""
         path = routing.find_path(
-            self.partition, self.graph, self.substrate.link_free,
-            request.loc, request.dest_dc, request.bandwidth,
-            self.general.counters)
+            self.partition, self.substrate.link_free, request.loc,
+            request.dest_dc, request.bandwidth, self.general.counters)
         if path is None:
             self.drop_request(request, now, "delivery-unroutable")
         else:

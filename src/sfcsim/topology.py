@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Annotated
+from typing import Annotated, Iterable
 
 import numpy as np
 
@@ -65,18 +65,28 @@ class LinkSpec:
         return (self.a, self.b)
 
 
+# DC id -> (other end, link) for each link at the DC among the table's links
+NeighbourTable = dict[int, list[tuple[int, LinkSpec]]]
+
+
+def neighbour_table(dc_ids: Iterable[int], links: Iterable[LinkSpec]) -> NeighbourTable:
+    """The neighbour table of `dc_ids` over `links`, whose ends all lie
+    among them; each DC's pairs are in `links` order."""
+    table: NeighbourTable = {dc: [] for dc in dc_ids}
+    for link in links:
+        table[link.a].append((link.b, link))
+        table[link.b].append((link.a, link))
+    return table
+
+
 @dataclass
 class NetworkGraph:
     dcs: list[DataCenterSpec]
     links: list[LinkSpec]
-    # DC id -> (other end, link) for each link at the DC, in `links` order
-    adjacency: dict[int, list[tuple[int, LinkSpec]]] = field(init=False)
+    adjacency: NeighbourTable = field(init=False)  # the whole network's
 
     def __post_init__(self):
-        self.adjacency = {dc.id: [] for dc in self.dcs}
-        for link in self.links:
-            self.adjacency[link.a].append((link.b, link))
-            self.adjacency[link.b].append((link.a, link))
+        self.adjacency = neighbour_table((dc.id for dc in self.dcs), self.links)
 
     @property
     def dc_count(self) -> int:
@@ -232,14 +242,29 @@ class ClusterPartition:
     adjacency: dict[int, list[int]] = field(init=False)
     # (a, b) -> DCs of cluster b that an inter-cluster link from a enters
     gateways: dict[tuple[int, int], set[int]] = field(init=False)
+    # cluster -> neighbour table of its DCs over its intra links
+    cluster_tables: dict[int, NeighbourTable] = field(init=False)
+    # (a, b) and (b, a), for adjacent a and b -> one neighbour table of the
+    # DCs of both over their intra links and the links joining them
+    pair_tables: dict[tuple[int, int], NeighbourTable] = field(init=False)
 
     def __post_init__(self):
         self.adjacency = cluster_adjacency(self)
         self.gateways = {}
+        self.cluster_tables = {c: neighbour_table(dcs, self.intra_links[c])
+                               for c, dcs in self.clusters.items()}
+        self.pair_tables = {}
         for link in self.inter_links:
             ca, cb = self.assignment[link.a], self.assignment[link.b]
             self.gateways.setdefault((ca, cb), set()).add(link.b)
             self.gateways.setdefault((cb, ca), set()).add(link.a)
+            table = self.pair_tables.get((ca, cb))
+            if table is None:  # the pair's first link: start from its clusters'
+                table = {dc: pairs.copy() for c in (ca, cb)
+                         for dc, pairs in self.cluster_tables[c].items()}
+                self.pair_tables[(ca, cb)] = self.pair_tables[(cb, ca)] = table
+            table[link.a].append((link.b, link))
+            table[link.b].append((link.a, link))
 
     @property
     def cluster_count(self) -> int:

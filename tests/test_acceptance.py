@@ -116,7 +116,7 @@ def test_criterion_03_routing_oracle():
         free = lambda link: loads[link.key]
         bw = float(rng.uniform(0, 800))
         src, dst = (int(x) for x in rng.choice(n, size=2, replace=False))
-        got = d2d_shortest_path(range(n), g, free, src, dst, bw)
+        got = d2d_shortest_path(g.adjacency, free, src, dst, bw)
         want = _enumerate_best(g, set(range(n)), free, src, dst, bw)
         if want is None:
             ok &= got is None
@@ -141,8 +141,8 @@ def test_criterion_04_c2c_locality():
     exceeded = False
     for _ in range(200):
         src, dst = (int(x) for x in rng.choice(80, size=2, replace=False))
-        find_path(part, g, lambda link: 1000.0, src, dst, 1.0, local)
-        p = d2d_shortest_path(range(80), g, lambda link: 1000.0, src, dst,
+        find_path(part, lambda link: 1000.0, src, dst, 1.0, local)
+        p = d2d_shortest_path(g.adjacency, lambda link: 1000.0, src, dst,
                               1.0, glob)
         if glob.dijkstra_settled and glob.dijkstra_settled[-1] > bound:
             exceeded = True

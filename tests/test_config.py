@@ -93,13 +93,16 @@ def test_training_and_evaluation_share_sim_defaults():
     ("train", "validation_cell", [20, 0, 1.0]),
     # a negative seed crashed inside numpy
     ("sim", "seeds", [-2]), ("topology", "seed", -3),
-    ("train", "validation_seed", -1)])
+    ("train", "validation_seed", -1),
+    # an empty sweep list ran no episode and exited 0
+    ("sweep", "dc_counts", []), ("sweep", "cluster_limits", []),
+    ("sweep", "scales", [])])
 def test_rejected_value_is_named(section, key, value):
     with pytest.raises(ConfigError) as err:
         from_dict({section: {key: value}})
     message = str(err.value)
     assert message.startswith(f"{section}.{key}")
-    if isinstance(value, list):  # a list names its first entry out of range
+    if value and isinstance(value, list):  # its first entry out of range
         index = int(re.match(rf"{section}\.{key}\[(\d+)\] ", message)[1])
         value = value[index]
     assert message.endswith(f"got {value}")

@@ -2,10 +2,12 @@
 and the combined two-level traversal."""
 
 import heapq
+import sys
 
 import numpy as np
 import pytest
 
+from sfcsim import routing
 from sfcsim.routing import (PathResult, RouteCounters, RoutingError,
                             c2c_cluster_path, d2d_shortest_path, find_path)
 from sfcsim.substrate import Substrate
@@ -29,7 +31,7 @@ def triangle():
 
 def test_src_equals_dst():
     g = triangle()
-    p = d2d_shortest_path({0, 1, 2}, g, const_free(1000.0), 1, 1, 10.0)
+    p = d2d_shortest_path(g.adjacency, const_free(1000.0), 1, 1, 10.0)
     assert p.hops == [1]
     assert p.total_distance == 0.0
     assert p.links_used == []
@@ -37,7 +39,7 @@ def test_src_equals_dst():
 
 def test_triangle_shortest():
     g = triangle()
-    p = d2d_shortest_path({0, 1, 2}, g, const_free(1000.0), 0, 2, 10.0)
+    p = d2d_shortest_path(g.adjacency, const_free(1000.0), 0, 2, 10.0)
     assert p.hops == [0, 1, 2]
     assert p.total_distance == 2.0
 
@@ -50,15 +52,22 @@ def test_triangle_bandwidth_filter():
             return 5.0  # saturated below the request
         return 1000.0
 
-    p = d2d_shortest_path({0, 1, 2}, g, free, 0, 2, 10.0)
+    p = d2d_shortest_path(g.adjacency, free, 0, 2, 10.0)
     assert p.hops == [0, 2]
     assert p.total_distance == 3.0
+
+
+def restricted(g, dcs):
+    """The neighbour table of the DCs `dcs` over the links among them."""
+    return {u: [(v, link) for v, link in g.neighbors(u) if v in dcs]
+            for u in dcs}
 
 
 def test_outside_subgraph_raises():
     g = triangle()
     with pytest.raises(RoutingError):
-        d2d_shortest_path({0, 1}, g, const_free(1000.0), 0, 2, 1.0)
+        d2d_shortest_path(restricted(g, {0, 1}), const_free(1000.0), 0, 2,
+                          1.0)
 
 
 def enumerate_best(g, nodes, free, src, dst, bw):
@@ -93,7 +102,7 @@ def test_dijkstra_matches_enumeration():
         bw = float(rng.uniform(0, 800))
         src, dst = rng.choice(n, size=2, replace=False)
         src, dst = int(src), int(dst)
-        got = d2d_shortest_path(range(n), g, free, src, dst, bw)
+        got = d2d_shortest_path(g.adjacency, free, src, dst, bw)
         want = enumerate_best(g, set(range(n)), free, src, dst, bw)
         if want is None:
             assert got is None
@@ -124,8 +133,8 @@ def test_find_path_intra_cluster_equals_d2d():
     part = make_clusters(g, 8, 0)
     free = const_free(1000.0)
     for src, dst in [(0, 5), (2, 7)]:
-        a = find_path(part, g, free, src, dst, 10.0)
-        b = d2d_shortest_path(range(8), g, free, src, dst, 10.0)
+        a = find_path(part, free, src, dst, 10.0)
+        b = d2d_shortest_path(g.adjacency, free, src, dst, 10.0)
         assert a.hops == b.hops
         assert a.total_distance == pytest.approx(b.total_distance)
 
@@ -136,7 +145,7 @@ def test_find_path_single_inter_link_forced():
                 {"position": [200, 0]}, {"position": [210, 0]}],
         "links": [{"a": 0, "b": 1}, {"a": 2, "b": 3}, {"a": 1, "b": 2}]})
     part = make_clusters(g, 2, 0)
-    p = find_path(part, g, const_free(1000.0), 0, 3, 10.0)
+    p = find_path(part, const_free(1000.0), 0, 3, 10.0)
     assert p.hops == [0, 1, 2, 3]
 
 
@@ -151,13 +160,13 @@ def test_find_path_feasible_and_not_shorter_than_global():
         free = lambda link: loads[link.key]
         bw = float(rng.uniform(0, 150))
         src, dst = rng.choice(n, size=2, replace=False)
-        got = find_path(part, g, free, int(src), int(dst), bw)
+        got = find_path(part, free, int(src), int(dst), bw)
         if got is None:
             continue
         assert len(set(got.hops)) == len(got.hops)  # loop-free
         for link in got.links_used:
             assert free(link) >= bw
-        glob = d2d_shortest_path(range(n), g, free, int(src), int(dst), bw)
+        glob = d2d_shortest_path(g.adjacency, free, int(src), int(dst), bw)
         assert glob is not None
         assert got.total_distance >= glob.total_distance - 1e-9
 
@@ -189,13 +198,13 @@ def test_routed_paths_are_reservable():
         for _ in range(25):
             src, dst = (int(x) for x in rng.integers(n, size=2))
             bw = float(rng.uniform(1, 500))
-            cluster = part.clusters[part.cluster_of(src)]
-            routes = [lambda: find_path(part, g, sub.link_free, src, dst, bw),
-                      lambda: d2d_shortest_path(range(n), g, sub.link_free,
+            cluster = part.cluster_tables[part.cluster_of(src)]
+            routes = [lambda: find_path(part, sub.link_free, src, dst, bw),
+                      lambda: d2d_shortest_path(g.adjacency, sub.link_free,
                                                 src, dst, bw)]
             if dst in cluster:
                 routes.append(lambda: d2d_shortest_path(
-                    cluster, g, sub.link_free, src, dst, bw))
+                    cluster, sub.link_free, src, dst, bw))
             for route in routes:
                 tight += any(sub.link_free(l) < bw for l in g.links)
                 path = route()  # searched on the state it is reserved on
@@ -274,7 +283,7 @@ def check_counters_bounded(dc_count):
     rng = np.random.default_rng(1)
     for _ in range(30):
         src, dst = rng.choice(dc_count, size=2, replace=False)
-        find_path(part, g, const_free(1000.0), int(src), int(dst), 1.0, counters)
+        find_path(part, const_free(1000.0), int(src), int(dst), 1.0, counters)
     assert max(counters.dijkstra_settled) <= bound
     adj = cluster_adjacency(part)
     edges = sum(len(v) for v in adj.values())  # each edge counted twice
@@ -342,12 +351,62 @@ def test_partition_cluster_graph_matches_brute_force():
                              (2, 1): {2}}
 
 
+def as_sets(table):
+    return {u: set(pairs) for u, pairs in table.items()}
+
+
+def test_partition_tables_are_the_neighbours_inside_their_clusters():
+    """Each cluster's table and each adjacent pair's table, made by
+    `make_clusters` or built by hand, hold exactly the network's
+    (neighbour, link) pairs inside those clusters; (a, b) and (b, a) share
+    one table."""
+    rng = np.random.default_rng(22)
+    cases = [hand_built_partition()]
+    for i in range(40):
+        n = int(rng.integers(2, 201))
+        g = build_network({"dc_count": n, "seed": 500 + i})
+        cases.append((g, make_clusters(g, int(rng.integers(1, 10)), i)))
+    pairs_seen = 0
+    for g, part in cases:
+        assert part.cluster_tables.keys() == part.clusters.keys()
+        for c, members in part.clusters.items():
+            assert as_sets(part.cluster_tables[c]) == \
+                as_sets(restricted(g, set(members)))
+        assert set(part.pair_tables) == set(part.gateways)
+        for (a, b), table in part.pair_tables.items():
+            assert part.pair_tables[(b, a)] is table
+            dcs = set(part.clusters[a]) | set(part.clusters[b])
+            assert as_sets(table) == as_sets(restricted(g, dcs))
+            pairs_seen += 1
+    assert pairs_seen > 1000
+
+
+def test_bandwidth_asked_only_for_links_that_shorten():
+    """On a square 0-1-3-2-0 of 1 km links, the search from 0 to 3 reaches 3
+    through 1 at 2 km first; the link (2, 3) would not shorten that, so its
+    free bandwidth is never asked for."""
+    g = build_network({
+        "dcs": [{"position": [0, 0]}, {"position": [1, 0]},
+                {"position": [0, 1]}, {"position": [1, 1]}],
+        "links": [{"a": 0, "b": 1}, {"a": 0, "b": 2}, {"a": 1, "b": 3},
+                  {"a": 2, "b": 3}]})
+    asked = []
+
+    def free(link):
+        asked.append(link.key)
+        return 1000.0
+
+    path = d2d_shortest_path(g.adjacency, free, 0, 3, 1.0)
+    assert path.hops == [0, 1, 3]
+    assert asked == [(0, 1), (0, 2), (1, 3)]
+
+
 def test_routing_deterministic():
     g = build_network({"dc_count": 15, "seed": 21})
     part = make_clusters(g, 4, 2)
     free = const_free(1000.0)
-    a = find_path(part, g, free, 1, 13, 5.0)
-    b = find_path(part, g, free, 1, 13, 5.0)
+    a = find_path(part, free, 1, 13, 5.0)
+    b = find_path(part, free, 1, 13, 5.0)
     assert a.hops == b.hops and a.total_distance == b.total_distance
 
 
@@ -468,13 +527,15 @@ def test_router_matches_reference_on_random_graphs():
         for _ in range(20):
             src, dst = (int(x) for x in rng.integers(n, size=2))
             bw = float(rng.choice([0.0, rng.uniform(0, 600)]))
-            cluster = part.clusters[part.cluster_of(src)]
-            pairs = [(find_path(part, g, free, src, dst, bw),
+            c = part.cluster_of(src)
+            cluster = part.clusters[c]
+            pairs = [(find_path(part, free, src, dst, bw),
                       ref_find_path(part, g, free, src, dst, bw)),
-                     (d2d_shortest_path(range(n), g, free, src, dst, bw),
+                     (d2d_shortest_path(g.adjacency, free, src, dst, bw),
                       ref_d2d(range(n), g, free, src, dst, bw))]
             if dst in cluster:
-                pairs.append((d2d_shortest_path(cluster, g, free, src, dst, bw),
+                pairs.append((d2d_shortest_path(part.cluster_tables[c], free,
+                                                src, dst, bw),
                               ref_d2d(cluster, g, free, src, dst, bw)))
             for got, want in pairs:
                 assert got == want
@@ -483,6 +544,45 @@ def test_router_matches_reference_on_random_graphs():
                     found += 1
             crossing += part.cluster_of(src) != part.cluster_of(dst)
     assert found > 3000 and crossing > 1500
+
+
+def asks_inside(free, searched, counts):
+    """`free`, raising for a link that does not lie inside one of the DC
+    sets `searched`; counts its calls."""
+    def guarded(link):
+        if not any(link.a in dcs and link.b in dcs for dcs in searched):
+            raise AssertionError(f"free bandwidth of {link.key} asked for "
+                                 "outside the searched clusters")
+        counts["asked"] += 1
+        return free(link)
+    return guarded
+
+
+def test_search_asks_only_for_links_of_its_clusters(monkeypatch):
+    """On the inputs of the reference test, find_path asks only for links
+    inside one cluster or inside two consecutive clusters of its cluster
+    path, and d2d_shortest_path only for links inside its table."""
+    counts = {"asked": 0}
+
+    def find_path_inside(part, free, src, dst, bw, counters=None):
+        src_c, dst_c = part.cluster_of(src), part.cluster_of(dst)
+        cpath = c2c_cluster_path(part.adjacency, src_c, dst_c) or []
+        searched = [set(part.clusters[src_c])] if src_c == dst_c else [
+            set(part.clusters[a]) | set(part.clusters[b])
+            for a, b in zip(cpath, cpath[1:])]
+        return routing.find_path(part, asks_inside(free, searched, counts),
+                                 src, dst, bw, counters)
+
+    def d2d_inside(table, free, src, dst, bw, counters=None):
+        return routing.d2d_shortest_path(
+            table, asks_inside(free, [set(table)], counts), src, dst, bw,
+            counters)
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "find_path", find_path_inside)
+    monkeypatch.setattr(module, "d2d_shortest_path", d2d_inside)
+    test_router_matches_reference_on_random_graphs()
+    assert counts["asked"] > 10000
 
 
 def test_zero_length_link_gives_simple_path():
@@ -494,7 +594,7 @@ def test_zero_length_link_gives_simple_path():
     that `ref_strip_loops` cuts, which leaves the same path."""
     g, part = hand_built_partition()
     free = const_free(1000.0)
-    path = find_path(part, g, free, 0, 3, 1.0)
+    path = find_path(part, free, 0, 3, 1.0)
     assert path.hops == [0, 2, 3] and path.total_distance == 10.0
     assert ref_find_path(part, g, free, 0, 3, 1.0, strip=False).hops == \
         [0, 2, 1, 2, 3]
