@@ -46,12 +46,12 @@ class ActionOutcome:
 
 class StepView:
     """An agent's queue as its state view reads it, built by the scope scan
-    at the start of the agent's turn, once per step. Within the turn `now` is
-    fixed, so each queued request's PendingItem is too, and the agent's own
-    takes, made through this view, are the only changes to the queue: it
-    only shrinks. The items are made for every request up front; the groups
-    per DC and the waiting requests per VNF type are built the first time
-    the turn asks for them, and kept current from then on."""
+    when `run_step` starts the agent's turn. Within the turn `now` is fixed,
+    so each queued request's PendingItem is too, and the agent's own takes,
+    made through this view, are the only changes to the queue: it only
+    shrinks. The items are made for every request up front; the groups per
+    DC and each VNF type's ranked list of waiting requests are built the
+    first time the turn asks for them, and kept current from then on."""
 
     def __init__(self, now: float, assignment, cluster_id: int,
                  queue: list[SfcRequest]):
@@ -77,9 +77,8 @@ class StepView:
         self.out_count = out_count
         self.cluster = SfcGroups(self.items)
         self._local: dict[int, SfcGroups] = {}  # DC -> items of requests there
-        # VNF type -> the queued requests waiting for it, in queue order
-        self._pending: dict[str, list[SfcRequest]] = {}
-        self._ranked: dict[str, list[SfcRequest]] = {}  # pending, by priority
+        # VNF type -> the queued requests waiting for it, by priority
+        self._ranked: dict[str, list[SfcRequest]] = {}
 
     def local(self, dc: int) -> SfcGroups:
         """The items of the requests whose packet is at `dc`."""
@@ -89,22 +88,15 @@ class StepView:
                 [it for r, it in zip(self.queue, self.items) if r.loc == dc])
         return groups
 
-    def pending(self, vnf_name: str) -> list[SfcRequest]:
-        """The queued requests waiting for `vnf_name`, in queue order."""
-        waiting = self._pending.get(vnf_name)
-        if waiting is None:
-            waiting = self._pending[vnf_name] = [
-                r for r, it in zip(self.queue, self.items)
-                if it.next_vnf_name == vnf_name]
-        return waiting
-
     def ranked(self, vnf_name: str) -> list[SfcRequest]:
-        """`pending(vnf_name)` in priority order, ranked at the first call in
-        the step; the keys do not change within it."""
+        """The queued requests waiting for `vnf_name` in priority order,
+        ranked at the first call in the turn; the keys do not change within
+        it. Empty when no request waits for the type."""
         ranked = self._ranked.get(vnf_name)
         if ranked is None:
             ranked = self._ranked[vnf_name] = priority_rank(
-                self.pending(vnf_name), self.now)
+                [r for r, it in zip(self.queue, self.items)
+                 if it.next_vnf_name == vnf_name], self.now)
         return ranked
 
     def take(self, r: SfcRequest) -> None:
@@ -116,9 +108,6 @@ class StepView:
         local = self._local.get(r.loc)
         if local is not None:
             local.remove(item)
-        waiting = self._pending.get(item.next_vnf_name)
-        if waiting is not None:
-            waiting.remove(r)
         ranked = self._ranked.get(item.next_vnf_name)
         if ranked is not None:
             ranked.remove(r)
@@ -136,10 +125,10 @@ class LocalAgent:
     queue: list[SfcRequest] = field(default_factory=list)
     outbox: list[AssistTask] = field(default_factory=list)
     reward_total: float = 0.0
-    # built by the scope scan at the agent's first action in a step and
-    # dropped when the agent leaves the step's rounds, so None means its turn
-    # has not started; _execute_action and build_state_view read it, and the
-    # turn's takes go through it
+    # the agent's turn in a step: run_step builds it by the scope scan before
+    # the step's first round and drops it after the last, so it is None
+    # outside the agent phase; _execute_action and build_state_view read it,
+    # and the turn's takes go through it
     view: StepView | None = field(default=None, repr=False)
 
 
@@ -218,9 +207,10 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
 
 
 def _scan_scope(agent: LocalAgent, world) -> None:
-    """Move requests the agent cannot serve into the assist outbox, and build
-    the step's view of the rest. The substrate does not change during the
-    scan, so each VNF type's hostability is asked once."""
+    """Start the agent's turn: move requests the agent cannot serve into the
+    assist outbox, and build the turn's view of the rest. The substrate does
+    not change during the scan, so each VNF type's hostability is asked
+    once."""
     hostable: dict[str, bool] = {}  # VNF type name -> can the cluster host it
     keep = []
     for r in agent.queue:
@@ -276,7 +266,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
         vnf = world.catalog.vnfs[VNF_ORDER[action]]
         # priority points are assigned over pending VNFs of the selected type
         # before execution; with no such VNF the action cannot be carried out
-        if not agent.view.pending(vnf.name):
+        if not agent.view.ranked(vnf.name):
             return ActionOutcome(action, REWARD_INVALID, invalid=True)
         idle = sub.idle_instances(current_dc, vnf.name)
         if idle:
@@ -294,18 +284,17 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
     # uninstall an idle VNFI of this type from the current DC
     vnf = world.catalog.vnfs[VNF_ORDER[action - nv]]
     idle = sub.idle_instances(current_dc, vnf.name)
-    if not idle or not sub.uninstall_vnf(idle[0]):
+    if not idle:
         return ActionOutcome(action, REWARD_INVALID, invalid=True)
+    sub.uninstall_vnf(idle[0])
     return ActionOutcome(action, REWARD_UNINSTALL_NEEDED
-                         if agent.view.pending(vnf.name) else 0.0)
+                         if agent.view.ranked(vnf.name) else 0.0)
 
 
 def begin_action(agent: LocalAgent, world) -> tuple[int, StateEncoding]:
-    """The agent's part of a round before its epsilon-greedy draw: scope scan
-    (once per step), DC cursor advance and state encoding. Returns the
-    action's DC and its state."""
-    if agent.view is None:
-        _scan_scope(agent, world)
+    """The agent's part of a round before its epsilon-greedy draw, within a
+    turn that `run_step` started: DC cursor advance and state encoding.
+    Returns the action's DC and its state."""
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
     agent.cursor += 1
     return current_dc, encode_state(build_state_view(agent, world, current_dc),

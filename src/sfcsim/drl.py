@@ -226,7 +226,6 @@ class QNetwork:
         alpha = exp / exp.sum(axis=1, keepdims=True)
         cache["alpha"] = alpha
         h = 3 * F * z * alpha
-        cache["o"] = h
         for i in range(len(self.config.hidden_widths)):
             zi = h @ p[f"Wh{i}"] + p[f"bh{i}"]
             cache[f"zh{i}"] = zi

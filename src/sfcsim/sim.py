@@ -257,6 +257,12 @@ def build_world(graph: NetworkGraph, size_limit: int, seed: int,
 def run_step(world: World, epsilon: float, train: bool = False) -> None:
     """One simulation step: agent phase, assist phase, time advance.
 
+    The agent phase holds one turn per agent with a queue or an outbox.
+    Every turn starts before the first round, when the agent's scope scan
+    (`agents._scan_scope`) builds its `view`, and ends after the last round,
+    when the view is dropped. A scan reads only its own cluster's DCs and
+    writes only its own agent's queue, outbox and view, so scanning every
+    agent first gives what a scan at each one's first action would.
     The agent phase runs in rounds of at most one action per agent. In a
     round, each agent that still acts takes its `begin_action` in agent-id
     order, one `act` call picks all their actions with a single batched
@@ -277,8 +283,10 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
     allocated again within the step, so a flush after every action would
     give the same records."""
     now = world.now
-    acting = [a for _, a in sorted(world.general.local_agents.items())
-              if a.queue or a.outbox]
+    acting = started = [a for _, a in sorted(world.general.local_agents.items())
+                        if a.queue or a.outbox]
+    for agent in started:
+        agents_mod._scan_scope(agent, world)
     for _ in range(world.config.actions_per_step):
         if not acting:
             break
@@ -299,15 +307,13 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
                 world.transitions[cid].append(record)
                 if outcome.request is not None:
                     world.credit_map[outcome.request.id] = record
-            if (outcome.invalid or outcome.action == agents_mod.ACTION_IDLE
-                    or not (agent.queue or agent.outbox)):
-                # an invalid action stalls the agent until the next step;
-                # idling means waiting for the next step by choice
-                agent.view = None  # it holds for the agent's turn only
-            else:
+            # an invalid action stalls the agent until the next step;
+            # idling means waiting for the next step by choice
+            if ((agent.queue or agent.outbox) and not outcome.invalid
+                    and outcome.action != agents_mod.ACTION_IDLE):
                 still.append(agent)
         acting = still
-    for agent in acting:
+    for agent in started:
         agent.view = None
     assist(world.general, world, now)
     world.now += STEP_MS

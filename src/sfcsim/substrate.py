@@ -120,21 +120,20 @@ class Substrate:
         dc.installed.setdefault(vnf.name, []).append(inst)
         return inst
 
-    def uninstall_vnf(self, instance: VnfInstance) -> bool:
-        """Remove the instance and free its resources. False, with nothing
-        changed, when it is allocated or reserved."""
+    def uninstall_vnf(self, instance: VnfInstance) -> None:
+        """Remove an idle instance and free its resources. An allocated or
+        reserved instance is refused, with nothing changed."""
         dc = self.dcs[instance.dc]
         lst = dc.installed.get(instance.vnf_type.name, [])
         if instance not in lst:
             raise SubstrateError(f"unknown instance {instance.instance_id}")
-        if instance.allocated_request is not None or instance.reserved:
-            return False
+        if not instance.is_idle():
+            raise SubstrateError(f"instance {instance.instance_id} is busy")
         lst.remove(instance)
         vnf = instance.vnf_type
         dc.free_vcpu += vnf.vcpu
         dc.free_ram += vnf.ram
         dc.free_storage += vnf.storage
-        return True
 
     def allocate(self, request: SfcRequest, instance: VnfInstance,
                  now: float, transfer_delay: float) -> float:

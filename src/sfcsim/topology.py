@@ -92,12 +92,6 @@ class NetworkGraph:
     def dc_count(self) -> int:
         return len(self.dcs)
 
-    def dc(self, dc_id: int) -> DataCenterSpec:
-        return self.dcs[dc_id]
-
-    def neighbors(self, dc_id: int) -> list[tuple[int, LinkSpec]]:
-        return self.adjacency[dc_id]
-
 
 def _euclidean(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
@@ -335,7 +329,7 @@ def make_clusters(graph: NetworkGraph, size_limit: int, seed: int) -> ClusterPar
     if size_limit > n:
         size_limit = n
     k = math.ceil(n / size_limit)
-    points = np.array([graph.dc(i).position for i in range(n)], dtype=float)
+    points = np.array([graph.dcs[i].position for i in range(n)], dtype=float)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_seeds(points, k, rng)
 

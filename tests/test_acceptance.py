@@ -96,7 +96,7 @@ def _enumerate_best(g, nodes, free, src, dst, bw):
             if best is None or dist < best:
                 best = dist
             return
-        for v, link in g.neighbors(u):
+        for v, link in g.adjacency[u]:
             if v in seen or v not in nodes or free(link) < bw:
                 continue
             walk(v, seen | {v}, dist + link.distance)
@@ -167,7 +167,7 @@ def test_criterion_05_clustering_invariants():
         # stability: no DC strictly prefers another cluster with spare room
         for i in range(n):
             own = part.assignment[i]
-            p = g.dc(i).position
+            p = g.dcs[i].position
             d_own = math.hypot(p[0] - part.centroids[own][0],
                                p[1] - part.centroids[own][1])
             for c, m in part.clusters.items():

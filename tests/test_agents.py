@@ -233,7 +233,7 @@ def test_invalid_action_semantics():
     policy = QNetwork(ModelConfig(), seed=0)
     world = build_world(g, 4, 0, policy)
     agent = world.general.local_agents[0]
-    _scan_scope(agent, world)  # builds the step's view, as local_step does
+    _scan_scope(agent, world)  # starts the turn, as run_step does
     out = _execute_action(agent, world, 0, 0)  # place NAT, empty queue
     assert out.invalid and out.reward == -1.0
     out = _execute_action(agent, world, 0, 6)  # uninstall NAT, none installed
@@ -249,6 +249,7 @@ def test_noop_action_records_its_state_as_next_state():
     world = build_world(g, 4, 0, QNetwork(ModelConfig(), seed=0))
     agent = world.general.local_agents[0]
     for action in (0, agents.ACTION_IDLE):  # place NAT with an empty queue
+        agents._scan_scope(agent, world)  # starts the turn, as run_step does
         current_dc, state = agents.begin_action(agent, world)
         _, outcome, got, next_state = agents.local_step(
             agent, world, current_dc, action, state, record_states=True)
@@ -266,7 +267,7 @@ def test_uninstall_needed_penalty_flows():
     cat = world.catalog
     world.substrate.place_vnf(0, cat.vnfs["NAT"])
     world.substrate.place_vnf(0, cat.vnfs["NAT"])
-    _scan_scope(agent, world)  # builds the step's view, as local_step does
+    _scan_scope(agent, world)  # starts the turn, as run_step does
     out = _execute_action(agent, world, 0, 6)  # uninstall NAT, not demanded
     assert not out.invalid and out.reward == 0.0
     r = SfcRequest(0, cat.sfcs["MIoT"], 5.0, 0, 1)

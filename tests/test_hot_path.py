@@ -153,28 +153,32 @@ class DemandPolicy:
 
 
 def check_local_steps(monkeypatch):
-    """Check every agent action against the reference. At its decide step
-    (`begin_action`): the same encoding, the same requests moved to the
-    outbox by the scope scan, and the same pending list and priority order
-    for every VNF type. After a recorded action (`local_step`): the same
-    state and next state. Returns the counts of what the checks saw."""
+    """Check every agent turn and action against the reference. At the start
+    of a turn (`_scan_scope`): the same requests moved to the outbox. At its
+    decide step (`begin_action`): the same encoding, and the same waiting
+    requests in the same priority order for every VNF type. After a recorded
+    action (`local_step`): the same state and next state. Returns the counts
+    of what the checks saw."""
+    real_scan = agents._scan_scope
     real_begin, real_local_step = sim.begin_action, sim.local_step
     seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0,
             "after_alloc_task": 0, "recorded": 0, "recorded_noop": 0}
     wanted = {}  # agent -> the reference encoding at its latest decide step
 
+    def scanned(agent, world):
+        assert agent.view is None  # a turn starts once per step
+        moved = ref_scope_moves(agent, world)
+        keep = [r for r in agent.queue if not any(r is m for m in moved)]
+        before = len(agent.outbox)
+        real_scan(agent, world)
+        tasks = agent.outbox[before:]
+        assert [t.request.id for t in tasks] == [r.id for r in moved]
+        assert all(t.kind == agents.TASK_TRANSFER for t in tasks)
+        assert [r.id for r in agent.queue] == [r.id for r in keep]
+        seen["moved"] += len(moved)
+
     def begun(agent, world):
         now = world.now
-        if agent.view is None:  # the turn's first action
-            moved = ref_scope_moves(agent, world)
-            keep = [r for r in agent.queue if not any(r is m for m in moved)]
-            before = len(agent.outbox)
-            agents._scan_scope(agent, world)
-            tasks = agent.outbox[before:]
-            assert [t.request.id for t in tasks] == [r.id for r in moved]
-            assert all(t.kind == agents.TASK_TRANSFER for t in tasks)
-            assert [r.id for r in agent.queue] == [r.id for r in keep]
-            seen["moved"] += len(moved)
         result = real_begin(agent, world)
         current_dc, got = result
         want = wanted[id(agent)] = ref_encode_state(
@@ -184,13 +188,13 @@ def check_local_steps(monkeypatch):
             pending = [r for r in agent.queue
                        if ref_next_vnf(r) is not None
                        and ref_next_vnf(r).name == name]
-            assert [r.id for r in agent.view.pending(name)] == \
-                [r.id for r in pending]
+            got_ranked = [r.id for r in agent.view.ranked(name)]
+            assert sorted(got_ranked) == sorted(r.id for r in pending)
             want_order = [r.id for r in sorted(
                 pending, key=lambda r: ref_priority_key(r, now))]
             ranked = agents.priority_rank(pending, now)
             assert [r.id for r in ranked] == want_order
-            assert [r.id for r in agent.view.ranked(name)] == want_order
+            assert got_ranked == want_order
             seen["ranked"] += len(ranked) > 1
         seen["steps"] += 1
         seen["items"] += len(agent.queue)
@@ -215,6 +219,7 @@ def check_local_steps(monkeypatch):
                                       or action == agents.ACTION_IDLE)
         return result
 
+    monkeypatch.setattr(agents, "_scan_scope", scanned)
     monkeypatch.setattr(sim, "begin_action", begun)
     monkeypatch.setattr(sim, "local_step", checked)
     return seen

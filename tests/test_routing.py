@@ -59,7 +59,7 @@ def test_triangle_bandwidth_filter():
 
 def restricted(g, dcs):
     """The neighbour table of the DCs `dcs` over the links among them."""
-    return {u: [(v, link) for v, link in g.neighbors(u) if v in dcs]
+    return {u: [(v, link) for v, link in g.adjacency[u] if v in dcs]
             for u in dcs}
 
 
@@ -83,7 +83,7 @@ def enumerate_best(g, nodes, free, src, dst, bw):
             if best is None or dist < best:
                 best = dist
             return
-        for v, link in g.neighbors(u):
+        for v, link in g.adjacency[u]:
             if v in seen or v not in nodes or free(link) < bw:
                 continue
             walk(v, seen | {v}, dist + link.distance)
@@ -423,7 +423,7 @@ def ref_dijkstra(nodes, graph, free, src, bw):
         if u in settled:
             continue
         settled.add(u)
-        for v, link in graph.neighbors(u):
+        for v, link in graph.adjacency[u]:
             if v not in nodes or v in settled or free(link) < bw:
                 continue
             nd = d + link.distance

@@ -58,7 +58,7 @@ def test_preinstalled_chain_same_dc():
     r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 0)
     world.admit([r])
     agent = world.general.local_agents[world.partition.cluster_of(0)]
-    _scan_scope(agent, world)  # each step's view, as local_step builds it
+    _scan_scope(agent, world)  # each step's turn, as run_step starts it
     out = _execute_action(agent, world, 0, 0)  # NAT
     assert out.request is r and not out.invalid
     world.now += STEP_MS

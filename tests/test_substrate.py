@@ -62,18 +62,28 @@ def test_place_until_exhausted_then_reject(cat, sub):
 def test_place_uninstall_identity(cat, sub):
     before = (sub.dcs[2].free_vcpu, sub.dcs[2].free_ram, sub.dcs[2].free_storage)
     inst = sub.place_vnf(2, cat.vnfs["VOC"])
-    assert sub.uninstall_vnf(inst)
+    sub.uninstall_vnf(inst)
     after = (sub.dcs[2].free_vcpu, sub.dcs[2].free_ram, sub.dcs[2].free_storage)
     assert before == after
     sub.verify_accounting()
 
 
 def test_uninstall_busy_refused(cat, sub):
-    inst = sub.place_vnf(0, cat.vnfs["FW"])
+    """An allocated instance and one reserved for a pending allocation are
+    refused, and nothing changes."""
+    allocated = sub.place_vnf(0, cat.vnfs["FW"])
     r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
-    sub.allocate(r, inst, 0.0, 0.0)
-    assert not sub.uninstall_vnf(inst)
-    assert sub.installed_count(0, "FW") == 1
+    sub.allocate(r, allocated, 0.0, 0.0)
+    reserved = sub.place_vnf(0, cat.vnfs["FW"])
+    reserved.reserved = True
+    dc = sub.dcs[0]
+    for inst in (allocated, reserved):
+        before = (dc.free_vcpu, dc.free_ram, dc.free_storage)
+        with pytest.raises(SubstrateError, match="busy"):
+            sub.uninstall_vnf(inst)
+        assert dc.installed["FW"] == [allocated, reserved]
+        assert (dc.free_vcpu, dc.free_ram, dc.free_storage) == before
+    sub.verify_accounting()
 
 
 def test_uninstall_unknown_instance(cat, sub):
@@ -192,7 +202,8 @@ def test_fuzzed_operations_never_drift(cat):
                 instances.append(sub.place_vnf(dc, vnf))
         elif op == 1 and instances:
             inst = instances[int(rng.integers(len(instances)))]
-            if sub.uninstall_vnf(inst):
+            if inst.is_idle():
+                sub.uninstall_vnf(inst)
                 instances.remove(inst)
         elif op == 2:
             link = g.links[int(rng.integers(len(g.links)))]

@@ -44,7 +44,7 @@ def test_generated_graph_deterministic_and_connected():
     stack = [0]
     while stack:
         u = stack.pop()
-        for v, _ in a.neighbors(u):
+        for v, _ in a.adjacency[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -196,7 +196,7 @@ def test_generated_graph_matches_rescan_reference(monkeypatch, whole_km):
         assert [dc.position for dc in g.dcs] == points
         assert ([(l.a, l.b, l.bandwidth_cap, l.distance) for l in g.links]
                 == [(l.a, l.b, l.bandwidth_cap, l.distance) for l in links])
-        assert all(g.neighbors(u) == neighbors[u] for u in range(len(points)))
+        assert all(g.adjacency[u] == neighbors[u] for u in range(len(points)))
         repairs.append(repaired)
     assert sum(r > 0 for r in repairs) >= (40 if whole_km else 100)
     assert max(repairs) >= 50
@@ -232,7 +232,7 @@ def test_square_corners_pair_nearest():
     """Oracle: exhaustive scan of all 2|2 partitions for the one minimizing
     within-cluster distance; the greedy assignment must find it."""
     g = square_corner_graph()
-    pts = [g.dc(i).position for i in range(4)]
+    pts = [g.dcs[i].position for i in range(4)]
 
     def within_cost(groups):
         cost = 0.0
@@ -299,7 +299,7 @@ def test_partition_stability_at_termination():
         part = make_clusters(g, limit, int(rng.integers(2 ** 31)))
         for i in range(n):
             own = part.assignment[i]
-            p = g.dc(i).position
+            p = g.dcs[i].position
             d_own = math.hypot(p[0] - part.centroids[own][0],
                                p[1] - part.centroids[own][1])
             for c, members in part.clusters.items():
@@ -422,7 +422,7 @@ def ref_make_clusters(graph, size_limit, seed):
     n = graph.dc_count
     size_limit = min(size_limit, n)
     k = math.ceil(n / size_limit)
-    points = np.array([graph.dc(i).position for i in range(n)], dtype=float)
+    points = np.array([graph.dcs[i].position for i in range(n)], dtype=float)
     centroids = topology._kmeans_pp_seeds(points, k, np.random.default_rng(seed))
     states = [centroids.tobytes()]
     prev = None
