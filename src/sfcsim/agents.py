@@ -4,6 +4,7 @@ cross-cluster delivery)."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,72 +47,58 @@ class ActionOutcome:
 
 class StepView:
     """An agent's queue as its state view reads it, built by the scope scan
-    when `run_step` starts the agent's turn. Within the turn `now` is fixed,
-    so each queued request's PendingItem is too, and the agent's own takes,
-    made through this view, are the only changes to the queue: it only
-    shrinks. The items are made for every request up front; the groups per
-    DC and each VNF type's ranked list of waiting requests are built the
-    first time the turn asks for them, and kept current from then on."""
+    (`_scan_scope`) when `run_step` starts the agent's turn. Within the turn
+    `now` is fixed, so each queued request's PendingItem is too, and the
+    agent's own takes, made through this view, are the only changes to the
+    queue: it only shrinks. The scan's one pass over the queue hands over the
+    items, made once per queue stay and with their slack refreshed for this
+    step, grouped per SFC type for the cluster and for each DC where packets
+    wait; a VNF type's ranked list of waiting requests is built the first
+    time the turn asks for it. A take keeps all of them current."""
 
-    def __init__(self, now: float, assignment, cluster_id: int,
-                 queue: list[SfcRequest]):
+    def __init__(self, now: float, queue: list[SfcRequest],
+                 cluster: SfcGroups, local: dict[int, SfcGroups],
+                 out_count: int):
         self.now = now
-        self.assignment = assignment  # DC -> cluster
-        self.cluster_id = cluster_id
-        self.queue = queue  # the agent's queue, which `items` runs parallel to
-        self.items: list[PendingItem] = []
-        append = self.items.append
-        out_count = 0  # requests bound for a DC outside the cluster
-        for r in queue:
-            t = r.sfc_type
-            k = r.next_vnf_index
-            waited = now - r.ready_time
-            # the conditional is max(0.0, waited) without the call
-            append(PendingItem(
-                t.name,
-                t.e2e_tolerance - (r.propagation_total + r.processing_total)
-                - (waited if waited > 0.0 else 0.0),
-                r.bandwidth, t.completion[k], t.next_vnfs[k].name))
-            if assignment[r.dest_dc] != cluster_id:
-                out_count += 1
-        self.out_count = out_count
-        self.cluster = SfcGroups(self.items)
-        self._local: dict[int, SfcGroups] = {}  # DC -> items of requests there
+        self.queue = queue  # the agent's queue; each request holds its item
+        self.cluster = cluster
+        self._local = local  # DC -> items of the requests whose packet is there
+        self.out_count = out_count  # requests bound for a DC outside the cluster
         # VNF type -> the queued requests waiting for it, by priority
         self._ranked: dict[str, list[SfcRequest]] = {}
 
     def local(self, dc: int) -> SfcGroups:
-        """The items of the requests whose packet is at `dc`."""
+        """The items of the requests whose packet is at `dc`, as the scan
+        grouped them; empty groups for a DC where no packet waits."""
         groups = self._local.get(dc)
         if groups is None:
-            groups = self._local[dc] = SfcGroups(
-                [it for r, it in zip(self.queue, self.items) if r.loc == dc])
+            groups = self._local[dc] = SfcGroups({})
         return groups
 
     def ranked(self, vnf_name: str) -> list[SfcRequest]:
         """The queued requests waiting for `vnf_name` in priority order,
         ranked at the first call in the turn; the keys do not change within
-        it. Empty when no request waits for the type."""
+        it. Empty, without ranking, when no request waits for the type."""
         ranked = self._ranked.get(vnf_name)
         if ranked is None:
-            ranked = self._ranked[vnf_name] = priority_rank(
-                [r for r, it in zip(self.queue, self.items)
-                 if it.next_vnf_name == vnf_name], self.now)
+            waiting = [r for r in self.queue
+                       if r.item.next_vnf_name == vnf_name]
+            ranked = self._ranked[vnf_name] = (
+                priority_rank(waiting, self.now) if waiting else waiting)
         return ranked
 
     def take(self, r: SfcRequest) -> None:
-        """Remove a request the agent allocates from the queue."""
-        i = self.queue.index(r)
-        del self.queue[i]
-        item = self.items.pop(i)
+        """Remove a request the agent allocates from the queue, from its
+        item's groups (its DC's too, whether or not the turn has read them)
+        and from its ranked list."""
+        self.queue.remove(r)
+        item = r.item
         self.cluster.remove(item)
-        local = self._local.get(r.loc)
-        if local is not None:
-            local.remove(item)
+        self._local[r.loc].remove(item)
         ranked = self._ranked.get(item.next_vnf_name)
         if ranked is not None:
             ranked.remove(r)
-        if self.assignment[r.dest_dc] != self.cluster_id:
+        if item.out_of_cluster:
             self.out_count -= 1
 
 
@@ -207,25 +194,54 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
 
 
 def _scan_scope(agent: LocalAgent, world) -> None:
-    """Start the agent's turn: move requests the agent cannot serve into the
-    assist outbox, and build the turn's view of the rest. The substrate does
-    not change during the scan, so each VNF type's hostability is asked
-    once."""
+    """Start the agent's turn in one pass over its queue: move each request
+    whose next VNF the cluster cannot host into the assist outbox, and build
+    the turn's view of the rest. A request's PendingItem is made only when
+    its stamp shows a new queue stay (another cluster or chain position; its
+    accrued delay grows only when it is allocated, which also advances its
+    chain position); otherwise the item is reused, and a kept request's
+    slack is refreshed, as `now` moved. The same pass files the item in its SFC type's groups
+    for the cluster and for its packet's DC. The substrate does not change
+    during the scan, so each VNF type's hostability is asked once."""
+    now = world.now
+    cid = agent.cluster_id
+    assignment = world.partition.assignment
     hostable: dict[str, bool] = {}  # VNF type name -> can the cluster host it
     keep = []
+    cluster: dict[str, list[PendingItem]] = defaultdict(list)
+    local: dict[int, dict[str, list[PendingItem]]] = defaultdict(
+        lambda: defaultdict(list))
+    out_count = 0
     for r in agent.queue:
-        vnf = r.sfc_type.next_vnfs[r.next_vnf_index]
-        ok = hostable.get(vnf.name)
+        item = r.item
+        k = r.next_vnf_index
+        if item is None or item.chain_pos != k or item.cluster_id != cid:
+            t = r.sfc_type
+            item = r.item = PendingItem(
+                t.name, 0.0, r.bandwidth, t.completion[k], t.next_vnfs[k].name,
+                t.e2e_tolerance - (r.propagation_total + r.processing_total),
+                assignment[r.dest_dc] != cid, cid, k)
+        name = item.next_vnf_name
+        ok = hostable.get(name)
         if ok is None:
-            ok = hostable[vnf.name] = world.substrate.cluster_can_host(
-                agent.dc_ids, vnf)
-        if ok:
-            keep.append(r)
-        else:
+            ok = hostable[name] = world.substrate.cluster_can_host(
+                agent.dc_ids, r.next_vnf)
+        if not ok:
             agent.outbox.append(AssistTask(TASK_TRANSFER, r))
+            continue
+        keep.append(r)
+        waited = now - r.ready_time
+        # the conditional is max(0.0, waited) without the call
+        item.remaining_ms = item.base_ms - (waited if waited > 0.0 else 0.0)
+        cluster[item.sfc_name].append(item)
+        local[r.loc][item.sfc_name].append(item)
+        if item.out_of_cluster:
+            out_count += 1
     agent.queue[:] = keep
-    agent.view = StepView(world.now, world.partition.assignment,
-                          agent.cluster_id, agent.queue)
+    agent.view = StepView(
+        now, agent.queue, SfcGroups(cluster),
+        {dc: SfcGroups(groups) for dc, groups in local.items()},
+        out_count)
 
 
 def _try_allocate(agent: LocalAgent, world, instance,

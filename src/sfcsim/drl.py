@@ -83,11 +83,21 @@ class StateEncoding:
 # identity equality: a view removes the item of one request from its groups
 @dataclass(slots=True, eq=False)
 class PendingItem:
+    """A queued request as the state encoder reads it. The agent whose queue
+    holds the request makes the item once per queue stay, that is, per
+    cluster and chain position the request waits at (`cluster_id`,
+    `chain_pos`), and keeps it on the request (`SfcRequest.item`): every
+    field but `remaining_ms` is fixed for the stay, and each step's scope
+    scan refreshes `remaining_ms` from `base_ms` and the time waited."""
     sfc_name: str
     remaining_ms: float  # tolerance minus accrued delay and elapsed waiting
     bandwidth: float
     completion_frac: float
     next_vnf_name: str
+    base_ms: float = 0.0  # tolerance minus accrued delay
+    out_of_cluster: bool = False  # the destination lies outside `cluster_id`
+    cluster_id: int = -1
+    chain_pos: int = -1  # the request's next_vnf_index
 
 
 def _clip01(x: float) -> float:
@@ -111,19 +121,13 @@ def _group_summary(group: list[PendingItem], sfc: SfcType) -> list[float]:
 
 
 class SfcGroups:
-    """Pending items grouped per SFC type, each group in queue order. A
-    group's summary is kept until an item of its type is removed: a summary
-    is recomputed only for the types that changed."""
+    """Pending items grouped per SFC type (SFC name -> items), each group in
+    queue order, as the agent's scope scan files them. A group's summary is
+    kept until an item of its type is removed: a summary is recomputed only
+    for the types that changed."""
     __slots__ = ("_groups", "_summaries")
 
-    def __init__(self, items):
-        groups: dict[str, list[PendingItem]] = {}
-        for it in items:
-            group = groups.get(it.sfc_name)
-            if group is None:
-                groups[it.sfc_name] = [it]
-            else:
-                group.append(it)
+    def __init__(self, groups: dict[str, list[PendingItem]]):
         self._groups = groups
         self._summaries: dict[str, list[float]] = {}
 

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .schema import convert
 from .topology import NetworkGraph
+
+if TYPE_CHECKING:
+    from .drl import PendingItem
 
 VNF_ORDER = ["NAT", "FW", "VOC", "TM", "WO", "IDPS"]
 SFC_ORDER = ["CG", "AR", "VoIP", "VS", "MIoT", "Ind4.0"]
@@ -96,6 +100,10 @@ class SfcRequest:
     hop_log: list[tuple] = field(default_factory=list)
     drop_reason: str | None = None
     drop_time: float | None = None
+    # the drl.PendingItem of the request's current or latest queue stay: made
+    # by the scope scan of the agent whose queue holds the request, and made
+    # again when the request waits in another cluster or at another position
+    item: PendingItem | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.loc < 0:

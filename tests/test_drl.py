@@ -18,9 +18,17 @@ TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
 
 def empty_view():
-    return StateView(items_local=SfcGroups([]), items_cluster=SfcGroups([]),
+    return StateView(items_local=SfcGroups({}), items_cluster=SfcGroups({}),
                      installed={}, idle={}, free_fracs=(1.0, 1.0, 1.0),
                      transfer_pending=False, out_of_cluster_frac=0.0)
+
+
+def grouped(items):
+    """The items in SfcGroups' shape: SFC name -> items, in list order."""
+    groups = {}
+    for it in items:
+        groups.setdefault(it.sfc_name, []).append(it)
+    return SfcGroups(groups)
 
 
 def random_state(rng):
@@ -54,7 +62,7 @@ def test_encode_single_cg_request():
     cat = default_catalog()
     item = PendingItem("CG", 80.0, 4.0, 0.0, "NAT")
     view = empty_view()
-    view.items_local = SfcGroups([item])
+    view.items_local = SfcGroups({"CG": [item]})
     input_a, _, _ = blocks(encode_state(view, cat))
     base = 0  # CG is the first SFC type
     assert input_a[base + 0] == pytest.approx(1 / 55)
@@ -78,8 +86,8 @@ def test_encoding_bounds_and_locality():
                              ["NAT", "FW", "VOC", "TM", "WO", "IDPS"][int(rng.integers(6))])
                  for _ in range(int(rng.integers(1, 30)))]
         view = empty_view()
-        view.items_local = SfcGroups(items)
-        view.items_cluster = SfcGroups(items)
+        view.items_local = grouped(items)
+        view.items_cluster = grouped(items)
         view.installed = {"NAT": int(rng.integers(0, 30))}
         row = encode_state(view, cat).row
         assert np.all(row >= 0.0) and np.all(row <= 1.0)
@@ -89,7 +97,8 @@ def test_architecture_invariant_to_cluster_size():
     # encoding length is fixed by config, not by how many DCs feed the view
     enc_small = encode_state(empty_view(), default_catalog())
     big = empty_view()
-    big.items_cluster = SfcGroups([PendingItem("VoIP", 50.0, 0.064, 0.2, "FW")] * 40)
+    big.items_cluster = SfcGroups(
+        {"VoIP": [PendingItem("VoIP", 50.0, 0.064, 0.2, "FW")] * 40})
     enc_big = encode_state(big, default_catalog())
     assert enc_small.row.shape == enc_big.row.shape == (STATE_DIM,)
 

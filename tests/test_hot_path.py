@@ -4,6 +4,7 @@ per-request-property implementation it replaced. The floats must match bit
 for bit: a last-bit difference can flip a greedy argmax."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ import pytest
 from sfcsim import agents, sim
 from sfcsim.drl import (INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, INSTANCE_NORM,
                         SFC_FEATURES, STATE_DIM, ModelConfig, PendingItem,
-                        SfcGroups, StateEncoding, StateView, encode_state)
+                        SfcGroups, StateEncoding, StateView, encode_state,
+                        load_weights)
 from sfcsim.sim import SimConfig, run_episode
 from sfcsim.topology import build_network
 from sfcsim.workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER,
                              VNF_ORDER, SfcRequest, catalog_from_config,
                              default_catalog)
+
+TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
 # ---- reference: the per-request-property formulas --------------------------
 
@@ -121,6 +125,14 @@ def ref_scope_moves(agent, world):
             if ref_next_vnf(r) is not None
             and not world.substrate.cluster_can_host(agent.dc_ids,
                                                      ref_next_vnf(r))]
+
+
+def grouped(items):
+    """The items in SfcGroups' shape: SFC name -> items, in list order."""
+    groups = {}
+    for it in items:
+        groups.setdefault(it.sfc_name, []).append(it)
+    return SfcGroups(groups)
 
 
 def assert_same_encoding(got, want):
@@ -271,6 +283,144 @@ def test_recorded_states_match_reference(monkeypatch):
     assert seen["recorded_noop"] > 0
 
 
+# ---- an item's lifetime: made once per queue stay, refreshed each step -----
+
+
+def item_fields(it):
+    return (it.sfc_name, it.remaining_ms, it.bandwidth, it.completion_frac,
+            it.next_vnf_name)
+
+
+def assert_turn_matches_reference(agent, world):
+    """The turn's items in queue order, its out-of-cluster count, and its
+    encoding at every DC of the cluster, as the reference builds them."""
+    ref = ref_build_state_view(agent, world, agent.dc_ids[0])
+    assert ([item_fields(r.item) for r in agent.queue]
+            == [item_fields(it) for it in ref.items_cluster])
+    assert agent.view.out_count == sum(
+        world.partition.cluster_of(r.dest_dc) != agent.cluster_id
+        for r in agent.queue)
+    for dc in agent.dc_ids:
+        assert_same_encoding(
+            encode_state(agents.build_state_view(agent, world, dc),
+                         world.catalog),
+            ref_encode_state(ref_build_state_view(agent, world, dc),
+                             world.catalog))
+
+
+def two_cluster_world():
+    """8 DCs in two clusters of four, each connected by its own links."""
+    g = build_network({"dc_count": 8, "seed": 1})
+    world = sim.build_world(g, 4, 0, DemandPolicy())
+    a, b = (world.general.local_agents[c] for c in (0, 1))
+    assert (sorted(a.dc_ids), sorted(b.dc_ids)) == ([0, 1, 6, 7], [2, 3, 4, 5])
+    return world, a, b
+
+
+def start_turn(agent, world):
+    agent.view = None
+    agents._scan_scope(agent, world)
+    assert_turn_matches_reference(agent, world)
+
+
+def test_handed_off_request_flips_its_out_of_cluster_flag():
+    """A request bound for cluster b that cluster a cannot host waits in a
+    as out of cluster; handed to b, it waits there as in cluster."""
+    world, a, b = two_cluster_world()
+    cat = world.catalog
+    nat = cat.vnfs["NAT"]
+    for dc in a.dc_ids:  # NAT fills a, so a cannot host TM
+        while world.substrate.can_place(dc, nat):
+            world.substrate.place_vnf(dc, nat)
+    vs = cat.sfcs["VS"]  # NAT FW TM VOC IDPS
+    moving = SfcRequest(0, vs, 4.0, 0, 3, next_vnf_index=2)
+    staying = SfcRequest(1, vs, 4.0, 1, 2)
+    in_b = SfcRequest(2, vs, 4.0, 2, 0, next_vnf_index=1)
+    a.queue, b.queue = [moving, staying], [in_b]
+    start_turn(a, world)
+    assert [t.request for t in a.outbox] == [moving] and a.queue == [staying]
+    assert moving.item.out_of_cluster
+    agents.assist(world.general, world, world.now)
+    assert b.queue == [in_b, moving]
+    world.now += sim.STEP_MS
+    start_turn(b, world)
+    assert not moving.item.out_of_cluster
+
+
+def test_requeued_request_after_failed_alloc_assist_matches_reference():
+    """A request whose packet waits outside the cluster is taken for an
+    instance; the general agent finds no path wide enough and puts it back
+    in the queue, where the next turn reads it as the reference does."""
+    world, a, _ = two_cluster_world()
+    vs = world.catalog.sfcs["VS"]
+    wide = SfcRequest(0, vs, 1e9, 3, 0, next_vnf_index=1)  # packet in b
+    near = SfcRequest(1, vs, 4.0, 0, 3, next_vnf_index=1)
+    a.queue = [wide, near]
+    start_turn(a, world)
+    out = agents._execute_action(a, world, 0, VNF_ORDER.index("FW"))
+    assert out.request is wide and a.outbox[0].kind == agents.TASK_ALLOC
+    assert_turn_matches_reference(a, world)
+    agents.assist(world.general, world, world.now)
+    assert a.queue == [near, wide] and wide.next_vnf_index == 1
+    world.now += sim.STEP_MS
+    start_turn(a, world)
+
+
+def test_request_back_at_its_next_chain_position_matches_reference():
+    """A request allocated from DC 0 to an instance at DC 6 leaves DC 0's
+    groups, which the turn has not read yet, and comes back to the queue
+    at its next chain position with a new item."""
+    world, a, _ = two_cluster_world()
+    vs = world.catalog.sfcs["VS"]
+    moved, left, other = (SfcRequest(i, vs, 4.0, dc, 3)
+                          for i, dc in ((0, 0), (1, 0), (2, 6)))
+    a.queue = [moved, left, other]
+    agents._scan_scope(a, world)
+    # the turn's first action reads DC 6, so DC 0's groups are not read yet
+    encode_state(agents.build_state_view(a, world, 6), world.catalog)
+    out = agents._execute_action(a, world, 6, VNF_ORDER.index("NAT"))
+    assert out.request is moved and a.queue == [left, other]
+    assert_turn_matches_reference(a, world)
+    for _ in range(20):
+        world.now += sim.STEP_MS
+        world._release_bandwidth(world.now)
+        world._complete_processing(world.now)
+        if moved in a.queue:
+            break
+    assert a.queue == [left, other, moved] and moved.loc == 6
+    start_turn(a, world)
+    assert moved.item.next_vnf_name == "FW"
+
+
+def test_pending_items_are_made_once_per_queue_stay(monkeypatch):
+    """Over an eval-dense-shaped episode with the benchmark's policy, each
+    request's item is made at most once per cluster and chain position it
+    waits at, and far less often than a turn reads an item."""
+    made = []
+    real_item, real_scan = agents.PendingItem, agents._scan_scope
+    stays = set()  # (request, cluster, chain position)
+    read = [0]  # items the turns read: the queue lengths summed over turns
+
+    def counted(*args):
+        made.append(args)
+        return real_item(*args)
+
+    def scanned(agent, world):
+        stays.update((r.id, agent.cluster_id, r.next_vnf_index)
+                     for r in agent.queue)
+        real_scan(agent, world)
+        read[0] += len(agent.queue)
+
+    monkeypatch.setattr(agents, "PendingItem", counted)
+    monkeypatch.setattr(agents, "_scan_scope", scanned)
+    g = build_network({"dc_count": 40, "seed": 11})
+    policy = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    run_episode(g, 8, 3.0, 11, policy, config=SimConfig(max_steps=30))
+    assert 0 < len(made) <= len(stays)
+    # rebuilding every item at every turn would make at least `read` items
+    assert 10 * len(made) < read[0]
+
+
 def test_scope_scan_asks_per_vnf_type():
     """Requests of one SFC type wait at different chain positions; only
     those whose next VNF the full cluster cannot host move out, in order."""
@@ -313,11 +463,11 @@ def test_encoding_matches_reference_on_random_items():
                          free_fracs=tuple(float(x) for x in rng.uniform(0, 1, 3)),
                          transfer_pending=bool(rng.integers(2)),
                          out_of_cluster_frac=float(rng.uniform(0, 1)))
-        grouped = replace(view, items_local=SfcGroups(items[::2]),
-                          items_cluster=SfcGroups(items))
-        assert_same_encoding(encode_state(grouped, cat),
+        view_groups = replace(view, items_local=grouped(items[::2]),
+                              items_cluster=grouped(items))
+        assert_same_encoding(encode_state(view_groups, cat),
                              ref_encode_state(view, cat))
-        groups = SfcGroups(items)
+        groups = grouped(items)
         assert np.array_equal(groups.summary(cat), ref_sfc_summary(items, cat))
         for it in items[::3]:
             groups.remove(it)
