@@ -4,14 +4,13 @@ cross-cluster delivery)."""
 
 from __future__ import annotations
 
-from collections import defaultdict
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import routing
-from .drl import (PendingItem, QNetwork, SfcGroups, StateEncoding, StateView,
-                  encode_state)
+from .drl import QNetwork, SfcGroups, StateEncoding, StateView, encode_state
 from .routing import RouteCounters
 from .topology import ClusterPartition, NetworkGraph, make_clusters
 # stays importable here: perfbench's tracer wraps agents.cluster_adjacency
@@ -46,60 +45,40 @@ class ActionOutcome:
 
 
 class StepView:
-    """An agent's queue as its state view reads it, built by the scope scan
-    (`_scan_scope`) when `run_step` starts the agent's turn. Within the turn
-    `now` is fixed, so each queued request's PendingItem is too, and the
-    agent's own takes, made through this view, are the only changes to the
-    queue: it only shrinks. The scan's one pass over the queue hands over the
-    items, made once per queue stay and with their slack refreshed for this
-    step, grouped per SFC type for the cluster and for each DC where packets
-    wait; a VNF type's ranked list of waiting requests is built the first
-    time the turn asks for it. A take keeps all of them current."""
+    """An agent's turn in a step, started by `_scan_scope` when `run_step`
+    begins it and dropped after the step's last round. The agent's queue and
+    its filed index (`LocalAgent.file`) are kept across steps; the turn adds
+    the step's `now`, fixed for the turn, and a VNF type's ranked list of
+    waiting requests, built the first time the turn asks for it. Within the
+    turn the agent's own takes, made through this view, are the only changes
+    to the queue: it only shrinks, and a take keeps the index and the ranked
+    lists current."""
 
-    def __init__(self, now: float, queue: list[SfcRequest],
-                 cluster: SfcGroups, local: dict[int, SfcGroups],
-                 out_count: int):
+    def __init__(self, now: float, agent: LocalAgent):
         self.now = now
-        self.queue = queue  # the agent's queue; each request holds its item
-        self.cluster = cluster
-        self._local = local  # DC -> items of the requests whose packet is there
-        self.out_count = out_count  # requests bound for a DC outside the cluster
+        self._agent = agent
         # VNF type -> the queued requests waiting for it, by priority
         self._ranked: dict[str, list[SfcRequest]] = {}
 
-    def local(self, dc: int) -> SfcGroups:
-        """The items of the requests whose packet is at `dc`, as the scan
-        grouped them; empty groups for a DC where no packet waits."""
-        groups = self._local.get(dc)
-        if groups is None:
-            groups = self._local[dc] = SfcGroups({})
-        return groups
-
     def ranked(self, vnf_name: str) -> list[SfcRequest]:
         """The queued requests waiting for `vnf_name` in priority order,
-        ranked at the first call in the turn; the keys do not change within
-        it. Empty, without ranking, when no request waits for the type."""
+        ranked at the first call in the turn from the type's waiting list;
+        the keys do not change within it. Empty, without ranking, when no
+        request waits for the type."""
         ranked = self._ranked.get(vnf_name)
         if ranked is None:
-            waiting = [r for r in self.queue
-                       if r.item.next_vnf_name == vnf_name]
+            waiting = self._agent.waiting.get(vnf_name)
             ranked = self._ranked[vnf_name] = (
-                priority_rank(waiting, self.now) if waiting else waiting)
+                priority_rank(list(waiting), self.now) if waiting else [])
         return ranked
 
     def take(self, r: SfcRequest) -> None:
-        """Remove a request the agent allocates from the queue, from its
-        item's groups (its DC's too, whether or not the turn has read them)
-        and from its ranked list."""
-        self.queue.remove(r)
-        item = r.item
-        self.cluster.remove(item)
-        self._local[r.loc].remove(item)
-        ranked = self._ranked.get(item.next_vnf_name)
+        """Unfile a request the agent allocates from the queue and its index,
+        and remove it from its ranked list."""
+        self._agent.unfile(r)
+        ranked = self._ranked.get(r.item.next_vnf_name)
         if ranked is not None:
             ranked.remove(r)
-        if item.out_of_cluster:
-            self.out_count -= 1
 
 
 @dataclass
@@ -109,14 +88,80 @@ class LocalAgent:
     policy: QNetwork
     rng: np.random.Generator
     cursor: int = 0
-    queue: list[SfcRequest] = field(default_factory=list)
+    # the queue and its index, kept across steps: `file` adds a request when
+    # it joins the queue and `unfile` removes it when it leaves; each dict is
+    # insertion ordered, so it holds its requests or items in queue order
+    queue: dict[SfcRequest, int] = field(default_factory=dict)  # -> join seq
+    cluster: SfcGroups = field(default_factory=SfcGroups, repr=False)
+    # DC -> the items of the queued requests whose packet waits there
+    local: dict[int, SfcGroups] = field(default_factory=dict, repr=False)
+    # VNF type name -> the queued requests waiting for it
+    waiting: dict[str, dict[SfcRequest, None]] = field(default_factory=dict,
+                                                       repr=False)
+    out_count: int = 0  # queued requests bound for a DC outside the cluster
+    # due step -> the queued requests whose stays fall due then, and a heap
+    # of the steps whose buckets were made (a step recurs when its bucket
+    # emptied and was made again)
+    due: dict[float, dict[SfcRequest, None]] = field(default_factory=dict,
+                                                     repr=False)
+    due_steps: list[float] = field(default_factory=list, repr=False)
     outbox: list[AssistTask] = field(default_factory=list)
     reward_total: float = 0.0
-    # the agent's turn in a step: run_step builds it by the scope scan before
+    # the agent's turn in a step: run_step starts it by the scope scan before
     # the step's first round and drops it after the last, so it is None
-    # outside the agent phase; _execute_action and build_state_view read it,
-    # and the turn's takes go through it
+    # outside the agent phase; _execute_action reads it, and the turn's
+    # takes go through it
     view: StepView | None = field(default=None, repr=False)
+
+    def file(self, r: SfcRequest, seq: int) -> None:
+        """Add `r`, whose item is its current stay's, at the tail of the queue,
+        of its groups for the cluster and for its packet's DC, of its next
+        VNF type's waiting list and of its due step's bucket. `seq` orders
+        the joins of all queues."""
+        item = r.item
+        self.queue[r] = seq
+        self.cluster.add(item)
+        local = self.local.get(r.loc)
+        if local is None:
+            local = self.local[r.loc] = SfcGroups()
+        local.add(item)
+        waiting = self.waiting.get(item.next_vnf_name)
+        if waiting is None:
+            waiting = self.waiting[item.next_vnf_name] = {}
+        waiting[r] = None
+        self.out_count += item.out_of_cluster
+        bucket = self.due.get(item.due)
+        if bucket is None:
+            bucket = self.due[item.due] = {}
+            heapq.heappush(self.due_steps, item.due)
+        bucket[r] = None
+
+    def unfile(self, r: SfcRequest) -> None:
+        """Remove `r` from the queue and from everything `file` added it to."""
+        del self.queue[r]
+        item = r.item
+        self.cluster.remove(item)
+        self.local[r.loc].remove(item)
+        del self.waiting[item.next_vnf_name][r]
+        self.out_count -= item.out_of_cluster
+        bucket = self.due[item.due]
+        del bucket[r]
+        if not bucket:
+            del self.due[item.due]
+
+    def falling_due(self, now: float) -> list[SfcRequest]:
+        """The queued requests whose stays fall due at a step up to `now`,
+        in queue order. The steps leave the heap, so the caller unfiles
+        every request returned."""
+        steps = self.due_steps
+        due: list[SfcRequest] = []
+        while steps and steps[0] <= now:
+            step = heapq.heappop(steps)
+            while steps and steps[0] == step:
+                heapq.heappop(steps)
+            due.extend(self.due.get(step, ()))
+        due.sort(key=self.queue.__getitem__)  # by join, across buckets
+        return due
 
 
 class GeneralAgent:
@@ -167,7 +212,6 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
 
 
 def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
-    view = agent.view
     dc = world.substrate.dcs[current_dc]
     free = (dc.free_vcpu / dc.spec.compute_cap,
             dc.free_ram / dc.spec.ram_cap,
@@ -181,67 +225,40 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
             idle[v] = sum(1 for i in instances if i.is_idle())
         else:  # most types have no instance at a DC
             installed[v] = idle[v] = 0
+    local = agent.local.get(current_dc)
+    if local is None:  # no packet of the queue waits at the DC
+        local = agent.local[current_dc] = SfcGroups()
     return StateView(
-        items_local=view.local(current_dc),
-        items_cluster=view.cluster,
+        items_local=local,
+        items_cluster=agent.cluster,
         installed=installed,
         idle=idle,
         free_fracs=free,
         transfer_pending=bool(agent.outbox),
-        out_of_cluster_frac=(view.out_count / len(agent.queue)
+        out_of_cluster_frac=(agent.out_count / len(agent.queue)
                              if agent.queue else 0.0),
+        now=world.now,
     )
 
 
 def _scan_scope(agent: LocalAgent, world) -> None:
-    """Start the agent's turn in one pass over its queue: move each request
-    whose next VNF the cluster cannot host into the assist outbox, and build
-    the turn's view of the rest. A request's PendingItem is made only when
-    its stamp shows a new queue stay (another cluster or chain position; its
-    accrued delay grows only when it is allocated, which also advances its
-    chain position); otherwise the item is reused, and a kept request's
-    slack is refreshed, as `now` moved. The same pass files the item in its SFC type's groups
-    for the cluster and for its packet's DC. The substrate does not change
-    during the scan, so each VNF type's hostability is asked once."""
-    now = world.now
-    cid = agent.cluster_id
-    assignment = world.partition.assignment
-    hostable: dict[str, bool] = {}  # VNF type name -> can the cluster host it
-    keep = []
-    cluster: dict[str, list[PendingItem]] = defaultdict(list)
-    local: dict[int, dict[str, list[PendingItem]]] = defaultdict(
-        lambda: defaultdict(list))
-    out_count = 0
-    for r in agent.queue:
-        item = r.item
-        k = r.next_vnf_index
-        if item is None or item.chain_pos != k or item.cluster_id != cid:
-            t = r.sfc_type
-            item = r.item = PendingItem(
-                t.name, 0.0, r.bandwidth, t.completion[k], t.next_vnfs[k].name,
-                t.e2e_tolerance - (r.propagation_total + r.processing_total),
-                assignment[r.dest_dc] != cid, cid, k)
-        name = item.next_vnf_name
-        ok = hostable.get(name)
-        if ok is None:
-            ok = hostable[name] = world.substrate.cluster_can_host(
-                agent.dc_ids, r.next_vnf)
-        if not ok:
+    """Start the agent's turn: move each queued request whose next VNF the
+    cluster cannot host into the assist outbox, in queue order, and start
+    the turn's view. The queue's index is kept across steps, so the scan
+    reads no request it keeps: it asks hostability once per VNF type that
+    requests wait for (the substrate does not change during the scan) and
+    touches only the waiting requests of the types the cluster cannot host."""
+    moved: list[SfcRequest] = []
+    for name, waiting in agent.waiting.items():
+        if waiting and not world.substrate.cluster_can_host(
+                agent.dc_ids, world.catalog.vnfs[name]):
+            moved.extend(waiting)
+    if moved:
+        moved.sort(key=agent.queue.__getitem__)  # by join: queue order
+        for r in moved:
+            agent.unfile(r)
             agent.outbox.append(AssistTask(TASK_TRANSFER, r))
-            continue
-        keep.append(r)
-        waited = now - r.ready_time
-        # the conditional is max(0.0, waited) without the call
-        item.remaining_ms = item.base_ms - (waited if waited > 0.0 else 0.0)
-        cluster[item.sfc_name].append(item)
-        local[r.loc][item.sfc_name].append(item)
-        if item.out_of_cluster:
-            out_count += 1
-    agent.queue[:] = keep
-    agent.view = StepView(
-        now, agent.queue, SfcGroups(cluster),
-        {dc: SfcGroups(groups) for dc, groups in local.items()},
-        out_count)
+    agent.view = StepView(world.now, agent)
 
 
 def _try_allocate(agent: LocalAgent, world, instance,
@@ -371,7 +388,7 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                     task.instance.dc, r.bandwidth, general.counters)
                 if path is None:
                     task.instance.reserved = False
-                    agent.queue.append(r)  # turns are over: no view to update
+                    world.enqueue(agent, r)  # back at the tail, same stay
                 else:
                     world.perform_allocation(r, task.instance, path, now)
             elif task.kind == TASK_TRANSFER:
@@ -379,7 +396,7 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                 if target is None:
                     world.drop_request(r, now, "no-cluster-can-host")
                 else:
-                    general.local_agents[target].queue.append(r)
+                    world.enqueue(general.local_agents[target], r)
                     general.handoff_log.append((r.id, cid, target, now))
             elif task.kind == TASK_DELIVERY:
                 world.deliver(r, now)

@@ -80,37 +80,43 @@ class StateEncoding:
     row: np.ndarray
 
 
-# identity equality: a view removes the item of one request from its groups
-@dataclass(slots=True, eq=False)
+# identity hash: an agent files the item of one request in its groups and
+# unfiles it when the request leaves the queue
+@dataclass(frozen=True, slots=True, eq=False)
 class PendingItem:
-    """A queued request as the state encoder reads it. The agent whose queue
-    holds the request makes the item once per queue stay, that is, per
-    cluster and chain position the request waits at (`cluster_id`,
-    `chain_pos`), and keeps it on the request (`SfcRequest.item`): every
-    field but `remaining_ms` is fixed for the stay, and each step's scope
-    scan refreshes `remaining_ms` from `base_ms` and the time waited."""
+    """A queued request as the state encoder reads it. `World.enqueue` makes
+    the item when the request starts a queue stay, that is, when it joins a
+    queue at another cluster or chain position than its latest item's
+    (`cluster_id`, `chain_pos`), and keeps it on the request
+    (`SfcRequest.item`); a request put back in the same queue at the same
+    position keeps its item. Nothing in it changes during the stay: the
+    remaining slack at step `now` is `base_ms - max(0, now - ready)`, and
+    `due` is the first step at which the deadline pass drops the request."""
     sfc_name: str
-    remaining_ms: float  # tolerance minus accrued delay and elapsed waiting
+    base_ms: float  # tolerance minus accrued delay
+    ready: float  # the request's ready_time: its wait counts from here
     bandwidth: float
     completion_frac: float
     next_vnf_name: str
-    base_ms: float = 0.0  # tolerance minus accrued delay
-    out_of_cluster: bool = False  # the destination lies outside `cluster_id`
-    cluster_id: int = -1
-    chain_pos: int = -1  # the request's next_vnf_index
+    out_of_cluster: bool  # the destination lies outside `cluster_id`
+    cluster_id: int
+    chain_pos: int  # the request's next_vnf_index
+    due: float  # the step at which the stay misses its deadline
 
 
 def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _group_summary(group: list[PendingItem], sfc: SfcType) -> list[float]:
-    """One SFC type's SFC_FEATURES floats: count, least remaining slack,
-    mean bandwidth, mean completion and the next-VNF histogram. Python's
-    left-to-right `sum`/`min` over the group in queue order fixes the bits."""
+def _group_summary(group: dict[PendingItem, None],
+                   sfc: SfcType) -> list[float]:
+    """One SFC type's SFC_FEATURES floats but the least remaining slack,
+    left 0.0 (`_least_slack` fills it in): count, mean bandwidth, mean
+    completion and the next-VNF histogram, which change only with the
+    group's items. Python's left-to-right `sum` over the group in queue
+    order fixes the bits."""
     n = len(group)
-    out = [_clip01(n / sfc.bundle_range[1]),
-           _clip01(min([it.remaining_ms for it in group]) / MAX_E2E_TOLERANCE_MS),
+    out = [_clip01(n / sfc.bundle_range[1]), 0.0,
            _clip01(sum([it.bandwidth for it in group]) / n / BW_NORM_MBPS),
            _clip01(sum([it.completion_frac for it in group]) / n)]
     out.extend(_ZERO_HISTOGRAM)
@@ -120,24 +126,51 @@ def _group_summary(group: list[PendingItem], sfc: SfcType) -> list[float]:
     return out
 
 
+def _least_slack(group: dict[PendingItem, None], now: float) -> float:
+    """The group's least remaining slack at `now`, as its summary holds it.
+    An item's slack is `base_ms - max(0, now - ready)`, with the
+    conditional in place of the call."""
+    least = min([it.base_ms - (w if (w := now - it.ready) > 0.0 else 0.0)
+                 for it in group])
+    return _clip01(least / MAX_E2E_TOLERANCE_MS)
+
+
 class SfcGroups:
     """Pending items grouped per SFC type (SFC name -> items), each group in
-    queue order, as the agent's scope scan files them. A group's summary is
-    kept until an item of its type is removed: a summary is recomputed only
-    for the types that changed."""
-    __slots__ = ("_groups", "_summaries")
+    the order the items were added, which is queue order: an agent adds a
+    request's item when the request joins its queue and removes it when the
+    request leaves. A group's summary is kept until an item of its type is
+    added or removed, and its least slack also until the step moves on: a
+    summary is recomputed only for the types that changed."""
+    __slots__ = ("_groups", "_summaries", "_least", "_now")
 
-    def __init__(self, groups: dict[str, list[PendingItem]]):
-        self._groups = groups
+    def __init__(self):
+        # insertion-ordered dicts as ordered sets: removal is O(1)
+        self._groups: dict[str, dict[PendingItem, None]] = {}
         self._summaries: dict[str, list[float]] = {}
+        self._least: dict[str, float] = {}  # at step `_now`
+        self._now: float | None = None
+
+    def add(self, item: PendingItem) -> None:
+        group = self._groups.get(item.sfc_name)
+        if group is None:
+            group = self._groups[item.sfc_name] = {}
+        group[item] = None
+        self._summaries.pop(item.sfc_name, None)
+        self._least.pop(item.sfc_name, None)
 
     def remove(self, item: PendingItem) -> None:
-        self._groups[item.sfc_name].remove(item)
+        del self._groups[item.sfc_name][item]
         self._summaries.pop(item.sfc_name, None)
+        self._least.pop(item.sfc_name, None)
 
-    def summary(self, catalog: Catalog) -> list[float]:
-        """INPUT_A_DIM floats: each type's `_group_summary` in SFC_ORDER,
-        zeros for a type with no items."""
+    def summary(self, catalog: Catalog, now: float) -> list[float]:
+        """INPUT_A_DIM floats: each type's `_group_summary` with its
+        `_least_slack` at `now`, in SFC_ORDER; zeros for a type with no
+        items."""
+        if now != self._now:  # every slack moved with the step
+            self._least.clear()
+            self._now = now
         out: list[float] = []
         for name in SFC_ORDER:
             group = self._groups.get(name)
@@ -148,14 +181,18 @@ class SfcGroups:
             if block is None:
                 block = self._summaries[name] = _group_summary(
                     group, catalog.sfcs[name])
+            least = self._least.get(name)
+            if least is None:
+                least = self._least[name] = _least_slack(group, now)
             out.extend(block)
+            out[-SFC_FEATURES + 1] = least
         return out
 
 
 @dataclass
 class StateView:
-    """Everything the encoder needs, pre-extracted by the owning agent. The
-    item groups keep their summaries between encodings."""
+    """Everything the encoder needs, pre-extracted by the owning agent at
+    step `now`. The item groups keep their summaries between encodings."""
     items_local: SfcGroups
     items_cluster: SfcGroups
     installed: dict[str, int]
@@ -163,16 +200,17 @@ class StateView:
     free_fracs: tuple[float, float, float]
     transfer_pending: bool
     out_of_cluster_frac: float
+    now: float
 
 
 def encode_state(view: StateView, catalog: Catalog) -> StateEncoding:
     """Fixed-length normalized encoding, independent of cluster size."""
-    row = view.items_local.summary(catalog)  # a new list on every call
+    row = view.items_local.summary(catalog, view.now)  # a new list per call
     for name in VNF_ORDER:
         row.append(_clip01(view.installed.get(name, 0) / INSTANCE_NORM))
         row.append(_clip01(view.idle.get(name, 0) / INSTANCE_NORM))
     row.extend(_clip01(f) for f in view.free_fracs)
-    row += view.items_cluster.summary(catalog)
+    row += view.items_cluster.summary(catalog, view.now)
     row.append(1.0 if view.transfer_pending else 0.0)
     row.append(_clip01(view.out_of_cluster_frac))
     # fromiter with the length known skips np.array's type inference

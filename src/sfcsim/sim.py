@@ -5,6 +5,7 @@ and evaluation loops, and report rows."""
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Annotated
@@ -15,7 +16,7 @@ from . import agents as agents_mod
 from . import drl, routing
 from .agents import (AssistTask, GeneralAgent, TASK_DELIVERY, assist,
                      begin_action, local_step, setup)
-from .drl import ModelConfig, QNetwork, ReplayMemory
+from .drl import ModelConfig, PendingItem, QNetwork, ReplayMemory
 from .routing import PathResult
 from .schema import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, FINITE,
                      FINITE_AT_LEAST_0, NON_EMPTY, POSITIVE, Section)
@@ -51,6 +52,38 @@ class SimConfig(Section, name="sim"):
         super().__post_init__()
         if self.actions_per_step * ACTION_COST_MS > STEP_MS + 1e-12:
             raise ValueError("actions per step exceed the step budget")
+
+
+def due_step(request: SfcRequest, now: float) -> float:
+    """The first whole step from `now` on at which the deadline pass drops
+    the queued `request`: the step at which its bound, accrued delay plus
+    time waited plus the remaining processing, first exceeds its tolerance,
+    so that it cannot finish its chain in budget even if every remaining
+    VNF started then. The bound is a chain of correctly rounded additions of
+    terms that never fall as the step grows, so it never falls either, and
+    the step is found from an estimate by a short walk. A step past 2**52
+    ms, which no run reaches, is returned as inf."""
+    t = request.sfc_type
+    accrued = request.propagation_total + request.processing_total
+    rest = t.remaining_proc[request.next_vnf_index]
+    tol = t.e2e_tolerance
+    ready = request.ready_time
+
+    def over(step: float) -> bool:
+        waited = step - ready
+        # the conditional is max(0.0, waited) without the call
+        return (accrued + (waited if waited > 0.0 else 0.0)) + rest > tol
+
+    # the bound passes the tolerance about when the wait passes its slack
+    estimate = ready + ((tol - accrued) - rest)
+    if estimate >= 2.0 ** 52:
+        return math.inf
+    step = max(now, math.floor(estimate) + STEP_MS)
+    while step > now and over(step - STEP_MS):
+        step -= STEP_MS
+    while not over(step):
+        step += STEP_MS
+    return step
 
 
 def recompute_ledger(request: SfcRequest) -> tuple[float, float]:
@@ -96,8 +129,29 @@ class World:
         for r in requests:
             cluster = self.partition.cluster_of(r.source_dc)
             r.origin_cluster = cluster
-            self.general.local_agents[cluster].queue.append(r)
+            self.enqueue(self.general.local_agents[cluster], r)
             self.requests.append(r)
+
+    def enqueue(self, agent, request: SfcRequest) -> None:
+        """Put `request` at the tail of `agent`'s queue, filed in the agent's
+        index under its stay's due step. A request that starts a queue stay,
+        at another cluster or chain position than its latest item's, gets a
+        new item with the stay's due step (`due_step`); one put back in the
+        same queue at the same position keeps its item, since neither its
+        accrued delay nor its ready time has changed."""
+        item = request.item
+        k = request.next_vnf_index
+        cid = agent.cluster_id
+        if item is None or item.chain_pos != k or item.cluster_id != cid:
+            t = request.sfc_type
+            item = request.item = PendingItem(
+                t.name, t.e2e_tolerance - (request.propagation_total
+                                           + request.processing_total),
+                request.ready_time, request.bandwidth, t.completion[k],
+                t.next_vnfs[k].name,
+                self.partition.assignment[request.dest_dc] != cid, cid, k,
+                due_step(request, self.now))
+        agent.file(request, self._next_seq())
 
     # ---- event helpers ----------------------------------------------------
 
@@ -210,7 +264,7 @@ class World:
             request.ready_time = finish
             agent = self.general.agent_of_dc(request.loc)
             if request.next_vnf is not None:
-                agent.queue.append(request)
+                self.enqueue(agent, request)
             elif agent.cluster_id == self.partition.cluster_of(request.dest_dc):
                 self.deliver(request, now)
             else:  # the general agent routes the cross-cluster last mile
@@ -223,22 +277,16 @@ class World:
 
     def _deadline_scan(self, now: float) -> None:
         """Drop each queued request that cannot finish its chain in budget
-        even if every remaining VNF started now."""
+        even if every remaining VNF started now: those whose stay's due step
+        (`due_step`, computed when the request joined the queue) has come,
+        in (agent id, queue order). The bound never falls as time passes, so
+        these are the requests whose bound exceeds their tolerance at
+        `now`; the pass reads no other request."""
         for cid in sorted(self.general.local_agents):
             agent = self.general.local_agents[cid]
-            keep = []
-            for r in agent.queue:
-                t = r.sfc_type
-                waited = now - r.ready_time
-                # accrued delay + max(0.0, waited) + the remaining processing
-                bound = ((r.propagation_total + r.processing_total)
-                         + (waited if waited > 0.0 else 0.0)
-                         + t.remaining_proc[r.next_vnf_index])
-                if bound > t.e2e_tolerance:
-                    self.drop_request(r, now, "deadline")
-                else:
-                    keep.append(r)
-            agent.queue[:] = keep
+            for r in agent.falling_due(now):
+                agent.unfile(r)
+                self.drop_request(r, now, "deadline")
 
     @property
     def done(self) -> bool:
@@ -257,12 +305,17 @@ def build_world(graph: NetworkGraph, size_limit: int, seed: int,
 def run_step(world: World, epsilon: float, train: bool = False) -> None:
     """One simulation step: agent phase, assist phase, time advance.
 
-    The agent phase holds one turn per agent with a queue or an outbox.
-    Every turn starts before the first round, when the agent's scope scan
-    (`agents._scan_scope`) builds its `view`, and ends after the last round,
-    when the view is dropped. A scan reads only its own cluster's DCs and
-    writes only its own agent's queue, outbox and view, so scanning every
-    agent first gives what a scan at each one's first action would.
+    The agent phase holds one turn per agent with a queue or an outbox. Each
+    agent keeps its queue filed across steps (`World.enqueue` files a
+    request when it joins a queue, and whatever takes it out unfiles it), so
+    a step reads only what changed. Every turn starts before the first
+    round, when the agent's scope scan (`agents._scan_scope`) moves out the
+    requests its cluster can no longer host and starts its `view`, and ends
+    after the last round, when the view is dropped. A scan reads only its
+    own cluster's DCs and writes only its own agent's queue, outbox and
+    view, so scanning every agent first gives what a scan at each one's
+    first action would. After the time advance, the deadline pass drops the
+    queued requests whose due steps have come.
     The agent phase runs in rounds of at most one action per agent. In a
     round, each agent that still acts takes its `begin_action` in agent-id
     order, one `act` call picks all their actions with a single batched
@@ -413,7 +466,8 @@ def run_episode(graph: NetworkGraph, size_limit: int, scale: float | None,
     for r in world.requests:
         world.drop_request(r, world.now, "horizon")
     for agent in world.general.local_agents.values():
-        agent.queue.clear()
+        for r in list(agent.queue):
+            agent.unfile(r)
         agent.outbox.clear()
     if train:
         world._flush_credit()

@@ -101,8 +101,9 @@ class SfcRequest:
     drop_reason: str | None = None
     drop_time: float | None = None
     # the drl.PendingItem of the request's current or latest queue stay: made
-    # by the scope scan of the agent whose queue holds the request, and made
-    # again when the request waits in another cluster or at another position
+    # by `World.enqueue` when the request joins a queue in another cluster or
+    # at another chain position than the item's, with the stay's due step,
+    # and kept unchanged while the request waits there
     item: PendingItem | None = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -37,10 +37,13 @@ def test_setup_degenerate_single_agent(policy):
 
 def test_setup_reinit_fresh(policy):
     g = build_network({"dc_count": 8, "seed": 2})
-    g1 = setup(g, 3, 0, policy)
-    g1.local_agents[0].queue.append("sentinel")
-    g2 = setup(g, 3, 0, policy)
-    assert g2.local_agents[0].queue == []
+    world = build_world(g, 3, 0, policy)
+    first = world.general.local_agents[0]
+    world.enqueue(first, SfcRequest(0, world.catalog.sfcs["CG"], 4.0,
+                                    first.dc_ids[0], first.dc_ids[0]))
+    again = setup(g, 3, 0, policy).local_agents[0]
+    assert len(first.queue) == 1 and first.waiting["NAT"]
+    assert again.queue == {} and again.waiting == {} and again.local == {}
 
 
 def test_priority_rank_urgency():
@@ -182,7 +185,7 @@ def assisted_alloc_world():
     r = SfcRequest(1, cat.sfcs["CG"], 4.0, away, clusters[0][0])
     instance = world.substrate.place_vnf(clusters[0][0], cat.vnfs["NAT"])
     instance.reserved = True
-    agent.queue.append(waiting)
+    world.enqueue(agent, waiting)
     agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
     return world, agent, waiting, r, instance
 
@@ -195,7 +198,7 @@ def test_assisted_alloc_without_path_requeues(monkeypatch):
     world, agent, waiting, r, instance = assisted_alloc_world()
     monkeypatch.setattr(agents.routing, "find_path", lambda *args: None)
     assist(world.general, world, world.now)
-    assert agent.queue == [waiting, r] and agent.outbox == []
+    assert list(agent.queue) == [waiting, r] and agent.outbox == []
     assert not instance.reserved and instance.allocated_request is None
     assert r.hop_log == [] and r.next_vnf_index == 0 and r.loc == r.source_dc
 

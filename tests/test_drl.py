@@ -1,6 +1,7 @@
 """Q-network tests: encoding invariance, forward determinism, gradient checks
 against finite differences, replay and update mechanics, weight persistence."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,23 +13,30 @@ from sfcsim.drl import (DrlError, INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM,
                         encode_state, load_weights, save_weights, update)
 from sfcsim.sim import SimConfig, run_episode
 from sfcsim.topology import build_network
-from sfcsim.workload import default_catalog
+from sfcsim.workload import VNF_ORDER, default_catalog
 
 TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
 
 def empty_view():
-    return StateView(items_local=SfcGroups({}), items_cluster=SfcGroups({}),
+    return StateView(items_local=SfcGroups(), items_cluster=SfcGroups(),
                      installed={}, idle={}, free_fracs=(1.0, 1.0, 1.0),
-                     transfer_pending=False, out_of_cluster_frac=0.0)
+                     transfer_pending=False, out_of_cluster_frac=0.0, now=0.0)
+
+
+def pending(sfc_name, remaining_ms, bandwidth, completion_frac,
+            next_vnf_name):
+    """An item ready at step 0, so its slack at step 0 is `remaining_ms`."""
+    return PendingItem(sfc_name, remaining_ms, 0.0, bandwidth, completion_frac,
+                       next_vnf_name, False, 0, 0, math.inf)
 
 
 def grouped(items):
-    """The items in SfcGroups' shape: SFC name -> items, in list order."""
-    groups = {}
+    """The items filed in SfcGroups in list order."""
+    groups = SfcGroups()
     for it in items:
-        groups.setdefault(it.sfc_name, []).append(it)
-    return SfcGroups(groups)
+        groups.add(it)
+    return groups
 
 
 def random_state(rng):
@@ -60,9 +68,8 @@ def test_encode_empty_system():
 
 def test_encode_single_cg_request():
     cat = default_catalog()
-    item = PendingItem("CG", 80.0, 4.0, 0.0, "NAT")
     view = empty_view()
-    view.items_local = SfcGroups({"CG": [item]})
+    view.items_local = grouped([pending("CG", 80.0, 4.0, 0.0, "NAT")])
     input_a, _, _ = blocks(encode_state(view, cat))
     base = 0  # CG is the first SFC type
     assert input_a[base + 0] == pytest.approx(1 / 55)
@@ -79,11 +86,11 @@ def test_encoding_bounds_and_locality():
     cat = default_catalog()
     names = list(cat.sfcs)
     for _ in range(50):
-        items = [PendingItem(names[int(rng.integers(6))],
-                             float(rng.uniform(-10, 200)),
-                             float(rng.uniform(0, 500)),
-                             float(rng.uniform(0, 1)),
-                             ["NAT", "FW", "VOC", "TM", "WO", "IDPS"][int(rng.integers(6))])
+        items = [pending(names[int(rng.integers(6))],
+                         float(rng.uniform(-10, 200)),
+                         float(rng.uniform(0, 500)),
+                         float(rng.uniform(0, 1)),
+                         VNF_ORDER[int(rng.integers(6))])
                  for _ in range(int(rng.integers(1, 30)))]
         view = empty_view()
         view.items_local = grouped(items)
@@ -97,8 +104,8 @@ def test_architecture_invariant_to_cluster_size():
     # encoding length is fixed by config, not by how many DCs feed the view
     enc_small = encode_state(empty_view(), default_catalog())
     big = empty_view()
-    big.items_cluster = SfcGroups(
-        {"VoIP": [PendingItem("VoIP", 50.0, 0.064, 0.2, "FW")] * 40})
+    big.items_cluster = grouped(
+        [pending("VoIP", 50.0, 0.064, 0.2, "FW") for _ in range(40)])
     enc_big = encode_state(big, default_catalog())
     assert enc_small.row.shape == enc_big.row.shape == (STATE_DIM,)
 

@@ -3,6 +3,8 @@ priority order) against a reference copy of the straightforward
 per-request-property implementation it replaced. The floats must match bit
 for bit: a last-bit difference can flip a greedy argmax."""
 
+import math
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,11 +20,15 @@ from sfcsim.sim import SimConfig, run_episode
 from sfcsim.topology import build_network
 from sfcsim.workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER,
                              VNF_ORDER, SfcRequest, catalog_from_config,
-                             default_catalog)
+                             default_catalog, generate_bundles)
 
 TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
 # ---- reference: the per-request-property formulas --------------------------
+
+# a queued request as the reference encoder reads it at one step
+RefItem = namedtuple("RefItem", "sfc_name remaining_ms bandwidth "
+                                "completion_frac next_vnf_name")
 
 
 def ref_next_vnf(r):
@@ -49,6 +55,22 @@ def ref_priority_key(r, now):
     return (slack / r.sfc_type.e2e_tolerance, r.id)
 
 
+def ref_bound(r, now):
+    """The deadline pass's bound: accrued delay + time waited + remaining
+    processing, added left to right."""
+    waited = max(0.0, now - r.ready_time)
+    accrued = r.propagation_total + r.processing_total
+    return (accrued + waited) + ref_remaining_proc_time(r)
+
+
+def ref_deadline_drops(world, now):
+    """The queued requests the per-step deadline scan drops at `now`, in
+    (agent id, queue order)."""
+    return [r for cid in sorted(world.general.local_agents)
+            for r in world.general.local_agents[cid].queue
+            if ref_bound(r, now) > r.sfc_type.e2e_tolerance]
+
+
 def ref_build_state_view(agent, world, current_dc):
     now = world.now
     sub = world.substrate
@@ -56,9 +78,9 @@ def ref_build_state_view(agent, world, current_dc):
     items_local = []
     out_count = 0
     for r in agent.queue:
-        item = PendingItem(r.sfc_type.name, ref_remaining_tolerance(r, now),
-                           r.bandwidth, ref_completion_fraction(r),
-                           ref_next_vnf(r).name)
+        item = RefItem(r.sfc_type.name, ref_remaining_tolerance(r, now),
+                       r.bandwidth, ref_completion_fraction(r),
+                       ref_next_vnf(r).name)
         items_cluster.append(item)
         if r.loc == current_dc:
             items_local.append(item)
@@ -78,6 +100,7 @@ def ref_build_state_view(agent, world, current_dc):
         free_fracs=free,
         transfer_pending=bool(agent.outbox),
         out_of_cluster_frac=out_count / len(agent.queue) if agent.queue else 0.0,
+        now=now,
     )
 
 
@@ -128,11 +151,11 @@ def ref_scope_moves(agent, world):
 
 
 def grouped(items):
-    """The items in SfcGroups' shape: SFC name -> items, in list order."""
-    groups = {}
+    """The items filed in SfcGroups in list order."""
+    groups = SfcGroups()
     for it in items:
-        groups.setdefault(it.sfc_name, []).append(it)
-    return SfcGroups(groups)
+        groups.add(it)
+    return groups
 
 
 def assert_same_encoding(got, want):
@@ -169,13 +192,36 @@ def check_local_steps(monkeypatch):
     of a turn (`_scan_scope`): the same requests moved to the outbox. At its
     decide step (`begin_action`): the same encoding, and the same waiting
     requests in the same priority order for every VNF type. After a recorded
-    action (`local_step`): the same state and next state. Returns the counts
-    of what the checks saw."""
+    action (`local_step`): the same state and next state. At each step's
+    deadline pass: the same requests dropped, in the same order, as the
+    per-step scan drops. Returns the counts of what the checks saw."""
     real_scan = agents._scan_scope
     real_begin, real_local_step = sim.begin_action, sim.local_step
+    real_deadlines = sim.World._deadline_scan
+    real_drop = sim.World.drop_request
     seen = {"steps": 0, "items": 0, "moved": 0, "ranked": 0, "allocated": 0,
-            "after_alloc_task": 0, "recorded": 0, "recorded_noop": 0}
+            "after_alloc_task": 0, "recorded": 0, "recorded_noop": 0,
+            "dropped": 0}
     wanted = {}  # agent -> the reference encoding at its latest decide step
+    drops = []  # every request dropped, for any reason, in drop order
+
+    def dropping(world, request, now, reason):
+        drops.append(request)
+        return real_drop(world, request, now, reason)
+
+    def deadline_pass(world, now):
+        want = ref_deadline_drops(world, now)
+        gone = {id(r) for r in want}
+        kept = {cid: [r for r in a.queue if id(r) not in gone]
+                for cid, a in world.general.local_agents.items()}
+        start = len(drops)
+        real_deadlines(world, now)
+        assert [r.id for r in drops[start:]] == [r.id for r in want]
+        assert all(r.drop_reason == "deadline" and r.drop_time == now
+                   for r in want)
+        for cid, a in world.general.local_agents.items():
+            assert list(a.queue) == kept[cid]
+        seen["dropped"] += len(want)
 
     def scanned(agent, world):
         assert agent.view is None  # a turn starts once per step
@@ -234,6 +280,8 @@ def check_local_steps(monkeypatch):
     monkeypatch.setattr(agents, "_scan_scope", scanned)
     monkeypatch.setattr(sim, "begin_action", begun)
     monkeypatch.setattr(sim, "local_step", checked)
+    monkeypatch.setattr(sim.World, "_deadline_scan", deadline_pass)
+    monkeypatch.setattr(sim.World, "drop_request", dropping)
     return seen
 
 
@@ -250,8 +298,8 @@ EPISODES = [
 def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
                                     epsilon):
     """At every decide step: the same encoding as the reference, the same
-    requests moved to the outbox by the scope scan, and the same priority
-    order for every VNF type."""
+    requests moved to the outbox by the scope scan, the same priority order
+    for every VNF type, and the same deadline drops."""
     seen = check_local_steps(monkeypatch)
     g = build_network({"dc_count": dc_count, "seed": seed})
     run_episode(g, limit, scale, seed, DemandPolicy(), epsilon=epsilon,
@@ -261,6 +309,8 @@ def test_hot_path_matches_reference(monkeypatch, dc_count, limit, scale, seed,
     assert seen["ranked"] > 0 and seen["allocated"] > 100
     if epsilon == 0.0:
         assert seen["moved"] > 0
+    else:  # exploring agents leave requests waiting past their deadlines
+        assert seen["dropped"] > 0
 
 
 def test_out_of_cluster_alloc_matches_reference(monkeypatch):
@@ -281,23 +331,30 @@ def test_recorded_states_match_reference(monkeypatch):
                 config=SimConfig(max_steps=30))
     assert seen["recorded"] == seen["steps"] > 300
     assert seen["recorded_noop"] > 0
+    assert seen["dropped"] > 0
 
 
-# ---- an item's lifetime: made once per queue stay, refreshed each step -----
+# ---- the filed index: each queued request is filed once per queue join -----
 
 
-def item_fields(it):
-    return (it.sfc_name, it.remaining_ms, it.bandwidth, it.completion_frac,
-            it.next_vnf_name)
+def item_fields(it, now):
+    """An item as the reference reads it at step `now`."""
+    return RefItem(it.sfc_name, it.base_ms - max(0.0, now - it.ready),
+                   it.bandwidth, it.completion_frac, it.next_vnf_name)
 
 
 def assert_turn_matches_reference(agent, world):
-    """The turn's items in queue order, its out-of-cluster count, and its
-    encoding at every DC of the cluster, as the reference builds them."""
+    """The turn's items in queue order, each VNF type's waiting list, the
+    out-of-cluster count, and the encoding at every DC of the cluster, as
+    the reference builds them."""
+    now = world.now
     ref = ref_build_state_view(agent, world, agent.dc_ids[0])
-    assert ([item_fields(r.item) for r in agent.queue]
-            == [item_fields(it) for it in ref.items_cluster])
-    assert agent.view.out_count == sum(
+    assert ([item_fields(r.item, now) for r in agent.queue]
+            == ref.items_cluster)
+    for name in VNF_ORDER:
+        assert list(agent.waiting.get(name, ())) == [
+            r for r in agent.queue if ref_next_vnf(r).name == name]
+    assert agent.out_count == sum(
         world.partition.cluster_of(r.dest_dc) != agent.cluster_id
         for r in agent.queue)
     for dc in agent.dc_ids:
@@ -317,10 +374,57 @@ def two_cluster_world():
     return world, a, b
 
 
+def queue_up(world, agent, *requests):
+    """Put requests in the agent's queue as if they had started there."""
+    for r in requests:
+        r.origin_cluster = agent.cluster_id
+        world.enqueue(agent, r)
+
+
 def start_turn(agent, world):
     agent.view = None
     agents._scan_scope(agent, world)
     assert_turn_matches_reference(agent, world)
+
+
+def fill(world, agent, vnf_names):
+    """Place instances of each type in turn at every DC of the agent's
+    cluster while there is room."""
+    sub = world.substrate
+    for dc in agent.dc_ids:
+        for name in vnf_names:
+            while sub.can_place(dc, world.catalog.vnfs[name]):
+                sub.place_vnf(dc, world.catalog.vnfs[name])
+
+
+def first_due_step(r, now):
+    """The first whole step from `now` at which the reference bound
+    exceeds the tolerance."""
+    while ref_bound(r, now) <= r.sfc_type.e2e_tolerance:
+        now += sim.STEP_MS
+    return now
+
+
+def pass_deadlines(world, until):
+    """Advance the clock step by step to `until`, running the deadline pass
+    alone and checking it against the per-step scan of the reference, and
+    each agent's next turn against the reference. Returns the requests
+    dropped."""
+    dropped = []
+    while world.now < until:
+        world.now += sim.STEP_MS
+        now = world.now
+        want = ref_deadline_drops(world, now)
+        world._deadline_scan(now)
+        assert all(r.drop_reason == "deadline" and r.drop_time == now
+                   for r in want)
+        for agent in world.general.local_agents.values():
+            assert all(ref_bound(r, now) <= r.sfc_type.e2e_tolerance
+                       for r in agent.queue)
+            start_turn(agent, world)
+            agent.view = None
+        dropped += want
+    return dropped
 
 
 def test_handed_off_request_flips_its_out_of_cluster_flag():
@@ -328,42 +432,130 @@ def test_handed_off_request_flips_its_out_of_cluster_flag():
     as out of cluster; handed to b, it waits there as in cluster."""
     world, a, b = two_cluster_world()
     cat = world.catalog
-    nat = cat.vnfs["NAT"]
-    for dc in a.dc_ids:  # NAT fills a, so a cannot host TM
-        while world.substrate.can_place(dc, nat):
-            world.substrate.place_vnf(dc, nat)
+    fill(world, a, ["NAT"])  # NAT fills a, so a cannot host TM
     vs = cat.sfcs["VS"]  # NAT FW TM VOC IDPS
     moving = SfcRequest(0, vs, 4.0, 0, 3, next_vnf_index=2)
     staying = SfcRequest(1, vs, 4.0, 1, 2)
     in_b = SfcRequest(2, vs, 4.0, 2, 0, next_vnf_index=1)
-    a.queue, b.queue = [moving, staying], [in_b]
+    queue_up(world, a, moving, staying)
+    queue_up(world, b, in_b)
     start_turn(a, world)
-    assert [t.request for t in a.outbox] == [moving] and a.queue == [staying]
+    assert [t.request for t in a.outbox] == [moving]
+    assert list(a.queue) == [staying]
     assert moving.item.out_of_cluster
     agents.assist(world.general, world, world.now)
-    assert b.queue == [in_b, moving]
+    assert list(b.queue) == [in_b, moving]
     world.now += sim.STEP_MS
     start_turn(b, world)
     assert not moving.item.out_of_cluster
 
 
+def test_handed_off_request_falls_due_in_its_new_cluster():
+    """A request handed from cluster a to cluster b misses its deadline
+    while it waits in b: the pass drops it from b's queue at the step the
+    reference bound first exceeds its tolerance, once, though the entry it
+    left in a falls due at the same step."""
+    world, a, b = two_cluster_world()
+    fill(world, a, ["NAT"])  # a cannot host TM
+    ar = world.catalog.sfcs["AR"]  # NAT FW TM VOC IDPS, 10 ms
+    moving = SfcRequest(0, ar, 1.0, 0, 3, next_vnf_index=2)
+    staying = SfcRequest(1, world.catalog.sfcs["VS"], 4.0, 2, 0)
+    queue_up(world, a, moving)
+    queue_up(world, b, staying)
+    world.now += sim.STEP_MS
+    start_turn(a, world)
+    assert [t.request for t in a.outbox] == [moving] and not a.queue
+    agents.assist(world.general, world, world.now)
+    assert list(b.queue) == [staying, moving]
+    assert moving.item.cluster_id == b.cluster_id
+    due = first_due_step(moving, world.now)
+    assert due == moving.item.due == 10.0
+    assert pass_deadlines(world, due + 3) == [moving]
+    assert moving.drop_time == due and list(b.queue) == [staying]
+    assert not b.waiting["TM"] and b.out_count == 1  # staying is bound for a
+
+
 def test_requeued_request_after_failed_alloc_assist_matches_reference():
     """A request whose packet waits outside the cluster is taken for an
     instance; the general agent finds no path wide enough and puts it back
-    in the queue, where the next turn reads it as the reference does."""
+    in the queue, where the next turn reads it as the reference does. It
+    keeps its item, and the pass drops it, once, at the step its reference
+    bound first exceeds its tolerance."""
     world, a, _ = two_cluster_world()
-    vs = world.catalog.sfcs["VS"]
-    wide = SfcRequest(0, vs, 1e9, 3, 0, next_vnf_index=1)  # packet in b
-    near = SfcRequest(1, vs, 4.0, 0, 3, next_vnf_index=1)
-    a.queue = [wide, near]
+    cat = world.catalog
+    wide = SfcRequest(0, cat.sfcs["AR"], 1e9, 3, 0, next_vnf_index=1)
+    near = SfcRequest(1, cat.sfcs["VS"], 4.0, 0, 3, next_vnf_index=1)
+    queue_up(world, a, wide, near)
+    item = wide.item
     start_turn(a, world)
     out = agents._execute_action(a, world, 0, VNF_ORDER.index("FW"))
     assert out.request is wide and a.outbox[0].kind == agents.TASK_ALLOC
     assert_turn_matches_reference(a, world)
     agents.assist(world.general, world, world.now)
-    assert a.queue == [near, wide] and wide.next_vnf_index == 1
+    assert list(a.queue) == [near, wide] and wide.next_vnf_index == 1
+    assert wide.item is item
     world.now += sim.STEP_MS
     start_turn(a, world)
+    a.view = None
+    due = first_due_step(wide, world.now)
+    assert due == item.due == 10.0
+    assert pass_deadlines(world, due + 3) == [wide]
+    assert wide.drop_time == due and list(a.queue) == [near]
+
+
+def test_deadline_drops_come_in_agent_and_queue_order(monkeypatch):
+    """The pass drops in (agent id, queue order), as the per-step scan did,
+    not in the order of the due steps: requests admitted past their bounds
+    are due at step 0, and the pass at step 1 drops them in queue order
+    among those due at step 1, agent 0's first."""
+    world, a, b = two_cluster_world()
+    ar = world.catalog.sfcs["AR"]  # 10 ms
+    dropped = []
+    real_drop = sim.World.drop_request
+
+    def dropping(world, request, now, reason):
+        dropped.append(request)
+        real_drop(world, request, now, reason)
+
+    monkeypatch.setattr(sim.World, "drop_request", dropping)
+    first, kept, late, second = (
+        SfcRequest(i, ar, 1.0, 0, 3, propagation_total=p)
+        for i, p in ((0, 9.5), (1, 0.0), (2, 20.0), (3, 9.5)))
+    late_b = SfcRequest(4, ar, 1.0, 2, 0, propagation_total=20.0)
+    world.admit([late_b, first, kept, late, second])
+    assert [r.item.due for r in (first, kept, late, second, late_b)] == [
+        1.0, 10.0, 0.0, 1.0, 0.0]
+    want = [first, late, second, late_b]
+    assert pass_deadlines(world, 1.0) == want == dropped
+    assert list(a.queue) == [kept] and not b.queue
+
+
+def test_two_types_unhostable_in_one_step_move_in_queue_order():
+    """Requests waiting for NAT, FW and VOC are filed in one queue; a step
+    later the cluster can host neither NAT nor FW. The turn moves the
+    requests of both types, and only them, in queue order."""
+    world, a, _ = two_cluster_world()
+    cat = world.catalog
+    chains = [("VS", 0), ("CG", 1), ("CG", 2), ("VoIP", 1), ("AR", 0),
+              ("CG", 2), ("VS", 1), ("VoIP", 0)]  # NAT FW VOC FW NAT VOC ...
+    queued = [SfcRequest(i, cat.sfcs[sfc], 1.0, a.dc_ids[i % 4], 3,
+                         next_vnf_index=k)
+              for i, (sfc, k) in enumerate(chains)]
+    queue_up(world, a, *queued)
+    start_turn(a, world)
+    assert not a.outbox
+    a.view = None
+    fill(world, a, ["VOC", "TM", "WO", "IDPS"])
+    sub = world.substrate
+    assert not sub.cluster_can_host(a.dc_ids, cat.vnfs["NAT"])
+    assert not sub.cluster_can_host(a.dc_ids, cat.vnfs["FW"])
+    assert sub.cluster_can_host(a.dc_ids, cat.vnfs["VOC"])
+    world.now += sim.STEP_MS
+    moved = ref_scope_moves(a, world)
+    assert [r.id for r in moved] == [0, 1, 3, 4, 6, 7]
+    start_turn(a, world)
+    assert [t.request for t in a.outbox] == moved
+    assert [r.id for r in a.queue] == [2, 5]
 
 
 def test_request_back_at_its_next_chain_position_matches_reference():
@@ -374,12 +566,12 @@ def test_request_back_at_its_next_chain_position_matches_reference():
     vs = world.catalog.sfcs["VS"]
     moved, left, other = (SfcRequest(i, vs, 4.0, dc, 3)
                           for i, dc in ((0, 0), (1, 0), (2, 6)))
-    a.queue = [moved, left, other]
+    queue_up(world, a, moved, left, other)
     agents._scan_scope(a, world)
     # the turn's first action reads DC 6, so DC 0's groups are not read yet
     encode_state(agents.build_state_view(a, world, 6), world.catalog)
     out = agents._execute_action(a, world, 6, VNF_ORDER.index("NAT"))
-    assert out.request is moved and a.queue == [left, other]
+    assert out.request is moved and list(a.queue) == [left, other]
     assert_turn_matches_reference(a, world)
     for _ in range(20):
         world.now += sim.STEP_MS
@@ -387,17 +579,27 @@ def test_request_back_at_its_next_chain_position_matches_reference():
         world._complete_processing(world.now)
         if moved in a.queue:
             break
-    assert a.queue == [left, other, moved] and moved.loc == 6
+    assert list(a.queue) == [left, other, moved] and moved.loc == 6
     start_turn(a, world)
     assert moved.item.next_vnf_name == "FW"
 
 
+def dense_episode(requests=None):
+    """30 steps of an eval-dense-shaped episode with the benchmark's
+    policy: 40 DCs, cluster limit 8, scale 3."""
+    g = build_network({"dc_count": 40, "seed": 11})
+    policy = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    return run_episode(g, 8, None if requests else 3.0, 11, policy,
+                       config=SimConfig(max_steps=30), requests=requests)
+
+
 def test_pending_items_are_made_once_per_queue_stay(monkeypatch):
-    """Over an eval-dense-shaped episode with the benchmark's policy, each
-    request's item is made at most once per cluster and chain position it
-    waits at, and far less often than a turn reads an item."""
+    """Each request's item is made when it joins a queue, at most once per
+    cluster and chain position it waits at, and far less often than a turn
+    reads an item."""
     made = []
-    real_item, real_scan = agents.PendingItem, agents._scan_scope
+    real_item, real_enqueue = sim.PendingItem, sim.World.enqueue
+    real_scan = agents._scan_scope
     stays = set()  # (request, cluster, chain position)
     read = [0]  # items the turns read: the queue lengths summed over turns
 
@@ -405,20 +607,83 @@ def test_pending_items_are_made_once_per_queue_stay(monkeypatch):
         made.append(args)
         return real_item(*args)
 
+    def enqueued(world, agent, r):
+        stays.add((r.id, agent.cluster_id, r.next_vnf_index))
+        real_enqueue(world, agent, r)
+
     def scanned(agent, world):
-        stays.update((r.id, agent.cluster_id, r.next_vnf_index)
-                     for r in agent.queue)
         real_scan(agent, world)
         read[0] += len(agent.queue)
 
-    monkeypatch.setattr(agents, "PendingItem", counted)
+    monkeypatch.setattr(sim, "PendingItem", counted)
+    monkeypatch.setattr(sim.World, "enqueue", enqueued)
     monkeypatch.setattr(agents, "_scan_scope", scanned)
-    g = build_network({"dc_count": 40, "seed": 11})
-    policy = load_weights(TRAINED_WEIGHTS, ModelConfig())
-    run_episode(g, 8, 3.0, 11, policy, config=SimConfig(max_steps=30))
+    dense_episode()
     assert 0 < len(made) <= len(stays)
     # rebuilding every item at every turn would make at least `read` items
     assert 10 * len(made) < read[0]
+
+
+def test_turn_starts_and_deadline_passes_touch_only_what_changed(monkeypatch):
+    """The turn starts and the deadline passes of an eval-dense-shaped
+    episode touch only the requests that joined a queue, were dropped or
+    moved to an outbox, and far fewer than a walk of every queue at every
+    turn. A request counts as touched by a call when the call reads any of
+    its attributes."""
+    reads = set()  # ids of the requests read while `watching` is on
+    watching = [False]
+
+    class Watched(SfcRequest):
+        def __getattribute__(self, name):
+            if watching[0]:
+                reads.add(id(self))
+            return object.__getattribute__(self, name)
+
+    def watched(call, *args):
+        reads.clear()
+        watching[0] = True
+        try:
+            call(*args)
+        finally:
+            watching[0] = False
+        return len(reads)
+
+    real_scan, real_enqueue = agents._scan_scope, sim.World.enqueue
+    real_deadlines = sim.World._deadline_scan
+    real_drop = sim.World.drop_request
+    counts = {"touched": 0, "joins": 0, "drops": 0, "moves": 0, "queued": 0}
+
+    def scanned(agent, world):
+        counts["queued"] += len(agent.queue)
+        before = len(agent.outbox)
+        counts["touched"] += watched(real_scan, agent, world)
+        counts["moves"] += len(agent.outbox) - before
+
+    def deadline_pass(world, now):
+        counts["touched"] += watched(real_deadlines, world, now)
+
+    def enqueued(world, agent, r):
+        counts["joins"] += 1
+        real_enqueue(world, agent, r)
+
+    def dropping(world, request, now, reason):
+        counts["drops"] += reason == "deadline"
+        real_drop(world, request, now, reason)
+
+    monkeypatch.setattr(agents, "_scan_scope", scanned)
+    monkeypatch.setattr(sim.World, "_deadline_scan", deadline_pass)
+    monkeypatch.setattr(sim.World, "enqueue", enqueued)
+    monkeypatch.setattr(sim.World, "drop_request", dropping)
+    g = build_network({"dc_count": 40, "seed": 11})
+    requests = generate_bundles(default_catalog(), g, 3.0,
+                                np.random.default_rng([11, 1]))
+    for r in requests:
+        r.__class__ = Watched
+    dense_episode(requests)
+    assert counts["drops"] > 0 and counts["moves"] > 0
+    assert 0 < counts["touched"] <= (counts["joins"] + counts["drops"]
+                                     + counts["moves"])
+    assert 10 * counts["touched"] < counts["queued"]
 
 
 def test_scope_scan_asks_per_vnf_type():
@@ -427,15 +692,13 @@ def test_scope_scan_asks_per_vnf_type():
     g = build_network({"dc_count": 4, "seed": 1})
     world = sim.build_world(g, 4, 0, DemandPolicy())
     (agent,) = world.general.local_agents.values()
-    nat = world.catalog.vnfs["NAT"]
-    for dc in agent.dc_ids:  # NAT installed everywhere, no room for more
-        while world.substrate.can_place(dc, nat):
-            world.substrate.place_vnf(dc, nat)
+    fill(world, agent, ["NAT"])  # NAT installed everywhere, no room for more
     vs = world.catalog.sfcs["VS"]  # NAT FW TM
     cg = world.catalog.sfcs["CG"]
-    agent.queue = [SfcRequest(i, sfc, 1.0, 0, 1, next_vnf_index=k)
-                   for i, (sfc, k) in enumerate([(vs, 0), (vs, 2), (cg, 0),
-                                                 (vs, 0), (cg, 1), (vs, 2)])]
+    queue_up(world, agent, *(SfcRequest(i, sfc, 1.0, 0, 1, next_vnf_index=k)
+                             for i, (sfc, k) in enumerate(
+                                 [(vs, 0), (vs, 2), (cg, 0), (vs, 0), (cg, 1),
+                                  (vs, 2)])))
     moved = ref_scope_moves(agent, world)
     assert [r.id for r in moved] == [1, 4, 5]
     agents._scan_scope(agent, world)
@@ -446,33 +709,48 @@ def test_scope_scan_asks_per_vnf_type():
 def test_encoding_matches_reference_on_random_items():
     """Random float fields, so a different summation order or a pairwise
     (numpy) sum shows in the last bits. An SfcGroups that was summarised
-    and then had items removed summarises as the reference does its
-    remaining items."""
+    and then had items removed, or whose step moved on, summarises as the
+    reference does its remaining items at the new step."""
     rng = np.random.default_rng(5)
     cat = default_catalog()
+
+    def ref_items(items, now):
+        return [item_fields(it, now) for it in items]
+
     for _ in range(200):
-        items = [PendingItem(SFC_ORDER[int(rng.integers(6))],
-                             float(rng.uniform(-10, 120)),
-                             float(rng.uniform(0, 120)),
-                             float(rng.uniform(0, 1)),
-                             VNF_ORDER[int(rng.integers(6))])
+        now = float(rng.integers(0, 50))
+        items = [PendingItem(sfc_name=SFC_ORDER[int(rng.integers(6))],
+                             base_ms=float(rng.uniform(-10, 120)),
+                             ready=now - float(rng.uniform(-5, 20)),
+                             bandwidth=float(rng.uniform(0, 120)),
+                             completion_frac=float(rng.uniform(0, 1)),
+                             next_vnf_name=VNF_ORDER[int(rng.integers(6))],
+                             out_of_cluster=False, cluster_id=0, chain_pos=0,
+                             due=math.inf)
                  for _ in range(int(rng.integers(0, 120)))]
-        view = StateView(items_local=items[::2], items_cluster=items,
+        view = StateView(items_local=ref_items(items[::2], now),
+                         items_cluster=ref_items(items, now),
                          installed={"FW": int(rng.integers(0, 20))},
                          idle={"NAT": int(rng.integers(0, 20))},
                          free_fracs=tuple(float(x) for x in rng.uniform(0, 1, 3)),
                          transfer_pending=bool(rng.integers(2)),
-                         out_of_cluster_frac=float(rng.uniform(0, 1)))
+                         out_of_cluster_frac=float(rng.uniform(0, 1)),
+                         now=now)
         view_groups = replace(view, items_local=grouped(items[::2]),
                               items_cluster=grouped(items))
         assert_same_encoding(encode_state(view_groups, cat),
                              ref_encode_state(view, cat))
         groups = grouped(items)
-        assert np.array_equal(groups.summary(cat), ref_sfc_summary(items, cat))
+        assert np.array_equal(groups.summary(cat, now),
+                              ref_sfc_summary(ref_items(items, now), cat))
         for it in items[::3]:
             groups.remove(it)
         kept = [it for i, it in enumerate(items) if i % 3]
-        assert np.array_equal(groups.summary(cat), ref_sfc_summary(kept, cat))
+        assert np.array_equal(groups.summary(cat, now),
+                              ref_sfc_summary(ref_items(kept, now), cat))
+        later = now + sim.STEP_MS
+        assert np.array_equal(groups.summary(cat, later),
+                              ref_sfc_summary(ref_items(kept, later), cat))
 
 
 CHANGED_CATALOG = {

@@ -12,8 +12,9 @@ import pytest
 from sfcsim import cli
 from sfcsim.drl import ModelConfig, QNetwork
 from sfcsim.sim import (ACTION_COST_MS, STEP_MS, SimConfig, build_world,
-                        evaluate, propagation_delay, recompute_ledger,
-                        report_rows, run_episode, run_step, train, TrainConfig)
+                        due_step, evaluate, propagation_delay,
+                        recompute_ledger, report_rows, run_episode, run_step,
+                        train, TrainConfig)
 from sfcsim.topology import TopologyConfig, build_network
 from sfcsim.workload import ACCEPTED, SfcRequest, default_catalog
 
@@ -70,6 +71,78 @@ def test_preinstalled_chain_same_dc():
     proc_only = sum(entry[3] for entry in r.hop_log if entry[0] == "proc")
     assert proc_only == pytest.approx(0.09)
     assert r.accrued_delay <= r.sfc_type.e2e_tolerance
+
+
+def scan_bound(r, step):
+    """The bound of the per-step deadline scan, as it was written: accrued
+    delay + max(0, waited) + remaining processing."""
+    waited = step - r.ready_time
+    return ((r.propagation_total + r.processing_total)
+            + (waited if waited > 0.0 else 0.0)
+            + r.sfc_type.remaining_proc[r.next_vnf_index])
+
+
+def first_step_over(r, now):
+    """Stepping from `now`, the first whole step at which the per-step scan
+    would drop `r`."""
+    step = now
+    while not scan_bound(r, step) > r.sfc_type.e2e_tolerance:
+        step += STEP_MS
+    return step
+
+
+def test_due_step_is_the_first_step_over_the_bound():
+    """Random stays: types and chain positions, so remaining processing and
+    tolerance, from the catalog; accrued delay and a ready time at or before
+    the enqueue step drawn. Every other stay is a near tie: its accrued
+    delay puts the bound within a few ulps of the tolerance at a whole step,
+    where an estimate from the slack alone is often one step off."""
+    rng = np.random.default_rng(25)
+    sfcs = list(default_catalog().sfcs.values())
+    ties = 0  # stays whose bound equals the tolerance at a whole step
+    for i in range(10_000):
+        t = sfcs[int(rng.integers(len(sfcs)))]
+        k = int(rng.integers(len(t.chain)))
+        rest, tol = t.remaining_proc[k], t.e2e_tolerance
+        now = float(rng.integers(0, 400))
+        if i % 2:
+            ready = now - float(rng.uniform(0.0, 1.5 * tol))
+            prop, proc = (float(x) for x in rng.uniform(0.0, 0.7 * tol, 2))
+        else:
+            ready = now - int(rng.integers(0, 300)) * 0.01
+            target = now + int(rng.integers(0, tol))  # a whole step
+            prop = (tol - rest) - (target - ready)
+            for _ in range(int(rng.integers(-3, 4))):
+                prop = np.nextafter(prop, np.inf if prop > 0 else -np.inf)
+            prop, proc = max(0.0, float(prop)), 0.0
+        r = SfcRequest(i, t, 1.0, 0, 1, next_vnf_index=k,
+                       propagation_total=prop, processing_total=proc,
+                       ready_time=ready)
+        due = first_step_over(r, now)
+        assert due_step(r, now) == due, (t.name, k, prop, proc, ready, now)
+        ties += due > now and scan_bound(r, due - STEP_MS) == tol
+    assert ties > 100
+
+
+def test_due_step_at_hand_made_stays():
+    """A bound equal to the tolerance at a whole step does not drop; a
+    request ready at the enqueue step has waited nothing yet; one already
+    over its bound at the enqueue step is due there."""
+    cg = default_catalog().sfcs["CG"]  # 80 ms; NAT FW VOC WO IDPS
+    # ready == now == 3: the bound there is 79.7 + 0 + the remaining
+    # processing (0.3 and an ulp), exactly 80 after rounding
+    tie = SfcRequest(0, cg, 4.0, 0, 1, propagation_total=79.7, ready_time=3.0)
+    assert scan_bound(tie, 3.0) == 80.0
+    assert due_step(tie, 3.0) == 4.0
+    # a tie a whole step after the ready time: 78.7 + 1 + the same
+    later = SfcRequest(1, cg, 4.0, 0, 1, propagation_total=78.7,
+                       ready_time=3.0)
+    assert scan_bound(later, 4.0) == 80.0 and due_step(later, 3.0) == 5.0
+    assert due_step(later, 1.0) == 5.0  # enqueued before it was ready
+    fresh = SfcRequest(2, cg, 4.0, 0, 1, ready_time=7.0)
+    assert due_step(fresh, 7.0) == first_step_over(fresh, 7.0) == 87.0
+    late = SfcRequest(3, cg, 4.0, 0, 1, propagation_total=81.0, ready_time=5.0)
+    assert due_step(late, 5.0) == 5.0 and due_step(late, 9.0) == 9.0
 
 
 def test_ledger_recomputation_matches():
