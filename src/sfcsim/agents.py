@@ -5,6 +5,7 @@ cross-cluster delivery)."""
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,43 +45,6 @@ class ActionOutcome:
     request: SfcRequest | None = None  # the request this action allocated
 
 
-class StepView:
-    """An agent's turn in a step, started by `_scan_scope` when `run_step`
-    begins it and dropped after the step's last round. The agent's queue and
-    its filed index (`LocalAgent.file`) are kept across steps; the turn adds
-    the step's `now`, fixed for the turn, and a VNF type's ranked list of
-    waiting requests, built the first time the turn asks for it. Within the
-    turn the agent's own takes, made through this view, are the only changes
-    to the queue: it only shrinks, and a take keeps the index and the ranked
-    lists current."""
-
-    def __init__(self, now: float, agent: LocalAgent):
-        self.now = now
-        self._agent = agent
-        # VNF type -> the queued requests waiting for it, by priority
-        self._ranked: dict[str, list[SfcRequest]] = {}
-
-    def ranked(self, vnf_name: str) -> list[SfcRequest]:
-        """The queued requests waiting for `vnf_name` in priority order,
-        ranked at the first call in the turn from the type's waiting list;
-        the keys do not change within it. Empty, without ranking, when no
-        request waits for the type."""
-        ranked = self._ranked.get(vnf_name)
-        if ranked is None:
-            waiting = self._agent.waiting.get(vnf_name)
-            ranked = self._ranked[vnf_name] = (
-                priority_rank(list(waiting), self.now) if waiting else [])
-        return ranked
-
-    def take(self, r: SfcRequest) -> None:
-        """Unfile a request the agent allocates from the queue and its index,
-        and remove it from its ranked list."""
-        self._agent.unfile(r)
-        ranked = self._ranked.get(r.item.next_vnf_name)
-        if ranked is not None:
-            ranked.remove(r)
-
-
 @dataclass
 class LocalAgent:
     cluster_id: int
@@ -94,74 +58,80 @@ class LocalAgent:
     queue: dict[SfcRequest, int] = field(default_factory=dict)  # -> join seq
     cluster: SfcGroups = field(default_factory=SfcGroups, repr=False)
     # DC -> the items of the queued requests whose packet waits there
-    local: dict[int, SfcGroups] = field(default_factory=dict, repr=False)
+    local: defaultdict[int, SfcGroups] = field(
+        default_factory=lambda: defaultdict(SfcGroups), repr=False)
     # VNF type name -> the queued requests waiting for it
-    waiting: dict[str, dict[SfcRequest, None]] = field(default_factory=dict,
-                                                       repr=False)
+    waiting: defaultdict[str, dict[SfcRequest, None]] = field(
+        default_factory=lambda: defaultdict(dict), repr=False)
     out_count: int = 0  # queued requests bound for a DC outside the cluster
-    # due step -> the queued requests whose stays fall due then, and a heap
-    # of the steps whose buckets were made (a step recurs when its bucket
-    # emptied and was made again)
-    due: dict[float, dict[SfcRequest, None]] = field(default_factory=dict,
+    # a heap of (due step, join seq, request), one entry per join; an entry
+    # whose seq is not its request's in the queue is stale: the request left
+    # or joined again, and `falling_due` skips it
+    due: list[tuple[float, int, SfcRequest]] = field(default_factory=list,
                                                      repr=False)
-    due_steps: list[float] = field(default_factory=list, repr=False)
+    # the turn's ranked list of each VNF type it asked for: `_scan_scope`
+    # empties it when it starts the turn, and `take` keeps it current
+    ranked_lists: dict[str, list[SfcRequest]] = field(default_factory=dict,
+                                                      repr=False)
     outbox: list[AssistTask] = field(default_factory=list)
     reward_total: float = 0.0
-    # the agent's turn in a step: run_step starts it by the scope scan before
-    # the step's first round and drops it after the last, so it is None
-    # outside the agent phase; _execute_action reads it, and the turn's
-    # takes go through it
-    view: StepView | None = field(default=None, repr=False)
 
     def file(self, r: SfcRequest, seq: int) -> None:
         """Add `r`, whose item is its current stay's, at the tail of the queue,
-        of its groups for the cluster and for its packet's DC, of its next
-        VNF type's waiting list and of its due step's bucket. `seq` orders
+        of its groups for the cluster and for its packet's DC and of its next
+        VNF type's waiting list, and push it on the due heap. `seq` orders
         the joins of all queues."""
         item = r.item
         self.queue[r] = seq
         self.cluster.add(item)
-        local = self.local.get(r.loc)
-        if local is None:
-            local = self.local[r.loc] = SfcGroups()
-        local.add(item)
-        waiting = self.waiting.get(item.next_vnf_name)
-        if waiting is None:
-            waiting = self.waiting[item.next_vnf_name] = {}
-        waiting[r] = None
+        self.local[r.loc].add(item)
+        self.waiting[item.next_vnf_name][r] = None
         self.out_count += item.out_of_cluster
-        bucket = self.due.get(item.due)
-        if bucket is None:
-            bucket = self.due[item.due] = {}
-            heapq.heappush(self.due_steps, item.due)
-        bucket[r] = None
+        heapq.heappush(self.due, (item.due, seq, r))
 
     def unfile(self, r: SfcRequest) -> None:
-        """Remove `r` from the queue and from everything `file` added it to."""
+        """Remove `r` from the queue and from everything `file` added it to
+        but the due heap, whose entry goes stale."""
         del self.queue[r]
         item = r.item
         self.cluster.remove(item)
         self.local[r.loc].remove(item)
         del self.waiting[item.next_vnf_name][r]
         self.out_count -= item.out_of_cluster
-        bucket = self.due[item.due]
-        del bucket[r]
-        if not bucket:
-            del self.due[item.due]
 
     def falling_due(self, now: float) -> list[SfcRequest]:
         """The queued requests whose stays fall due at a step up to `now`,
-        in queue order. The steps leave the heap, so the caller unfiles
+        in queue order. Their entries leave the heap, so the caller unfiles
         every request returned."""
-        steps = self.due_steps
+        heap = self.due
         due: list[SfcRequest] = []
-        while steps and steps[0] <= now:
-            step = heapq.heappop(steps)
-            while steps and steps[0] == step:
-                heapq.heappop(steps)
-            due.extend(self.due.get(step, ()))
-        due.sort(key=self.queue.__getitem__)  # by join, across buckets
+        while heap and heap[0][0] <= now:
+            _, seq, r = heapq.heappop(heap)
+            if self.queue.get(r) == seq:
+                due.append(r)
+        due.sort(key=self.queue.__getitem__)  # by join
         return due
+
+    def ranked(self, vnf_name: str, now: float) -> list[SfcRequest]:
+        """The queued requests waiting for `vnf_name` in priority order at the
+        turn's step `now`, ranked at the turn's first call from the type's
+        waiting list; the keys do not change within it. Empty, without
+        ranking, when no request waits for the type."""
+        ranked = self.ranked_lists.get(vnf_name)
+        if ranked is None:
+            waiting = self.waiting.get(vnf_name)
+            ranked = self.ranked_lists[vnf_name] = (
+                priority_rank(list(waiting), now) if waiting else [])
+        return ranked
+
+    def take(self, r: SfcRequest) -> None:
+        """Unfile a request the turn allocates and remove it from its ranked
+        list. Within a turn the agent's takes are the only changes to its
+        queue."""
+        self.unfile(r)
+        ranked = self.ranked_lists.get(r.item.next_vnf_name)
+        if ranked is not None:
+            ranked.remove(r)
 
 
 class GeneralAgent:
@@ -186,7 +156,9 @@ def setup(graph: NetworkGraph, size_limit: int, seed: int,
 
     All local agents share the policy network (architecture invariance makes
     one weight set applicable to every cluster). Each agent explores with
-    its own generator, drawn from the episode seed and its cluster id."""
+    its own generator, drawn from the episode seed and its cluster id. The
+    agents are registered in ascending cluster id, the order in which every
+    per-agent pass of a step and of the report visits them."""
     partition = make_clusters(graph, size_limit, seed)
     agents = {c: LocalAgent(c, list(partition.clusters[c]), policy,
                             np.random.default_rng([seed, 2, c]))
@@ -225,11 +197,8 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
             idle[v] = sum(1 for i in instances if i.is_idle())
         else:  # most types have no instance at a DC
             installed[v] = idle[v] = 0
-    local = agent.local.get(current_dc)
-    if local is None:  # no packet of the queue waits at the DC
-        local = agent.local[current_dc] = SfcGroups()
     return StateView(
-        items_local=local,
+        items_local=agent.local[current_dc],
         items_cluster=agent.cluster,
         installed=installed,
         idle=idle,
@@ -242,12 +211,13 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
 
 
 def _scan_scope(agent: LocalAgent, world) -> None:
-    """Start the agent's turn: move each queued request whose next VNF the
-    cluster cannot host into the assist outbox, in queue order, and start
-    the turn's view. The queue's index is kept across steps, so the scan
+    """Start the agent's turn: empty its ranked lists and move each queued
+    request whose next VNF the cluster cannot host into the assist outbox,
+    in queue order. The queue's index is kept across steps, so the scan
     reads no request it keeps: it asks hostability once per VNF type that
     requests wait for (the substrate does not change during the scan) and
     touches only the waiting requests of the types the cluster cannot host."""
+    agent.ranked_lists.clear()
     moved: list[SfcRequest] = []
     for name, waiting in agent.waiting.items():
         if waiting and not world.substrate.cluster_can_host(
@@ -258,7 +228,6 @@ def _scan_scope(agent: LocalAgent, world) -> None:
         for r in moved:
             agent.unfile(r)
             agent.outbox.append(AssistTask(TASK_TRANSFER, r))
-    agent.view = StepView(world.now, agent)
 
 
 def _try_allocate(agent: LocalAgent, world, instance,
@@ -267,7 +236,7 @@ def _try_allocate(agent: LocalAgent, world, instance,
     type, routing the packet to the instance's DC. Cross-cluster packet
     locations defer to the general agent. Returns the request taken from the
     queue, or None."""
-    for r in agent.view.ranked(instance.vnf_type.name):
+    for r in agent.ranked(instance.vnf_type.name, now):
         if world.partition.cluster_of(r.loc) == agent.cluster_id:
             path = routing.d2d_shortest_path(
                 world.partition.cluster_tables[agent.cluster_id],
@@ -275,11 +244,11 @@ def _try_allocate(agent: LocalAgent, world, instance,
                 world.general.counters)
             if path is None:
                 continue
-            agent.view.take(r)
+            agent.take(r)
             world.perform_allocation(r, instance, path, now)
             return r
         # packet sits outside the cluster (post-transfer): general agent routes
-        agent.view.take(r)
+        agent.take(r)
         instance.reserved = True
         agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
         return r
@@ -299,7 +268,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
         vnf = world.catalog.vnfs[VNF_ORDER[action]]
         # priority points are assigned over pending VNFs of the selected type
         # before execution; with no such VNF the action cannot be carried out
-        if not agent.view.ranked(vnf.name):
+        if not agent.ranked(vnf.name, now):
             return ActionOutcome(action, REWARD_INVALID, invalid=True)
         idle = sub.idle_instances(current_dc, vnf.name)
         if idle:
@@ -321,7 +290,7 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
         return ActionOutcome(action, REWARD_INVALID, invalid=True)
     sub.uninstall_vnf(idle[0])
     return ActionOutcome(action, REWARD_UNINSTALL_NEEDED
-                         if agent.view.ranked(vnf.name) else 0.0)
+                         if agent.ranked(vnf.name, now) else 0.0)
 
 
 def begin_action(agent: LocalAgent, world) -> tuple[int, StateEncoding]:
@@ -339,7 +308,8 @@ def local_step(agent: LocalAgent, world, current_dc: int, action: int,
                ) -> tuple[int, ActionOutcome, StateEncoding | None,
                           StateEncoding | None]:
     """Execute one agent action that `begin_action` and `act` chose at
-    `current_dc`. Returns (status, outcome, state, next_state): status -1
+    `current_dc`, in the turn `_scan_scope` started; a take keeps the turn's
+    ranked lists current. Returns (status, outcome, state, next_state): status -1
     signals queued general-agent assistance, and the state after the action
     is encoded only when recording transitions. An invalid or idle action
     changes nothing the state reads, so its next state is `state` itself."""
@@ -377,8 +347,7 @@ def _pick_transfer_target(general: GeneralAgent, world, from_cluster: int,
 
 def assist(general: GeneralAgent, world, now: float) -> None:
     """Drain every agent's outbox in FIFO order by (agent id, arrival)."""
-    for cid in sorted(general.local_agents):
-        agent = general.local_agents[cid]
+    for cid, agent in general.local_agents.items():
         tasks, agent.outbox = agent.outbox, []
         for task in tasks:
             r = task.request

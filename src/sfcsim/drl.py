@@ -51,6 +51,9 @@ class ModelConfig(Section, name="drl"):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.batch_size > self.replay_capacity:  # no update could run
+            raise ValueError(f"drl.batch_size {self.batch_size} exceeds "
+                             f"drl.replay_capacity {self.replay_capacity}")
         try:  # as much as the replay arrays take, reserved and released
             np.empty((self.replay_capacity, 2 * STATE_DIM + 3))
         except MemoryError:

@@ -282,8 +282,7 @@ class World:
         in (agent id, queue order). The bound never falls as time passes, so
         these are the requests whose bound exceeds their tolerance at
         `now`; the pass reads no other request."""
-        for cid in sorted(self.general.local_agents):
-            agent = self.general.local_agents[cid]
+        for agent in self.general.local_agents.values():
             for r in agent.falling_due(now):
                 agent.unfile(r)
                 self.drop_request(r, now, "deadline")
@@ -309,13 +308,12 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
     agent keeps its queue filed across steps (`World.enqueue` files a
     request when it joins a queue, and whatever takes it out unfiles it), so
     a step reads only what changed. Every turn starts before the first
-    round, when the agent's scope scan (`agents._scan_scope`) moves out the
-    requests its cluster can no longer host and starts its `view`, and ends
-    after the last round, when the view is dropped. A scan reads only its
-    own cluster's DCs and writes only its own agent's queue, outbox and
-    view, so scanning every agent first gives what a scan at each one's
-    first action would. After the time advance, the deadline pass drops the
-    queued requests whose due steps have come.
+    round, when the agent's scope scan (`agents._scan_scope`) empties its
+    ranked lists and moves out the requests its cluster can no longer host.
+    A scan reads only its own cluster's DCs and writes only its own agent's
+    queue, outbox and ranked lists, so scanning every agent first gives what
+    a scan at each one's first action would. After the time advance, the
+    deadline pass drops the queued requests whose due steps have come.
     The agent phase runs in rounds of at most one action per agent. In a
     round, each agent that still acts takes its `begin_action` in agent-id
     order, one `act` call picks all their actions with a single batched
@@ -330,15 +328,14 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
     order. So the rounds give the same results as running each agent's
     actions in turn.
 
-    In training, the step-end flush moves accept and drop rewards onto the
-    records of the actions that allocated the requests. A record takes at
-    most one such reward, and no request allocated in the agent phase is
-    allocated again within the step, so a flush after every action would
-    give the same records."""
+    In training, accept and drop rewards wait in `pending_credit` until
+    `run_episode` moves them onto the records of the actions that allocated
+    the requests. No request is allocated after it settles, so that is the
+    record a flush after every action would credit."""
     now = world.now
-    acting = started = [a for _, a in sorted(world.general.local_agents.items())
-                        if a.queue or a.outbox]
-    for agent in started:
+    acting = [a for a in world.general.local_agents.values()
+              if a.queue or a.outbox]
+    for agent in acting:
         agents_mod._scan_scope(agent, world)
     for _ in range(world.config.actions_per_step):
         if not acting:
@@ -366,15 +363,12 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
                     and outcome.action != agents_mod.ACTION_IDLE):
                 still.append(agent)
         acting = still
-    for agent in started:
-        agent.view = None
     assist(world.general, world, now)
     world.now += STEP_MS
     now = world.now
     world._release_bandwidth(now)
     world._complete_processing(now)
     world._deadline_scan(now)
-    world._flush_credit()
 
 
 @dataclass
@@ -433,7 +427,7 @@ def _build_report(world: World, scenario_id: str, seed: int,
                      for name, d in delays.items()},
         acceptance_ratio=ratio,
         reward_by_agent={c: a.reward_total
-                         for c, a in sorted(world.general.local_agents.items())},
+                         for c, a in world.general.local_agents.items()},
         steps=steps,
     )
 
@@ -545,8 +539,8 @@ def train(config: TrainConfig, seed: int, model: ModelConfig | None = None,
             epsilon=epsilon, catalog=catalog, config=sim_config, train=True,
             scenario_id=f"train-{ep}")
         clip = sim_config.reward_clip
-        for cid in sorted(world.transitions):
-            for s, a, s2, r, terminal in world.transitions[cid]:
+        for records in world.transitions.values():
+            for s, a, s2, r, terminal in records:
                 memory.push(s, a, s2, max(-clip, min(clip, r)), terminal)
         mean_loss = sum(losses) / len(losses) if losses else float("nan")
         acc = report.acceptance_float

@@ -162,6 +162,9 @@ TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
     pytest.param({"drl": {"batch_size": 0}}, {}, id="batch_size_zero"),
     pytest.param({"drl": {"replay_capacity": 0}}, {},
                  id="replay_capacity_zero"),
+    # a replay that never holds a batch: training made no update and exited 0
+    pytest.param({"drl": {"replay_capacity": 10, "batch_size": 64}}, {},
+                 id="batch_above_replay"),
     # replay arrays np.empty cannot reserve: refused at once, nothing allocated
     pytest.param({"drl": {"replay_capacity": 1000000000000}}, {},
                  id="replay_capacity_unreservable"),

@@ -203,6 +203,7 @@ def check_local_steps(monkeypatch):
             "after_alloc_task": 0, "recorded": 0, "recorded_noop": 0,
             "dropped": 0}
     wanted = {}  # agent -> the reference encoding at its latest decide step
+    turns = set()  # (step, agent id) of every turn started
     drops = []  # every request dropped, for any reason, in drop order
 
     def dropping(world, request, now, reason):
@@ -224,7 +225,9 @@ def check_local_steps(monkeypatch):
         seen["dropped"] += len(want)
 
     def scanned(agent, world):
-        assert agent.view is None  # a turn starts once per step
+        turn = (world.now, agent.cluster_id)
+        assert turn not in turns  # a turn starts once per step
+        turns.add(turn)
         moved = ref_scope_moves(agent, world)
         keep = [r for r in agent.queue if not any(r is m for m in moved)]
         before = len(agent.outbox)
@@ -246,7 +249,7 @@ def check_local_steps(monkeypatch):
             pending = [r for r in agent.queue
                        if ref_next_vnf(r) is not None
                        and ref_next_vnf(r).name == name]
-            got_ranked = [r.id for r in agent.view.ranked(name)]
+            got_ranked = [r.id for r in agent.ranked(name, now)]
             assert sorted(got_ranked) == sorted(r.id for r in pending)
             want_order = [r.id for r in sorted(
                 pending, key=lambda r: ref_priority_key(r, now))]
@@ -382,7 +385,6 @@ def queue_up(world, agent, *requests):
 
 
 def start_turn(agent, world):
-    agent.view = None
     agents._scan_scope(agent, world)
     assert_turn_matches_reference(agent, world)
 
@@ -422,7 +424,6 @@ def pass_deadlines(world, until):
             assert all(ref_bound(r, now) <= r.sfc_type.e2e_tolerance
                        for r in agent.queue)
             start_turn(agent, world)
-            agent.view = None
         dropped += want
     return dropped
 
@@ -496,7 +497,6 @@ def test_requeued_request_after_failed_alloc_assist_matches_reference():
     assert wide.item is item
     world.now += sim.STEP_MS
     start_turn(a, world)
-    a.view = None
     due = first_due_step(wide, world.now)
     assert due == item.due == 10.0
     assert pass_deadlines(world, due + 3) == [wide]
@@ -544,7 +544,6 @@ def test_two_types_unhostable_in_one_step_move_in_queue_order():
     queue_up(world, a, *queued)
     start_turn(a, world)
     assert not a.outbox
-    a.view = None
     fill(world, a, ["VOC", "TM", "WO", "IDPS"])
     sub = world.substrate
     assert not sub.cluster_can_host(a.dc_ids, cat.vnfs["NAT"])
@@ -584,13 +583,41 @@ def test_request_back_at_its_next_chain_position_matches_reference():
     assert moved.item.next_vnf_name == "FW"
 
 
-def dense_episode(requests=None):
+def dense_episode(requests=None, epsilon=0.0):
     """30 steps of an eval-dense-shaped episode with the benchmark's
     policy: 40 DCs, cluster limit 8, scale 3."""
     g = build_network({"dc_count": 40, "seed": 11})
     policy = load_weights(TRAINED_WEIGHTS, ModelConfig())
     return run_episode(g, 8, None if requests else 3.0, 11, policy,
-                       config=SimConfig(max_steps=30), requests=requests)
+                       epsilon=epsilon, config=SimConfig(max_steps=30),
+                       requests=requests)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5], ids=["greedy", "exploring"])
+def test_due_heap_holds_each_queued_request_once(monkeypatch, epsilon):
+    """After every deadline pass, no entry of a due heap has come due, and
+    its live entries, those whose join seq is still their request's in the
+    queue, are the queue's requests, one each, at their items' due steps.
+    Entries of requests that left or joined again stay behind as stale."""
+    real_deadlines = sim.World._deadline_scan
+    seen = {"passes": 0, "live": 0, "stale": 0}
+
+    def deadline_pass(world, now):
+        real_deadlines(world, now)
+        seen["passes"] += 1
+        for agent in world.general.local_agents.values():
+            assert all(due > now for due, _, _ in agent.due)
+            live = [(due, seq, r) for due, seq, r in agent.due
+                    if agent.queue.get(r) == seq]
+            assert sorted((seq, r.id) for _, seq, r in live) == sorted(
+                (seq, r.id) for r, seq in agent.queue.items())
+            assert all(due == r.item.due for due, _, r in live)
+            seen["live"] += len(live)
+            seen["stale"] += len(agent.due) - len(live)
+
+    monkeypatch.setattr(sim.World, "_deadline_scan", deadline_pass)
+    dense_episode(epsilon=epsilon)
+    assert seen["passes"] > 0 and seen["live"] > 0 and seen["stale"] > 0
 
 
 def test_pending_items_are_made_once_per_queue_stay(monkeypatch):

@@ -29,10 +29,8 @@ def policy():
 
 
 def ref_local_step(agent, world, now, epsilon, rng, record_states=False):
-    """One agent action: scope scan (once per step), DC cursor advance,
-    epsilon-greedy action on a single-row forward call, execution."""
-    if agent.view is None:
-        agents._scan_scope(agent, world)
+    """One agent action: DC cursor advance, epsilon-greedy action on a
+    single-row forward call, execution."""
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
     agent.cursor += 1
 
@@ -57,9 +55,11 @@ def ref_run_step(world, epsilon, train=False):
     now = world.now
     for cid in sorted(world.general.local_agents):
         agent = world.general.local_agents[cid]
-        for _ in range(world.config.actions_per_step):
+        for i in range(world.config.actions_per_step):
             if not agent.queue and not agent.outbox:
                 break
+            if i == 0:  # the scope scan, at the agent's first action
+                agents._scan_scope(agent, world)
             status, outcome, state, next_state = ref_local_step(
                 agent, world, now, epsilon, agent.rng, record_states=train)
             if train:
@@ -74,7 +74,6 @@ def ref_run_step(world, epsilon, train=False):
                 world._flush_credit()
             if outcome.invalid or outcome.action == agents.ACTION_IDLE:
                 break
-        agent.view = None
     agents.assist(world.general, world, now)
     world.now += sim.STEP_MS
     now = world.now
