@@ -1,5 +1,6 @@
 """Bandwidth-filtered path discovery: intra-cluster Dijkstra (D2D), cluster-graph
-DFS (C2C), and the combined two-cluster iterative traversal."""
+DFS (C2C), and the combined two-cluster iterative traversal. A partition's
+searches are memoised on its tables (`_route`)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .topology import ClusterPartition, LinkSpec, NeighbourTable
+from .topology import ClusterPartition, LinkSpec, NeighbourTable, RouteTable
 # stays importable here: perfbench's tracer wraps routing.cluster_adjacency
 from .topology import cluster_adjacency  # noqa: F401
 
@@ -21,6 +22,8 @@ class RoutingError(ValueError):
 
 @dataclass
 class PathResult:
+    """A routed path. A partition's memo hands the same result to every
+    search it answers, so no caller may change one."""
     hops: list[int]  # first = source, last = destination
     total_distance: float  # km
     links_used: list[LinkSpec]
@@ -28,7 +31,9 @@ class PathResult:
 
 @dataclass
 class RouteCounters:
-    """Instrumentation for complexity checks."""
+    """Instrumentation for complexity checks. `dijkstra_settled` gets one
+    entry per Dijkstra that runs: a search a partition's memo answers runs
+    none, and one it cannot answer may run two (`_route`)."""
     dijkstra_settled: list[int] = field(default_factory=list)
     dfs_edges: list[int] = field(default_factory=list)
 
@@ -79,18 +84,61 @@ def _shortest_to(table: NeighbourTable, link_free: LinkFree, src: int,
     return PathResult(hops[::-1], dist[end], links[::-1])
 
 
+def _unlimited(link: LinkSpec) -> float:
+    return math.inf
+
+
+def _route(table: RouteTable, key: tuple, link_free: LinkFree, src: int,
+           targets: set[int], required_bw: float,
+           counters: RouteCounters | None) -> PathResult | None:
+    """What `_shortest_to(table, link_free, src, targets, required_bw,
+    counters)` returns, read from the table's memo when it can be.
+
+    `key` names the search within `table`. The memo keeps the search's
+    answer with every link admitted. None answers None, since the filter only
+    removes links. A path whose every link has room is the answer as it
+    stands; otherwise the filtered search runs, and its answer is not kept.
+
+    Why a feasible memoised path P to target t is exactly the filtered
+    answer, distances bit for bit: float addition is monotone, so the
+    filtered search's distances are never lower than the unfiltered ones.
+    The DCs of P keep theirs, since P's links are all admitted and each
+    distance on P is the same sum of the same floats. A DC's candidate
+    predecessors (settled DCs whose distance plus the link gives its final
+    distance), and the candidate targets, can only shrink, and each keeps a
+    (distance, id) settle key no lower than before. Relaxation is strict, so
+    a DC's predecessor is its earliest-settled candidate, and the search
+    stops at the first target it settles; P's predecessors and t settle with
+    unchanged keys, so they stay the earliest, and the filtered search
+    rebuilds P, with t's distance."""
+    routes = table.routes
+    if key in routes:
+        path = routes[key]
+    else:
+        path = routes[key] = _shortest_to(table, _unlimited, src, targets,
+                                          0.0, counters)
+    if path is None or all(not link_free(link) < required_bw
+                           for link in path.links_used):
+        return path
+    return _shortest_to(table, link_free, src, targets, required_bw, counters)
+
+
 def d2d_shortest_path(table: NeighbourTable, link_free: LinkFree, src: int,
                       dst: int, required_bw: float,
                       counters: RouteCounters | None = None) -> PathResult | None:
     """Minimum-distance path between DCs of `table` over its links, each with
     at least `required_bw` available. None if no feasible path exists.
 
-    `table` is a partition's table of one cluster, or a network's
-    `adjacency` for the whole network."""
+    `table` is a partition's table of one cluster, whose memo answers the
+    search when it can (`_route`), or a network's `adjacency` for the whole
+    network, searched on every call."""
     if src not in table or dst not in table:
         raise RoutingError(f"src {src} or dst {dst} outside the table")
     if src == dst:
         return PathResult([src], 0.0, [])
+    if isinstance(table, RouteTable):
+        return _route(table, (src, dst), link_free, src, {dst}, required_bw,
+                      counters)
     return _shortest_to(table, link_free, src, {dst}, required_bw, counters)
 
 
@@ -152,7 +200,9 @@ def find_path(partition: ClusterPartition, link_free: LinkFree, src: int,
 
     The cluster adjacency, gateway sets and neighbour tables are the
     partition's, built once with it; the cluster path costs O(V+E) in the
-    cluster graph.
+    cluster graph. Each Dijkstra, the same-cluster one and each segment's,
+    is answered from its table's memo when it can be (`_route`), with the
+    same result as a fresh search.
     """
     src_c = partition.cluster_of(src)
     dst_c = partition.cluster_of(dst)
@@ -169,10 +219,14 @@ def find_path(partition: ClusterPartition, link_free: LinkFree, src: int,
     links: list[LinkSpec] = []
     for a, b in zip(cpath, cpath[1:]):
         # adjacent clusters share an inter-cluster link: (a, b) has gateways
-        # and a table
-        targets = {dst} if b == dst_c else partition.gateways[(a, b)]
-        seg = _shortest_to(partition.pair_tables[(a, b)], link_free, entry,
-                           targets, required_bw, counters)
+        # and a table. The table serves (b, a) too, but entry lies in a, so
+        # (entry, None) names the search to the gateways of b
+        if b == dst_c:
+            key, targets = (entry, dst), {dst}
+        else:
+            key, targets = (entry, None), partition.gateways[(a, b)]
+        seg = _route(partition.pair_tables[(a, b)], key, link_free, entry,
+                     targets, required_bw, counters)
         if seg is None:
             return None
         hops.extend(seg.hops[1:])

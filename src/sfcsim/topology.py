@@ -79,6 +79,18 @@ def neighbour_table(dc_ids: Iterable[int], links: Iterable[LinkSpec]) -> Neighbo
     return table
 
 
+class RouteTable(dict):
+    """A partition's neighbour table that also keeps `routes`, the memo of
+    the route searches over it with every link admitted: search key ->
+    `routing.PathResult` or None. `routing` fills it as searches are asked
+    for; it lives and dies with the table."""
+    __slots__ = ("routes",)
+
+    def __init__(self, table: NeighbourTable):
+        super().__init__(table)
+        self.routes: dict[tuple, object] = {}
+
+
 @dataclass
 class NetworkGraph:
     dcs: list[DataCenterSpec]
@@ -226,6 +238,11 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
 
 @dataclass
 class ClusterPartition:
+    """DCs grouped into clusters, with the routing tables built from them
+    once: the cluster adjacency, the gateways of each adjacent pair, and a
+    `RouteTable` per cluster and per adjacent pair. A partition is built per
+    episode, so each table's memo of route searches (`routing._route`) holds
+    at most the episode's distinct searches."""
     assignment: dict[int, int]  # dc id -> cluster id
     clusters: dict[int, list[int]]  # cluster id -> sorted dc ids
     intra_links: dict[int, list[LinkSpec]]
@@ -237,16 +254,17 @@ class ClusterPartition:
     # (a, b) -> DCs of cluster b that an inter-cluster link from a enters
     gateways: dict[tuple[int, int], set[int]] = field(init=False)
     # cluster -> neighbour table of its DCs over its intra links
-    cluster_tables: dict[int, NeighbourTable] = field(init=False)
+    cluster_tables: dict[int, RouteTable] = field(init=False)
     # (a, b) and (b, a), for adjacent a and b -> one neighbour table of the
     # DCs of both over their intra links and the links joining them
-    pair_tables: dict[tuple[int, int], NeighbourTable] = field(init=False)
+    pair_tables: dict[tuple[int, int], RouteTable] = field(init=False)
 
     def __post_init__(self):
         self.adjacency = cluster_adjacency(self)
         self.gateways = {}
-        self.cluster_tables = {c: neighbour_table(dcs, self.intra_links[c])
-                               for c, dcs in self.clusters.items()}
+        self.cluster_tables = {
+            c: RouteTable(neighbour_table(dcs, self.intra_links[c]))
+            for c, dcs in self.clusters.items()}
         self.pair_tables = {}
         for link in self.inter_links:
             ca, cb = self.assignment[link.a], self.assignment[link.b]
@@ -254,8 +272,9 @@ class ClusterPartition:
             self.gateways.setdefault((cb, ca), set()).add(link.a)
             table = self.pair_tables.get((ca, cb))
             if table is None:  # the pair's first link: start from its clusters'
-                table = {dc: pairs.copy() for c in (ca, cb)
-                         for dc, pairs in self.cluster_tables[c].items()}
+                table = RouteTable({
+                    dc: pairs.copy() for c in (ca, cb)
+                    for dc, pairs in self.cluster_tables[c].items()})
                 self.pair_tables[(ca, cb)] = self.pair_tables[(cb, ca)] = table
             table[link.a].append((link.b, link))
             table[link.b].append((link.a, link))

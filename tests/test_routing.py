@@ -3,17 +3,24 @@ and the combined two-level traversal."""
 
 import heapq
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sfcsim import routing
+from sfcsim.drl import ModelConfig, load_weights
 from sfcsim.routing import (PathResult, RouteCounters, RoutingError,
                             c2c_cluster_path, d2d_shortest_path, find_path)
+from sfcsim.sim import report_rows, run_episode
 from sfcsim.substrate import Substrate
 from sfcsim.topology import (ClusterPartition, build_network, cluster_adjacency,
                              make_clusters)
 from sfcsim.workload import SfcRequest, default_catalog
+
+
+TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
 
 def const_free(value):
@@ -599,3 +606,119 @@ def test_zero_length_link_gives_simple_path():
     assert ref_find_path(part, g, free, 0, 3, 1.0, strip=False).hops == \
         [0, 2, 1, 2, 3]
     assert ref_find_path(part, g, free, 0, 3, 1.0) == path
+
+
+# ---- the partition's memo of bandwidth-free searches ------------------------
+
+
+def filtered_search(table, key, link_free, src, targets, bw, counters):
+    """`routing._route` without the memo: today's filtered search."""
+    return routing._shortest_to(table, link_free, src, targets, bw, counters)
+
+
+class RouteSpy:
+    """Wraps `routing._route` and counts, per search, a miss (the memo had
+    not seen it), a hit (its memoised answer stood) or a fallback (the
+    memoised path lacked room, so the filtered search answered)."""
+
+    def __init__(self, monkeypatch):
+        self.counts = Counter()
+        real = routing._route
+
+        def spy(table, key, *args):
+            seen = key in table.routes
+            path = real(table, key, *args)
+            if path is not table.routes[key]:
+                self.counts["fallback"] += 1
+            else:
+                self.counts["hit" if seen else "miss"] += 1
+            return path
+
+        monkeypatch.setattr(routing, "_route", spy)
+
+
+def fresh_copy(part):
+    return ClusterPartition(part.assignment, part.clusters, part.intra_links,
+                            part.inter_links, part.centroids, part.size_limit)
+
+
+def grid_network(rng, w, h):
+    """A w x h grid of DCs whose links are 1 or 2 km long, with some 2 km
+    diagonals: many paths tie in length."""
+    links = []
+    for x in range(w):
+        for y in range(h):
+            i = x * h + y
+            if y + 1 < h:
+                links.append((i, i + 1, float(rng.integers(1, 3))))
+            if x + 1 < w:
+                links.append((i, i + h, float(rng.integers(1, 3))))
+            if x + 1 < w and y + 1 < h and rng.random() < 0.3:
+                links.append((i, i + h + 1, 2.0))
+    return build_network({
+        "dcs": [{"position": [float(x), float(y)]}
+                for x in range(w) for y in range(h)],
+        "links": [{"a": a, "b": b, "distance_km": d} for a, b, d in links]})
+
+
+FREE_MBPS = [0.0, 4.0, 8.0, 20.0]  # against demands of 1, 5 and 10 Mbps
+
+
+def test_memoised_routes_equal_the_filtered_search(monkeypatch):
+    """One partition answers a whole sequence of queries while the free
+    bandwidth of its links changes between them. Each answer of find_path,
+    and of d2d_shortest_path over the partition's cluster table, equals the
+    filtered search on a freshly built partition: hops, distance and links,
+    with None alike."""
+    spy = RouteSpy(monkeypatch)
+    rng = np.random.default_rng(27)
+    answers = Counter()
+    for w, h in ((4, 5), (5, 6), (6, 6)):
+        g = grid_network(rng, w, h)
+        n = g.dc_count
+        for limit in (2, 3, 5, 8):
+            part = make_clusters(g, limit, int(rng.integers(2 ** 31)))
+            free = {link: float(rng.choice(FREE_MBPS)) for link in g.links}
+            pool = [int(x) for x in rng.choice(n, size=8, replace=False)]
+            for _ in range(60):
+                for i in rng.choice(len(g.links), size=3):
+                    free[g.links[i]] = float(rng.choice(FREE_MBPS))
+                bw = float(rng.choice([1.0, 5.0, 10.0]))
+                src, dst = (int(x) for x in rng.choice(pool, size=2))
+                c = part.cluster_of(src)
+                near = int(rng.choice(part.clusters[c]))
+                got = (find_path(part, free.__getitem__, src, dst, bw),
+                       d2d_shortest_path(part.cluster_tables[c],
+                                         free.__getitem__, src, near, bw))
+                fresh = fresh_copy(part)
+                with monkeypatch.context() as m:
+                    m.setattr(routing, "_route", filtered_search)
+                    want = (find_path(fresh, free.__getitem__, src, dst, bw),
+                            d2d_shortest_path(fresh.cluster_tables[c],
+                                              free.__getitem__, src, near, bw))
+                assert got == want
+                answers.update("none" if p is None else "path" for p in got)
+    assert min(spy.counts[k] for k in ("hit", "miss", "fallback")) > 100
+    assert answers["none"] > 100 and answers["path"] > 500
+
+
+def test_memo_keeps_a_bandwidth_starved_episode(monkeypatch):
+    """A greedy 40-DC episode at limit 8 and scale 3 on 20 Mbps links, where
+    memoised paths often lack room, comes out as with the filtered search
+    alone: the same report rows, and every request's status, drop reason and
+    hop log."""
+    g = build_network({"dc_count": 40, "seed": 11, "area_km": 1000.0,
+                       "radius_km": 250.0, "link_bw_mbps": 20.0})
+    policy = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    with monkeypatch.context() as m:
+        spy = RouteSpy(m)
+        got = run_episode(g, 8, 3.0, 11, policy)
+    with monkeypatch.context() as m:
+        m.setattr(routing, "_route", filtered_search)
+        want = run_episode(g, 8, 3.0, 11, policy)
+    assert min(spy.counts[k] for k in ("hit", "miss", "fallback")) > 0
+    (rep, world), (ref_rep, ref_world) = got, want
+    assert report_rows(rep) == report_rows(ref_rep)
+    assert [(r.id, r.status, r.drop_reason, r.hop_log) for r in world.requests] \
+        == [(r.id, r.status, r.drop_reason, r.hop_log)
+            for r in ref_world.requests]
