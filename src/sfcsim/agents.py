@@ -184,19 +184,7 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
 
 
 def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
-    dc = world.substrate.dcs[current_dc]
-    free = (dc.free_vcpu / dc.spec.compute_cap,
-            dc.free_ram / dc.spec.ram_cap,
-            dc.free_storage / dc.spec.storage_cap)
-    installed = {}
-    idle = {}
-    for v in VNF_ORDER:
-        instances = dc.installed.get(v)
-        if instances:
-            installed[v] = len(instances)
-            idle[v] = sum(1 for i in instances if i.is_idle())
-        else:  # most types have no instance at a DC
-            installed[v] = idle[v] = 0
+    installed, idle, free = world.substrate.dcs[current_dc].features()
     return StateView(
         items_local=agent.local[current_dc],
         items_cluster=agent.cluster,
@@ -249,7 +237,7 @@ def _try_allocate(agent: LocalAgent, world, instance,
             return r
         # packet sits outside the cluster (post-transfer): general agent routes
         agent.take(r)
-        instance.reserved = True
+        world.substrate.reserve_instance(instance)
         agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
         return r
     return None
@@ -356,7 +344,7 @@ def assist(general: GeneralAgent, world, now: float) -> None:
                     general.partition, world.substrate.link_free, r.loc,
                     task.instance.dc, r.bandwidth, general.counters)
                 if path is None:
-                    task.instance.reserved = False
+                    world.substrate.unreserve_instance(task.instance)
                     world.enqueue(agent, r)  # back at the tail, same stay
                 else:
                     world.perform_allocation(r, task.instance, path, now)

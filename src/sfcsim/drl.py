@@ -23,10 +23,13 @@ INPUT_A_DIM = len(SFC_ORDER) * SFC_FEATURES            # 60
 INPUT_B_DIM = 2 * len(VNF_ORDER) + 3                   # 15
 INPUT_C_DIM = INPUT_A_DIM + 2                          # 62
 STATE_DIM = INPUT_A_DIM + INPUT_B_DIM + INPUT_C_DIM    # 137: a replay row
+_C_START = INPUT_A_DIM + INPUT_B_DIM  # the first column of input C
 INSTANCE_NORM = 10.0
 _VNF_INDEX = {name: i for i, name in enumerate(VNF_ORDER)}
 _ZERO_HISTOGRAM = (0.0,) * len(VNF_ORDER)
 _ZERO_BLOCK = (0.0,) * SFC_FEATURES
+# the first column of each SFC type's slice in an INPUT_A_DIM summary
+_SFC_BASE = {name: t * SFC_FEATURES for t, name in enumerate(SFC_ORDER)}
 
 _MAGIC = b"SFCQNET1"
 
@@ -111,6 +114,13 @@ def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
+# `_clip01(n / INSTANCE_NORM)` for each instance count n up to INSTANCE_NORM;
+# every larger count clips to 1.0
+_MAX_TABLED = int(INSTANCE_NORM)
+_INSTANCE_FRACS = tuple(_clip01(n / INSTANCE_NORM)
+                        for n in range(_MAX_TABLED + 1))
+
+
 def _group_summary(group: dict[PendingItem, None],
                    sfc: SfcType) -> list[float]:
     """One SFC type's SFC_FEATURES floats but the least remaining slack,
@@ -142,16 +152,17 @@ class SfcGroups:
     """Pending items grouped per SFC type (SFC name -> items), each group in
     the order the items were added, which is queue order: an agent adds a
     request's item when the request joins its queue and removes it when the
-    request leaves. A group's summary is kept until an item of its type is
-    added or removed, and its least slack also until the step moves on: a
-    summary is recomputed only for the types that changed."""
-    __slots__ = ("_groups", "_summaries", "_least", "_now")
+    request leaves. The groups keep their summary as one INPUT_A_DIM row: an
+    add or a remove only marks its type stale, and `summary` rewrites the
+    slices of the stale types and, when the step has moved on, the least
+    slack of every other non-empty type."""
+    __slots__ = ("_groups", "_row", "_stale", "_now")
 
     def __init__(self):
         # insertion-ordered dicts as ordered sets: removal is O(1)
         self._groups: dict[str, dict[PendingItem, None]] = {}
-        self._summaries: dict[str, list[float]] = {}
-        self._least: dict[str, float] = {}  # at step `_now`
+        self._row = np.zeros(INPUT_A_DIM)  # the summary at step `_now`
+        self._stale: set[str] = set()  # types whose slice is out of date
         self._now: float | None = None
 
     def add(self, item: PendingItem) -> None:
@@ -159,43 +170,42 @@ class SfcGroups:
         if group is None:
             group = self._groups[item.sfc_name] = {}
         group[item] = None
-        self._summaries.pop(item.sfc_name, None)
-        self._least.pop(item.sfc_name, None)
+        self._stale.add(item.sfc_name)
 
     def remove(self, item: PendingItem) -> None:
         del self._groups[item.sfc_name][item]
-        self._summaries.pop(item.sfc_name, None)
-        self._least.pop(item.sfc_name, None)
+        self._stale.add(item.sfc_name)
 
-    def summary(self, catalog: Catalog, now: float) -> list[float]:
+    def summary(self, catalog: Catalog, now: float) -> np.ndarray:
         """INPUT_A_DIM floats: each type's `_group_summary` with its
         `_least_slack` at `now`, in SFC_ORDER; zeros for a type with no
-        items."""
+        items. The row is the one the groups keep: read it, do not change
+        it."""
+        row, stale = self._row, self._stale
         if now != self._now:  # every slack moved with the step
-            self._least.clear()
             self._now = now
-        out: list[float] = []
-        for name in SFC_ORDER:
-            group = self._groups.get(name)
-            if not group:
-                out.extend(_ZERO_BLOCK)
-                continue
-            block = self._summaries.get(name)
-            if block is None:
-                block = self._summaries[name] = _group_summary(
-                    group, catalog.sfcs[name])
-            least = self._least.get(name)
-            if least is None:
-                least = self._least[name] = _least_slack(group, now)
-            out.extend(block)
-            out[-SFC_FEATURES + 1] = least
-        return out
+            for name, group in self._groups.items():
+                if group and name not in stale:
+                    row[_SFC_BASE[name] + 1] = _least_slack(group, now)
+        for name in stale:
+            base = _SFC_BASE[name]
+            group = self._groups[name]
+            if group:
+                block = _group_summary(group, catalog.sfcs[name])
+                block[1] = _least_slack(group, now)
+            else:
+                block = _ZERO_BLOCK
+            row[base:base + SFC_FEATURES] = block
+        stale.clear()
+        return row
 
 
 @dataclass
 class StateView:
     """Everything the encoder needs, pre-extracted by the owning agent at
-    step `now`. The item groups keep their summaries between encodings."""
+    step `now`. The item groups keep their summary row between encodings,
+    and `installed`, `idle` and `free_fracs` are the DC's cached features
+    (`DcRuntime.features`): the encoder only reads them."""
     items_local: SfcGroups
     items_cluster: SfcGroups
     installed: dict[str, int]
@@ -208,20 +218,22 @@ class StateView:
 
 def encode_state(view: StateView, catalog: Catalog) -> StateEncoding:
     """Fixed-length normalized encoding, independent of cluster size."""
-    row = view.items_local.summary(catalog, view.now)  # a new list per call
+    row = np.empty(STATE_DIM)
+    row[:INPUT_A_DIM] = view.items_local.summary(catalog, view.now)
+    dc_block = []
+    installed, idle = view.installed, view.idle
     for name in VNF_ORDER:
-        row.append(_clip01(view.installed.get(name, 0) / INSTANCE_NORM))
-        row.append(_clip01(view.idle.get(name, 0) / INSTANCE_NORM))
-    row.extend(_clip01(f) for f in view.free_fracs)
-    row += view.items_cluster.summary(catalog, view.now)
-    row.append(1.0 if view.transfer_pending else 0.0)
-    row.append(_clip01(view.out_of_cluster_frac))
-    # fromiter with the length known skips np.array's type inference
-    return StateEncoding(np.fromiter(row, float, STATE_DIM))
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+        n = installed.get(name, 0)
+        dc_block.append(_INSTANCE_FRACS[n] if n <= _MAX_TABLED else 1.0)
+        n = idle.get(name, 0)
+        dc_block.append(_INSTANCE_FRACS[n] if n <= _MAX_TABLED else 1.0)
+    for f in view.free_fracs:
+        dc_block.append(_clip01(f))
+    row[INPUT_A_DIM:_C_START] = dc_block
+    row[_C_START:-2] = view.items_cluster.summary(catalog, view.now)
+    row[-2] = 1.0 if view.transfer_pending else 0.0
+    row[-1] = _clip01(view.out_of_cluster_frac)
+    return StateEncoding(row)
 
 
 class QNetwork:
@@ -256,14 +268,17 @@ class QNetwork:
     def _forward_cached(self, x):
         p = self.params
         F = self.config.branch_width
-        b = INPUT_A_DIM + INPUT_B_DIM
-        xa, xb, xc = x[:, :INPUT_A_DIM], x[:, INPUT_A_DIM:b], x[:, b:]
+        xa = x[:, :INPUT_A_DIM]
+        xb, xc = x[:, INPUT_A_DIM:_C_START], x[:, _C_START:]
         cache = {"xa": xa, "xb": xb, "xc": xc}
-        za = xa @ p["Wa"] + p["ba"]
-        zb = xb @ p["Wb"] + p["bb"]
-        zc = xc @ p["Wc"] + p["bc"]
-        cache["za"], cache["zb"], cache["zc"] = za, zb, zc
-        z = np.concatenate([_relu(za), _relu(zb), _relu(zc)], axis=1)
+        # the three branches side by side in one pre-activation array
+        zpre = np.empty((x.shape[0], 3 * F))
+        for lo, xi, name in ((0, xa, "a"), (F, xb, "b"), (2 * F, xc, "c")):
+            out = zpre[:, lo:lo + F]
+            np.matmul(xi, p["W" + name], out=out)
+            out += p["b" + name]
+        cache["zpre"] = zpre
+        z = np.maximum(zpre, 0.0)
         cache["z"] = z
         u = z @ p["Watt"] + p["batt"]
         u_shift = u - u.max(axis=1, keepdims=True)
@@ -275,7 +290,7 @@ class QNetwork:
             zi = h @ p[f"Wh{i}"] + p[f"bh{i}"]
             cache[f"zh{i}"] = zi
             cache[f"in_h{i}"] = h
-            h = _relu(zi)
+            h = np.maximum(zi, 0.0)
         cache["h_last"] = h
         q = h @ p["Wout"] + p["bout"]
         return q, cache
@@ -323,10 +338,10 @@ class QNetwork:
         grads["batt"] = du.sum(axis=0)
         dz = dz + du @ p["Watt"].T
 
-        for name, x_key, z_key, lo in (("a", "xa", "za", 0),
-                                       ("b", "xb", "zb", F),
-                                       ("c", "xc", "zc", 2 * F)):
-            dbranch = dz[:, lo:lo + F] * (cache[z_key] > 0)
+        dz *= cache["zpre"] > 0
+        for name, x_key, lo in (("a", "xa", 0), ("b", "xb", F),
+                                ("c", "xc", 2 * F)):
+            dbranch = dz[:, lo:lo + F]
             grads["W" + name] = cache[x_key].T @ dbranch
             grads["b" + name] = dbranch.sum(axis=0)
         return loss, grads

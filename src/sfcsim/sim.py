@@ -257,7 +257,7 @@ class World:
     def _complete_processing(self, now: float) -> None:
         while self.processing and self.processing[0][0] <= now:
             finish, _, instance, request = heapq.heappop(self.processing)
-            instance.allocated_request = None
+            self.substrate.free_instance(instance)
             if request.status in (ACCEPTED, DROPPED):
                 continue
             request.loc = instance.dc

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .routing import PathResult
 from .topology import DataCenterSpec, LinkSpec, NetworkGraph
-from .workload import SfcRequest, VnfType
+from .workload import VNF_ORDER, SfcRequest, VnfType
 
 
 class SubstrateError(RuntimeError):
@@ -30,11 +30,16 @@ class VnfInstance:
 
 @dataclass
 class DcRuntime:
+    """A DC's residual resources and installed instances. Both change only
+    through `Substrate`, which drops the cached state features of the DC
+    after every change to either."""
     spec: DataCenterSpec
     free_vcpu: float = 0.0
     free_ram: float = 0.0
     free_storage: float = 0.0
     installed: dict[str, list[VnfInstance]] = field(default_factory=dict)
+    _features: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         self.free_vcpu = self.spec.compute_cap
@@ -44,6 +49,27 @@ class DcRuntime:
     def instances(self):
         for lst in self.installed.values():
             yield from lst
+
+    def features(self) -> tuple[dict[str, int], dict[str, int],
+                                tuple[float, float, float]]:
+        """The DC as a state view reads it: the installed and idle instance
+        counts of every VNF type in VNF_ORDER, and the free fractions of
+        vCPU, RAM and storage. Kept until the substrate drops them."""
+        if self._features is None:
+            installed = {}
+            idle = {}
+            for v in VNF_ORDER:
+                instances = self.installed.get(v)
+                if instances:
+                    installed[v] = len(instances)
+                    idle[v] = sum(1 for i in instances if i.is_idle())
+                else:  # most types have no instance at a DC
+                    installed[v] = idle[v] = 0
+            self._features = (installed, idle,
+                              (self.free_vcpu / self.spec.compute_cap,
+                               self.free_ram / self.spec.ram_cap,
+                               self.free_storage / self.spec.storage_cap))
+        return self._features
 
 
 class LinkRuntime:
@@ -118,6 +144,7 @@ class Substrate:
         inst = VnfInstance(self._next_instance_id, dc_id, vnf)
         self._next_instance_id += 1
         dc.installed.setdefault(vnf.name, []).append(inst)
+        dc._features = None
         return inst
 
     def uninstall_vnf(self, instance: VnfInstance) -> None:
@@ -134,6 +161,7 @@ class Substrate:
         dc.free_vcpu += vnf.vcpu
         dc.free_ram += vnf.ram
         dc.free_storage += vnf.storage
+        dc._features = None
 
     def allocate(self, request: SfcRequest, instance: VnfInstance,
                  now: float, transfer_delay: float) -> float:
@@ -150,11 +178,29 @@ class Substrate:
         waited = max(0.0, now - request.ready_time)
         instance.allocated_request = request.id
         instance.reserved = False
+        self.dcs[instance.dc]._features = None
         # processing starts once the packet has arrived
         instance.busy_until = now + transfer_delay + vnf.proc_time
         request.next_vnf_index = k + 1
         request.processing_total += waited + vnf.proc_time
         return waited
+
+    def reserve_instance(self, instance: VnfInstance) -> None:
+        """Hold an idle instance for an allocation that waits for the
+        general agent's path assistance."""
+        instance.reserved = True
+        self.dcs[instance.dc]._features = None
+
+    def unreserve_instance(self, instance: VnfInstance) -> None:
+        """Give back a held instance whose assisted allocation found no
+        path."""
+        instance.reserved = False
+        self.dcs[instance.dc]._features = None
+
+    def free_instance(self, instance: VnfInstance) -> None:
+        """Unbind an instance whose processing has completed."""
+        instance.allocated_request = None
+        self.dcs[instance.dc]._features = None
 
     # ---- idle / capacity queries -----------------------------------------
 

@@ -184,7 +184,7 @@ def assisted_alloc_world():
     waiting = SfcRequest(0, cat.sfcs["VS"], 4.0, clusters[0][0], 0)
     r = SfcRequest(1, cat.sfcs["CG"], 4.0, away, clusters[0][0])
     instance = world.substrate.place_vnf(clusters[0][0], cat.vnfs["NAT"])
-    instance.reserved = True
+    world.substrate.reserve_instance(instance)
     world.enqueue(agent, waiting)
     agent.outbox.append(AssistTask(TASK_ALLOC, r, instance))
     return world, agent, waiting, r, instance

@@ -154,6 +154,84 @@ def test_forward_on_rows_matches_contiguous_blocks():
         assert net.forward(x).tobytes() == want.tobytes(), size
 
 
+def ref_loss_and_grads(net, x, actions, targets):
+    """`QNetwork.loss_and_grads` as it was with one array per branch: each
+    branch's pre-activation and ReLU on its own, concatenated, and each
+    branch's backward pass masked by its own pre-activation."""
+    p = net.params
+    F = net.config.branch_width
+    B = x.shape[0]
+    b = INPUT_A_DIM + INPUT_B_DIM
+    xs = {"a": x[:, :INPUT_A_DIM], "b": x[:, INPUT_A_DIM:b], "c": x[:, b:]}
+    pre = {k: xs[k] @ p["W" + k] + p["b" + k] for k in "abc"}
+    z = np.concatenate([np.maximum(pre[k], 0.0) for k in "abc"], axis=1)
+    u = z @ p["Watt"] + p["batt"]
+    exp = np.exp(u - u.max(axis=1, keepdims=True))
+    alpha = exp / exp.sum(axis=1, keepdims=True)
+    h = 3 * F * z * alpha
+    ins, zs = [], []
+    for i in range(len(net.config.hidden_widths)):
+        ins.append(h)
+        zs.append(h @ p[f"Wh{i}"] + p[f"bh{i}"])
+        h = np.maximum(zs[-1], 0.0)
+    q = h @ p["Wout"] + p["bout"]
+    idx = np.arange(B)
+    diff = q[idx, actions] - targets
+    grads = {}
+    dq = np.zeros_like(q)
+    dq[idx, actions] = 2.0 * diff / B
+    grads["Wout"] = h.T @ dq
+    grads["bout"] = dq.sum(axis=0)
+    dh = dq @ p["Wout"].T
+    for i in reversed(range(len(net.config.hidden_widths))):
+        dz = dh * (zs[i] > 0)
+        grads[f"Wh{i}"] = ins[i].T @ dz
+        grads[f"bh{i}"] = dz.sum(axis=0)
+        dh = dz @ p[f"Wh{i}"].T
+    dz = 3 * F * dh * alpha
+    dalpha = 3 * F * dh * z
+    du = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    grads["Watt"] = z.T @ du
+    grads["batt"] = du.sum(axis=0)
+    dz = dz + du @ p["Watt"].T
+    for j, k in enumerate("abc"):
+        dbranch = dz[:, j * F:(j + 1) * F] * (pre[k] > 0)
+        grads["W" + k] = xs[k].T @ dbranch
+        grads["b" + k] = dbranch.sum(axis=0)
+    return float(np.mean(diff ** 2)), grads
+
+
+def test_loss_and_grads_match_per_branch_reference():
+    """The fused branch layer gives the loss and gradient bits of one array
+    per branch, at every batch size up to the update batch of 64, with the
+    trained weights, and again after momentum steps have moved the weights
+    and biases in place and after `copy_params_from` swapped the arrays."""
+    net = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    other = QNetwork(ModelConfig(), seed=3)
+    rng = np.random.default_rng(21)
+
+    def check_all_sizes():
+        for size in range(1, 65):
+            x = rng.uniform(0, 1, (size, STATE_DIM))
+            x[rng.uniform(size=x.shape) < 0.5] = 0.0  # encodings are sparse
+            actions = rng.integers(net.config.action_count, size=size)
+            targets = rng.normal(size=size)
+            loss, grads = net.loss_and_grads(x, actions, targets)
+            want_loss, want = ref_loss_and_grads(net, x, actions, targets)
+            assert loss == want_loss, size
+            assert grads.keys() == want.keys()
+            for k in grads:
+                assert grads[k].tobytes() == want[k].tobytes(), (size, k)
+            last = grads
+        return last
+
+    for _ in range(3):
+        net.apply_grads(check_all_sizes())
+    check_all_sizes()
+    net.copy_params_from(other)
+    check_all_sizes()
+
+
 def test_forward_zero_weights():
     net = QNetwork(ModelConfig(), seed=0)
     for k in net.params:

@@ -737,24 +737,37 @@ def test_encoding_matches_reference_on_random_items():
     """Random float fields, so a different summation order or a pairwise
     (numpy) sum shows in the last bits. An SfcGroups that was summarised
     and then had items removed, or whose step moved on, summarises as the
-    reference does its remaining items at the new step."""
+    reference does its remaining items at the new step; so does one whose
+    type was emptied and refilled within a step, and one that had items
+    added and removed and its step moved before one summary. A second
+    summary at a step gives the same row, and an encoding leaves the row
+    the groups keep as it was."""
     rng = np.random.default_rng(5)
     cat = default_catalog()
 
     def ref_items(items, now):
         return [item_fields(it, now) for it in items]
 
+    def random_items(count, now, sfc_name=None):
+        return [PendingItem(sfc_name=sfc_name or SFC_ORDER[int(rng.integers(6))],
+                            base_ms=float(rng.uniform(-10, 120)),
+                            ready=now - float(rng.uniform(-5, 20)),
+                            bandwidth=float(rng.uniform(0, 120)),
+                            completion_frac=float(rng.uniform(0, 1)),
+                            next_vnf_name=VNF_ORDER[int(rng.integers(6))],
+                            out_of_cluster=False, cluster_id=0, chain_pos=0,
+                            due=math.inf)
+                for _ in range(count)]
+
+    def assert_summary(groups, items, now):
+        row = groups.summary(cat, now)
+        assert row.shape == (INPUT_A_DIM,)
+        assert row.tobytes() == ref_sfc_summary(ref_items(items, now),
+                                                cat).tobytes()
+
     for _ in range(200):
         now = float(rng.integers(0, 50))
-        items = [PendingItem(sfc_name=SFC_ORDER[int(rng.integers(6))],
-                             base_ms=float(rng.uniform(-10, 120)),
-                             ready=now - float(rng.uniform(-5, 20)),
-                             bandwidth=float(rng.uniform(0, 120)),
-                             completion_frac=float(rng.uniform(0, 1)),
-                             next_vnf_name=VNF_ORDER[int(rng.integers(6))],
-                             out_of_cluster=False, cluster_id=0, chain_pos=0,
-                             due=math.inf)
-                 for _ in range(int(rng.integers(0, 120)))]
+        items = random_items(int(rng.integers(0, 120)), now)
         view = StateView(items_local=ref_items(items[::2], now),
                          items_cluster=ref_items(items, now),
                          installed={"FW": int(rng.integers(0, 20))},
@@ -776,8 +789,37 @@ def test_encoding_matches_reference_on_random_items():
         assert np.array_equal(groups.summary(cat, now),
                               ref_sfc_summary(ref_items(kept, now), cat))
         later = now + sim.STEP_MS
-        assert np.array_equal(groups.summary(cat, later),
-                              ref_sfc_summary(ref_items(kept, later), cat))
+        assert_summary(groups, kept, later)
+        # a second summary at the step: the same row, kept as it was
+        first = groups.summary(cat, later).tobytes()
+        assert groups.summary(cat, later).tobytes() == first
+        # an encoding copies the kept rows; changing it leaves them alone
+        enc = encode_state(replace(view_groups, items_local=groups,
+                                   items_cluster=groups, now=later), cat)
+        assert enc.row[:INPUT_A_DIM].tobytes() == first
+        enc.row[:] = -1.0
+        assert groups.summary(cat, later).tobytes() == first
+        # one type emptied and refilled within the step
+        name = SFC_ORDER[int(rng.integers(6))]
+        for it in kept:
+            if it.sfc_name == name:
+                groups.remove(it)
+        assert_summary(groups, [it for it in kept if it.sfc_name != name],
+                       later)
+        refill = random_items(int(rng.integers(0, 4)), later, name)
+        for it in refill:
+            groups.add(it)
+        kept = [it for it in kept if it.sfc_name != name] + refill
+        assert_summary(groups, kept, later)
+        # adds, removes and a step move, then one summary
+        added = random_items(int(rng.integers(0, 8)), later)
+        for it in added:
+            groups.add(it)
+        for it in kept[::4]:
+            groups.remove(it)
+        kept = [it for i, it in enumerate(kept) if i % 4] + added
+        later += float(rng.integers(1, 5))
+        assert_summary(groups, kept, later)
 
 
 CHANGED_CATALOG = {

@@ -8,7 +8,7 @@ import pytest
 from sfcsim.routing import PathResult
 from sfcsim.substrate import Substrate, SubstrateError
 from sfcsim.topology import build_network
-from sfcsim.workload import SfcRequest, default_catalog
+from sfcsim.workload import VNF_ORDER, SfcRequest, default_catalog
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def test_uninstall_busy_refused(cat, sub):
     r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     sub.allocate(r, allocated, 0.0, 0.0)
     reserved = sub.place_vnf(0, cat.vnfs["FW"])
-    reserved.reserved = True
+    sub.reserve_instance(reserved)
     dc = sub.dcs[0]
     for inst in (allocated, reserved):
         before = (dc.free_vcpu, dc.free_ram, dc.free_storage)
@@ -84,6 +84,40 @@ def test_uninstall_busy_refused(cat, sub):
         assert dc.installed["FW"] == [allocated, reserved]
         assert (dc.free_vcpu, dc.free_ram, dc.free_storage) == before
     sub.verify_accounting()
+
+
+def recounted_features(dc):
+    """A DC's state features counted afresh from its instances."""
+    installed = {v: len(dc.installed.get(v, [])) for v in VNF_ORDER}
+    idle = {v: sum(i.is_idle() for i in dc.installed.get(v, []))
+            for v in VNF_ORDER}
+    free = (dc.free_vcpu / dc.spec.compute_cap, dc.free_ram / dc.spec.ram_cap,
+            dc.free_storage / dc.spec.storage_cap)
+    return installed, idle, free
+
+
+def test_dc_features_follow_every_instance_change(cat, sub):
+    """The cached features are read before each change an instance can go
+    through (place, allocate, free, reserve, a reservation given back,
+    uninstall) and equal a fresh count after it; the DC next door keeps
+    its cache."""
+    dc, other = sub.dcs[0], sub.dcs[1]
+    kept = other.features()
+    fw = cat.vnfs["FW"]
+    r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
+    held = sub.place_vnf(0, fw)
+    changes = [lambda: sub.place_vnf(0, fw),
+               lambda: sub.allocate(r, held, 0.0, 0.0),
+               lambda: sub.free_instance(held),
+               lambda: sub.reserve_instance(held),
+               lambda: sub.unreserve_instance(held),
+               lambda: sub.uninstall_vnf(held)]
+    for change in changes:
+        dc.features()
+        change()
+        assert dc.features() == recounted_features(dc)
+    assert dc.features()[0]["FW"] == dc.features()[1]["FW"] == 1
+    assert other.features() is kept == recounted_features(other)
 
 
 def test_uninstall_unknown_instance(cat, sub):
