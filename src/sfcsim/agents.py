@@ -184,13 +184,16 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
 
 
 def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
-    installed, idle, free = world.substrate.dcs[current_dc].features()
+    dc = world.substrate.dcs[current_dc]
+    spec = dc.spec
     return StateView(
         items_local=agent.local[current_dc],
         items_cluster=agent.cluster,
-        installed=installed,
-        idle=idle,
-        free_fracs=free,
+        installed={v: len(lst) for v, lst in dc.installed.items()},
+        idle=dc.idle,
+        free_fracs=(dc.free_vcpu / spec.compute_cap,
+                    dc.free_ram / spec.ram_cap,
+                    dc.free_storage / spec.storage_cap),
         transfer_pending=bool(agent.outbox),
         out_of_cluster_frac=(agent.out_count / len(agent.queue)
                              if agent.queue else 0.0),

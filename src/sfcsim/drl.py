@@ -204,8 +204,8 @@ class SfcGroups:
 class StateView:
     """Everything the encoder needs, pre-extracted by the owning agent at
     step `now`. The item groups keep their summary row between encodings,
-    and `installed`, `idle` and `free_fracs` are the DC's cached features
-    (`DcRuntime.features`): the encoder only reads them."""
+    and `idle` is the idle count per VNF type that the DC keeps
+    (`DcRuntime.idle`): the encoder only reads them."""
     items_local: SfcGroups
     items_cluster: SfcGroups
     installed: dict[str, int]
@@ -472,6 +472,8 @@ def save_weights(net: QNetwork, path: str) -> None:
 
 
 def load_weights(path: str, config: ModelConfig) -> QNetwork:
+    """The network `save_weights` wrote to `path`; DrlError unless it has
+    `config`'s architecture and lists every parameter once, with its shape."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(_MAGIC) or len(data) < len(_MAGIC) + 4:
@@ -479,22 +481,29 @@ def load_weights(path: str, config: ModelConfig) -> QNetwork:
     off = len(_MAGIC)
     (hlen,) = struct.unpack_from("<I", data, off)
     off += 4
-    try:
+    try:  # a header that is not a JSON object has no `get`
         header = json.loads(data[off:off + hlen])
-    except (ValueError, UnicodeDecodeError) as exc:
+        arch_hash, params = header.get("arch_hash"), header.get("params")
+    except (ValueError, UnicodeDecodeError, AttributeError) as exc:
         raise DrlError("corrupt weight header") from exc
     off += hlen
-    if header.get("arch_hash") != config.arch_hash():
+    if arch_hash != config.arch_hash():
         raise DrlError("weight file does not match the model configuration")
     net = QNetwork(config, seed=0)
-    for name, shape in header["params"]:
-        size = int(np.prod(shape)) * 8
-        if off + size > len(data) or name not in net.params \
-                or tuple(shape) != net.params[name].shape:
+    try:  # `params` absent, or not [name, shape] pairs
+        listed = sorted(name for name, _ in params)
+    except (TypeError, ValueError):
+        listed = None
+    if listed != sorted(net.params):
+        raise DrlError("weight file does not name every network parameter "
+                       "exactly once")
+    for name, shape in params:
+        own = net.params[name]
+        if shape != list(own.shape) or off + own.nbytes > len(data):
             raise DrlError("weight file shape mismatch")
         net.params[name] = np.frombuffer(
-            data[off:off + size], dtype="<f8").reshape(shape).copy()
-        off += size
+            data[off:off + own.nbytes], dtype="<f8").reshape(own.shape).copy()
+        off += own.nbytes
     if off != len(data):
         raise DrlError("trailing bytes in weight file")
     return net

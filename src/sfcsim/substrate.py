@@ -30,16 +30,17 @@ class VnfInstance:
 
 @dataclass
 class DcRuntime:
-    """A DC's residual resources and installed instances. Both change only
-    through `Substrate`, which drops the cached state features of the DC
-    after every change to either."""
+    """A DC's residual resources, installed instances and idle instance
+    count per VNF type in VNF_ORDER. All three change only through
+    `Substrate`, which keeps the idle counts at every change of an
+    instance."""
     spec: DataCenterSpec
     free_vcpu: float = 0.0
     free_ram: float = 0.0
     free_storage: float = 0.0
     installed: dict[str, list[VnfInstance]] = field(default_factory=dict)
-    _features: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    idle: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(VNF_ORDER, 0))
 
     def __post_init__(self):
         self.free_vcpu = self.spec.compute_cap
@@ -49,27 +50,6 @@ class DcRuntime:
     def instances(self):
         for lst in self.installed.values():
             yield from lst
-
-    def features(self) -> tuple[dict[str, int], dict[str, int],
-                                tuple[float, float, float]]:
-        """The DC as a state view reads it: the installed and idle instance
-        counts of every VNF type in VNF_ORDER, and the free fractions of
-        vCPU, RAM and storage. Kept until the substrate drops them."""
-        if self._features is None:
-            installed = {}
-            idle = {}
-            for v in VNF_ORDER:
-                instances = self.installed.get(v)
-                if instances:
-                    installed[v] = len(instances)
-                    idle[v] = sum(1 for i in instances if i.is_idle())
-                else:  # most types have no instance at a DC
-                    installed[v] = idle[v] = 0
-            self._features = (installed, idle,
-                              (self.free_vcpu / self.spec.compute_cap,
-                               self.free_ram / self.spec.ram_cap,
-                               self.free_storage / self.spec.storage_cap))
-        return self._features
 
 
 class LinkRuntime:
@@ -144,7 +124,7 @@ class Substrate:
         inst = VnfInstance(self._next_instance_id, dc_id, vnf)
         self._next_instance_id += 1
         dc.installed.setdefault(vnf.name, []).append(inst)
-        dc._features = None
+        dc.idle[vnf.name] += 1
         return inst
 
     def uninstall_vnf(self, instance: VnfInstance) -> None:
@@ -161,7 +141,7 @@ class Substrate:
         dc.free_vcpu += vnf.vcpu
         dc.free_ram += vnf.ram
         dc.free_storage += vnf.storage
-        dc._features = None
+        dc.idle[vnf.name] -= 1
 
     def allocate(self, request: SfcRequest, instance: VnfInstance,
                  now: float, transfer_delay: float) -> float:
@@ -176,9 +156,11 @@ class Substrate:
         if instance.allocated_request is not None:
             raise SubstrateError(f"instance {instance.instance_id} is busy")
         waited = max(0.0, now - request.ready_time)
+        if instance.reserved:  # already counted busy when it was reserved
+            instance.reserved = False
+        else:
+            self.dcs[instance.dc].idle[vnf.name] -= 1
         instance.allocated_request = request.id
-        instance.reserved = False
-        self.dcs[instance.dc]._features = None
         # processing starts once the packet has arrived
         instance.busy_until = now + transfer_delay + vnf.proc_time
         request.next_vnf_index = k + 1
@@ -189,18 +171,18 @@ class Substrate:
         """Hold an idle instance for an allocation that waits for the
         general agent's path assistance."""
         instance.reserved = True
-        self.dcs[instance.dc]._features = None
+        self.dcs[instance.dc].idle[instance.vnf_type.name] -= 1
 
     def unreserve_instance(self, instance: VnfInstance) -> None:
         """Give back a held instance whose assisted allocation found no
         path."""
         instance.reserved = False
-        self.dcs[instance.dc]._features = None
+        self.dcs[instance.dc].idle[instance.vnf_type.name] += 1
 
     def free_instance(self, instance: VnfInstance) -> None:
         """Unbind an instance whose processing has completed."""
         instance.allocated_request = None
-        self.dcs[instance.dc]._features = None
+        self.dcs[instance.dc].idle[instance.vnf_type.name] += 1
 
     # ---- idle / capacity queries -----------------------------------------
 
@@ -235,6 +217,9 @@ class Substrate:
                 raise SubstrateError(f"DC {dc_id}: storage accounting drift")
             if dc.free_vcpu < 0 or dc.free_ram < 0 or dc.free_storage < 0:
                 raise SubstrateError(f"DC {dc_id}: capacity exceeded")
+            for v in VNF_ORDER:
+                if dc.idle[v] != sum(i.is_idle() for i in dc.installed.get(v, ())):
+                    raise SubstrateError(f"DC {dc_id}: {v} idle count drift")
         for key, rt in self.links.items():
             if rt.free_bw != rt.computed_free_bw():
                 raise SubstrateError(f"link {key}: bandwidth accounting drift")

@@ -9,7 +9,7 @@ from typing import Annotated, Iterable
 
 import numpy as np
 
-from .schema import AT_LEAST_0, FINITE_AT_LEAST_0, POSITIVE, Section
+from .schema import AT_LEAST_0, FINITE_AT_LEAST_0, POSITIVE, Section, convert
 
 # Lloyd's loop on capacitated clusters often cycles instead of converging; the
 # cap picks which phase of the cycle make_clusters returns, not how many
@@ -167,7 +167,7 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
                 x, y = (float(v) for v in entry["position"])
                 caps = [float(entry.get(key, getattr(cfg, key)))
                         for key in _DC_CAPS]
-                dc_id = int(entry.get("id", i))
+                dc_id = convert(entry.get("id", i), int, f"topology.dcs[{i}].id")
             dcs.append(DataCenterSpec(dc_id, (x, y), *caps))
         ids = sorted(dc.id for dc in dcs)
         if ids != list(range(len(dcs))):
@@ -180,7 +180,8 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
         for i, entry in enumerate(cfg.links or []):
             with _malformed("links", i, entry):
                 _check_keys(entry, _LINK_KEYS)
-                a, b = sorted((int(entry["a"]), int(entry["b"])))
+                a, b = sorted(convert(entry[k], int, f"topology.links[{i}].{k}")
+                              for k in "ab")
                 if a < 0 or b >= len(dcs):
                     raise ValueError(f"endpoints must be DC ids 0..{len(dcs) - 1}")
                 min_dist = _euclidean(dcs[a].position, dcs[b].position)

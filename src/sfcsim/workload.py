@@ -271,11 +271,11 @@ def import_workload(catalog: Catalog, path: str) -> list[SfcRequest]:
                 if sfc is None:
                     raise ValueError(f"unknown sfc_type {rec['sfc_type']!r}")
                 request = SfcRequest(
-                    id=int(rec["id"]),
+                    id=convert(rec["id"], int, "id"),
                     sfc_type=sfc,
                     bandwidth=float(rec["bandwidth"]),
-                    source_dc=int(rec["source_dc"]),
-                    dest_dc=int(rec["dest_dc"]),
+                    source_dc=convert(rec["source_dc"], int, "source_dc"),
+                    dest_dc=convert(rec["dest_dc"], int, "dest_dc"),
                 )
                 if not 0 < request.bandwidth < math.inf:  # also NaN
                     raise ValueError(f"bandwidth must be positive and finite, "

@@ -101,6 +101,20 @@ def test_eval_missing_weights_file(tmp_path):
     assert rc == 2
 
 
+def test_eval_weights_naming_too_few_parameters(tmp_path, capsys):
+    """A weight file whose header lists only `Wa` exits 2: the other
+    parameters used to keep their initial values and eval exited 0."""
+    cfg = write_config(tmp_path / "c.yaml")
+    net = QNetwork(ModelConfig(), seed=0)
+    net.params = {"Wa": net.params["Wa"]}
+    save_weights(net, str(tmp_path / "wa.bin"))
+    assert cli.main(["eval", "--config", cfg, "--weights",
+                     str(tmp_path / "wa.bin"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "exactly once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
 
 
@@ -635,6 +649,9 @@ REPLAY_RECORD = {"id": 0, "sfc_type": "CG", "bandwidth": 4.0,
     pytest.param([REPLAY_RECORD, {**REPLAY_RECORD, "source_dc": 2}],
                  id="id_duplicate"),
     pytest.param([{**REPLAY_RECORD, "arrival": 400.0}], id="arrival_nonzero"),
+    # `int` truncated these, and the request replayed from DC 1 to DC 1
+    pytest.param([{**REPLAY_RECORD, "source_dc": 1.9, "dest_dc": True}],
+                 id="dc_ids_not_whole"),
 ])
 def test_replay_rejects_malformed_requests(tmp_path, weights, lines):
     """A replay file is outside input: a malformed one exits 2 before any

@@ -1,7 +1,9 @@
 """Q-network tests: encoding invariance, forward determinism, gradient checks
 against finite differences, replay and update mechanics, weight persistence."""
 
+import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +534,43 @@ def test_weight_arch_mismatch(tmp_path):
     save_weights(net, path)
     with pytest.raises(DrlError):
         load_weights(path, ModelConfig(branch_width=16))
+
+
+def test_weight_params_must_name_every_parameter_once(tmp_path):
+    """A header that leaves out a parameter, names one twice or has no
+    `params` is refused: the left-out ones used to keep their seed-0
+    values, and a missing list raised a KeyError. So are a header that is
+    not a JSON object and a shape that is not a list of whole numbers."""
+    cfg = ModelConfig()
+    net = QNetwork(cfg, seed=3)
+    path = str(tmp_path / "w.bin")
+    net.params = {"Wa": net.params["Wa"]}
+    save_weights(net, path)
+    with pytest.raises(DrlError, match="exactly once"):
+        load_weights(path, cfg)
+
+    def write(header):
+        blob = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            fh.write(b"SFCQNET1" + struct.pack("<I", len(blob)) + blob)
+
+    arch = {"arch": cfg.arch_dict(), "arch_hash": cfg.arch_hash()}
+    full = QNetwork(cfg, seed=0).params
+    listed = [[name, list(full[name].shape)] for name in sorted(full)]
+    for params in (listed + listed[:1], listed[1:], 5, [[1, 2, 3]]):
+        write({**arch, "params": params})
+        with pytest.raises(DrlError, match="exactly once"):
+            load_weights(path, cfg)
+    write(arch)
+    with pytest.raises(DrlError, match="exactly once"):
+        load_weights(path, cfg)
+    write([arch])  # JSON, but not an object
+    with pytest.raises(DrlError, match="corrupt weight header"):
+        load_weights(path, cfg)
+    for shape in ("x", None, [None]):  # these crashed inside numpy
+        write({**arch, "params": [[listed[0][0], shape], *listed[1:]]})
+        with pytest.raises(DrlError, match="shape mismatch"):
+            load_weights(path, cfg)
 
 
 def test_weight_corrupt_header(tmp_path):

@@ -86,38 +86,47 @@ def test_uninstall_busy_refused(cat, sub):
     sub.verify_accounting()
 
 
-def recounted_features(dc):
-    """A DC's state features counted afresh from its instances."""
-    installed = {v: len(dc.installed.get(v, [])) for v in VNF_ORDER}
-    idle = {v: sum(i.is_idle() for i in dc.installed.get(v, []))
+def recounted_idle(dc):
+    """A DC's idle instance counts counted afresh from its instances."""
+    return {v: sum(i.is_idle() for i in dc.installed.get(v, []))
             for v in VNF_ORDER}
-    free = (dc.free_vcpu / dc.spec.compute_cap, dc.free_ram / dc.spec.ram_cap,
-            dc.free_storage / dc.spec.storage_cap)
-    return installed, idle, free
 
 
 def test_dc_features_follow_every_instance_change(cat, sub):
-    """The cached features are read before each change an instance can go
-    through (place, allocate, free, reserve, a reservation given back,
-    uninstall) and equal a fresh count after it; the DC next door keeps
-    its cache."""
+    """The idle counts the DC keeps equal a fresh count after each change
+    an instance can go through (place, allocate, free, reserve, a
+    reservation given back, a reservation allocated, uninstall); the DC
+    next door keeps its counts."""
     dc, other = sub.dcs[0], sub.dcs[1]
-    kept = other.features()
+    kept = recounted_idle(other)
     fw = cat.vnfs["FW"]
     r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
+    r2 = SfcRequest(1, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     held = sub.place_vnf(0, fw)
     changes = [lambda: sub.place_vnf(0, fw),
                lambda: sub.allocate(r, held, 0.0, 0.0),
                lambda: sub.free_instance(held),
                lambda: sub.reserve_instance(held),
                lambda: sub.unreserve_instance(held),
+               lambda: sub.reserve_instance(held),
+               lambda: sub.allocate(r2, held, 0.0, 0.0),  # assisted, found
+               lambda: sub.free_instance(held),
                lambda: sub.uninstall_vnf(held)]
     for change in changes:
-        dc.features()
         change()
-        assert dc.features() == recounted_features(dc)
-    assert dc.features()[0]["FW"] == dc.features()[1]["FW"] == 1
-    assert other.features() is kept == recounted_features(other)
+        assert dc.idle == recounted_idle(dc)
+        sub.verify_accounting()
+    assert dc.idle["FW"] == len(dc.installed["FW"]) == 1
+    assert other.idle == kept
+
+
+def test_verify_accounting_catches_idle_count_drift(cat, sub):
+    """An idle count that disagrees with the DC's instances is drift."""
+    sub.place_vnf(2, cat.vnfs["WO"])
+    sub.verify_accounting()
+    sub.dcs[2].idle["WO"] = 0
+    with pytest.raises(SubstrateError, match="DC 2: WO idle count drift"):
+        sub.verify_accounting()
 
 
 def test_uninstall_unknown_instance(cat, sub):

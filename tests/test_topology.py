@@ -101,6 +101,32 @@ def test_rejects_non_finite_values(section, match):
         build_network(section)
 
 
+@pytest.mark.parametrize("section,match", [
+    ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}, {"position": [2, 0]}],
+      "links": [{"a": 0, "b": 1}, {"a": 0.6, "b": 1.2}]},
+     r"topology\.links\[1\].*links\[1\]\.a must be int, got 0\.6"),
+    ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+      "links": [{"a": 0, "b": True}]},
+     r"topology\.links\[0\].*links\[0\]\.b must be int, got True"),
+    ({"dcs": [{"position": [0, 0], "id": 0.5}, {"position": [1, 0], "id": 1}],
+      "links": [{"a": 0, "b": 1}]},
+     r"topology\.dcs\[0\].*dcs\[0\]\.id must be int, got 0\.5"),
+], ids=["link_a_fraction", "link_b_bool", "dc_id_fraction"])
+def test_rejects_ids_that_are_not_whole_numbers(section, match):
+    """DC ids and link endpoints take whole numbers only, as config ints do:
+    `int` used to truncate them, so `{a: 0.6, b: 1.2}` became link (0, 1)."""
+    with pytest.raises(TopologyError, match=match):
+        build_network(section)
+
+
+def test_accepts_whole_float_ids():
+    graph = build_network({"dcs": [{"position": [0, 0], "id": 1.0},
+                                   {"position": [1, 0], "id": 0}],
+                           "links": [{"a": 0.0, "b": 1}]})
+    assert [dc.id for dc in graph.dcs] == [0, 1]
+    assert [link.key for link in graph.links] == [(0, 1)]
+
+
 def ref_generated_network(cfg):
     """A generated network as an earlier build_network made it: each repair
     link came from a rescan of every DC pair, and a DC's neighbours were read

@@ -201,3 +201,24 @@ def test_import_workload_rejects_bandwidth_not_positive_finite(tmp_path,
     with pytest.raises(ValueError,
                        match="line 2: bandwidth must be positive and finite"):
         import_workload(cat, str(path))
+
+
+@pytest.mark.parametrize("field,value", [("source_dc", 1.9), ("dest_dc", True),
+                                         ("id", 0.5), ("source_dc", "1.5")])
+def test_import_workload_takes_only_whole_number_ids(tmp_path, field, value):
+    """A request id or DC id takes whole numbers only: `int` used to
+    truncate them, so `"source_dc": 1.9, "dest_dc": true` replayed from DC 1
+    to DC 1."""
+    cat = default_catalog()
+    path = tmp_path / "wl.jsonl"
+    record = {"id": 0, "sfc_type": "CG", "bandwidth": 4.0,
+              "source_dc": 0, "dest_dc": 1}
+    path.write_text(json.dumps(record) + "\n"
+                    + json.dumps({**record, "id": 1, field: value}) + "\n")
+    with pytest.raises(ValueError,
+                       match=rf"line 2: {field} must be int, got {value!r}"):
+        import_workload(cat, str(path))
+    path.write_text(json.dumps({**record, "id": 2.0, "source_dc": 1.0}) + "\n")
+    [request] = import_workload(cat, str(path))
+    assert (request.id, request.source_dc) == (2, 1)
+    assert type(request.id) is type(request.source_dc) is int
