@@ -5,17 +5,17 @@ every value is converted to its field's declared type and range, or rejected."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Annotated
 
 import yaml
 
 from .drl import ModelConfig
 from .schema import AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, NON_EMPTY, POSITIVE, \
-    Range, Section
+    Range, Section, convert
 from .sim import SimConfig, TrainConfig
 from .topology import TopologyConfig
-from .workload import Catalog, catalog_from_config
+from .workload import Catalog, Overrides, catalog_from_config
 
 
 class ConfigError(ValueError):
@@ -35,7 +35,7 @@ class ClusterConfig(Section, name="cluster"):
 class WorkloadConfig(Section, name="workload"):
     scale: Annotated[float, POSITIVE] = 1.0
     # per-type catalog fields, read by workload.catalog_from_config
-    overrides: dict | None = None
+    overrides: Overrides | None = None
     replay_file: str | None = None
 
 
@@ -72,42 +72,33 @@ SECTIONS = {"topology": TopologyConfig, "cluster": ClusterConfig,
 
 @dataclass
 class RunConfig:
-    topology: TopologyConfig
-    cluster: ClusterConfig
-    workload: WorkloadConfig
-    drl: ModelConfig
-    sim: SimSection
-    train: TrainConfig
-    sweep: SweepConfig | None  # None: no sweep section
-    output: OutputConfig
-    catalog: Catalog  # the default catalog with workload.overrides applied
+    """The sections of a config; an absent section takes its defaults."""
+    topology: TopologyConfig = field(default_factory=TopologyConfig)
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
+    drl: ModelConfig = field(default_factory=ModelConfig)
+    sim: SimSection = field(default_factory=SimSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    sweep: SweepConfig | None = None  # None: no sweep section
+    output: OutputConfig = field(default_factory=OutputConfig)
+    # the default catalog with workload.overrides applied
+    catalog: Catalog = field(init=False)
+
+    def __post_init__(self):
+        self.catalog = catalog_from_config(self.workload.overrides)
 
 
 def from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = set(raw) - set(SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown config sections {sorted(unknown)}")
-    built = {}
+    """The RunConfig of a loaded YAML document. A section that is null or
+    empty is absent: it takes its defaults, and `sweep` runs only from a
+    non-empty section."""
+    if isinstance(raw, dict):
+        raw = {name: content for name, content in raw.items()
+               if content not in (None, {})}
     try:
-        for name, cls in SECTIONS.items():
-            content = raw.get(name)
-            if name == "sweep" and content in (None, {}):
-                built[name] = None  # `sweep` runs only from a non-empty section
-                continue
-            content = {} if content is None else content
-            if not isinstance(content, dict):
-                raise ConfigError(f"section {name!r} must be a mapping")
-            unknown = set(content) - {f.name for f in fields(cls)}
-            if unknown:
-                raise ConfigError(
-                    f"unknown keys in section {name!r}: {sorted(unknown)}")
-            built[name] = cls(**content)
-        catalog = catalog_from_config(built["workload"].overrides)
+        return convert(raw, RunConfig, "")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(**built, catalog=catalog)
 
 
 def load(path: str) -> RunConfig:

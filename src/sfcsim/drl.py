@@ -128,8 +128,9 @@ def _group_summary(group: dict[PendingItem, None],
     completion and the next-VNF histogram, which change only with the
     group's items. Python's left-to-right `sum` over the group in queue
     order fixes the bits."""
-    n = len(group)
-    out = [_clip01(n / sfc.bundle_range[1]), 0.0,
+    n, most = len(group), sfc.bundle_range[1]
+    # a bundle range that ends at 0 reads as full: the clip of n / 0
+    out = [_clip01(n / most) if most else 1.0, 0.0,
            _clip01(sum([it.bandwidth for it in group]) / n / BW_NORM_MBPS),
            _clip01(sum([it.completion_frac for it in group]) / n)]
     out.extend(_ZERO_HISTOGRAM)

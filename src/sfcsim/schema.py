@@ -1,12 +1,14 @@
-"""Config fields: each is converted to its declared type and checked against
-the range declared beside it, such as `Annotated[int, AT_LEAST_1]`, whenever a
-`Section` is built: by the loader, `dataclasses.replace` or a direct call."""
+"""Config values: each is converted to its declared type and checked against
+the range declared beside it, such as `Annotated[int, AT_LEAST_1]`. A
+dataclass is built from a mapping of its fields, each converted the same way,
+and a `Section` converts its fields whenever it is built: by the loader,
+`dataclasses.replace` or a direct call."""
 
 from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from types import NoneType, UnionType
 from typing import Annotated, Callable, NamedTuple, Union, get_args, get_origin, \
@@ -34,9 +36,12 @@ NON_EMPTY = Range("non-empty", len)
 
 
 def convert(value, kind, where: str):
-    """`value` as the declared type `kind`: int, float, str or dict, a list or
-    tuple of those, a union such as `X | None`, or `Annotated[X, range]`;
-    else ValueError naming `where`. An int takes only whole numbers."""
+    """`value` as the declared type `kind`: int, float or str, a list, tuple
+    or `dict[str, X]` of those, a dataclass, a union such as `X | None`, or
+    `Annotated[X, range]`; else ValueError naming `where`, the value's path
+    such as `topology.links[1].a` (empty for the config root). An int takes
+    only whole numbers. A dataclass is built from a mapping that holds each
+    of its required fields and no other key; an instance is taken as it is."""
     if get_origin(kind) in (Union, UnionType):
         if value is None and NoneType in get_args(kind):
             return None
@@ -57,9 +62,23 @@ def convert(value, kind, where: str):
         if len(kinds) == len(value):
             return origin(convert(v, k, f"{where}[{i}]")
                           for i, (v, k) in enumerate(zip(value, kinds)))
-    elif kind is dict:
-        if isinstance(value, dict):
+    elif origin is dict and isinstance(value, dict):
+        return {convert(k, args[0], where): convert(v, args[1], f"{where}.{k}")
+                for k, v in value.items()}
+    elif is_dataclass(kind):
+        if isinstance(value, kind):
             return value
+        if isinstance(value, dict):
+            declared, path = _declared(kind), f"{where}." if where else ""
+            if unknown := [key for key in value if key not in declared]:
+                raise ValueError(f"{where or 'config'}: unknown keys {unknown}, "
+                                 f"expected {list(declared)}")
+            if missing := [f.name for f in fields(kind) if f.init
+                           and f.name not in value and f.default is MISSING
+                           and f.default_factory is MISSING]:
+                raise ValueError(f"{path}{missing[0]} is missing")
+            return kind(**{k: convert(v, declared[k], f"{path}{k}")
+                           for k, v in value.items()})
     elif origin is None and isinstance(value, (int, float, str)) \
             and not isinstance(value, bool):
         try:
@@ -68,15 +87,16 @@ def convert(value, kind, where: str):
                 return converted
         except (ValueError, OverflowError):
             pass
-    name = kind.__name__ if origin is None else str(kind).replace("typing.", "")
-    raise ValueError(f"{where} must be {name}, got {value!r}")
+    name = ("a mapping" if is_dataclass(kind) else kind.__name__
+            if origin is None else str(kind).replace("typing.", ""))
+    raise ValueError(f"{where or 'config'} must be {name}, got {value!r}")
 
 
 @cache
-def _declared(cls) -> tuple[tuple[str, object], ...]:
-    """(name, declared type) of each of `cls`'s fields, resolved once."""
+def _declared(cls) -> dict[str, object]:
+    """Each of `cls`'s init fields with its declared type, resolved once."""
     hints = get_type_hints(cls, include_extras=True)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
 class Section:
@@ -90,6 +110,6 @@ class Section:
             cls.section = name
 
     def __post_init__(self):
-        for name, kind in _declared(type(self)):
+        for name, kind in _declared(type(self)).items():
             setattr(self, name, convert(getattr(self, name), kind,
                                         f"{self.section}.{name}"))

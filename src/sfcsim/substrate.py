@@ -32,8 +32,8 @@ class VnfInstance:
 class DcRuntime:
     """A DC's residual resources, installed instances and idle instance
     count per VNF type in VNF_ORDER. All three change only through
-    `Substrate`, which keeps the idle counts at every change of an
-    instance."""
+    `Substrate`, which recomputes the free resources at each placement and
+    removal and keeps the idle counts at every change of an instance."""
     spec: DataCenterSpec
     free_vcpu: float = 0.0
     free_ram: float = 0.0
@@ -43,13 +43,20 @@ class DcRuntime:
         default_factory=lambda: dict.fromkeys(VNF_ORDER, 0))
 
     def __post_init__(self):
-        self.free_vcpu = self.spec.compute_cap
-        self.free_ram = self.spec.ram_cap
-        self.free_storage = self.spec.storage_cap
+        self.free_vcpu, self.free_ram, self.free_storage = self.computed_free()
 
     def instances(self):
         for lst in self.installed.values():
             yield from lst
+
+    def computed_free(self) -> tuple[float, float, float]:
+        """Free vCPU, RAM and storage recomputed from the installed
+        instances. `fsum` is correctly rounded, so fractional RAM and storage
+        do not depend on the order of placements and removals."""
+        vnfs = [i.vnf_type for i in self.instances()]
+        return (self.spec.compute_cap - sum(v.vcpu for v in vnfs),
+                self.spec.ram_cap - math.fsum(v.ram for v in vnfs),
+                self.spec.storage_cap - math.fsum(v.storage for v in vnfs))
 
 
 class LinkRuntime:
@@ -118,12 +125,10 @@ class Substrate:
         if not self.can_place(dc_id, vnf):
             raise SubstrateError(f"insufficient resources on DC {dc_id} for {vnf.name}")
         dc = self.dcs[dc_id]
-        dc.free_vcpu -= vnf.vcpu
-        dc.free_ram -= vnf.ram
-        dc.free_storage -= vnf.storage
         inst = VnfInstance(self._next_instance_id, dc_id, vnf)
         self._next_instance_id += 1
         dc.installed.setdefault(vnf.name, []).append(inst)
+        dc.free_vcpu, dc.free_ram, dc.free_storage = dc.computed_free()
         dc.idle[vnf.name] += 1
         return inst
 
@@ -137,11 +142,8 @@ class Substrate:
         if not instance.is_idle():
             raise SubstrateError(f"instance {instance.instance_id} is busy")
         lst.remove(instance)
-        vnf = instance.vnf_type
-        dc.free_vcpu += vnf.vcpu
-        dc.free_ram += vnf.ram
-        dc.free_storage += vnf.storage
-        dc.idle[vnf.name] -= 1
+        dc.free_vcpu, dc.free_ram, dc.free_storage = dc.computed_free()
+        dc.idle[instance.vnf_type.name] -= 1
 
     def allocate(self, request: SfcRequest, instance: VnfInstance,
                  now: float, transfer_delay: float) -> float:
@@ -206,15 +208,13 @@ class Substrate:
     def verify_accounting(self) -> None:
         """Recompute every residual from first principles; raise on any drift."""
         for dc_id, dc in self.dcs.items():
-            used_vcpu = sum(i.vnf_type.vcpu for i in dc.instances())
-            used_ram = math.fsum(i.vnf_type.ram for i in dc.instances())
-            used_sto = math.fsum(i.vnf_type.storage for i in dc.instances())
-            if dc.free_vcpu != dc.spec.compute_cap - used_vcpu:
-                raise SubstrateError(f"DC {dc_id}: vCPU accounting drift")
-            if dc.free_ram != dc.spec.ram_cap - used_ram:
-                raise SubstrateError(f"DC {dc_id}: RAM accounting drift")
-            if dc.free_storage != dc.spec.storage_cap - used_sto:
-                raise SubstrateError(f"DC {dc_id}: storage accounting drift")
+            for resource, free, computed in zip(
+                    ("vCPU", "RAM", "storage"),
+                    (dc.free_vcpu, dc.free_ram, dc.free_storage),
+                    dc.computed_free()):
+                if free != computed:
+                    raise SubstrateError(
+                        f"DC {dc_id}: {resource} accounting drift")
             if dc.free_vcpu < 0 or dc.free_ram < 0 or dc.free_storage < 0:
                 raise SubstrateError(f"DC {dc_id}: capacity exceeded")
             for v in VNF_ORDER:

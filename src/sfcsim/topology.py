@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Annotated, Iterable
 
 import numpy as np
 
-from .schema import AT_LEAST_0, FINITE_AT_LEAST_0, POSITIVE, Section, convert
+from .schema import AT_LEAST_0, FINITE, FINITE_AT_LEAST_0, POSITIVE, Section, \
+    convert
 
 # Lloyd's loop on capacitated clusters often cycles instead of converging; the
 # cap picks which phase of the cycle make_clusters returns, not how many
@@ -29,36 +29,13 @@ class DataCenterSpec:
     compute_cap: float  # vCPUs
     ram_cap: float  # GB
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.position)):
-            raise TopologyError(f"DC {self.id}: position must be finite, "
-                                f"got {self.position}")
-        caps = (self.storage_cap, self.compute_cap, self.ram_cap)
-        if not all(0 < cap < math.inf for cap in caps):  # also NaN
-            raise TopologyError(f"DC {self.id}: storage, vCPU and RAM capacities "
-                                f"must be positive and finite, got {caps}")
-
 
 @dataclass(frozen=True)
 class LinkSpec:
-    a: int
+    a: int  # the lower DC id
     b: int
     bandwidth_cap: float  # Mbps
     distance: float  # km
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise TopologyError(f"self-loop link at DC {self.a}")
-        if not 0 < self.bandwidth_cap < math.inf:
-            raise TopologyError(f"link ({self.a},{self.b}): bandwidth must be "
-                                f"positive and finite, got {self.bandwidth_cap}")
-        if not math.isfinite(self.distance):
-            raise TopologyError(f"link ({self.a},{self.b}): distance must be "
-                                f"finite, got {self.distance}")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -109,6 +86,27 @@ def _euclidean(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
+@dataclass(frozen=True)
+class DcEntry:
+    """One `topology.dcs` entry; an unset id is the entry's index, and an
+    unset capacity is the section's."""
+    position: tuple[Annotated[float, FINITE], Annotated[float, FINITE]]  # km
+    id: int | None = None
+    storage_gb: Annotated[float, POSITIVE] | None = None
+    vcpu: Annotated[float, POSITIVE] | None = None
+    ram_gb: Annotated[float, POSITIVE] | None = None
+
+
+@dataclass(frozen=True)
+class LinkEntry:
+    """One `topology.links` entry; an unset distance is the DCs' separation,
+    and an unset bandwidth is the section's `link_bw_mbps`."""
+    a: int
+    b: int
+    distance_km: Annotated[float, FINITE] | None = None
+    bandwidth_mbps: Annotated[float, POSITIVE] | None = None
+
+
 @dataclass
 class TopologyConfig(Section, name="topology"):
     """The `topology` config section: the explicit `dcs` and `links` if
@@ -121,29 +119,12 @@ class TopologyConfig(Section, name="topology"):
     vcpu: Annotated[float, POSITIVE] = 40.0
     link_bw_mbps: Annotated[float, POSITIVE] = 1000.0
     seed: Annotated[int, AT_LEAST_0] | None = None  # unset: 0, or the run seed
-    dcs: list[dict] | None = None
-    links: list[dict] | None = None
+    dcs: list[DcEntry] | None = None
+    links: list[LinkEntry] | None = None
 
 
-_DC_CAPS = ("storage_gb", "vcpu", "ram_gb")  # unset: the section's defaults
-_DC_KEYS = ("position", "id") + _DC_CAPS
-_LINK_KEYS = ("a", "b", "distance_km", "bandwidth_mbps")
-
-
-def _check_keys(entry, allowed: tuple[str, ...]) -> None:
-    unknown = [key for key in entry if key not in allowed]
-    if unknown:
-        raise ValueError(f"unknown keys {unknown}, expected {list(allowed)}")
-
-
-@contextmanager
-def _malformed(section: str, i: int, entry):
-    """Re-raise a failure to read one explicit entry as a TopologyError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"topology.{section}[{i}] is malformed ({exc!r}): "
-                            f"{entry!r}") from exc
+def _unset(value, default):
+    return default if value is None else value
 
 
 def build_network(config: TopologyConfig | dict) -> NetworkGraph:
@@ -156,19 +137,15 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
     components again and again. One union-find finds the components of both.
     """
     try:
-        cfg = config if isinstance(config, TopologyConfig) else TopologyConfig(**config)
+        cfg = convert(config, TopologyConfig, "topology")
     except ValueError as exc:  # a value its field does not take
         raise TopologyError(str(exc)) from None
     if cfg.dcs is not None:
-        dcs = []
-        for i, entry in enumerate(cfg.dcs):
-            with _malformed("dcs", i, entry):
-                _check_keys(entry, _DC_KEYS)
-                x, y = (float(v) for v in entry["position"])
-                caps = [float(entry.get(key, getattr(cfg, key)))
-                        for key in _DC_CAPS]
-                dc_id = convert(entry.get("id", i), int, f"topology.dcs[{i}].id")
-            dcs.append(DataCenterSpec(dc_id, (x, y), *caps))
+        dcs = [DataCenterSpec(_unset(entry.id, i), entry.position,
+                              _unset(entry.storage_gb, cfg.storage_gb),
+                              _unset(entry.vcpu, cfg.vcpu),
+                              _unset(entry.ram_gb, cfg.ram_gb))
+               for i, entry in enumerate(cfg.dcs)]
         ids = sorted(dc.id for dc in dcs)
         if ids != list(range(len(dcs))):
             raise TopologyError("DC ids must be unique and dense 0..N-1")
@@ -178,21 +155,23 @@ def build_network(config: TopologyConfig | dict) -> NetworkGraph:
         links = []
         seen = set()
         for i, entry in enumerate(cfg.links or []):
-            with _malformed("links", i, entry):
-                _check_keys(entry, _LINK_KEYS)
-                a, b = sorted(convert(entry[k], int, f"topology.links[{i}].{k}")
-                              for k in "ab")
-                if a < 0 or b >= len(dcs):
-                    raise ValueError(f"endpoints must be DC ids 0..{len(dcs) - 1}")
-                min_dist = _euclidean(dcs[a].position, dcs[b].position)
-                dist = float(entry.get("distance_km", min_dist))
-                bandwidth = float(entry.get("bandwidth_mbps", cfg.link_bw_mbps))
+            a, b = sorted((entry.a, entry.b))
+            where = f"topology.links[{i}]"
+            if a < 0 or b >= len(dcs):
+                raise TopologyError(f"{where}: endpoints must be DC ids "
+                                    f"0..{len(dcs) - 1}, got {a} and {b}")
+            if a == b:
+                raise TopologyError(f"{where}: self-loop link at DC {a}")
             if (a, b) in seen:
-                raise TopologyError(f"duplicate link ({a},{b})")
+                raise TopologyError(f"{where}: duplicate link ({a},{b})")
             seen.add((a, b))
+            min_dist = _euclidean(dcs[a].position, dcs[b].position)
+            dist = _unset(entry.distance_km, min_dist)
             if dist < min_dist - 1e-9:
-                raise TopologyError(f"link ({a},{b}) shorter than DC separation")
-            links.append(LinkSpec(a, b, bandwidth, dist))
+                raise TopologyError(f"{where}: link ({a},{b}) shorter than DC "
+                                    "separation")
+            links.append(LinkSpec(a, b, _unset(entry.bandwidth_mbps,
+                                               cfg.link_bw_mbps), dist))
     else:
         n = cfg.dc_count
         if n < 2:

@@ -162,54 +162,62 @@ def default_catalog() -> Catalog:
     return Catalog(vnfs, sfcs)
 
 
-# the fields a `workload.overrides` entry may set, with their declared types;
-# `chain` names VNFs of the overridden catalog
-VNF_OVERRIDES = {"vcpu": int, "ram": float, "storage": float, "proc_time": float}
-SFC_OVERRIDES = {"e2e_tolerance": float, "bandwidth": float | tuple[float, float],
-                 "bundle_range": tuple[int, int], "chain": tuple[str, ...]}
+# a `workload.overrides` entry: the fields it sets; unset ones keep the
+# catalog's, and `chain` names VNFs of the overridden catalog
+@dataclass(frozen=True)
+class VnfOverride:
+    vcpu: int | None = None
+    ram: float | None = None
+    storage: float | None = None
+    proc_time: float | None = None
 
 
-def _check_known(where: str, given, known) -> None:
-    if not isinstance(given, dict):
-        raise ValueError(f"{where} must be a mapping, got {given!r}")
-    unknown = set(given) - set(known)
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+@dataclass(frozen=True)
+class SfcOverride:
+    chain: tuple[str, ...] | None = None
+    bandwidth: float | tuple[float, float] | None = None
+    e2e_tolerance: float | None = None
+    bundle_range: tuple[int, int] | None = None
 
 
-def _overridden(overrides: dict, section: str, table: dict, kinds: dict,
-                vnfs: dict | None = None) -> dict:
-    """`table` with the `section` overrides applied, each value converted;
-    a `chain` takes its VNFs from `vnfs`."""
-    where = f"workload.overrides.{section}"
-    given = overrides.get(section) or {}
-    _check_known(where, given, table)
-    table = dict(table)
-    for name, fields in given.items():
-        _check_known(f"{where}.{name}", fields, kinds)
-        values = {k: convert(v, kinds[k], f"{where}.{name}.{k}")
-                  for k, v in fields.items()}
-        try:
-            if "chain" in values:
-                values["chain"] = tuple(vnfs[v] for v in values["chain"])
-            table[name] = replace(table[name], **values)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{where}.{name} is malformed: {exc!r}") from exc
-    return table
+@dataclass(frozen=True)
+class Overrides:
+    """The `workload.overrides` value: VNF and SFC type name -> override."""
+    vnfs: dict[str, VnfOverride] | None = None
+    sfcs: dict[str, SfcOverride] | None = None
 
 
-def catalog_from_config(overrides: dict | None) -> Catalog:
-    """Default catalog with optional per-type field overrides from config;
-    unknown or malformed overrides raise ValueError."""
+def _set(override) -> dict:
+    """The fields that `override` sets."""
+    return {k: v for k, v in vars(override).items() if v is not None}
+
+
+def catalog_from_config(overrides: Overrides | dict | None) -> Catalog:
+    """Default catalog with the `workload.overrides` applied, given as an
+    `Overrides` or a mapping of its fields; an override of an unknown type,
+    a chain of an unknown VNF, or a value its field or type does not take
+    raises ValueError."""
+    overrides = convert(overrides, Overrides | None, "workload.overrides")
     cat = default_catalog()
-    if not overrides:
+    if overrides is None:
         return cat
-    _check_known("workload.overrides", overrides, ("vnfs", "sfcs"))
-    vnfs = _overridden(overrides, "vnfs", cat.vnfs, VNF_OVERRIDES)
-    # every chain takes the overridden VNFs
-    sfcs = {name: replace(sfc, chain=tuple(vnfs[v.name] for v in sfc.chain))
-            for name, sfc in cat.sfcs.items()}
-    sfcs = _overridden(overrides, "sfcs", sfcs, SFC_OVERRIDES, vnfs)
+    vnf_overrides, sfc_overrides = overrides.vnfs or {}, overrides.sfcs or {}
+    for section, given, table in (("vnfs", vnf_overrides, cat.vnfs),
+                                  ("sfcs", sfc_overrides, cat.sfcs)):
+        if unknown := [name for name in given if name not in table]:
+            raise ValueError(f"workload.overrides.{section}: unknown names "
+                             f"{unknown}, expected {list(table)}")
+    vnfs = {name: replace(vnf, **_set(vnf_overrides.get(name, VnfOverride())))
+            for name, vnf in cat.vnfs.items()}
+    sfcs = {}
+    for name, sfc in cat.sfcs.items():
+        values = _set(sfc_overrides.get(name, SfcOverride()))
+        chain = values.pop("chain", [v.name for v in sfc.chain])
+        if unknown := [v for v in chain if v not in vnfs]:
+            raise ValueError(f"workload.overrides.sfcs.{name}.chain: unknown "
+                             f"VNFs {unknown}")
+        # every chain takes the overridden VNFs
+        sfcs[name] = replace(sfc, chain=tuple(vnfs[v] for v in chain), **values)
     return Catalog(vnfs, sfcs)
 
 

@@ -367,6 +367,24 @@ def test_negative_seed_rejected(tmp_path, weights, monkeypatch, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dcs,message", [
+    ([{"position": [0, 0], "vcpus": 1}, {"position": [1, 0]}],
+     "topology.dcs[0]: unknown keys ['vcpus']"),
+    ([{"position": [True, 0]}, {"position": [1, 0]}],
+     "topology.dcs[0].position[0] must be float, got True"),
+], ids=["dc_key_unknown", "dc_position_bool"])
+def test_train_rejects_malformed_topology_entries(tmp_path, capsys, dcs,
+                                                  message):
+    """Entries are checked when the config loads, so `train`, which builds
+    no network from the section, exits 2 on them too; it used to run."""
+    cfg = write_config(tmp_path / "c.yaml", {
+        "topology": {"dcs": dcs, "links": [{"a": 0, "b": 1}]}})
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_unreservable_replay(tmp_path, capsys):
     """Training with replay arrays too large to reserve exits 2 with a
     message, not a MemoryError traceback."""
@@ -665,6 +683,22 @@ def test_replay_rejects_malformed_requests(tmp_path, weights, lines):
     assert cli.main(["replay", "--config", cfg, "--weights", weights,
                      "--out", str(out)]) == 2
     assert not (out / "replay.csv").exists()
+
+
+def test_replay_with_bundle_range_ending_at_zero(tmp_path, weights):
+    """An SFC type whose bundle range ends at 0 replays its requests: the
+    encoder divided their count by 0, and `replay` exited 1 with a
+    traceback."""
+    wl = tmp_path / "wl.jsonl"
+    wl.write_text(json.dumps(REPLAY_RECORD) + "\n")
+    cfg = write_config(tmp_path / "c.yaml", {"workload": {
+        "replay_file": str(wl),
+        "overrides": {"sfcs": {"CG": {"bundle_range": [0, 0]}}}}})
+    out = tmp_path / "out"
+    assert cli.main(["replay", "--config", cfg, "--weights", weights,
+                     "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "replay.csv").open()))
+    assert [r["generated"] for r in rows if r["sfc_type"] == "CG"] == ["1"]
 
 
 def test_env_overrides(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 `resolved_config.yaml` reloads to the same run config."""
 
 import re
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 import yaml
@@ -11,7 +11,10 @@ from sfcsim import cli
 from sfcsim.config import ConfigError, SECTIONS, from_dict, resolved_snapshot
 from sfcsim.drl import ModelConfig
 from sfcsim.sim import SimConfig, TrainConfig
-from sfcsim.topology import TopologyConfig
+from sfcsim.topology import DataCenterSpec, DcEntry, LinkEntry, LinkSpec, \
+    TopologyConfig, build_network
+from sfcsim.workload import Overrides, SfcOverride, SfcType, VnfOverride, \
+    VnfType, default_catalog
 
 EVERY_KEY = {
     "topology": {"dc_count": 6, "area_km": 400.0, "radius_km": 120.0,
@@ -37,6 +40,20 @@ EVERY_KEY = {
 }
 
 
+# every key of a `topology.dcs` and `topology.links` entry, and of a VNF and
+# an SFC override
+EVERY_ENTRY_KEY = {
+    "dcs": [{"position": [0, 0], "id": 1, "storage_gb": 100, "vcpu": 8,
+             "ram_gb": 16},
+            {"position": [3, 4], "id": 0}, {"position": [3, 0]}],
+    "links": [{"a": 1, "b": 0, "distance_km": 6, "bandwidth_mbps": 200},
+              {"a": 2, "b": 0}]}
+EVERY_OVERRIDE = {
+    "vnfs": {"TM": {"vcpu": 2, "ram": 1.5, "storage": 0.5, "proc_time": 0.2}},
+    "sfcs": {"MIoT": {"chain": ["TM", "NAT"], "bandwidth": [2, 3],
+                      "e2e_tolerance": 7, "bundle_range": [1, 2]}}}
+
+
 def reload(cfg):
     return from_dict(yaml.safe_load(yaml.safe_dump(resolved_snapshot(cfg))))
 
@@ -47,12 +64,20 @@ def reload(cfg):
     {"sim": {"actions_per_step": 25, "max_steps": 60, "alloc_bonus": 0.0,
              "reward_clip": 1.0}},
     {"train": {"validation_cell": [4, 2, 0.1]}},
-], ids=["empty", "every_key", "sim", "validation_cell"])
+    {"topology": EVERY_ENTRY_KEY, "workload": {"overrides": EVERY_OVERRIDE}},
+    {"workload": {"overrides": {"vnfs": None, "sfcs": {"VS": {}}}}},
+], ids=["empty", "every_key", "sim", "validation_cell", "every_entry_key",
+        "vnfs_null"])
 def test_resolved_snapshot_round_trips(raw):
     cfg = from_dict(raw)
     again = reload(cfg)
     assert again == cfg
     assert reload(again) == cfg
+
+
+def part(value, key):
+    """`value`'s entry or field `key`."""
+    return value[key] if isinstance(value, (list, dict)) else getattr(value, key)
 
 
 def test_every_dataclass_field_is_a_yaml_key(tmp_path):
@@ -69,6 +94,31 @@ def test_every_dataclass_field_is_a_yaml_key(tmp_path):
             # each field is accepted on its own, with the value written
             single = from_dict({**raw, section: {name: written[section][name]}})
             assert single == cfg
+    # so is each field of an entry or override, beside the required ones
+    cfg = from_dict({"topology": EVERY_ENTRY_KEY,
+                     "workload": {"overrides": EVERY_OVERRIDE}})
+    cli._write_snapshot(cfg, str(tmp_path), None)
+    written = yaml.safe_load((tmp_path / "resolved_config.yaml").read_text())
+    for path, cls in [(("topology", "dcs", 0), DcEntry),
+                      (("topology", "links", 0), LinkEntry),
+                      (("workload", "overrides"), Overrides),
+                      (("workload", "overrides", "vnfs", "TM"), VnfOverride),
+                      (("workload", "overrides", "sfcs", "MIoT"), SfcOverride)]:
+        *outer, key = path
+        holder, kept = written, cfg
+        for step in outer:
+            holder, kept = holder[step], part(kept, step)
+        entry = holder[key]
+        assert set(entry) == {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        for name in entry:
+            holder[key] = {k: v for k, v in entry.items()
+                           if k == name or k in required}
+            single = from_dict(written)
+            for step in path:
+                single = part(single, step)
+            assert getattr(single, name) == getattr(part(kept, key), name)
+        holder[key] = entry
 
 
 def test_training_and_evaluation_share_sim_defaults():
@@ -132,3 +182,93 @@ def test_override_ints_take_whole_numbers(overrides, message):
     with pytest.raises(ConfigError) as err:
         from_dict({"workload": {"overrides": overrides}})
     assert str(err.value) == f"workload.overrides.{message}"
+
+
+TWO_DC_TOPOLOGY = {"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+                   "links": [{"a": 0, "b": 1}]}
+TWO_DC_NETWORK = ([DataCenterSpec(0, (0.0, 0.0), 2048.0, 40.0, 256.0),
+                   DataCenterSpec(1, (1.0, 0.0), 2048.0, 40.0, 256.0)],
+                  [LinkSpec(0, 1, 1000.0, 1.0)])
+
+
+@pytest.mark.parametrize("raw,network,vnfs,sfcs", [
+    pytest.param(
+        {"topology": {**EVERY_ENTRY_KEY, "vcpu": 30, "link_bw_mbps": 300}},
+        ([DataCenterSpec(0, (3.0, 4.0), 2048.0, 30.0, 256.0),
+          DataCenterSpec(1, (0.0, 0.0), 100.0, 8.0, 16.0),
+          DataCenterSpec(2, (3.0, 0.0), 2048.0, 30.0, 256.0)],
+         [LinkSpec(0, 1, 200.0, 6.0), LinkSpec(0, 2, 300.0, 4.0)]),
+        {}, {}, id="explicit_every_key"),
+    pytest.param(
+        {"topology": {"dcs": [{"position": ["0", "1.5"], "id": "1"},
+                              {"position": [2, "1.5"], "id": "0",
+                               "ram_gb": "64"}],
+                      "links": [{"a": "0", "b": "1", "distance_km": "3",
+                                 "bandwidth_mbps": "50"}]},
+         "workload": {"overrides": {
+             "vnfs": {"NAT": {"vcpu": "3", "ram": "2.5"}},
+             "sfcs": {"VoIP": {"e2e_tolerance": "50", "bandwidth": "0.5"}}}}},
+        ([DataCenterSpec(0, (2.0, 1.5), 2048.0, 40.0, 64.0),
+          DataCenterSpec(1, (0.0, 1.5), 2048.0, 40.0, 256.0)],
+         [LinkSpec(0, 1, 50.0, 3.0)]),
+        {"NAT": VnfType("NAT", 3, 2.5, 7, 0.06)},
+        {"VoIP": {"e2e_tolerance": 50.0, "bandwidth": 0.5}},
+        id="numeric_strings"),
+    pytest.param(
+        {"topology": {"dcs": [{"position": [0, 0], "id": 1.0},
+                              {"position": [1, 0], "id": 0.0}],
+                      "links": [{"a": 0.0, "b": 1.0}]},
+         "workload": {"overrides": {
+             "vnfs": {"FW": {"vcpu": 3.0}},
+             "sfcs": {"AR": {"bundle_range": [2.0, 5.0]}}}}},
+        ([DataCenterSpec(0, (1.0, 0.0), 2048.0, 40.0, 256.0),
+          DataCenterSpec(1, (0.0, 0.0), 2048.0, 40.0, 256.0)],
+         [LinkSpec(0, 1, 1000.0, 1.0)]),
+        {"FW": VnfType("FW", 3, 5, 1, 0.03)},
+        {"AR": {"bundle_range": (2, 5)}}, id="whole_floats"),
+    pytest.param(
+        {"topology": TWO_DC_TOPOLOGY,
+         "workload": {"overrides": EVERY_OVERRIDE}},
+        TWO_DC_NETWORK, {"TM": VnfType("TM", 2, 1.5, 0.5, 0.2)},
+        {"MIoT": {"chain": ("TM", "NAT"), "bandwidth": (2.0, 3.0),
+                  "e2e_tolerance": 7.0, "bundle_range": (1, 2)}},
+        id="every_override_field"),
+    pytest.param(
+        {"topology": TWO_DC_TOPOLOGY,
+         "workload": {"overrides": {"vnfs": None, "sfcs": {"VS": {
+             "bandwidth": 5}}}}},
+        TWO_DC_NETWORK, {}, {"VS": {"bandwidth": 5.0}}, id="vnfs_null"),
+])
+def test_accepted_configs_load_to_these_values(raw, network, vnfs, sfcs):
+    """What an accepted config loads to: its network, and the default
+    catalog with the named VNFs replaced and the named SFC fields set, each
+    chain made of the catalog's VNFs. Ints are ints and floats floats."""
+    cfg = from_dict(raw)
+    graph = build_network(cfg.topology)
+    assert (graph.dcs, graph.links) == network
+    for dc in graph.dcs:
+        assert type(dc.id) is int
+        assert all(type(x) is float for x in (*dc.position, dc.storage_cap,
+                                              dc.compute_cap, dc.ram_cap))
+    for link in graph.links:
+        assert type(link.a) is type(link.b) is int
+        assert type(link.bandwidth_cap) is type(link.distance) is float
+    default, cat = default_catalog(), cfg.catalog
+    assert cat.vnfs == {**default.vnfs, **vnfs}
+    for name, sfc in cat.sfcs.items():
+        want = {"chain": tuple(v.name for v in default.sfcs[name].chain),
+                "bandwidth": default.sfcs[name].bandwidth,
+                "e2e_tolerance": default.sfcs[name].e2e_tolerance,
+                "bundle_range": default.sfcs[name].bundle_range,
+                **sfcs.get(name, {})}
+        assert sfc == SfcType(name, tuple(cat.vnfs[v] for v in want["chain"]),
+                              *(want[k] for k in ("bandwidth", "e2e_tolerance",
+                                                  "bundle_range")))
+    for vnf in cat.vnfs.values():
+        assert type(vnf.vcpu) is int
+    for sfc in cat.sfcs.values():
+        assert type(sfc.e2e_tolerance) is float
+        assert all(type(n) is int for n in sfc.bundle_range)
+        assert all(type(bw) is float for bw in (
+            sfc.bandwidth if isinstance(sfc.bandwidth, tuple)
+            else (sfc.bandwidth,)))

@@ -15,7 +15,7 @@ from sfcsim.drl import (DrlError, INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM,
                         encode_state, load_weights, save_weights, update)
 from sfcsim.sim import SimConfig, run_episode
 from sfcsim.topology import build_network
-from sfcsim.workload import VNF_ORDER, default_catalog
+from sfcsim.workload import VNF_ORDER, catalog_from_config, default_catalog
 
 TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
@@ -81,6 +81,24 @@ def test_encode_single_cg_request():
     assert np.all(input_a[base + 5:base + 10] == 0.0)
     # other SFC type blocks untouched
     assert np.all(input_a[10:] == 0.0)
+
+
+def test_encode_count_of_a_bundle_range_ending_at_zero():
+    """An SFC type whose bundle range ends at 0 reads a count of 1.0, the
+    clip of n / 0, where it raised ZeroDivisionError; every other feature
+    keeps its bits."""
+    rows = []
+    for cat in (default_catalog(),
+                catalog_from_config({"sfcs": {"CG": {"bundle_range": [0, 0]}}})):
+        view = empty_view()
+        items = [pending("CG", 80.0, 4.0, 0.0, "NAT"),
+                 pending("AR", 9.0, 100.0, 0.4, "TM")]
+        view.items_local, view.items_cluster = grouped(items), grouped(items)
+        rows.append(encode_state(view, cat).row)
+    default, zero = rows
+    changed = np.flatnonzero(default != zero)
+    assert len(changed) == 2  # CG's count among local and cluster items
+    assert np.all(default[changed] == 1 / 55) and np.all(zero[changed] == 1.0)
 
 
 def test_encoding_bounds_and_locality():

@@ -8,7 +8,8 @@ import pytest
 from sfcsim.routing import PathResult
 from sfcsim.substrate import Substrate, SubstrateError
 from sfcsim.topology import build_network
-from sfcsim.workload import VNF_ORDER, SfcRequest, default_catalog
+from sfcsim.workload import VNF_ORDER, SfcRequest, catalog_from_config, \
+    default_catalog
 
 
 @pytest.fixture
@@ -84,6 +85,23 @@ def test_uninstall_busy_refused(cat, sub):
         assert dc.installed["FW"] == [allocated, reserved]
         assert (dc.free_vcpu, dc.free_ram, dc.free_storage) == before
     sub.verify_accounting()
+
+
+def test_fractional_ram_and_storage_keep_exact_accounting(sub):
+    """A VNF with fractional RAM and storage, as `workload.overrides` can
+    set, places and uninstalls without accounting drift: running sums of
+    0.1 differ from the correctly rounded total, and three placements used
+    to raise `RAM accounting drift`. Removing them all frees every unit."""
+    nat = catalog_from_config(
+        {"vnfs": {"NAT": {"ram": 0.1, "storage": 0.1}}}).vnfs["NAT"]
+    dc = sub.dcs[0]
+    caps = (dc.free_vcpu, dc.free_ram, dc.free_storage)
+    placed = [sub.place_vnf(0, nat) for _ in range(3)]
+    sub.verify_accounting()
+    for inst in placed:
+        sub.uninstall_vnf(inst)
+        sub.verify_accounting()
+    assert (dc.free_vcpu, dc.free_ram, dc.free_storage) == caps
 
 
 def recounted_idle(dc):

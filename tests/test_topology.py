@@ -80,16 +80,18 @@ def test_rejects_bad_configs():
     ({"dc_count": 4, "area_km": float("nan")}, r"area_km.*nan"),
     ({"dc_count": 4, "radius_km": -5.0}, r"radius_km.*-5"),
     ({"dcs": [{"position": [float("nan"), 0]}, {"position": [1, 0]}],
-      "links": [{"a": 0, "b": 1}]}, r"DC 0: position.*nan"),
+      "links": [{"a": 0, "b": 1}]},
+     r"^topology\.dcs\[0\]\.position\[0\] must be finite, got nan$"),
     ({"dcs": [{"position": [0, 0], "ram_gb": float("inf")},
               {"position": [1, 0]}],
-      "links": [{"a": 0, "b": 1}]}, r"DC 0: .*capacities.*inf"),
+      "links": [{"a": 0, "b": 1}]},
+     r"^topology\.dcs\[0\]\.ram_gb must be positive and finite, got inf$"),
     ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
       "links": [{"a": 0, "b": 1, "distance_km": float("inf")}]},
-     r"link \(0,1\): distance.*inf"),
+     r"^topology\.links\[0\]\.distance_km must be finite, got inf$"),
     ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
       "links": [{"a": 0, "b": 1, "bandwidth_mbps": float("nan")}]},
-     r"link \(0,1\): bandwidth.*nan"),
+     r"^topology\.links\[0\]\.bandwidth_mbps must be positive and finite, got nan$"),
 ], ids=["link_bw_nan", "vcpu_nan", "storage_inf", "area_nan", "radius_negative",
         "dc_position_nan", "dc_ram_inf", "link_distance_inf",
         "link_bandwidth_nan"])
@@ -104,19 +106,46 @@ def test_rejects_non_finite_values(section, match):
 @pytest.mark.parametrize("section,match", [
     ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}, {"position": [2, 0]}],
       "links": [{"a": 0, "b": 1}, {"a": 0.6, "b": 1.2}]},
-     r"topology\.links\[1\].*links\[1\]\.a must be int, got 0\.6"),
+     r"^topology\.links\[1\]\.a must be int, got 0\.6$"),
     ({"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
       "links": [{"a": 0, "b": True}]},
-     r"topology\.links\[0\].*links\[0\]\.b must be int, got True"),
+     r"^topology\.links\[0\]\.b must be int, got True$"),
     ({"dcs": [{"position": [0, 0], "id": 0.5}, {"position": [1, 0], "id": 1}],
       "links": [{"a": 0, "b": 1}]},
-     r"topology\.dcs\[0\].*dcs\[0\]\.id must be int, got 0\.5"),
+     r"^topology\.dcs\[0\]\.id must be int, got 0\.5$"),
 ], ids=["link_a_fraction", "link_b_bool", "dc_id_fraction"])
 def test_rejects_ids_that_are_not_whole_numbers(section, match):
     """DC ids and link endpoints take whole numbers only, as config ints do:
     `int` used to truncate them, so `{a: 0.6, b: 1.2}` became link (0, 1)."""
     with pytest.raises(TopologyError, match=match):
         build_network(section)
+
+
+THREE_DCS = [{"position": [0, 0]}, {"position": [3, 0]}, {"position": [3, 4]}]
+
+
+@pytest.mark.parametrize("dcs,links,match", [
+    ([{"position": [0, 0], "id": 1}, {"position": [1, 0], "id": 1}],
+     [{"a": 0, "b": 1}], "DC ids must be unique and dense"),
+    ([{"position": [0, 0]}, {"position": [1, 0], "id": 2}],
+     [{"a": 0, "b": 1}], "DC ids must be unique and dense"),
+    ([{"position": [0, 0]}], [], "need at least 2 DCs"),
+    (THREE_DCS, [{"a": 0, "b": 1}, {"a": -1, "b": 2}],
+     r"^topology\.links\[1\]: endpoints must be DC ids 0\.\.2, got -1 and 2$"),
+    (THREE_DCS, [{"a": 0, "b": 1}, {"a": 2, "b": 2}],
+     r"^topology\.links\[1\]: self-loop link at DC 2$"),
+    (THREE_DCS, [{"a": 0, "b": 1}, {"a": 1, "b": 2}, {"a": 1, "b": 0}],
+     r"^topology\.links\[2\]: duplicate link \(0,1\)$"),
+    (THREE_DCS, [{"a": 0, "b": 1}, {"a": 0, "b": 2, "distance_km": 4.9}],
+     r"^topology\.links\[1\]: link \(0,2\) shorter than DC separation$"),
+    (THREE_DCS, [{"a": 0, "b": 1}], "explicit topology is disconnected"),
+], ids=["id_repeated", "id_gap", "one_dc", "endpoint_negative", "self_loop",
+        "duplicate_reversed", "too_short", "disconnected"])
+def test_rejects_networks_that_no_single_field_rejects(dcs, links, match):
+    """The checks that need more than one entry: dense unique ids, endpoints
+    among them, no self-loop, duplicate or too-short link, connectivity."""
+    with pytest.raises(TopologyError, match=match):
+        build_network({"dcs": dcs, "links": links})
 
 
 def test_accepts_whole_float_ids():
