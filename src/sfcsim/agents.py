@@ -189,7 +189,7 @@ def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
     return StateView(
         items_local=agent.local[current_dc],
         items_cluster=agent.cluster,
-        installed={v: len(lst) for v, lst in dc.installed.items()},
+        installed=dc.installed_counts,
         idle=dc.idle,
         free_fracs=(dc.free_vcpu / spec.compute_cap,
                     dc.free_ram / spec.ram_cap,
@@ -284,14 +284,16 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
                          if agent.ranked(vnf.name, now) else 0.0)
 
 
-def begin_action(agent: LocalAgent, world) -> tuple[int, StateEncoding]:
+def begin_action(agent: LocalAgent, world, row: np.ndarray | None = None
+                 ) -> tuple[int, StateEncoding]:
     """The agent's part of a round before its epsilon-greedy draw, within a
-    turn that `run_step` started: DC cursor advance and state encoding.
-    Returns the action's DC and its state."""
+    turn that `run_step` started: DC cursor advance and state encoding, into
+    `row` (the agent's row of the round's matrix) when given. Returns the
+    action's DC and its state."""
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
     agent.cursor += 1
     return current_dc, encode_state(build_state_view(agent, world, current_dc),
-                                    world.catalog)
+                                    world.catalog, row)
 
 
 def local_step(agent: LocalAgent, world, current_dc: int, action: int,

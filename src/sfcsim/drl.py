@@ -30,6 +30,10 @@ _ZERO_HISTOGRAM = (0.0,) * len(VNF_ORDER)
 _ZERO_BLOCK = (0.0,) * SFC_FEATURES
 # the first column of each SFC type's slice in an INPUT_A_DIM summary
 _SFC_BASE = {name: t * SFC_FEATURES for t, name in enumerate(SFC_ORDER)}
+# input B's floats as native doubles, packed straight into a row's buffer
+# from input B's first byte on: faster than assigning a list to the slice
+_INPUT_B = struct.Struct(f"{INPUT_B_DIM}d")
+_INPUT_B_OFFSET = INPUT_A_DIM * np.dtype(float).itemsize
 
 _MAGIC = b"SFCQNET1"
 
@@ -58,7 +62,7 @@ class ModelConfig(Section, name="drl"):
             raise ValueError(f"drl.batch_size {self.batch_size} exceeds "
                              f"drl.replay_capacity {self.replay_capacity}")
         try:  # as much as the replay arrays take, reserved and released
-            np.empty((self.replay_capacity, 2 * STATE_DIM + 3))
+            np.empty((self.replay_capacity, 2 * STATE_DIM + 5))
         except MemoryError:
             raise ValueError(f"drl.replay_capacity {self.replay_capacity} is too "
                              "large: its replay arrays cannot be reserved") from None
@@ -201,12 +205,13 @@ class SfcGroups:
         return row
 
 
-@dataclass
+@dataclass(slots=True)
 class StateView:
     """Everything the encoder needs, pre-extracted by the owning agent at
     step `now`. The item groups keep their summary row between encodings,
-    and `idle` is the idle count per VNF type that the DC keeps
-    (`DcRuntime.idle`): the encoder only reads them."""
+    and `installed` and `idle` are the installed and idle counts per VNF
+    type that the DC keeps (`DcRuntime.installed_counts`, `DcRuntime.idle`):
+    the encoder only reads them."""
     items_local: SfcGroups
     items_cluster: SfcGroups
     installed: dict[str, int]
@@ -217,9 +222,13 @@ class StateView:
     now: float
 
 
-def encode_state(view: StateView, catalog: Catalog) -> StateEncoding:
-    """Fixed-length normalized encoding, independent of cluster size."""
-    row = np.empty(STATE_DIM)
+def encode_state(view: StateView, catalog: Catalog,
+                 row: np.ndarray | None = None) -> StateEncoding:
+    """Fixed-length normalized encoding, independent of cluster size,
+    written into `row` (a C-contiguous STATE_DIM row, such as a row of a
+    round's matrix), else into a new row."""
+    if row is None:
+        row = np.empty(STATE_DIM)
     row[:INPUT_A_DIM] = view.items_local.summary(catalog, view.now)
     dc_block = []
     installed, idle = view.installed, view.idle
@@ -230,7 +239,7 @@ def encode_state(view: StateView, catalog: Catalog) -> StateEncoding:
         dc_block.append(_INSTANCE_FRACS[n] if n <= _MAX_TABLED else 1.0)
     for f in view.free_fracs:
         dc_block.append(_clip01(f))
-    row[INPUT_A_DIM:_C_START] = dc_block
+    _INPUT_B.pack_into(row, _INPUT_B_OFFSET, *dc_block)
     row[_C_START:-2] = view.items_cluster.summary(catalog, view.now)
     row[-2] = 1.0 if view.transfer_pending else 0.0
     row[-1] = _clip01(view.out_of_cluster_frac)
@@ -266,42 +275,49 @@ class QNetwork:
 
     # ---- forward ----------------------------------------------------------
 
-    def _forward_cached(self, x):
+    def _forward(self, x, cache=None):
+        """The Q-values of the state rows `x`. Given a `cache` dict, it keeps
+        there the activations `loss_and_grads` reads; without one it
+        overwrites each activation with the next in place."""
+        keep = cache is not None
         p = self.params
         F = self.config.branch_width
         xa = x[:, :INPUT_A_DIM]
         xb, xc = x[:, INPUT_A_DIM:_C_START], x[:, _C_START:]
-        cache = {"xa": xa, "xb": xb, "xc": xc}
         # the three branches side by side in one pre-activation array
         zpre = np.empty((x.shape[0], 3 * F))
         for lo, xi, name in ((0, xa, "a"), (F, xb, "b"), (2 * F, xc, "c")):
             out = zpre[:, lo:lo + F]
             np.matmul(xi, p["W" + name], out=out)
             out += p["b" + name]
-        cache["zpre"] = zpre
-        z = np.maximum(zpre, 0.0)
-        cache["z"] = z
-        u = z @ p["Watt"] + p["batt"]
-        u_shift = u - u.max(axis=1, keepdims=True)
-        exp = np.exp(u_shift)
-        alpha = exp / exp.sum(axis=1, keepdims=True)
-        cache["alpha"] = alpha
-        h = 3 * F * z * alpha
+        z = np.maximum(zpre, 0.0, out=None if keep else zpre)
+        u = z @ p["Watt"]
+        u += p["batt"]
+        u -= u.max(axis=1, keepdims=True)
+        alpha = np.exp(u, out=u)
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        h = np.multiply(3 * F, z, out=None if keep else z)
+        h *= alpha
+        if keep:
+            cache.update(xa=xa, xb=xb, xc=xc, zpre=zpre, z=z, alpha=alpha)
         for i in range(len(self.config.hidden_widths)):
-            zi = h @ p[f"Wh{i}"] + p[f"bh{i}"]
-            cache[f"zh{i}"] = zi
-            cache[f"in_h{i}"] = h
-            h = np.maximum(zi, 0.0)
-        cache["h_last"] = h
-        q = h @ p["Wout"] + p["bout"]
-        return q, cache
+            zi = h @ p[f"Wh{i}"]
+            zi += p[f"bh{i}"]
+            if keep:
+                cache[f"zh{i}"] = zi
+                cache[f"in_h{i}"] = h
+            h = np.maximum(zi, 0.0, out=None if keep else zi)
+        if keep:
+            cache["h_last"] = h
+        q = h @ p["Wout"]
+        q += p["bout"]
+        return q
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values, one row per state row of `x`, shape (B, STATE_DIM)."""
         if x.shape[1] != STATE_DIM:
             raise DrlError("input dimension mismatch")
-        q, _ = self._forward_cached(x)
-        return q
+        return self._forward(x)
 
     # ---- backward ---------------------------------------------------------
 
@@ -311,7 +327,8 @@ class QNetwork:
         p = self.params
         F = self.config.branch_width
         B = x.shape[0]
-        q, cache = self._forward_cached(x)
+        cache = {}
+        q = self._forward(x, cache)
         idx = np.arange(B)
         diff = q[idx, actions] - targets
         loss = float(np.mean(diff ** 2))
@@ -369,12 +386,13 @@ class QNetwork:
         return net
 
 
-def act(net: QNetwork, states: list[StateEncoding], epsilon: float,
+def act(net: QNetwork, rows: np.ndarray, epsilon: float,
         rngs: list[np.random.Generator]) -> list[int]:
-    """Epsilon-greedy actions for a round of states, one generator each;
-    greedy ties break to the lowest index. Each generator draws `random()`,
-    then `integers` when it explores. The greedy rows go through one
-    `forward` call."""
+    """Epsilon-greedy actions for a round of states, the rows of `rows`,
+    with one generator each; greedy ties break to the lowest index. Each
+    generator draws `random()`, then `integers` when it explores. The greedy
+    rows go through one `forward` call: the whole matrix when every row is
+    greedy."""
     if not 0.0 <= epsilon <= 1.0:
         raise DrlError("epsilon must be in [0,1]")
     actions: list[int] = []
@@ -386,35 +404,46 @@ def act(net: QNetwork, states: list[StateEncoding], epsilon: float,
             actions.append(-1)
             greedy.append(i)
     if greedy:
-        q = net.forward(np.stack([states[i].row for i in greedy]))
-        for i, a in zip(greedy, q.argmax(axis=1)):
-            actions[i] = int(a)
+        q = net.forward(rows if len(greedy) == len(rows) else rows[greedy])
+        for i, a in zip(greedy, q.argmax(axis=1).tolist()):
+            actions[i] = a
     return actions
 
 
 class ReplayMemory:
-    """Ring buffer of transitions, one row each in arrays allocated once at
-    `capacity`: a state's row in `states` and `next_states`, and the
-    action, reward and terminal flag in one slot each. `np.empty` only
-    reserves them; a page becomes resident when a row on it is first
-    written. Each push writes row `pos` and advances it, back to row 0
-    after the last."""
+    """Ring buffer of transitions in arrays allocated once at `capacity`:
+    the action, reward and terminal flag in one slot each, and the indices
+    of its state's and next state's rows in one store of `2 * capacity`
+    rows. `np.empty` only reserves them; a page becomes resident when a row
+    on it is first written. Each push fills slot `pos` and advances it, back
+    to slot 0 after the last. It writes the state's row, and the next
+    state's unless the next state is the state itself, at the store's
+    cursor, which wraps the same way. A push writes at most 2 rows, so the
+    rows of the last `capacity` transitions are never overwritten while
+    they are held."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.states = np.empty((capacity, STATE_DIM))
-        self.next_states = np.empty((capacity, STATE_DIM))
+        self.rows = np.empty((2 * capacity, STATE_DIM))
+        self.state_row = np.empty(capacity, dtype=int)
+        self.next_row = np.empty(capacity, dtype=int)
         self.actions = np.empty(capacity, dtype=int)
         self.rewards = np.empty(capacity)
         self.terminal = np.empty(capacity, dtype=bool)
         self.size = 0
         self.pos = 0
+        self.row_pos = 0  # the store's next row to write
 
     def push(self, state: StateEncoding, action: int, next_state: StateEncoding,
              reward: float, terminal: bool) -> None:
-        i = self.pos
-        self.states[i] = state.row
-        self.next_states[i] = next_state.row
+        i, r, store = self.pos, self.row_pos, len(self.rows)
+        self.rows[r] = state.row
+        self.state_row[i] = r
+        if next_state is not state:
+            r = (r + 1) % store
+            self.rows[r] = next_state.row
+        self.next_row[i] = r
+        self.row_pos = (r + 1) % store
         self.actions[i] = action
         self.rewards[i] = reward
         self.terminal[i] = terminal
@@ -426,7 +455,7 @@ class ReplayMemory:
         return self.size
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """The row indices of a batch drawn without replacement."""
+        """The slot indices of a batch drawn without replacement."""
         return rng.choice(self.size, size=batch_size, replace=False)
 
 
@@ -435,16 +464,16 @@ def update(net: QNetwork, target_net: QNetwork, memory: ReplayMemory,
     """One DQN gradient step on a random replay batch, with next states scored
     by `target_net`, which takes `net`'s parameters every `target_sync`
     updates; None if memory is short. The batch's state rows are gathered
-    from the replay arrays by index."""
+    from the replay row store through the slots' row indices."""
     if len(memory) < config.batch_size:
         return None
     idx = memory.sample(config.batch_size, rng)
-    next_q = target_net.forward(memory.next_states[idx])
+    next_q = target_net.forward(memory.rows[memory.next_row[idx]])
     targets = memory.rewards[idx] + np.where(
         memory.terminal[idx], 0.0, config.discount * next_q.max(axis=1))
 
-    loss, grads = net.loss_and_grads(memory.states[idx], memory.actions[idx],
-                                     targets)
+    loss, grads = net.loss_and_grads(memory.rows[memory.state_row[idx]],
+                                     memory.actions[idx], targets)
     net.apply_grads(grads)
     net.update_count += 1
     if net.update_count % config.target_sync == 0:

@@ -45,11 +45,14 @@ def convert(value, kind, where: str):
     if get_origin(kind) in (Union, UnionType):
         if value is None and NoneType in get_args(kind):
             return None
-        *others, last = (k for k in get_args(kind) if k is not NoneType)
-        for other in others:  # the first alternative that takes the value
+        kinds = [k for k in get_args(kind) if k is not NoneType]
+        if len(kinds) == 1:  # `X | None`: X's own message
+            return convert(value, kinds[0], where)
+        for other in kinds:  # the first alternative that takes the value
             with suppress(ValueError):
                 return convert(value, other, where)
-        return convert(value, last, where)
+        raise ValueError(f"{where or 'config'} must be "
+                         f"{' or '.join(map(_type_name, kinds))}, got {value!r}")
     origin, args = get_origin(kind), get_args(kind)
     if origin is Annotated:
         converted, valid = convert(value, args[0], where), args[1]
@@ -87,9 +90,16 @@ def convert(value, kind, where: str):
                 return converted
         except (ValueError, OverflowError):
             pass
-    name = ("a mapping" if is_dataclass(kind) else kind.__name__
-            if origin is None else str(kind).replace("typing.", ""))
-    raise ValueError(f"{where or 'config'} must be {name}, got {value!r}")
+    raise ValueError(f"{where or 'config'} must be {_type_name(kind)}, "
+                     f"got {value!r}")
+
+
+def _type_name(kind) -> str:
+    """`kind` as an error message names it: `Annotated[X, range]` as X."""
+    if get_origin(kind) is Annotated:
+        return _type_name(get_args(kind)[0])
+    return ("a mapping" if is_dataclass(kind) else kind.__name__
+            if get_origin(kind) is None else str(kind).replace("typing.", ""))
 
 
 @cache

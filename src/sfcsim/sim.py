@@ -316,8 +316,9 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
     deadline pass drops the queued requests whose due steps have come.
     The agent phase runs in rounds of at most one action per agent. In a
     round, each agent that still acts takes its `begin_action` in agent-id
-    order, one `act` call picks all their actions with a single batched
-    forward pass over the greedy ones, and each agent's `local_step` then
+    order, encoding its state into its row of the round's one matrix, one
+    `act` call picks all their actions with a single batched forward pass
+    over the matrix's greedy rows, and each agent's `local_step` then
     executes its action, again in agent-id order. An agent leaves the phase
     when its queue and outbox are empty, when its action was invalid or
     idle, or after `actions_per_step` rounds. A local agent's action touches
@@ -340,9 +341,11 @@ def run_step(world: World, epsilon: float, train: bool = False) -> None:
     for _ in range(world.config.actions_per_step):
         if not acting:
             break
-        begun = [begin_action(agent, world) for agent in acting]
-        actions = drl.act(acting[0].policy, [state for _, state in begun],
-                          epsilon, [agent.rng for agent in acting])
+        rows = np.empty((len(acting), drl.STATE_DIM))
+        begun = [begin_action(agent, world, row)
+                 for agent, row in zip(acting, rows)]
+        actions = drl.act(acting[0].policy, rows, epsilon,
+                          [agent.rng for agent in acting])
         still = []
         for agent, (current_dc, state), action in zip(acting, begun, actions):
             status, outcome, state, next_state = local_step(

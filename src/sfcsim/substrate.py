@@ -30,15 +30,18 @@ class VnfInstance:
 
 @dataclass
 class DcRuntime:
-    """A DC's residual resources, installed instances and idle instance
-    count per VNF type in VNF_ORDER. All three change only through
-    `Substrate`, which recomputes the free resources at each placement and
-    removal and keeps the idle counts at every change of an instance."""
+    """A DC's residual resources, installed instances, and installed and
+    idle instance counts per VNF type in VNF_ORDER. All four change only
+    through `Substrate`, which recomputes the free resources and keeps the
+    installed counts at each placement and removal, and keeps the idle
+    counts at every change of an instance."""
     spec: DataCenterSpec
     free_vcpu: float = 0.0
     free_ram: float = 0.0
     free_storage: float = 0.0
     installed: dict[str, list[VnfInstance]] = field(default_factory=dict)
+    installed_counts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(VNF_ORDER, 0))
     idle: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(VNF_ORDER, 0))
 
@@ -129,6 +132,7 @@ class Substrate:
         self._next_instance_id += 1
         dc.installed.setdefault(vnf.name, []).append(inst)
         dc.free_vcpu, dc.free_ram, dc.free_storage = dc.computed_free()
+        dc.installed_counts[vnf.name] += 1
         dc.idle[vnf.name] += 1
         return inst
 
@@ -143,6 +147,7 @@ class Substrate:
             raise SubstrateError(f"instance {instance.instance_id} is busy")
         lst.remove(instance)
         dc.free_vcpu, dc.free_ram, dc.free_storage = dc.computed_free()
+        dc.installed_counts[instance.vnf_type.name] -= 1
         dc.idle[instance.vnf_type.name] -= 1
 
     def allocate(self, request: SfcRequest, instance: VnfInstance,
@@ -218,7 +223,10 @@ class Substrate:
             if dc.free_vcpu < 0 or dc.free_ram < 0 or dc.free_storage < 0:
                 raise SubstrateError(f"DC {dc_id}: capacity exceeded")
             for v in VNF_ORDER:
-                if dc.idle[v] != sum(i.is_idle() for i in dc.installed.get(v, ())):
+                instances = dc.installed.get(v, ())
+                if dc.installed_counts[v] != len(instances):
+                    raise SubstrateError(f"DC {dc_id}: {v} installed count drift")
+                if dc.idle[v] != sum(i.is_idle() for i in instances):
                     raise SubstrateError(f"DC {dc_id}: {v} idle count drift")
         for key, rt in self.links.items():
             if rt.free_bw != rt.computed_free_bw():

@@ -375,14 +375,31 @@ def test_negative_seed_rejected(tmp_path, weights, monkeypatch, capsys, argv,
 ], ids=["dc_key_unknown", "dc_position_bool"])
 def test_train_rejects_malformed_topology_entries(tmp_path, capsys, dcs,
                                                   message):
-    """Entries are checked when the config loads, so `train`, which builds
-    no network from the section, exits 2 on them too; it used to run."""
+    """Entries are checked when the config loads, so `train` exits 2 on
+    them too; it used to run."""
     cfg = write_config(tmp_path / "c.yaml", {
         "topology": {"dcs": dcs, "links": [{"a": 0, "b": 1}]}})
     out = tmp_path / "out"
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_rejects_a_topology_that_build_network_rejects(tmp_path,
+                                                            capsys):
+    """`train` builds the `topology` section's network before it trains, so
+    a link to a DC that does not exist exits 2 as under `clusters`; it used
+    to train and write its outputs."""
+    cfg = write_config(tmp_path / "c.yaml", {
+        "topology": {"dcs": [{"position": [0, 0]}, {"position": [1, 0]}],
+                     "links": [{"a": 0, "b": 9}]},
+        "train": {"episodes": 1}})
+    for command in ("train", "clusters"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert ("topology.links[0]: endpoints must be DC ids 0..1, got 0 and 9"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_train_rejects_unreservable_replay(tmp_path, capsys):

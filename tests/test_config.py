@@ -171,6 +171,19 @@ def test_direct_construction_is_checked(make, name):
         make()
 
 
+@pytest.mark.parametrize("value", ["x", [1, "x"], [1, 2, 3]],
+                         ids=["string", "bad_range_item", "three_items"])
+def test_union_error_names_every_alternative(value):
+    """A value that no alternative of a union takes is reported against all
+    of them: the message named only the last, a tuple, although a single
+    number is the usual bandwidth."""
+    with pytest.raises(ConfigError) as err:
+        from_dict({"workload": {"overrides": {"sfcs": {"CG": {
+            "bandwidth": value}}}}})
+    assert str(err.value) == ("workload.overrides.sfcs.CG.bandwidth must be "
+                              f"float or tuple[float, float], got {value!r}")
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"vnfs": {"NAT": {"vcpu": 1.5}}}, "vnfs.NAT.vcpu must be int, got 1.5"),
     ({"sfcs": {"AR": {"bundle_range": [1.7, 4.2]}}},

@@ -174,6 +174,45 @@ def test_forward_on_rows_matches_contiguous_blocks():
         assert net.forward(x).tobytes() == want.tobytes(), size
 
 
+def randomized(net, seed):
+    """`net` with every parameter, biases included, drawn at random."""
+    rng = np.random.default_rng(seed)
+    for k, v in net.params.items():
+        net.params[k] = rng.normal(0.0, 0.3, v.shape)
+    return net
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_weights(TRAINED_WEIGHTS, ModelConfig()),
+    lambda: randomized(QNetwork(ModelConfig()), 9),
+    lambda: randomized(QNetwork(small_config()), 9),
+], ids=["trained", "random", "small"])
+def test_forward_gives_the_q_of_the_training_forward(make):
+    """`forward`, which overwrites its activations in place, gives the bits
+    of the Q-values `loss_and_grads` computes while it keeps them, at every
+    batch size from 1 to 64, and leaves its input as it was."""
+    net = make()
+    rng = np.random.default_rng(31)
+    real = net._forward
+    kept = []
+
+    def keeping(x, cache=None):
+        assert cache is not None  # the training forward keeps a cache
+        kept.append(real(x, cache))
+        return kept[-1]
+
+    for size in range(1, 65):
+        x = rng.uniform(0, 1, (size, STATE_DIM))
+        x[rng.uniform(size=x.shape) < 0.5] = 0.0  # encodings are sparse
+        given = x.copy()
+        net._forward = keeping
+        net.loss_and_grads(x, rng.integers(net.config.action_count, size=size),
+                           rng.normal(size=size))
+        del net._forward
+        assert net.forward(x).tobytes() == kept[-1].tobytes(), size
+        assert x.tobytes() == given.tobytes()
+
+
 def ref_loss_and_grads(net, x, actions, targets):
     """`QNetwork.loss_and_grads` as it was with one array per branch: each
     branch's pre-activation and ReLU on its own, concatenated, and each
@@ -263,7 +302,8 @@ def test_forward_zero_weights():
 def test_attention_weights_normalized():
     net = QNetwork(ModelConfig(), seed=5)
     s = random_state(np.random.default_rng(7))
-    _, cache = net._forward_cached(s.row[None])
+    cache = {}
+    net._forward(s.row[None], cache)
     assert cache["alpha"].sum(axis=1) == pytest.approx(1.0)
 
 
@@ -277,9 +317,9 @@ def test_act_epsilon_extremes():
     net = QNetwork(ModelConfig(), seed=1)
     s = random_state(np.random.default_rng(4))
     rng = np.random.default_rng(0)
-    assert act(net, [s], 0.0, [rng]) == [int(np.argmax(q_values(net, s)))]
+    assert act(net, s.row[None], 0.0, [rng]) == [int(np.argmax(q_values(net, s)))]
     with pytest.raises(DrlError):
-        act(net, [s], 1.5, [rng])
+        act(net, s.row[None], 1.5, [rng])
 
 
 def test_act_draws_as_one_state_at_a_time():
@@ -300,7 +340,8 @@ def test_act_draws_as_one_state_at_a_time():
             else:
                 want.append(int(np.argmax(q_values(net, s))))
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        assert act(net, states, epsilon, rngs) == want
+        assert act(net, np.stack([s.row for s in states]), epsilon,
+                   rngs) == want
         # and each generator is left where the single-state draws leave it
         for r, seed in zip(rngs, seeds):
             ref = np.random.default_rng(seed)
@@ -310,8 +351,70 @@ def test_act_draws_as_one_state_at_a_time():
     seen = []
     real = net.forward
     net.forward = lambda x: seen.append(x.shape) or real(x)
-    act(net, [states[0]], 0.0, [np.random.default_rng(0)])
+    act(net, states[0].row[None], 0.0, [np.random.default_rng(0)])
     assert seen == [(1, STATE_DIM)]
+
+
+def ref_act(net, states, epsilon, rngs):
+    """`act` as it was on a list of encodings: the greedy rows stacked."""
+    actions, greedy = [], []
+    for i, rng in enumerate(rngs):
+        if rng.random() < epsilon:
+            actions.append(int(rng.integers(net.config.action_count)))
+        else:
+            actions.append(-1)
+            greedy.append(i)
+    if greedy:
+        q = net.forward(np.stack([states[i].row for i in greedy]))
+        for i, a in zip(greedy, q.argmax(axis=1)):
+            actions[i] = int(a)
+    return actions
+
+
+def test_act_on_a_round_matrix_matches_stacked_rows():
+    """Encodings written into the rows of one round matrix, as `run_step`
+    writes them, hold the bits of encodings made one by one, and `act` on
+    the matrix gives the actions and leaves each generator where the stacked
+    rows of the one-by-one encodings do, with greedy and exploring rows in
+    the same round."""
+    net = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    cat = default_catalog()
+    rng = np.random.default_rng(17)
+    names = list(cat.sfcs)
+    mixed = 0  # rounds with greedy and exploring rows
+    for epsilon in (0.0, 0.5, 1.0):
+        for size in (1, 2, 7, 20):
+            views = []
+            for _ in range(size):
+                items = [pending(names[int(rng.integers(6))],
+                                 float(rng.uniform(-10, 200)),
+                                 float(rng.uniform(0, 500)),
+                                 float(rng.uniform(0, 1)),
+                                 VNF_ORDER[int(rng.integers(6))])
+                         for _ in range(int(rng.integers(0, 30)))]
+                view = empty_view()
+                view.items_local = grouped(items[::2])
+                view.items_cluster = grouped(items)
+                view.installed = {"NAT": int(rng.integers(0, 12))}
+                view.idle = {"FW": int(rng.integers(0, 12))}
+                views.append(view)
+            rows = np.empty((size, STATE_DIM))
+            in_rows = [encode_state(v, cat, row) for v, row in zip(views, rows)]
+            alone = [encode_state(v, cat) for v in views]
+            for enc, row, ref in zip(in_rows, rows, alone):
+                assert np.shares_memory(enc.row, rows)
+                assert row.tobytes() == ref.row.tobytes()
+            seeds = [int(x) for x in rng.integers(2 ** 31, size=size)]
+            explores = {np.random.default_rng(seed).random() < epsilon
+                        for seed in seeds}
+            mixed += len(explores) == 2
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            ref_rngs = [np.random.default_rng(seed) for seed in seeds]
+            assert (act(net, rows, epsilon, rngs)
+                    == ref_act(net, alone, epsilon, ref_rngs))
+            for r, ref in zip(rngs, ref_rngs):
+                assert r.random() == ref.random()
+    assert mixed >= 2
 
 
 def test_act_uniform_at_epsilon_one():
@@ -320,7 +423,7 @@ def test_act_uniform_at_epsilon_one():
     rng = np.random.default_rng(99)
     n = 100_000
     counts = np.zeros(13)
-    for a in act(net, [s] * n, 1.0, [rng] * n):
+    for a in act(net, np.broadcast_to(s.row, (n, STATE_DIM)), 1.0, [rng] * n):
         counts[a] += 1
     expected = n / 13
     sigma = np.sqrt(n * (1 / 13) * (12 / 13))
@@ -372,8 +475,8 @@ def test_gradient_matches_finite_differences():
 
 
 def test_replay_capacity_and_sampling():
-    """Pushes fill rows 0, 1, ... and then wrap: after 8 pushes into 5 rows,
-    rows 0-2 hold pushes 5-7 and rows 3-4 pushes 3-4."""
+    """Pushes fill slots 0, 1, ... and then wrap: after 8 pushes into 5 slots,
+    slots 0-2 hold pushes 5-7 and slots 3-4 pushes 3-4."""
     mem = ReplayMemory(5)
     rng = np.random.default_rng(0)
     pushed = [(random_state(rng), random_state(rng)) for _ in range(8)]
@@ -384,12 +487,34 @@ def test_replay_capacity_and_sampling():
     assert mem.rewards.tolist() == [float(i) for i in survivors]
     assert mem.actions.tolist() == [i % 13 for i in survivors]
     assert mem.terminal.tolist() == [i % 2 == 1 for i in survivors]
-    for row, i in enumerate(survivors):
+    for slot, i in enumerate(survivors):
         s, s2 = pushed[i]
-        assert np.array_equal(mem.states[row], s.row)
-        assert np.array_equal(mem.next_states[row], s2.row)
+        assert np.array_equal(mem.rows[mem.state_row[slot]], s.row)
+        assert np.array_equal(mem.rows[mem.next_row[slot]], s2.row)
     idx = mem.sample(5, np.random.default_rng(1))
     assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
+
+
+def test_replay_writes_a_noop_transition_once():
+    """A push whose next state is its state writes one row, any other push
+    two, and the rows of every held transition stay as pushed while the
+    slots and the row store wrap."""
+    mem = ReplayMemory(5)
+    rng = np.random.default_rng(3)
+    pushed = []
+    for i in range(40):
+        s = random_state(rng)
+        s2 = s if rng.random() < 0.6 else random_state(rng)
+        row_pos = mem.row_pos
+        mem.push(s, i % 13, s2, float(i), False)
+        pushed.append((s, s2))
+        assert mem.row_pos == (row_pos + (1 if s2 is s else 2)) % 10
+        last = len(pushed) - 1
+        for slot in range(len(mem)):  # holds the latest push with its index
+            s, s2 = pushed[last - (last - slot) % 5]
+            assert mem.rows[mem.state_row[slot]].tobytes() == s.row.tobytes()
+            assert mem.rows[mem.next_row[slot]].tobytes() == s2.row.tobytes()
+            assert (mem.state_row[slot] == mem.next_row[slot]) == (s2 is s)
 
 
 class RefReplayMemory:

@@ -238,9 +238,9 @@ def check_local_steps(monkeypatch):
         assert [r.id for r in agent.queue] == [r.id for r in keep]
         seen["moved"] += len(moved)
 
-    def begun(agent, world):
+    def begun(agent, world, row=None):
         now = world.now
-        result = real_begin(agent, world)
+        result = real_begin(agent, world, row)
         current_dc, got = result
         want = wanted[id(agent)] = ref_encode_state(
             ref_build_state_view(agent, world, current_dc), world.catalog)

@@ -110,13 +110,19 @@ def recounted_idle(dc):
             for v in VNF_ORDER}
 
 
+def recounted_installed(dc):
+    """A DC's installed instance counts counted afresh from its instances."""
+    return {v: len(dc.installed.get(v, [])) for v in VNF_ORDER}
+
+
 def test_dc_features_follow_every_instance_change(cat, sub):
-    """The idle counts the DC keeps equal a fresh count after each change
-    an instance can go through (place, allocate, free, reserve, a
-    reservation given back, a reservation allocated, uninstall); the DC
+    """The idle and installed counts the DC keeps equal a fresh count after
+    each change an instance can go through (place, allocate, free, reserve,
+    a reservation given back, a reservation allocated, uninstall); the DC
     next door keeps its counts."""
     dc, other = sub.dcs[0], sub.dcs[1]
     kept = recounted_idle(other)
+    kept_installed = recounted_installed(other)
     fw = cat.vnfs["FW"]
     r = SfcRequest(0, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
     r2 = SfcRequest(1, cat.sfcs["Ind4.0"], 70.0, 0, 1, next_vnf_index=1)
@@ -133,9 +139,12 @@ def test_dc_features_follow_every_instance_change(cat, sub):
     for change in changes:
         change()
         assert dc.idle == recounted_idle(dc)
+        assert dc.installed_counts == recounted_installed(dc)
         sub.verify_accounting()
     assert dc.idle["FW"] == len(dc.installed["FW"]) == 1
+    assert dc.installed_counts["FW"] == 1
     assert other.idle == kept
+    assert other.installed_counts == kept_installed
 
 
 def test_verify_accounting_catches_idle_count_drift(cat, sub):
@@ -144,6 +153,16 @@ def test_verify_accounting_catches_idle_count_drift(cat, sub):
     sub.verify_accounting()
     sub.dcs[2].idle["WO"] = 0
     with pytest.raises(SubstrateError, match="DC 2: WO idle count drift"):
+        sub.verify_accounting()
+
+
+def test_verify_accounting_catches_installed_count_drift(cat, sub):
+    """An installed count that disagrees with the DC's instances is drift."""
+    sub.place_vnf(2, cat.vnfs["WO"])
+    sub.verify_accounting()
+    sub.dcs[2].installed_counts["WO"] = 2
+    with pytest.raises(SubstrateError,
+                       match="DC 2: WO installed count drift"):
         sub.verify_accounting()
 
 
