@@ -284,12 +284,12 @@ def _execute_action(agent: LocalAgent, world, current_dc: int,
                          if agent.ranked(vnf.name, now) else 0.0)
 
 
-def begin_action(agent: LocalAgent, world, row: np.ndarray | None = None
+def begin_action(agent: LocalAgent, world, row: np.ndarray
                  ) -> tuple[int, StateEncoding]:
     """The agent's part of a round before its epsilon-greedy draw, within a
-    turn that `run_step` started: DC cursor advance and state encoding, into
-    `row` (the agent's row of the round's matrix) when given. Returns the
-    action's DC and its state."""
+    turn that `run_step` started: DC cursor advance and state encoding into
+    `row`, the agent's row of the round's matrix. Returns the action's DC and
+    its state."""
     current_dc = agent.dc_ids[agent.cursor % len(agent.dc_ids)]
     agent.cursor += 1
     return current_dc, encode_state(build_state_view(agent, world, current_dc),

@@ -119,9 +119,10 @@ def cmd_train(args) -> int:
     cfg = config_mod.load(args.config)
     out_dir = _out_dir(cfg, args)
     seed = _seed_list(cfg, args)[0]
-    # training draws its own networks, but the `topology` section is
+    # training draws its own networks, but an explicit entry list is
     # checked the way the other commands check it: by building it
-    sim.run_network(cfg.topology, seed)
+    if cfg.topology.dcs is not None:
+        sim.run_network(cfg.topology, seed)
     result = sim.train(cfg.train, seed, cfg.drl, cfg.sim, cfg.catalog)
     os.makedirs(out_dir, exist_ok=True)
     drl.save_weights(result.best, os.path.join(out_dir, "weights.bin"))

@@ -4,9 +4,10 @@ assist dispatch, and reward bookkeeping."""
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sfcsim import agents, sim
+from sfcsim import agents, drl, sim
 from sfcsim.agents import priority_rank, setup
 from sfcsim.drl import ModelConfig, QNetwork, load_weights
 from sfcsim.sim import World, build_world, run_episode
@@ -253,7 +254,8 @@ def test_noop_action_records_its_state_as_next_state():
     agent = world.general.local_agents[0]
     for action in (0, agents.ACTION_IDLE):  # place NAT with an empty queue
         agents._scan_scope(agent, world)  # starts the turn, as run_step does
-        current_dc, state = agents.begin_action(agent, world)
+        current_dc, state = agents.begin_action(agent, world,
+                                                np.empty(drl.STATE_DIM))
         _, outcome, got, next_state = agents.local_step(
             agent, world, current_dc, action, state, record_states=True)
         assert outcome.invalid == (action == 0)

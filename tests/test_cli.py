@@ -402,6 +402,17 @@ def test_train_rejects_a_topology_that_build_network_rejects(tmp_path,
         assert not out.exists()
 
 
+def test_train_without_a_topology_section(tmp_path):
+    """Training draws its own networks, so a config with no `topology`
+    section trains: a generated topology is not built, and its unset
+    `dc_count` is not a fault."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"train": {"episodes": 1}}))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "weights.bin").exists()
+
+
 def test_train_rejects_unreservable_replay(tmp_path, capsys):
     """Training with replay arrays too large to reserve exits 2 with a
     message, not a MemoryError traceback."""

@@ -238,7 +238,7 @@ def check_local_steps(monkeypatch):
         assert [r.id for r in agent.queue] == [r.id for r in keep]
         seen["moved"] += len(moved)
 
-    def begun(agent, world, row=None):
+    def begun(agent, world, row):
         now = world.now
         result = real_begin(agent, world, row)
         current_dc, got = result
