@@ -290,25 +290,29 @@ def _kmeans_pp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
 
 
 def _greedy_assign(points: np.ndarray, centroids: np.ndarray, size_limit: int) -> np.ndarray:
+    """Each DC's nearest centroid with room, DCs with the widest gap between
+    their two nearest taken first, ties to the lowest index; only a DC whose
+    nearest centroid is full pays for a masked `argmin`."""
     n, k = len(points), len(centroids)
-    dist = np.sqrt(((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
     if k == 1:
         return np.zeros(n, dtype=np.intp)
-    # each DC's clusters nearest first; the stable sort puts equal distances
-    # in index order, so ties go to the lowest cluster index
-    prefs = np.argsort(dist, axis=1, kind="stable")
-    part = np.take_along_axis(dist, prefs[:, :2], axis=1)
-    # most committed DCs (largest gap between best and runner-up) assigned first
+    dx = points[:, :1] - centroids[:, 0]
+    dy = points[:, 1:] - centroids[:, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    part = np.partition(dist, 1, axis=1)
     order = np.argsort(part[:, 0] - part[:, 1], kind="stable")
+    nearest = dist.argmin(axis=1).tolist()
     remaining = [size_limit] * k
+    full = np.zeros(k, dtype=bool)
     assign = np.empty(n, dtype=np.intp)
-    rows = prefs.tolist()
     for i in order.tolist():
-        for c in rows[i]:  # the nearest open centroid
-            if remaining[c]:
-                break
+        c = nearest[i]
+        if not remaining[c]:
+            c = int(np.where(full, np.inf, dist[i]).argmin())
         assign[i] = c
         remaining[c] -= 1
+        if not remaining[c]:
+            full[c] = True
     return assign
 
 
@@ -347,24 +351,19 @@ def make_clusters(graph: NetworkGraph, size_limit: int, seed: int) -> ClusterPar
             break
         history.append(centroids)
         prev = assign
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = np.flatnonzero(assign == c)
-            if len(members):
-                new_centroids[c] = points[members].mean(axis=0)
-        centroids = new_centroids
+        # the members' means; bincount adds in DC order, as mean(axis=0) does
+        sizes = np.bincount(assign, minlength=k)[:, None]
+        sums = np.array([np.bincount(assign, xs, k) for xs in points.T]).T
+        centroids = np.divide(sums, sizes, out=centroids.copy(), where=sizes > 0)
     assign = assign.tolist()
 
-    # drop empty clusters; renumber by ascending lowest member id
-    members_by_c: dict[int, list[int]] = {}
-    for i, c in enumerate(assign):
-        members_by_c.setdefault(c, []).append(i)
-    old_ids = sorted(members_by_c, key=lambda c: min(members_by_c[c]))
-    remap = {old: new for new, old in enumerate(old_ids)}
-
-    assignment = {i: remap[assign[i]] for i in range(n)}
-    clusters = {remap[c]: sorted(members_by_c[c]) for c in old_ids}
-    cents = {remap[c]: (float(centroids[c][0]), float(centroids[c][1])) for c in old_ids}
+    # drop empty clusters; number the rest in order of their lowest member
+    remap = {old: new for new, old in enumerate(dict.fromkeys(assign))}
+    assignment = {i: remap[c] for i, c in enumerate(assign)}
+    clusters: dict[int, list[int]] = {c: [] for c in remap.values()}
+    for i, c in assignment.items():
+        clusters[c].append(i)
+    cents = {new: tuple(centroids[old].tolist()) for old, new in remap.items()}
 
     intra: dict[int, list[LinkSpec]] = {c: [] for c in clusters}
     inter: list[LinkSpec] = []

@@ -550,3 +550,65 @@ def test_early_stop_matches_full_lloyd_loop():
                           if states[-1 - j] == last)
             cycles += period >= 2
     assert capped >= 10 and cycles >= 1
+
+
+def west_seeded_instance(points, limit, rng):
+    """k-means++ centroids for `points` at `limit` drawn from their western
+    third only, so the nearest centroids of most DCs fill up before they are
+    reached and the DCs fall back to farther ones."""
+    k = math.ceil(len(points) / limit)
+    west = points[np.argsort(points[:, 0], kind="stable")[:max(k, len(points) // 3)]]
+    return topology._kmeans_pp_seeds(west, k, rng)
+
+
+def test_greedy_assign_matches_reference_on_large_tight_instances():
+    """One assignment step equals the masked-`argmin` reference on 500 to
+    2,000 DCs where most DCs fall back past their full nearest centroid, and
+    on a 20x20 lattice, whose DCs tie on distance to several centroids."""
+    lattice = np.array([(100.0 * (i % 20), 100.0 * (i // 20)) for i in range(400)])
+    cases = [(np.random.default_rng(n).uniform(0.0, 1000.0, size=(n, 2)), limit)
+             for n in (500, 1000, 2000) for limit in (4, 8)]
+    cases += [(lattice, limit) for limit in (4, 8)]
+    tied = 0
+    for points, limit in cases:
+        centroids = west_seeded_instance(points, limit,
+                                         np.random.default_rng(limit))
+        got = topology._greedy_assign(points, centroids, limit)
+        assert got.tolist() == ref_lloyd_greedy_assign(points, centroids, limit)
+        assert np.bincount(got).max() <= limit
+        dist = np.sqrt(((points[:, None, :] - centroids[None, :, :]) ** 2)
+                       .sum(axis=2))
+        assert np.mean(got != dist.argmin(axis=1)) > 0.5
+        nearest2 = np.sort(dist, axis=1)[:, :2]
+        tied += int(np.sum(nearest2[:, 0] == nearest2[:, 1]))
+    assert tied > 0
+
+
+def test_shared_positions_match_full_lloyd_loop():
+    """12 DCs on 1 to 4 points: k-means++ seeding runs out of distinct
+    positions and falls back to the lowest unchosen DC, and whole rows of
+    distances tie. The partition still equals the full loop's and keeps the
+    size limit."""
+    fallbacks = 0
+    for spots in range(1, 5):
+        rng = np.random.default_rng(spots)
+        places = rng.uniform(0.0, 500.0, size=(spots, 2)).tolist()
+        at = rng.integers(spots, size=12)
+        graph = build_network({
+            "dcs": [{"position": places[s]} for s in at],
+            "links": [{"a": i, "b": i + 1} for i in range(11)]})
+        points = np.array([dc.position for dc in graph.dcs])
+        for limit in range(2, 6):
+            for seed in range(6):
+                got = make_clusters(graph, limit, seed)
+                want, _ = ref_make_clusters(graph, limit, seed)
+                assert got.assignment == want.assignment
+                assert got.clusters == want.clusters
+                assert got.centroids == want.centroids
+                assert got.inter_links == want.inter_links
+                assert all(len(m) <= limit for m in got.clusters.values())
+                k = math.ceil(12 / limit)
+                seeds = topology._kmeans_pp_seeds(
+                    points, k, np.random.default_rng(seed))
+                fallbacks += len(np.unique(seeds, axis=0)) < k
+    assert fallbacks > 0
