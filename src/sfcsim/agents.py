@@ -184,16 +184,10 @@ def priority_rank(pending: list[SfcRequest], now: float) -> list[SfcRequest]:
 
 
 def build_state_view(agent: LocalAgent, world, current_dc: int) -> StateView:
-    dc = world.substrate.dcs[current_dc]
-    spec = dc.spec
     return StateView(
         items_local=agent.local[current_dc],
         items_cluster=agent.cluster,
-        installed=dc.installed_counts,
-        idle=dc.idle,
-        free_fracs=(dc.free_vcpu / spec.compute_cap,
-                    dc.free_ram / spec.ram_cap,
-                    dc.free_storage / spec.storage_cap),
+        dc_block=world.substrate.dcs[current_dc].input_block,
         transfer_pending=bool(agent.outbox),
         out_of_cluster_frac=(agent.out_count / len(agent.queue)
                              if agent.queue else 0.0),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Annotated
@@ -30,10 +31,6 @@ _ZERO_HISTOGRAM = (0.0,) * len(VNF_ORDER)
 _ZERO_BLOCK = (0.0,) * SFC_FEATURES
 # the first column of each SFC type's slice in an INPUT_A_DIM summary
 _SFC_BASE = {name: t * SFC_FEATURES for t, name in enumerate(SFC_ORDER)}
-# input B's floats as native doubles, packed straight into a row's buffer
-# from input B's first byte on: faster than assigning a list to the slice
-_INPUT_B = struct.Struct(f"{INPUT_B_DIM}d")
-_INPUT_B_OFFSET = INPUT_A_DIM * np.dtype(float).itemsize
 
 _MAGIC = b"SFCQNET1"
 
@@ -120,9 +117,8 @@ def _clip01(x: float) -> float:
 
 # `_clip01(n / INSTANCE_NORM)` for each instance count n up to INSTANCE_NORM;
 # every larger count clips to 1.0
-_MAX_TABLED = int(INSTANCE_NORM)
 _INSTANCE_FRACS = tuple(_clip01(n / INSTANCE_NORM)
-                        for n in range(_MAX_TABLED + 1))
+                        for n in range(int(INSTANCE_NORM) + 1))
 
 
 def _group_summary(group: dict[PendingItem, None],
@@ -209,14 +205,11 @@ class SfcGroups:
 class StateView:
     """Everything the encoder needs, pre-extracted by the owning agent at
     step `now`. The item groups keep their summary row between encodings,
-    and `installed` and `idle` are the installed and idle counts per VNF
-    type that the DC keeps (`DcRuntime.installed_counts`, `DcRuntime.idle`):
-    the encoder only reads them."""
+    and `dc_block` is input B as the DC keeps it (`DcRuntime.input_block`):
+    the encoder only copies it."""
     items_local: SfcGroups
     items_cluster: SfcGroups
-    installed: dict[str, int]
-    idle: dict[str, int]
-    free_fracs: tuple[float, float, float]
+    dc_block: np.ndarray  # INPUT_B_DIM floats
     transfer_pending: bool
     out_of_cluster_frac: float
     now: float
@@ -230,48 +223,90 @@ def encode_state(view: StateView, catalog: Catalog,
     if row is None:
         row = np.empty(STATE_DIM)
     row[:INPUT_A_DIM] = view.items_local.summary(catalog, view.now)
-    dc_block = []
-    installed, idle = view.installed, view.idle
-    for name in VNF_ORDER:
-        n = installed.get(name, 0)
-        dc_block.append(_INSTANCE_FRACS[n] if n <= _MAX_TABLED else 1.0)
-        n = idle.get(name, 0)
-        dc_block.append(_INSTANCE_FRACS[n] if n <= _MAX_TABLED else 1.0)
-    for f in view.free_fracs:
-        dc_block.append(_clip01(f))
-    _INPUT_B.pack_into(row, _INPUT_B_OFFSET, *dc_block)
+    row[INPUT_A_DIM:_C_START] = view.dc_block
     row[_C_START:-2] = view.items_cluster.summary(catalog, view.now)
     row[-2] = 1.0 if view.transfer_pending else 0.0
     row[-1] = _clip01(view.out_of_cluster_frac)
     return StateEncoding(row)
 
 
+# the branch biases lead the flat vector, side by side, so that `_forward`
+# adds all three with one add and `loss_and_grads` sums them with one sum
+_BRANCH_BIASES = ("ba", "bb", "bc")
+
+
+def _layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], slice]]:
+    """Each parameter's shape and its slice of the flat vector, in
+    `QNetwork.params` order: an affine layer's weights, then its bias, from
+    the three branches to the output layer. The vector holds the branch
+    biases first and every other parameter after them in that order."""
+    F = config.branch_width
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def layer(name, fan_in, fan_out):
+        shapes["W" + name] = (fan_in, fan_out)
+        shapes["b" + name] = (fan_out,)
+
+    layer("a", INPUT_A_DIM, F)
+    layer("b", INPUT_B_DIM, F)
+    layer("c", INPUT_C_DIM, F)
+    layer("att", 3 * F, 3 * F)
+    prev = 3 * F
+    for i, width in enumerate(config.hidden_widths):
+        layer(f"h{i}", prev, width)
+        prev = width
+    layer("out", prev, config.action_count)
+    spans, start = {}, 0
+    for name in (*_BRANCH_BIASES,
+                 *(n for n in shapes if n not in _BRANCH_BIASES)):
+        stop = start + math.prod(shapes[name])
+        spans[name] = slice(start, stop)
+        start = stop
+    return {name: (shape, spans[name]) for name, shape in shapes.items()}
+
+
+class ParamVector(dict):
+    """Named arrays that are views of one flat float64 vector, `flat`, laid
+    out by `_layout`: a network's parameters, its velocities or one
+    gradient. An operation on every array is one operation on `flat`.
+    Assigning an array to a name copies it into that name's view."""
+    __slots__ = ("flat",)
+
+    def __init__(self, layout, flat: np.ndarray):
+        super().__init__({name: flat[span].reshape(shape)
+                          for name, (shape, span) in layout.items()})
+        self.flat = flat
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self[name]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{name} has shape {view.shape}, "
+                             f"got {np.shape(value)}")
+        view[...] = value
+
+
 class QNetwork:
     """Three affine input branches -> concatenation -> attention -> hidden
-    layers -> Q-values. All math in float64 numpy; analytic gradients."""
+    layers -> Q-values. All math in float64 numpy; analytic gradients. The
+    parameters and the momentum velocities are one flat vector each
+    (`ParamVector`)."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
+        """Weights drawn from `seed` (He normal) and zero biases; `seed`
+        None leaves the weights zero too and draws nothing, as a network
+        that takes its parameters from elsewhere starts."""
         self.config = config
         self.update_count = 0
-        rng = np.random.default_rng(seed)
-        F = config.branch_width
-        self.params: dict[str, np.ndarray] = {}
-
-        def init(name, fan_in, fan_out):
-            self.params["W" + name] = rng.normal(
-                0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            self.params["b" + name] = np.zeros(fan_out)
-
-        init("a", INPUT_A_DIM, F)
-        init("b", INPUT_B_DIM, F)
-        init("c", INPUT_C_DIM, F)
-        init("att", 3 * F, 3 * F)
-        prev = 3 * F
-        for i, width in enumerate(config.hidden_widths):
-            init(f"h{i}", prev, width)
-            prev = width
-        init("out", prev, config.action_count)
-        self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self._layout = _layout(config)
+        size = max(span.stop for _, span in self._layout.values())
+        self.params = ParamVector(self._layout, np.zeros(size))
+        self.velocity = ParamVector(self._layout, np.zeros(size))
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            for name, w in self.params.items():
+                if name[0] == "W":
+                    w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]),
+                                        size=w.shape)
 
     # ---- forward ----------------------------------------------------------
 
@@ -287,9 +322,8 @@ class QNetwork:
         # the three branches side by side in one pre-activation array
         zpre = np.empty((x.shape[0], 3 * F))
         for lo, xi, name in ((0, xa, "a"), (F, xb, "b"), (2 * F, xc, "c")):
-            out = zpre[:, lo:lo + F]
-            np.matmul(xi, p["W" + name], out=out)
-            out += p["b" + name]
+            np.matmul(xi, p["W" + name], out=zpre[:, lo:lo + F])
+        zpre += p.flat[:3 * F]  # ba, bb and bc
         z = np.maximum(zpre, 0.0, out=None if keep else zpre)
         u = z @ p["Watt"]
         u += p["batt"]
@@ -323,7 +357,8 @@ class QNetwork:
 
     def loss_and_grads(self, x, actions, targets):
         """Mean squared TD error on the selected actions of the state rows
-        `x`, with gradients."""
+        `x`, with gradients: a `ParamVector` of its own, which later calls
+        leave alone."""
         p = self.params
         F = self.config.branch_width
         B = x.shape[0]
@@ -333,55 +368,53 @@ class QNetwork:
         diff = q[idx, actions] - targets
         loss = float(np.mean(diff ** 2))
 
-        grads = {}
+        grads = ParamVector(self._layout, np.empty(p.flat.size))
         dq = np.zeros_like(q)
         dq[idx, actions] = 2.0 * diff / B
 
-        grads["Wout"] = cache["h_last"].T @ dq
-        grads["bout"] = dq.sum(axis=0)
+        np.matmul(cache["h_last"].T, dq, out=grads["Wout"])
+        dq.sum(axis=0, out=grads["bout"])
         dh = dq @ p["Wout"].T
         for i in reversed(range(len(self.config.hidden_widths))):
             dz = dh * (cache[f"zh{i}"] > 0)
-            grads[f"Wh{i}"] = cache[f"in_h{i}"].T @ dz
-            grads[f"bh{i}"] = dz.sum(axis=0)
+            np.matmul(cache[f"in_h{i}"].T, dz, out=grads[f"Wh{i}"])
+            dz.sum(axis=0, out=grads[f"bh{i}"])
             dh = dz @ p[f"Wh{i}"].T
 
         # attention block: o = 3F * z * softmax(z Watt + batt)
         z, alpha = cache["z"], cache["alpha"]
-        g = dh
-        dz = 3 * F * g * alpha
-        dalpha = 3 * F * g * z
+        g3 = 3 * F * dh
+        dz = g3 * alpha
+        dalpha = np.multiply(g3, z, out=g3)
         du = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        grads["Watt"] = z.T @ du
-        grads["batt"] = du.sum(axis=0)
-        dz = dz + du @ p["Watt"].T
+        np.matmul(z.T, du, out=grads["Watt"])
+        du.sum(axis=0, out=grads["batt"])
+        dz += du @ p["Watt"].T
 
         dz *= cache["zpre"] > 0
         for name, x_key, lo in (("a", "xa", 0), ("b", "xb", F),
                                 ("c", "xc", 2 * F)):
-            dbranch = dz[:, lo:lo + F]
-            grads["W" + name] = cache[x_key].T @ dbranch
-            grads["b" + name] = dbranch.sum(axis=0)
+            np.matmul(cache[x_key].T, dz[:, lo:lo + F], out=grads["W" + name])
+        dz.sum(axis=0, out=grads.flat[:3 * F])  # ba, bb and bc
         return loss, grads
 
-    def apply_grads(self, grads: dict[str, np.ndarray]) -> None:
-        """Momentum step, in place: the operations of `v = mom * v - lr * g`,
-        in that order, without its temporaries."""
+    def apply_grads(self, grads: ParamVector) -> None:
+        """Momentum step on the flat vectors, in place: the operations of
+        `v = mom * v - lr * g; p += v`, in that order, without their
+        temporaries."""
         lr, mom = self.config.learning_rate, self.config.momentum
-        for k, g in grads.items():
-            v = self.velocity[k]
-            v *= mom
-            v -= lr * g
-            self.params[k] += v
+        v = self.velocity.flat
+        v *= mom
+        v -= lr * grads.flat
+        self.params.flat += v
 
     # ---- weight transfer --------------------------------------------------
 
     def copy_params_from(self, other: "QNetwork") -> None:
-        for k in self.params:
-            self.params[k] = other.params[k].copy()
+        self.params.flat[...] = other.params.flat
 
     def clone(self) -> "QNetwork":
-        net = QNetwork(self.config, seed=0)
+        net = QNetwork(self.config, seed=None)
         net.copy_params_from(self)
         return net
 
@@ -503,7 +536,8 @@ def save_weights(net: QNetwork, path: str) -> None:
 
 def load_weights(path: str, config: ModelConfig) -> QNetwork:
     """The network `save_weights` wrote to `path`; DrlError unless it has
-    `config`'s architecture and lists every parameter once, with its shape."""
+    `config`'s architecture, lists every parameter once, with its shape, and
+    holds only finite values."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(_MAGIC) or len(data) < len(_MAGIC) + 4:
@@ -519,7 +553,7 @@ def load_weights(path: str, config: ModelConfig) -> QNetwork:
     off += hlen
     if arch_hash != config.arch_hash():
         raise DrlError("weight file does not match the model configuration")
-    net = QNetwork(config, seed=0)
+    net = QNetwork(config, seed=None)
     try:  # `params` absent, or not [name, shape] pairs
         listed = sorted(name for name, _ in params)
     except (TypeError, ValueError):
@@ -531,8 +565,10 @@ def load_weights(path: str, config: ModelConfig) -> QNetwork:
         own = net.params[name]
         if shape != list(own.shape) or off + own.nbytes > len(data):
             raise DrlError("weight file shape mismatch")
-        net.params[name] = np.frombuffer(
-            data[off:off + own.nbytes], dtype="<f8").reshape(own.shape).copy()
+        own[...] = np.frombuffer(data, dtype="<f8", count=own.size,
+                                 offset=off).reshape(own.shape)
+        if not np.isfinite(own).all():  # one NaN makes every Q-value NaN
+            raise DrlError(f"weight file parameter {name} is not finite")
         off += own.nbytes
     if off != len(data):
         raise DrlError("trailing bytes in weight file")

@@ -6,6 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .drl import _INSTANCE_FRACS, _clip01
 from .routing import PathResult
 from .topology import DataCenterSpec, LinkSpec, NetworkGraph
 from .workload import VNF_ORDER, SfcRequest, VnfType
@@ -13,6 +16,16 @@ from .workload import VNF_ORDER, SfcRequest, VnfType
 
 class SubstrateError(RuntimeError):
     pass
+
+
+# each VNF type's first column in input B: its installed fraction, then its
+# idle fraction
+_B_COLUMN = {name: 2 * i for i, name in enumerate(VNF_ORDER)}
+
+
+def _instance_frac(n: int) -> float:
+    """Input B's `_clip01(n / INSTANCE_NORM)` for `n` instances."""
+    return _INSTANCE_FRACS[n] if n < len(_INSTANCE_FRACS) else 1.0
 
 
 @dataclass
@@ -30,11 +43,14 @@ class VnfInstance:
 
 @dataclass
 class DcRuntime:
-    """A DC's residual resources, installed instances, and installed and
-    idle instance counts per VNF type in VNF_ORDER. All four change only
-    through `Substrate`, which recomputes the free resources and keeps the
-    installed counts at each placement and removal, and keeps the idle
-    counts at every change of an instance."""
+    """A DC's residual resources, installed instances, installed and idle
+    instance counts per VNF type in VNF_ORDER, and the state encoding's input
+    B as those determine it (`input_block`): each type's installed and idle
+    fractions in VNF_ORDER, then the free vCPU, RAM and storage fractions.
+    All of them change only through `Substrate`, which recomputes the free
+    resources and keeps the installed counts at each placement and removal,
+    keeps the idle counts at every change of an instance, and rewrites the
+    entries of input B that such a change moves."""
     spec: DataCenterSpec
     free_vcpu: float = 0.0
     free_ram: float = 0.0
@@ -44,9 +60,11 @@ class DcRuntime:
         default_factory=lambda: dict.fromkeys(VNF_ORDER, 0))
     idle: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(VNF_ORDER, 0))
+    input_block: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.free_vcpu, self.free_ram, self.free_storage = self.computed_free()
+        self.input_block = self.computed_input_block()
 
     def instances(self):
         for lst in self.installed.values():
@@ -60,6 +78,36 @@ class DcRuntime:
         return (self.spec.compute_cap - sum(v.vcpu for v in vnfs),
                 self.spec.ram_cap - math.fsum(v.ram for v in vnfs),
                 self.spec.storage_cap - math.fsum(v.storage for v in vnfs))
+
+    def _free_fracs(self) -> list[float]:
+        spec = self.spec
+        return [_clip01(self.free_vcpu / spec.compute_cap),
+                _clip01(self.free_ram / spec.ram_cap),
+                _clip01(self.free_storage / spec.storage_cap)]
+
+    def computed_input_block(self) -> np.ndarray:
+        """Input B recomputed from the counts and the free resources."""
+        block = []
+        for name in VNF_ORDER:
+            block += (_instance_frac(self.installed_counts[name]),
+                      _instance_frac(self.idle[name]))
+        return np.array(block + self._free_fracs())
+
+    def _refresh_free(self) -> None:
+        """Recompute the free resources and their entries of input B."""
+        self.free_vcpu, self.free_ram, self.free_storage = self.computed_free()
+        block = self.input_block
+        block[-3], block[-2], block[-1] = self._free_fracs()
+
+    def _add_counts(self, name: str, installed: int, idle: int) -> None:
+        """Move the type's installed and idle counts by `installed` and
+        `idle`, and rewrite the fractions of input B that moved."""
+        i, block = _B_COLUMN[name], self.input_block
+        if installed:
+            self.installed_counts[name] += installed
+            block[i] = _instance_frac(self.installed_counts[name])
+        self.idle[name] += idle
+        block[i + 1] = _instance_frac(self.idle[name])
 
 
 class LinkRuntime:
@@ -131,9 +179,8 @@ class Substrate:
         inst = VnfInstance(self._next_instance_id, dc_id, vnf)
         self._next_instance_id += 1
         dc.installed.setdefault(vnf.name, []).append(inst)
-        dc.free_vcpu, dc.free_ram, dc.free_storage = dc.computed_free()
-        dc.installed_counts[vnf.name] += 1
-        dc.idle[vnf.name] += 1
+        dc._refresh_free()
+        dc._add_counts(vnf.name, 1, 1)
         return inst
 
     def uninstall_vnf(self, instance: VnfInstance) -> None:
@@ -146,9 +193,8 @@ class Substrate:
         if not instance.is_idle():
             raise SubstrateError(f"instance {instance.instance_id} is busy")
         lst.remove(instance)
-        dc.free_vcpu, dc.free_ram, dc.free_storage = dc.computed_free()
-        dc.installed_counts[instance.vnf_type.name] -= 1
-        dc.idle[instance.vnf_type.name] -= 1
+        dc._refresh_free()
+        dc._add_counts(instance.vnf_type.name, -1, -1)
 
     def allocate(self, request: SfcRequest, instance: VnfInstance,
                  now: float, transfer_delay: float) -> float:
@@ -166,7 +212,7 @@ class Substrate:
         if instance.reserved:  # already counted busy when it was reserved
             instance.reserved = False
         else:
-            self.dcs[instance.dc].idle[vnf.name] -= 1
+            self.dcs[instance.dc]._add_counts(vnf.name, 0, -1)
         instance.allocated_request = request.id
         # processing starts once the packet has arrived
         instance.busy_until = now + transfer_delay + vnf.proc_time
@@ -178,18 +224,18 @@ class Substrate:
         """Hold an idle instance for an allocation that waits for the
         general agent's path assistance."""
         instance.reserved = True
-        self.dcs[instance.dc].idle[instance.vnf_type.name] -= 1
+        self.dcs[instance.dc]._add_counts(instance.vnf_type.name, 0, -1)
 
     def unreserve_instance(self, instance: VnfInstance) -> None:
         """Give back a held instance whose assisted allocation found no
         path."""
         instance.reserved = False
-        self.dcs[instance.dc].idle[instance.vnf_type.name] += 1
+        self.dcs[instance.dc]._add_counts(instance.vnf_type.name, 0, 1)
 
     def free_instance(self, instance: VnfInstance) -> None:
         """Unbind an instance whose processing has completed."""
         instance.allocated_request = None
-        self.dcs[instance.dc].idle[instance.vnf_type.name] += 1
+        self.dcs[instance.dc]._add_counts(instance.vnf_type.name, 0, 1)
 
     # ---- idle / capacity queries -----------------------------------------
 
@@ -228,6 +274,8 @@ class Substrate:
                     raise SubstrateError(f"DC {dc_id}: {v} installed count drift")
                 if dc.idle[v] != sum(i.is_idle() for i in instances):
                     raise SubstrateError(f"DC {dc_id}: {v} idle count drift")
+            if dc.input_block.tobytes() != dc.computed_input_block().tobytes():
+                raise SubstrateError(f"DC {dc_id}: input block drift")
         for key, rt in self.links.items():
             if rt.free_bw != rt.computed_free_bw():
                 raise SubstrateError(f"link {key}: bandwidth accounting drift")

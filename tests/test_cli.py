@@ -115,6 +115,25 @@ def test_eval_weights_naming_too_few_parameters(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "replay"])
+def test_weights_with_a_nan_exit_2(tmp_path, capsys, command):
+    """A weight file with one NaN in `Wh0` exits 2 and writes nothing: it
+    used to load, and every agent's Q-values were NaN, so each one took
+    action 0."""
+    wl = tmp_path / "wl.jsonl"
+    wl.write_text("")
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"workload": {"replay_file": str(wl)}})
+    net = QNetwork(ModelConfig(), seed=0)
+    net.params["Wh0"][3, 5] = float("nan")
+    save_weights(net, str(tmp_path / "nan.bin"))
+    assert cli.main([command, "--config", cfg, "--weights",
+                     str(tmp_path / "nan.bin"),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "parameter Wh0 is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 TWO_DCS = [{"position": [0, 0]}, {"position": [1, 0]}]
 
 

@@ -21,9 +21,12 @@ TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 
 
 def empty_view():
+    """The view at an empty DC: no instances, every resource free."""
+    dc_block = np.zeros(INPUT_B_DIM)
+    dc_block[-3:] = 1.0
     return StateView(items_local=SfcGroups(), items_cluster=SfcGroups(),
-                     installed={}, idle={}, free_fracs=(1.0, 1.0, 1.0),
-                     transfer_pending=False, out_of_cluster_frac=0.0, now=0.0)
+                     dc_block=dc_block, transfer_pending=False,
+                     out_of_cluster_frac=0.0, now=0.0)
 
 
 def pending(sfc_name, remaining_ms, bandwidth, completion_frac,
@@ -115,7 +118,7 @@ def test_encoding_bounds_and_locality():
         view = empty_view()
         view.items_local = grouped(items)
         view.items_cluster = grouped(items)
-        view.installed = {"NAT": int(rng.integers(0, 30))}
+        view.dc_block = rng.uniform(0, 1, INPUT_B_DIM)
         row = encode_state(view, cat).row
         assert np.all(row >= 0.0) and np.all(row <= 1.0)
 
@@ -395,8 +398,7 @@ def test_act_on_a_round_matrix_matches_stacked_rows():
                 view = empty_view()
                 view.items_local = grouped(items[::2])
                 view.items_cluster = grouped(items)
-                view.installed = {"NAT": int(rng.integers(0, 12))}
-                view.idle = {"FW": int(rng.integers(0, 12))}
+                view.dc_block = rng.uniform(0, 1, INPUT_B_DIM)
                 views.append(view)
             rows = np.empty((size, STATE_DIM))
             in_rows = [encode_state(v, cat, row) for v, row in zip(views, rows)]
@@ -725,3 +727,99 @@ def test_weight_corrupt_header(tmp_path):
     open(path, "wb").write(bytes(data))
     with pytest.raises(DrlError):
         load_weights(path, ModelConfig())
+
+
+def test_load_weights_rejects_non_finite_parameters(tmp_path):
+    """A weight file with a NaN or an infinity in one parameter is refused,
+    with the parameter named: one NaN in `Wh0` made every Q-value NaN, and
+    argmax picked action 0 for every agent."""
+    cfg = ModelConfig()
+    path = str(tmp_path / "w.bin")
+    for name, bad in (("Wh0", math.nan), ("bout", math.inf),
+                      ("ba", -math.inf)):
+        net = QNetwork(cfg, seed=0)
+        net.params[name].reshape(-1)[1] = bad
+        save_weights(net, path)
+        with pytest.raises(DrlError, match=f"parameter {name} is not finite"):
+            load_weights(path, cfg)
+
+
+# ---- the parameter vector --------------------------------------------------
+
+
+def test_copies_share_no_memory_with_their_source(tmp_path):
+    """`clone`, `copy_params_from` and `load_weights` give networks with
+    parameters and velocities of their own: each array is a view of its own
+    network's vector and shares no memory with the source's, and updates of
+    the source leave the copies' bits as they were."""
+    cfg = ModelConfig(batch_size=8)
+    net = QNetwork(cfg, seed=4)
+    path = str(tmp_path / "w.bin")
+    save_weights(net, path)
+    copied = QNetwork(cfg, seed=5)
+    copied.copy_params_from(net)
+    copies = [net.clone(), copied, load_weights(path, cfg)]
+    kept = [c.params.flat.tobytes() for c in copies]
+    assert kept == [net.params.flat.tobytes()] * 3
+    for c in copies:
+        for k in net.params:
+            for own, source in ((c.params, net.params),
+                                (c.velocity, net.velocity)):
+                assert np.shares_memory(own[k], own.flat)
+                assert not np.shares_memory(own[k], source.flat), k
+    rng = np.random.default_rng(0)
+    mem = ReplayMemory(16)
+    for _ in range(16):
+        mem.push(random_state(rng), int(rng.integers(13)), random_state(rng),
+                 float(rng.normal()), False)
+    target = net.clone()
+    for _ in range(3):
+        update(net, target, mem, cfg, rng)
+    assert net.params.flat.tobytes() != kept[0]
+    assert [c.params.flat.tobytes() for c in copies] == kept
+
+
+def test_gradients_keep_their_bits_after_later_calls():
+    """The gradients one `loss_and_grads` call returns are a vector of their
+    own: a second call on other inputs, and a momentum step with its
+    gradients, leave the first call's bits as they were."""
+    net = load_weights(TRAINED_WEIGHTS, ModelConfig())
+    rng = np.random.default_rng(14)
+
+    def grads_of(size):
+        x = rng.uniform(0, 1, (size, STATE_DIM))
+        return net.loss_and_grads(
+            x, rng.integers(net.config.action_count, size=size),
+            rng.normal(size=size))[1]
+
+    first = grads_of(64)
+    kept = {k: g.tobytes() for k, g in first.items()}
+    for size in (64, 5):
+        later = grads_of(size)
+        assert not np.shares_memory(later.flat, first.flat)
+        net.apply_grads(later)
+        assert {k: g.tobytes() for k, g in first.items()} == kept
+
+
+def test_assigning_a_parameter_writes_into_the_vector():
+    """`net.params[k] = array` copies the array into k's view of the
+    parameter vector, so `forward`, which adds the three branch biases as
+    one slice of the vector, gives the bits of the per-branch reference
+    after each branch bias is assigned; an array of another shape is
+    refused."""
+    net = QNetwork(ModelConfig(), seed=2)
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 1, (5, STATE_DIM))
+    b = INPUT_A_DIM + INPUT_B_DIM
+    blocks_of_x = [np.ascontiguousarray(x[:, cols]) for cols in
+                   (slice(0, INPUT_A_DIM), slice(INPUT_A_DIM, b),
+                    slice(b, None))]
+    for k in ("ba", "bb", "bc"):
+        before = net.forward(x).tobytes()
+        net.params[k] = rng.normal(0.0, 1.0, net.params[k].shape)
+        assert np.shares_memory(net.params[k], net.params.flat)
+        got = net.forward(x).tobytes()
+        assert got != before
+        assert got == ref_forward_blocks(net, *blocks_of_x).tobytes(), k
+    with pytest.raises(ValueError, match=r"ba has shape \(32,\)"):
+        net.params["ba"] = np.zeros(3)

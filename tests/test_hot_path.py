@@ -17,7 +17,8 @@ from sfcsim.drl import (INPUT_A_DIM, INPUT_B_DIM, INPUT_C_DIM, INSTANCE_NORM,
                         SfcGroups, StateEncoding, StateView, encode_state,
                         load_weights)
 from sfcsim.sim import SimConfig, run_episode
-from sfcsim.topology import build_network
+from sfcsim.substrate import DcRuntime
+from sfcsim.topology import DataCenterSpec, build_network
 from sfcsim.workload import (BW_NORM_MBPS, MAX_E2E_TOLERANCE_MS, SFC_ORDER,
                              VNF_ORDER, SfcRequest, catalog_from_config,
                              default_catalog, generate_bundles)
@@ -29,6 +30,11 @@ TRAINED_WEIGHTS = str(Path(__file__).parents[1] / "perfbench" / "policy.bin")
 # a queued request as the reference encoder reads it at one step
 RefItem = namedtuple("RefItem", "sfc_name remaining_ms bandwidth "
                                 "completion_frac next_vnf_name")
+# the state view as the reference encoder reads it: the DC's counts and free
+# fractions in place of the input block the DC keeps
+RefView = namedtuple("RefView", "items_local items_cluster installed idle "
+                                "free_fracs transfer_pending "
+                                "out_of_cluster_frac now")
 
 
 def ref_next_vnf(r):
@@ -92,7 +98,7 @@ def ref_build_state_view(agent, world, current_dc):
             dc.free_storage / dc.spec.storage_cap)
     installed = {v: sub.installed_count(current_dc, v) for v in VNF_ORDER}
     idle = {v: len(sub.idle_instances(current_dc, v)) for v in VNF_ORDER}
-    return StateView(
+    return RefView(
         items_local=items_local,
         items_cluster=items_cluster,
         installed=installed,
@@ -156,6 +162,16 @@ def grouped(items):
     for it in items:
         groups.add(it)
     return groups
+
+
+def kept_block(view):
+    """The input block that a DC with unit capacities keeps for the counts
+    and free fractions of the reference view `view`."""
+    dc = DcRuntime(DataCenterSpec(0, (0.0, 0.0), 1.0, 1.0, 1.0))
+    dc.installed_counts.update(view.installed)
+    dc.idle.update(view.idle)
+    dc.free_vcpu, dc.free_ram, dc.free_storage = view.free_fracs
+    return dc.computed_input_block()
 
 
 def assert_same_encoding(got, want):
@@ -768,16 +784,21 @@ def test_encoding_matches_reference_on_random_items():
     for _ in range(200):
         now = float(rng.integers(0, 50))
         items = random_items(int(rng.integers(0, 120)), now)
-        view = StateView(items_local=ref_items(items[::2], now),
-                         items_cluster=ref_items(items, now),
-                         installed={"FW": int(rng.integers(0, 20))},
-                         idle={"NAT": int(rng.integers(0, 20))},
-                         free_fracs=tuple(float(x) for x in rng.uniform(0, 1, 3)),
-                         transfer_pending=bool(rng.integers(2)),
-                         out_of_cluster_frac=float(rng.uniform(0, 1)),
-                         now=now)
-        view_groups = replace(view, items_local=grouped(items[::2]),
-                              items_cluster=grouped(items))
+        view = RefView(items_local=ref_items(items[::2], now),
+                       items_cluster=ref_items(items, now),
+                       installed={"FW": int(rng.integers(0, 20))},
+                       idle={"NAT": int(rng.integers(0, 20))},
+                       free_fracs=tuple(float(x)
+                                        for x in rng.uniform(0, 1, 3)),
+                       transfer_pending=bool(rng.integers(2)),
+                       out_of_cluster_frac=float(rng.uniform(0, 1)),
+                       now=now)
+        view_groups = StateView(items_local=grouped(items[::2]),
+                                items_cluster=grouped(items),
+                                dc_block=kept_block(view),
+                                transfer_pending=view.transfer_pending,
+                                out_of_cluster_frac=view.out_of_cluster_frac,
+                                now=now)
         assert_same_encoding(encode_state(view_groups, cat),
                              ref_encode_state(view, cat))
         groups = grouped(items)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sfcsim.drl import INSTANCE_NORM
 from sfcsim.routing import PathResult
 from sfcsim.substrate import Substrate, SubstrateError
 from sfcsim.topology import build_network
@@ -163,6 +164,98 @@ def test_verify_accounting_catches_installed_count_drift(cat, sub):
     sub.dcs[2].installed_counts["WO"] = 2
     with pytest.raises(SubstrateError,
                        match="DC 2: WO installed count drift"):
+        sub.verify_accounting()
+
+
+def ref_input_block(dc):
+    """Input B for the DC by the encoder's formulas: per VNF type the
+    clipped installed and idle fractions of its instances counted afresh,
+    then the clipped free vCPU, RAM and storage fractions."""
+    def clip01(x):
+        return min(1.0, max(0.0, x))
+
+    block = []
+    for v in VNF_ORDER:
+        instances = dc.installed.get(v, [])
+        block += [clip01(len(instances) / INSTANCE_NORM),
+                  clip01(sum(i.is_idle() for i in instances) / INSTANCE_NORM)]
+    spec = dc.spec
+    block += [clip01(dc.free_vcpu / spec.compute_cap),
+              clip01(dc.free_ram / spec.ram_cap),
+              clip01(dc.free_storage / spec.storage_cap)]
+    return np.array(block)
+
+
+def test_input_block_follows_random_instance_changes(cat, graph):
+    """Random sequences of placements, allocations, reservations, given-back
+    reservations, frees and uninstalls leave every DC's kept input block
+    byte-equal to the block computed afresh from its instances and free
+    resources, with counts past INSTANCE_NORM (where the fractions clip)
+    and a DC's resources used up."""
+    # a chain position of each VNF type, for requests an instance can serve
+    position = {}
+    for sfc in cat.sfcs.values():
+        for k, vnf in enumerate(sfc.chain):
+            position.setdefault(vnf.name, (sfc, k))
+    rng = np.random.default_rng(33)
+    most = 0
+    full = False
+    for _ in range(12):
+        sub = Substrate(graph)
+        next_id = 0
+        for _ in range(300):
+            instances = [i for dc in sub.dcs.values() for i in dc.instances()]
+            idle = [i for i in instances if i.is_idle()]
+            reserved = [i for i in instances if i.reserved]
+            allocated = [i for i in instances
+                         if i.allocated_request is not None]
+            op = rng.choice(["place", "place", "allocate", "reserve",
+                             "unreserve", "free", "uninstall"])
+            if op == "place":
+                dc_id = int(rng.integers(2))  # two DCs fill up
+                vnf = cat.vnfs[("NAT", "NAT", "WO", "FW", "TM")[
+                    int(rng.integers(5))]]
+                if sub.can_place(dc_id, vnf):
+                    sub.place_vnf(dc_id, vnf)
+                else:
+                    full = True
+            elif op == "allocate" and idle + reserved:
+                pool = idle + reserved
+                inst = pool[int(rng.integers(len(pool)))]
+                sfc, k = position[inst.vnf_type.name]
+                sub.allocate(SfcRequest(next_id, sfc, 1.0, 0, 1,
+                                        next_vnf_index=k),
+                             inst, 0.0, 0.0)
+                next_id += 1
+            else:
+                pool = {"reserve": idle, "unreserve": reserved,
+                        "free": allocated, "uninstall": idle}.get(op)
+                if pool:
+                    inst = pool[int(rng.integers(len(pool)))]
+                    getattr(sub, {"reserve": "reserve_instance",
+                                  "unreserve": "unreserve_instance",
+                                  "free": "free_instance",
+                                  "uninstall": "uninstall_vnf"}[op])(inst)
+            for dc in sub.dcs.values():
+                assert (dc.input_block.tobytes()
+                        == ref_input_block(dc).tobytes())
+                most = max(most, *dc.installed_counts.values())
+            sub.verify_accounting()
+    assert most > INSTANCE_NORM and full
+
+
+def test_verify_accounting_catches_input_block_drift(cat, sub):
+    """An entry of the kept input block that disagrees with the DC's counts
+    or free resources is drift."""
+    sub.place_vnf(2, cat.vnfs["WO"])
+    sub.verify_accounting()
+    for i in (0, -1):
+        block = sub.dcs[2].input_block
+        kept = block[i]
+        block[i] = 0.5
+        with pytest.raises(SubstrateError, match="DC 2: input block drift"):
+            sub.verify_accounting()
+        block[i] = kept
         sub.verify_accounting()
 
 
